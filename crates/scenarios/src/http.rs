@@ -35,9 +35,11 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
-use crate::serve::{error_frame, handle_frame, overload_frame, ConnShared, Core, Server};
+use crate::serve::{
+    accept_backoff, error_frame, handle_frame, overload_frame, reap_finished, ConnShared, Core,
+    Server,
+};
 
 /// Hard cap on one request head: request line plus all headers.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -59,75 +61,73 @@ impl Server {
     pub fn listen_http<A: ToSocketAddrs>(&self, addr: A) -> io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        // Registered before the accept loop's first shutdown check, so a
+        // shutdown either wakes it or is already visible to it (see
+        // `Core::begin_shutdown`).
+        self.core
+            .http_addrs
+            .lock()
+            .expect("http addrs poisoned")
+            .push(local);
 
         let core = Arc::clone(&self.core);
         let conn_threads = Arc::clone(&self.conn_threads);
-        let handle = std::thread::spawn(move || loop {
-            if core.is_shutting_down() {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // Reap finished connection threads so the handle
-                    // list stays bounded by the live-client count.
-                    let mut threads = conn_threads.lock().expect("conn threads poisoned");
-                    let mut live = Vec::with_capacity(threads.len() + 1);
-                    for handle in threads.drain(..) {
-                        if handle.is_finished() {
-                            let _ = handle.join();
-                        } else {
-                            live.push(handle);
-                        }
-                    }
-                    *threads = live;
-
-                    let active = core
-                        .tcp_conns
-                        .lock()
-                        .expect("tcp conn registry poisoned")
-                        .len();
-                    if active >= core.config.max_clients {
-                        core.metrics.rejected_connections.inc();
-                        let mut stream = stream;
-                        let retry_ms = core.retry_hint_ms();
-                        let body = json_body(overload_frame(
-                            "null",
-                            &format!(
-                                "server is at its limit of {} concurrent clients",
-                                core.config.max_clients
-                            ),
-                            retry_ms,
-                        ));
-                        let _ = write_response_with_retry(
-                            &mut stream,
-                            503,
-                            "Service Unavailable",
-                            "application/json",
-                            &body,
-                            true,
-                            Some(retry_ms),
-                        );
+        let handle = std::thread::spawn(move || {
+            while !core.is_shutting_down() {
+                let accepted = listener.accept();
+                // A shutdown's wake connection, or a client racing it:
+                // either way the loop ends here, uncounted.
+                if core.is_shutting_down() {
+                    return;
+                }
+                let mut stream = match accepted {
+                    Ok((stream, _)) => stream,
+                    Err(_) => {
+                        accept_backoff();
                         continue;
                     }
-                    let conn_id = core.next_conn.fetch_add(1, Ordering::Relaxed);
-                    if let Ok(registered) = stream.try_clone() {
-                        core.tcp_conns
-                            .lock()
-                            .expect("tcp conn registry poisoned")
-                            .insert(conn_id, registered);
-                    }
-                    let conn_core = Arc::clone(&core);
-                    threads.push(std::thread::spawn(move || {
-                        serve_http_conn(conn_core, stream, conn_id);
-                    }));
+                };
+                let mut threads = conn_threads.lock().expect("conn threads poisoned");
+                reap_finished(&mut threads);
+
+                let active = core
+                    .tcp_conns
+                    .lock()
+                    .expect("tcp conn registry poisoned")
+                    .len();
+                if active >= core.config.max_clients {
+                    core.metrics.rejected_connections.inc();
+                    let retry_ms = core.retry_hint_ms();
+                    let body = json_body(overload_frame(
+                        "null",
+                        &format!(
+                            "server is at its limit of {} concurrent clients",
+                            core.config.max_clients
+                        ),
+                        retry_ms,
+                    ));
+                    let _ = write_response_with_retry(
+                        &mut stream,
+                        503,
+                        "Service Unavailable",
+                        "application/json",
+                        &body,
+                        true,
+                        Some(retry_ms),
+                    );
+                    continue;
                 }
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
+                let conn_id = core.next_conn.fetch_add(1, Ordering::Relaxed);
+                if let Ok(registered) = stream.try_clone() {
+                    core.tcp_conns
+                        .lock()
+                        .expect("tcp conn registry poisoned")
+                        .insert(conn_id, registered);
                 }
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
+                let conn_core = Arc::clone(&core);
+                threads.push(std::thread::spawn(move || {
+                    serve_http_conn(conn_core, stream, conn_id);
+                }));
             }
         });
         self.accept
@@ -358,6 +358,11 @@ fn write_response<W: Write>(
 /// renders as a `Retry-After` header in whole seconds (rounded up, so a
 /// sub-second hint never becomes `Retry-After: 0`), as RFC 9110
 /// prescribes for `503` responses.
+///
+/// Head and body leave in one write. Written separately, the body of a
+/// small response waits under Nagle's algorithm for the ACK of the
+/// head, which the client delays (about 40 ms on Linux) because it has
+/// nothing to send until the body arrives.
 #[allow(clippy::too_many_arguments)]
 fn write_response_with_retry<W: Write>(
     writer: &mut W,
@@ -368,17 +373,21 @@ fn write_response_with_retry<W: Write>(
     close: bool,
     retry_after_ms: Option<u64>,
 ) -> io::Result<()> {
+    use std::fmt::Write as _;
     let connection = if close { "close" } else { "keep-alive" };
-    let retry_after = retry_after_ms
-        .map(|ms| format!("Retry-After: {}\r\n", ms.div_ceil(1000).max(1)))
-        .unwrap_or_default();
-    let head = format!(
+    let mut response = String::with_capacity(160 + body.len());
+    let _ = write!(
+        response,
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: {connection}\r\n{retry_after}\r\n",
+         Content-Length: {}\r\nConnection: {connection}\r\n",
         body.len(),
     );
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(body.as_bytes())?;
+    if let Some(ms) = retry_after_ms {
+        let _ = write!(response, "Retry-After: {}\r\n", ms.div_ceil(1000).max(1));
+    }
+    response.push_str("\r\n");
+    response.push_str(body);
+    writer.write_all(response.as_bytes())?;
     writer.flush()
 }
 
@@ -389,6 +398,11 @@ fn write_response_with_retry<W: Write>(
 fn serve_http_conn(core: Arc<Core>, stream: TcpStream, conn_id: u64) {
     core.metrics.connections.inc();
     let _ = stream.set_read_timeout(Some(core.config.http_read_timeout));
+    // Every response is one write (see `write_response_with_retry`), so
+    // nothing is gained by coalescing; without this the last partial
+    // segment of a body larger than one segment would still wait for an
+    // ACK.
+    let _ = stream.set_nodelay(true);
     if let Ok(writer) = stream.try_clone() {
         let mut writer = writer;
         let mut reader = BufReader::new(stream);
@@ -585,4 +599,53 @@ fn serve_one_request<R: BufRead>(
         }
     };
     sent.is_ok() && !close
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sink that accepts every byte and counts the `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_leaves_in_one_write() {
+        let large = "x".repeat(200_000);
+        for (body, retry, head) in [
+            (
+                "ok\n",
+                None,
+                "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 3\r\n\
+                 Connection: keep-alive\r\n\r\n",
+            ),
+            (
+                large.as_str(),
+                Some(1500),
+                "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 200000\r\n\
+                 Connection: keep-alive\r\nRetry-After: 2\r\n\r\n",
+            ),
+        ] {
+            let mut sink = CountingWriter::default();
+            write_response_with_retry(&mut sink, 200, "OK", "text/plain", body, false, retry)
+                .expect("in-memory writes cannot fail");
+            assert_eq!(sink.writes, 1, "head and body must leave together");
+            assert_eq!(sink.bytes, [head.as_bytes(), body.as_bytes()].concat());
+        }
+    }
 }

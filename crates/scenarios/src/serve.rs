@@ -62,6 +62,34 @@
 //! (identity relabeling); the cache then only merges structurally
 //! identical submissions.
 //!
+//! **Cost.** Each BFS start emits its encoding record by record while it
+//! traverses, compares it with the best encoding so far, and stops at
+//! its first larger value, so a start usually ends after a few records:
+//! on random cubic graphs of about 900 nodes a form takes 1–3 ms, where
+//! encoding every start in full took 40–70 ms. When every start ties —
+//! a cycle with canonical ports, or any graph whose PN structure looks
+//! the same from every node — each start runs to the end and the cost
+//! stays `O(n·m)` per component, which is what the limit bounds.
+//!
+//! **Keys.** The key is bytes, not text: a form tag, the component
+//! count, then per component its length and its values, every number in
+//! unsigned LEB128, followed by the protocol set (a bit mask), the
+//! bounds mode, the delta hint and the seed. Each part is
+//! self-delimiting, so distinct requests never share a key. A 900-node
+//! cubic instance needs about 8.6 KB, about half of its decimal
+//! rendering. Each cached entry holds its key once, in one `Arc<[u8]>`
+//! that the map, the FIFO eviction queue and every queued job share; the
+//! `ext-<digest>` scenario name is the FNV-1a digest of those bytes.
+//!
+//! # Writes
+//!
+//! Every response leaves in one write: a JSON-lines frame together with
+//! its newline, an HTTP response head together with its body. HTTP
+//! connections also set `TCP_NODELAY`. A small body written after its
+//! head would otherwise wait under Nagle's algorithm for the ACK of the
+//! head, which the client delays by about 40 ms, and the last partial
+//! segment of a large body would wait the same way.
+//!
 //! # Backpressure, timeouts, shutdown
 //!
 //! Each connection has a bounded in-flight window
@@ -75,9 +103,12 @@
 //! [`CancelToken`] the simulator polls at round barriers, so oversized
 //! instances under short timeouts answer `timeout` frames too instead
 //! of holding a worker. Graceful shutdown (a `shutdown` frame
-//! or [`Server::shutdown`]) stops accepting frames and connections,
+//! or [`Server::begin_shutdown`]) stops accepting frames and connections,
 //! half-closes client sockets (read side), drains every queued and
-//! in-flight solve, flushes every response, and only then returns.
+//! in-flight solve, flushes every response, and only then returns. The
+//! accept loops block in `accept`; shutdown wakes each with a throwaway
+//! connection to its own socket path or address, which the loop
+//! recognises by the shutdown flag and neither serves nor counts.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -86,7 +117,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use eds_telemetry::{Counter, Gauge, Histogram, Registry};
-use pn_graph::{ports, Endpoint, NodeId, PortNumberedGraph, SimpleGraph};
+use pn_graph::{ports, NodeId, PortNumberedGraph, SimpleGraph};
 use pn_runtime::{CancelToken, RuntimeError, SubmitError, WorkerPool};
 
 use crate::bounds::BoundsMode;
@@ -405,118 +436,185 @@ pub struct CanonicalForm {
     pub graph: PortNumberedGraph,
     /// `perm[canonical_node] = input_node`.
     pub perm: Vec<NodeId>,
-    /// Exact encoding of `graph`; the cache key.
-    pub key: String,
+    /// Exact encoding of `graph` as self-delimiting bytes: a form tag,
+    /// the component count, then per component its length and values,
+    /// every number in unsigned LEB128. The cache key's prefix.
+    pub key: Vec<u8>,
 }
 
-/// Encodes `g` relative to `order` (`order[new] = old`): per new node,
-/// its degree then `(neighbor_new_id, far_port)` per port in port order.
-/// The encoding determines the relabeled graph exactly.
-fn encode_order(g: &PortNumberedGraph, order: &[NodeId], index: &[u32]) -> Vec<u32> {
-    let mut enc = Vec::with_capacity(order.len() + 2 * g.port_count());
-    for &old in order {
-        enc.push(g.degree(old) as u32);
-        for p in g.ports(old) {
-            let there = g.connection(Endpoint::new(old, p));
-            enc.push(index[there.node.index()]);
-            enc.push(there.port.get());
+/// Key tag of the identity form (above the canonicalisation limit).
+const KEY_IDENTITY: u8 = 0;
+/// Key tag of the canonical form.
+const KEY_CANONICAL: u8 = 1;
+
+/// Appends `value` in unsigned LEB128: seven bits per byte, low group
+/// first, high bit set on every byte but the last. Self-delimiting, so
+/// concatenated numbers decode unambiguously.
+fn push_leb128(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push((value & 0x7f) as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// The byte key of a form: its tag, then each component's encoding
+/// length-prefixed, so distinct component splits of the same values
+/// never collide.
+fn encode_key(tag: u8, encodings: &[Vec<u32>]) -> Vec<u8> {
+    let values: usize = encodings.iter().map(Vec::len).sum();
+    let mut key = Vec::with_capacity(2 * values + 4 * encodings.len() + 8);
+    key.push(tag);
+    push_leb128(&mut key, encodings.len() as u64);
+    for enc in encodings {
+        push_leb128(&mut key, enc.len() as u64);
+        for &v in enc {
+            push_leb128(&mut key, u64::from(v));
         }
     }
-    enc
+    key
 }
 
-/// Port-order BFS over one component from `start`; returns visit order.
-/// Deterministic: neighbours are explored in port order, so the
-/// traversal (hence the encoding) depends only on the PN structure.
-fn bfs_order(g: &PortNumberedGraph, start: NodeId, index: &mut [u32], order: &mut Vec<NodeId>) {
+/// Appends `v`'s record to an encoding: its degree, then
+/// `(position(neighbour), far port)` per port in port order. The records
+/// of all nodes, in the order positions number them, determine the
+/// relabelled graph exactly.
+fn push_record(
+    enc: &mut Vec<u32>,
+    g: &PortNumberedGraph,
+    v: NodeId,
+    position: impl Fn(NodeId) -> u32,
+) {
+    let first = g.slot_offsets()[v.index()];
+    let ports = &g.involution()[first..first + g.degree(v)];
+    enc.push(ports.len() as u32);
+    for there in ports {
+        enc.push(position(there.node));
+        enc.push(there.port.get());
+    }
+}
+
+/// Port-order BFS over one component from `start`, emitting the
+/// encoding as it goes, positions numbered in visit order. A node's
+/// record is complete once it is dequeued and its ports are scanned,
+/// since scanning assigns every neighbour its position.
+///
+/// With `bound` (the best encoding of this component so far), each
+/// record is compared with the bound's record at the same position, and
+/// the traversal stops at the first larger value. Returns whether `enc`
+/// is now a complete encoding strictly smaller than `bound` (always true
+/// without a bound); a tie returns false, so the earliest start wins.
+/// Only the visited prefix of `index` is written, and it is reset to
+/// `u32::MAX` before returning.
+fn encode_from(
+    g: &PortNumberedGraph,
+    start: NodeId,
+    bound: Option<&[u32]>,
+    index: &mut [u32],
+    order: &mut Vec<NodeId>,
+    enc: &mut Vec<u32>,
+) -> bool {
+    let (offsets, conn) = (g.slot_offsets(), g.involution());
     order.clear();
+    enc.clear();
     order.push(start);
     index[start.index()] = 0;
+    let mut tied = bound.is_some();
     let mut head = 0;
-    while head < order.len() {
-        let v = order[head];
+    let smaller = loop {
+        let Some(&v) = order.get(head) else {
+            break !tied;
+        };
         head += 1;
-        for p in g.ports(v) {
-            let u = g.connection(Endpoint::new(v, p)).node;
-            if index[u.index()] == u32::MAX {
-                index[u.index()] = order.len() as u32;
-                order.push(u);
+        let first = offsets[v.index()];
+        for there in &conn[first..first + g.degree(v)] {
+            if index[there.node.index()] == u32::MAX {
+                index[there.node.index()] = order.len() as u32;
+                order.push(there.node);
             }
         }
+        let at = enc.len();
+        push_record(enc, g, v, |u| index[u.index()]);
+        if let (true, Some(bound)) = (tied, bound) {
+            // Same component, so both encodings have the same length
+            // and `enc` is a prefix of a full one: the slice is in range.
+            match enc[at..].cmp(&bound[at..enc.len()]) {
+                std::cmp::Ordering::Less => tied = false,
+                std::cmp::Ordering::Greater => break false,
+                std::cmp::Ordering::Equal => {}
+            }
+        }
+    };
+    for &u in order.iter() {
+        index[u.index()] = u32::MAX;
     }
+    smaller
 }
 
 /// Computes the canonical form of a port-numbered graph.
 ///
 /// Per connected component, the encoding is minimised over all BFS start
 /// nodes (lexicographically smallest wins; ties resolve to the earliest
-/// start, which leaves the key unchanged). Components are then sorted by
-/// encoding and concatenated. Cost is `O(n·m)` per component, so `limit`
-/// caps `node_count + port_count`: above it the identity order is used —
+/// start in the port-order BFS from the component's lowest node, which
+/// leaves the key unchanged). Components are then sorted by encoding and
+/// concatenated. Each start emits its encoding during its BFS and stops
+/// at its first value above the best so far, so a start usually costs
+/// a few records; when every start ties (a canonical-port cycle, say)
+/// the cost is the full `O(n·m)` per component, so `limit` caps
+/// `node_count + port_count`: above it the identity order is used —
 /// still an exact, deterministic key, just not isomorphism-merging.
 pub fn canonical_form(g: &PortNumberedGraph, limit: usize) -> CanonicalForm {
     let n = g.node_count();
-    let mut index = vec![u32::MAX; n];
     if n + g.port_count() > limit {
-        let order: Vec<NodeId> = g.nodes().collect();
-        for (i, v) in order.iter().enumerate() {
-            index[v.index()] = i as u32;
+        let mut enc = Vec::with_capacity(n + 2 * g.port_count());
+        for v in g.nodes() {
+            push_record(&mut enc, g, v, |u| u.index() as u32);
         }
-        let enc = encode_order(g, &order, &index);
         return CanonicalForm {
             graph: g.clone(),
-            perm: order.clone(),
-            key: render_key("raw", std::slice::from_ref(&enc)),
+            perm: g.nodes().collect(),
+            key: encode_key(KEY_IDENTITY, std::slice::from_ref(&enc)),
         };
     }
 
-    // Partition into components (port-order BFS is confined to one).
-    let mut component = vec![usize::MAX; n];
-    let mut members: Vec<Vec<NodeId>> = Vec::new();
-    {
-        let mut order = Vec::new();
-        for v in g.nodes() {
-            if component[v.index()] != usize::MAX {
-                continue;
-            }
-            let id = members.len();
-            bfs_order(g, v, &mut index, &mut order);
-            for &u in &order {
-                component[u.index()] = id;
-                index[u.index()] = u32::MAX; // reset scratch
-            }
-            members.push(order.clone());
+    let mut index = vec![u32::MAX; n];
+    let mut assigned = vec![false; n];
+    let mut canon: Vec<(Vec<u32>, Vec<NodeId>)> = Vec::new();
+    let (mut order, mut enc) = (Vec::new(), Vec::new());
+    for v in g.nodes() {
+        if assigned[v.index()] {
+            continue;
         }
-    }
-
-    // Canonicalise each component: minimal encoding over all starts.
-    let mut canon: Vec<(Vec<u32>, Vec<NodeId>)> = Vec::with_capacity(members.len());
-    let mut order = Vec::new();
-    for nodes in &members {
-        let mut best: Option<(Vec<u32>, Vec<NodeId>)> = None;
-        for &start in nodes {
-            bfs_order(g, start, &mut index, &mut order);
-            let enc = encode_order(g, &order, &index);
-            for &u in &order {
-                index[u.index()] = u32::MAX;
-            }
-            if best.as_ref().is_none_or(|(b, _)| enc < *b) {
-                best = Some((enc, order.clone()));
+        // The BFS from the component's lowest node is both its first
+        // candidate and its member list, in the order starts are tried.
+        let (mut best, mut best_order) = (Vec::new(), Vec::new());
+        encode_from(g, v, None, &mut index, &mut best_order, &mut best);
+        let starts = best_order.clone();
+        for &u in &starts {
+            assigned[u.index()] = true;
+        }
+        for &start in &starts[1..] {
+            if encode_from(g, start, Some(&best), &mut index, &mut order, &mut enc) {
+                std::mem::swap(&mut best, &mut enc);
+                std::mem::swap(&mut best_order, &mut order);
             }
         }
-        canon.push(best.expect("component has at least one node"));
+        canon.push((best, best_order));
     }
+    assemble(g, canon)
+}
 
-    // Deterministic component order: sort by encoding. Equal encodings
-    // are isomorphic components — their relative order cannot change
-    // the canonical graph, and the sort is stable.
+/// Orders the canonicalised components and builds the form from them.
+/// Components sort by encoding; equal encodings are isomorphic
+/// components — their relative order cannot change the canonical graph,
+/// and the sort is stable.
+fn assemble(g: &PortNumberedGraph, mut canon: Vec<(Vec<u32>, Vec<NodeId>)>) -> CanonicalForm {
     canon.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut perm = Vec::with_capacity(n);
-    for (_, order) in &canon {
-        perm.extend(order.iter().copied());
-    }
-    let graph = if n == 0 {
+    let perm: Vec<NodeId> = canon
+        .iter()
+        .flat_map(|(_, order)| order.iter().copied())
+        .collect();
+    let graph = if perm.is_empty() {
         g.clone()
     } else {
         relabel_nodes(g, &perm)
@@ -525,31 +623,15 @@ pub fn canonical_form(g: &PortNumberedGraph, limit: usize) -> CanonicalForm {
     CanonicalForm {
         graph,
         perm,
-        key: render_key("v1", &encodings),
+        key: encode_key(KEY_CANONICAL, &encodings),
     }
-}
-
-fn render_key(tag: &str, encodings: &[Vec<u32>]) -> String {
-    use std::fmt::Write as _;
-    let mut key = String::with_capacity(16 + encodings.iter().map(|e| 3 * e.len()).sum::<usize>());
-    key.push_str(tag);
-    for enc in encodings {
-        key.push(';');
-        for (i, v) in enc.iter().enumerate() {
-            if i > 0 {
-                key.push(',');
-            }
-            let _ = write!(key, "{v}");
-        }
-    }
-    key
 }
 
 /// FNV-1a, used only to derive short display names from cache keys (the
 /// cache itself compares full keys — no collision risk there).
-fn fnv64(text: &str) -> u64 {
+fn fnv64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.as_bytes() {
+    for b in bytes {
         hash ^= u64::from(*b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -784,10 +866,14 @@ pub struct StatsSnapshot {
 /// requested protocol set produced on the canonical graph.
 type CacheEntry = Arc<Vec<(SweepRecord, Solution)>>;
 
+/// A full cache key (see [`request_key`]), allocated once and shared by
+/// the cache map, its FIFO queue and every job that carries it.
+type CacheKey = Arc<[u8]>;
+
 #[derive(Default)]
 struct CacheState {
-    map: HashMap<String, CacheEntry>,
-    order: VecDeque<String>,
+    map: HashMap<CacheKey, CacheEntry>,
+    order: VecDeque<CacheKey>,
 }
 
 struct Cache {
@@ -803,7 +889,7 @@ impl Cache {
         }
     }
 
-    fn get(&self, key: &str) -> Option<CacheEntry> {
+    fn get(&self, key: &[u8]) -> Option<CacheEntry> {
         self.state
             .lock()
             .expect("cache lock poisoned")
@@ -813,14 +899,14 @@ impl Cache {
     }
 
     /// Inserts one entry and returns how many it FIFO-evicted.
-    fn insert(&self, key: String, entry: CacheEntry) -> u64 {
+    fn insert(&self, key: CacheKey, entry: CacheEntry) -> u64 {
         let mut state = self.state.lock().expect("cache lock poisoned");
         let mut evicted = 0;
-        if state.map.insert(key.clone(), entry).is_none() {
+        if state.map.insert(Arc::clone(&key), entry).is_none() {
             state.order.push_back(key);
             while state.order.len() > self.capacity {
                 if let Some(victim) = state.order.pop_front() {
-                    state.map.remove(&victim);
+                    state.map.remove(&*victim);
                     evicted += 1;
                 }
             }
@@ -1270,7 +1356,7 @@ fn parse_spec(spec: &str, max_nodes: usize) -> Result<Family, Reject> {
 struct Prepared {
     scenario: Scenario,
     perm: Vec<NodeId>,
-    key: String,
+    key: CacheKey,
 }
 
 fn graph_reject(err: &pn_graph::GraphError) -> Reject {
@@ -1368,14 +1454,7 @@ fn prepare(req: &SolveRequest, config: &ServeConfig) -> Result<Prepared, Reject>
         ));
     }
     let canonical = canonical_form(&graph, config.canonical_limit);
-    let key = format!(
-        "{}|p={}|b={:?}|d={:?}|s={}",
-        canonical.key,
-        protocol_set_name(&req.protocols),
-        req.bounds,
-        req.delta,
-        req.seed,
-    );
+    let key = request_key(canonical.key, req);
     // The scenario name is a digest of the full key, so record contents
     // depend only on the canonical request — a cache hit is
     // byte-identical to a fresh solve by construction.
@@ -1387,6 +1466,28 @@ fn prepare(req: &SolveRequest, config: &ServeConfig) -> Result<Prepared, Reject>
         perm: canonical.perm,
         key,
     })
+}
+
+/// The full cache key: the graph's [`CanonicalForm::key`] followed by
+/// everything else that shapes the answer — the protocol set as a bit
+/// mask over [`Protocol::ALL`], the bounds mode, the delta hint (absent
+/// or present plus value) and the seed, numbers in LEB128. The graph key
+/// is self-delimiting, so the concatenation is injective.
+fn request_key(mut key: Vec<u8>, req: &SolveRequest) -> CacheKey {
+    let mask = req.protocols.iter().fold(0u8, |mask, p| {
+        mask | 1 << Protocol::ALL.iter().position(|q| q == p).expect("in ALL")
+    });
+    key.push(mask);
+    key.push(req.bounds as u8);
+    match req.delta {
+        None => key.push(0),
+        Some(d) => {
+            key.push(1);
+            push_leb128(&mut key, d as u64);
+        }
+    }
+    push_leb128(&mut key, req.seed);
+    key.into()
 }
 
 // ---------------------------------------------------------------------
@@ -1560,19 +1661,18 @@ impl ConnShared {
 
     /// Queues one response frame for ordered delivery, counting it
     /// under its outcome kind and closing the request's latency timer.
+    /// Both are recorded before the frame becomes visible to the
+    /// writer, so a client that has read a response finds it in
+    /// `/metrics` and `stats`.
     pub(crate) fn deliver(&self, seq: u64, frame: String) {
         self.core.metrics.response_counter(&frame).inc();
-        let started = {
-            let mut state = self.state.lock().expect("conn lock poisoned");
-            let started = state.started.remove(&seq);
-            state.ready.insert(seq, frame);
-            self.cv.notify_all();
-            started
-        };
-        if let Some(at) = started {
+        let mut state = self.state.lock().expect("conn lock poisoned");
+        if let Some(at) = state.started.remove(&seq) {
             let micros = u64::try_from(at.elapsed().as_micros()).unwrap_or(u64::MAX);
             self.core.metrics.latency.observe(micros);
         }
+        state.ready.insert(seq, frame);
+        self.cv.notify_all();
     }
 
     fn reader_done(&self) {
@@ -1616,10 +1716,7 @@ impl ConnShared {
             };
             match frame {
                 Some(frame) => {
-                    let result = sink
-                        .write_all(frame.as_bytes())
-                        .and_then(|()| sink.write_all(b"\n"));
-                    if let Err(err) = result {
+                    if let Err(err) = write_line(&mut sink, frame) {
                         let mut state = self.state.lock().expect("conn lock poisoned");
                         state.writer_dead = true;
                         state.ready.clear();
@@ -1635,6 +1732,14 @@ impl ConnShared {
             }
         }
     }
+}
+
+/// Writes one JSON-lines frame: the frame and its newline in a single
+/// write, so a socket never carries a frame split across two syscalls.
+fn write_line<W: Write>(sink: &mut W, frame: String) -> io::Result<()> {
+    let mut line = frame;
+    line.push('\n');
+    sink.write_all(line.as_bytes())
 }
 
 // ---------------------------------------------------------------------
@@ -1710,8 +1815,13 @@ pub(crate) struct Core {
     /// ones (see `crate::http`).
     pub(crate) tcp_conns: Mutex<HashMap<u64, std::net::TcpStream>>,
     pub(crate) next_conn: AtomicU64,
+    /// Bound unix socket paths: removed in [`Server::finish`], and each
+    /// one's blocking accept loop is woken by a self-connection on
+    /// shutdown.
     #[cfg(unix)]
-    socket_path: Mutex<Option<std::path::PathBuf>>,
+    socket_paths: Mutex<Vec<std::path::PathBuf>>,
+    /// Bound HTTP addresses, woken the same way.
+    pub(crate) http_addrs: Mutex<Vec<std::net::SocketAddr>>,
 }
 
 impl Core {
@@ -1719,9 +1829,12 @@ impl Core {
         self.shutting_down.load(Ordering::SeqCst)
     }
 
-    /// Flips the shutdown flag and half-closes every registered socket
-    /// (read side), unblocking their readers. Idempotent; callable from
-    /// connection threads (it joins nothing).
+    /// Flips the shutdown flag, half-closes every registered socket
+    /// (read side), unblocking their readers, and wakes every blocking
+    /// accept loop with a throwaway self-connection: an accept loop
+    /// checks the flag as soon as `accept` returns, so it exits on that
+    /// connection. Idempotent; callable from connection threads (it
+    /// joins nothing).
     pub(crate) fn begin_shutdown(&self) {
         if self.shutting_down.swap(true, Ordering::SeqCst) {
             return;
@@ -1738,6 +1851,18 @@ impl Core {
             for stream in conns.values() {
                 let _ = stream.shutdown(std::net::Shutdown::Read);
             }
+        }
+        #[cfg(unix)]
+        for path in self
+            .socket_paths
+            .lock()
+            .expect("socket paths poisoned")
+            .clone()
+        {
+            let _ = std::os::unix::net::UnixStream::connect(path);
+        }
+        for addr in self.http_addrs.lock().expect("http addrs poisoned").clone() {
+            let _ = std::net::TcpStream::connect_timeout(&loopback(addr), Duration::from_secs(1));
         }
         let _guard = self.shutdown_lock.lock().expect("shutdown lock poisoned");
         self.shutdown_cv.notify_all();
@@ -1822,7 +1947,7 @@ impl Core {
 /// One queued solve: the canonical scenario plus everything needed to
 /// answer the client that asked for it.
 struct SolveJob {
-    key: String,
+    key: CacheKey,
     scenario: Scenario,
     perm: Vec<NodeId>,
     requested: Vec<Protocol>,
@@ -1883,16 +2008,16 @@ fn solve_batch(core: &Arc<Core>, jobs: Vec<SolveJob>) {
 
 fn solve_group(core: &Arc<Core>, group: Vec<SolveJob>) {
     // Fold jobs with the same full key: one solve answers all of them.
-    let mut order: Vec<String> = Vec::new();
-    let mut by_key: HashMap<String, Vec<SolveJob>> = HashMap::new();
+    let mut order: Vec<CacheKey> = Vec::new();
+    let mut by_key: HashMap<CacheKey, Vec<SolveJob>> = HashMap::new();
     for job in group {
         if !by_key.contains_key(&job.key) {
-            order.push(job.key.clone());
+            order.push(Arc::clone(&job.key));
         }
-        by_key.entry(job.key.clone()).or_default().push(job);
+        by_key.entry(Arc::clone(&job.key)).or_default().push(job);
     }
 
-    let mut to_solve: Vec<(String, Vec<SolveJob>)> = Vec::new();
+    let mut to_solve: Vec<(CacheKey, Vec<SolveJob>)> = Vec::new();
     for key in order {
         let jobs = by_key.remove(&key).expect("key listed in order");
         // A sibling batch may have populated the cache since submission.
@@ -2116,7 +2241,8 @@ impl Server {
             tcp_conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
             #[cfg(unix)]
-            socket_path: Mutex::new(None),
+            socket_paths: Mutex::new(Vec::new()),
+            http_addrs: Mutex::new(Vec::new()),
             config,
         });
         let weak = Arc::downgrade(&core);
@@ -2222,19 +2348,18 @@ impl Server {
             let _ = handle.join();
         }
         #[cfg(unix)]
-        if let Some(path) = self.socket_path_take().filter(|p| p.exists()) {
-            let _ = std::fs::remove_file(path);
+        for path in std::mem::take(
+            &mut *self
+                .core
+                .socket_paths
+                .lock()
+                .expect("socket paths poisoned"),
+        ) {
+            if path.exists() {
+                let _ = std::fs::remove_file(path);
+            }
         }
         self.core.pool().drain();
-    }
-
-    #[cfg(unix)]
-    fn socket_path_take(&self) -> Option<std::path::PathBuf> {
-        self.core
-            .socket_path
-            .lock()
-            .expect("socket path poisoned")
-            .take()
     }
 }
 
@@ -2256,64 +2381,60 @@ impl Server {
             std::fs::remove_file(path)?;
         }
         let listener = UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
-        *self.core.socket_path.lock().expect("socket path poisoned") = Some(path.to_owned());
+        // Registered before the shutdown check below: either a shutdown
+        // that begins later sees this path and wakes the loop, or the
+        // check already sees the flag (see `Core::begin_shutdown`).
+        self.core
+            .socket_paths
+            .lock()
+            .expect("socket paths poisoned")
+            .push(path.to_owned());
 
         let core = Arc::clone(&self.core);
         let conn_threads = Arc::clone(&self.conn_threads);
-        let handle = std::thread::spawn(move || loop {
-            if core.is_shutting_down() {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // Reap finished connection threads so the handle
-                    // list stays bounded by the live-client count.
-                    let mut threads = conn_threads.lock().expect("conn threads poisoned");
-                    let mut live = Vec::with_capacity(threads.len() + 1);
-                    for handle in threads.drain(..) {
-                        if handle.is_finished() {
-                            let _ = handle.join();
-                        } else {
-                            live.push(handle);
-                        }
-                    }
-                    *threads = live;
-
-                    let active = core.conns.lock().expect("conn registry poisoned").len();
-                    if active >= core.config.max_clients {
-                        core.metrics.rejected_connections.inc();
-                        let mut stream = stream;
-                        let frame = overload_frame(
-                            "null",
-                            &format!(
-                                "server is at its limit of {} concurrent clients",
-                                core.config.max_clients
-                            ),
-                            core.retry_hint_ms(),
-                        );
-                        let _ = stream.write_all(frame.as_bytes());
-                        let _ = stream.write_all(b"\n");
+        let handle = std::thread::spawn(move || {
+            while !core.is_shutting_down() {
+                let accepted = listener.accept();
+                // A shutdown's wake connection, or a client racing it:
+                // either way the loop ends here, uncounted.
+                if core.is_shutting_down() {
+                    return;
+                }
+                let stream = match accepted {
+                    Ok((stream, _)) => stream,
+                    Err(_) => {
+                        accept_backoff();
                         continue;
                     }
-                    let conn_id = core.next_conn.fetch_add(1, Ordering::Relaxed);
-                    if let Ok(registered) = stream.try_clone() {
-                        core.conns
-                            .lock()
-                            .expect("conn registry poisoned")
-                            .insert(conn_id, registered);
-                    }
-                    let conn_core = Arc::clone(&core);
-                    threads.push(std::thread::spawn(move || {
-                        serve_socket_conn(conn_core, stream, conn_id);
-                    }));
+                };
+                let mut threads = conn_threads.lock().expect("conn threads poisoned");
+                reap_finished(&mut threads);
+
+                let active = core.conns.lock().expect("conn registry poisoned").len();
+                if active >= core.config.max_clients {
+                    core.metrics.rejected_connections.inc();
+                    let frame = overload_frame(
+                        "null",
+                        &format!(
+                            "server is at its limit of {} concurrent clients",
+                            core.config.max_clients
+                        ),
+                        core.retry_hint_ms(),
+                    );
+                    let _ = write_line(&mut &stream, frame);
+                    continue;
                 }
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
+                let conn_id = core.next_conn.fetch_add(1, Ordering::Relaxed);
+                if let Ok(registered) = stream.try_clone() {
+                    core.conns
+                        .lock()
+                        .expect("conn registry poisoned")
+                        .insert(conn_id, registered);
                 }
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
+                let conn_core = Arc::clone(&core);
+                threads.push(std::thread::spawn(move || {
+                    serve_socket_conn(conn_core, stream, conn_id);
+                }));
             }
         });
         self.accept
@@ -2321,6 +2442,42 @@ impl Server {
             .expect("accept lock poisoned")
             .push(handle);
         Ok(())
+    }
+}
+
+/// Joins finished connection threads, so an accept loop's handle list
+/// stays bounded by the live-client count.
+pub(crate) fn reap_finished(threads: &mut Vec<std::thread::JoinHandle<()>>) {
+    let mut live = Vec::with_capacity(threads.len() + 1);
+    for handle in threads.drain(..) {
+        if handle.is_finished() {
+            let _ = handle.join();
+        } else {
+            live.push(handle);
+        }
+    }
+    *threads = live;
+}
+
+/// Pauses an accept loop after a failed `accept` (descriptor
+/// exhaustion, say), which would otherwise fail again at once and spin.
+/// The normal path never sleeps: the listeners block in `accept`.
+pub(crate) fn accept_backoff() {
+    std::thread::sleep(Duration::from_millis(10));
+}
+
+/// Where to reach a listener bound to `addr` from this host: an
+/// unspecified address (`0.0.0.0`, `::`) is reached via loopback.
+fn loopback(addr: std::net::SocketAddr) -> std::net::SocketAddr {
+    use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => {
+            SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), addr.port())
+        }
+        IpAddr::V6(ip) if ip.is_unspecified() => {
+            SocketAddr::new(IpAddr::V6(Ipv6Addr::LOCALHOST), addr.port())
+        }
+        _ => addr,
     }
 }
 
@@ -2395,17 +2552,19 @@ fn serve_socket_conn(core: Arc<Core>, stream: std::os::unix::net::UnixStream, co
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pn_graph::Endpoint;
 
     // -- test harness ------------------------------------------------
 
     /// A clonable in-memory sink, so the writer thread and the test can
-    /// share one output buffer.
+    /// share one output buffer; it also counts `write` calls.
     #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>, Arc<AtomicU64>);
 
     impl Write for SharedBuf {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
             self.0.lock().unwrap().extend_from_slice(buf);
+            self.1.fetch_add(1, Ordering::Relaxed);
             Ok(buf.len())
         }
         fn flush(&mut self) -> io::Result<()> {
@@ -2432,6 +2591,24 @@ mod tests {
             .lines()
             .map(str::to_owned)
             .collect()
+    }
+
+    #[test]
+    fn every_json_lines_frame_leaves_in_one_write() {
+        let server = Server::new(quick_config());
+        let out = SharedBuf::default();
+        let input = "{\"id\":1,\"op\":\"ping\"}\nnot json\n{\"id\":3,\"spec\":\"cycle:5\"}\n";
+        server
+            .serve_stream(input.as_bytes(), out.clone())
+            .expect("in-memory writer cannot fail");
+        let text = String::from_utf8(out.0.lock().unwrap().clone()).expect("responses are UTF-8");
+        assert_eq!(text.lines().count(), 3, "{text}");
+        assert_eq!(
+            out.1.load(Ordering::Relaxed),
+            3,
+            "frame and newline must leave together"
+        );
+        server.finish();
     }
 
     // -- backpressure hints ------------------------------------------
@@ -2531,8 +2708,241 @@ mod tests {
             .expect("family builds")
             .graph;
         let raw = canonical_form(&g, 1);
-        assert!(raw.key.starts_with("raw;"));
+        assert_eq!(raw.key[..2], [KEY_IDENTITY, 1], "tag, one component");
         assert_eq!(raw.perm, (0..8).map(NodeId::new).collect::<Vec<_>>());
+        assert_ne!(raw.key, canonical_form(&g, 4096).key);
+    }
+
+    // -- the full-encode-then-compare oracle -------------------------
+
+    /// Encodes `g` relative to `order` (`order[new] = old`): per new
+    /// node, its degree then `(neighbor_new_id, far_port)` per port.
+    fn encode_order(g: &PortNumberedGraph, order: &[NodeId], index: &[u32]) -> Vec<u32> {
+        let mut enc = Vec::with_capacity(order.len() + 2 * g.port_count());
+        for &old in order {
+            enc.push(g.degree(old) as u32);
+            for p in g.ports(old) {
+                let there = g.connection(Endpoint::new(old, p));
+                enc.push(index[there.node.index()]);
+                enc.push(there.port.get());
+            }
+        }
+        enc
+    }
+
+    /// Port-order BFS over one component from `start`.
+    fn bfs_order(g: &PortNumberedGraph, start: NodeId, index: &mut [u32], order: &mut Vec<NodeId>) {
+        order.clear();
+        order.push(start);
+        index[start.index()] = 0;
+        let mut head = 0;
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
+            for p in g.ports(v) {
+                let u = g.connection(Endpoint::new(v, p)).node;
+                if index[u.index()] == u32::MAX {
+                    index[u.index()] = order.len() as u32;
+                    order.push(u);
+                }
+            }
+        }
+    }
+
+    /// The original minimisation: every start's component encoded in
+    /// full, then compared; the earliest start wins ties.
+    fn oracle_form(g: &PortNumberedGraph) -> CanonicalForm {
+        let n = g.node_count();
+        let mut index = vec![u32::MAX; n];
+        let mut component = vec![usize::MAX; n];
+        let mut members: Vec<Vec<NodeId>> = Vec::new();
+        let mut order = Vec::new();
+        for v in g.nodes() {
+            if component[v.index()] != usize::MAX {
+                continue;
+            }
+            bfs_order(g, v, &mut index, &mut order);
+            for &u in &order {
+                component[u.index()] = members.len();
+                index[u.index()] = u32::MAX;
+            }
+            members.push(order.clone());
+        }
+        let mut canon = Vec::new();
+        for nodes in &members {
+            let mut best: Option<(Vec<u32>, Vec<NodeId>)> = None;
+            for &start in nodes {
+                bfs_order(g, start, &mut index, &mut order);
+                let enc = encode_order(g, &order, &index);
+                for &u in &order {
+                    index[u.index()] = u32::MAX;
+                }
+                if best.as_ref().is_none_or(|(b, _)| enc < *b) {
+                    best = Some((enc, order.clone()));
+                }
+            }
+            canon.push(best.expect("component has at least one node"));
+        }
+        assemble(g, canon)
+    }
+
+    fn assert_matches_oracle(g: &PortNumberedGraph, what: &str) {
+        let fast = canonical_form(g, usize::MAX);
+        let oracle = oracle_form(g);
+        assert_eq!(fast.perm, oracle.perm, "{what}: perm");
+        assert_eq!(fast.graph, oracle.graph, "{what}: graph");
+        assert_eq!(fast.key, oracle.key, "{what}: encoding");
+    }
+
+    #[test]
+    fn prefix_abort_matches_the_full_encoding_oracle() {
+        use pn_graph::generators;
+        let mut checked = 0;
+        for seed in 0..40 {
+            let n = 10 + 2 * (seed as usize % 20);
+            let cubic = generators::random_regular(n, 3, seed).expect("cubic graph");
+            for (label, g) in [
+                ("canonical", ports::canonical_ports(&cubic)),
+                ("shuffled", ports::shuffled_ports(&cubic, seed ^ 0x5eed)),
+            ] {
+                let g = g.expect("ports");
+                assert_matches_oracle(&g, &format!("cubic n={n} seed={seed} {label} ports"));
+                checked += 1;
+            }
+            // Sparse G(n,p): several components, isolated nodes among them.
+            let gnp = generators::gnp(24 + seed as usize, 0.06, seed).expect("gnp");
+            for g in [
+                ports::canonical_ports(&gnp),
+                ports::shuffled_ports(&gnp, seed),
+            ] {
+                assert_matches_oracle(&g.expect("ports"), &format!("gnp seed={seed}"));
+                checked += 1;
+            }
+        }
+        for (w, h) in [(3, 3), (4, 3), (5, 2), (6, 4)] {
+            let grid = generators::grid(w, h).expect("grid");
+            assert_matches_oracle(&ports::canonical_ports(&grid).unwrap(), "grid");
+            assert_matches_oracle(&ports::shuffled_ports(&grid, 7).unwrap(), "grid");
+            checked += 2;
+        }
+        let petersen = generators::petersen();
+        assert_matches_oracle(&ports::canonical_ports(&petersen).unwrap(), "petersen");
+        assert_matches_oracle(&ports::shuffled_ports(&petersen, 3).unwrap(), "petersen");
+        checked += 2;
+        // Canonical-port cycles: every start ties, the worst case.
+        for n in 3..=20 {
+            let cycle = ports::canonical_ports(&generators::cycle(n).unwrap()).unwrap();
+            assert_matches_oracle(&cycle, &format!("cycle {n}"));
+            checked += 1;
+        }
+        assert_eq!(checked, 188);
+    }
+
+    // -- compact cache keys ------------------------------------------
+
+    #[test]
+    fn leb128_is_the_standard_unsigned_encoding() {
+        let enc = |v: u64| {
+            let mut out = Vec::new();
+            push_leb128(&mut out, v);
+            out
+        };
+        assert_eq!(enc(0), [0x00]);
+        assert_eq!(enc(127), [0x7f]);
+        assert_eq!(enc(128), [0x80, 0x01]);
+        assert_eq!(enc(624_485), [0xe5, 0x8e, 0x26]);
+        assert_eq!(enc(u64::MAX).len(), 10);
+    }
+
+    #[test]
+    fn graph_keys_are_length_prefixed_per_component() {
+        // The same values split differently into components.
+        let a = encode_key(KEY_CANONICAL, &[vec![1, 2], vec![3]]);
+        let b = encode_key(KEY_CANONICAL, &[vec![1], vec![2, 3]]);
+        let c = encode_key(KEY_CANONICAL, &[vec![1, 2, 3]]);
+        assert_ne!(a, b);
+        assert_ne!(a, c);
+        assert_ne!(b, c);
+        assert_ne!(
+            encode_key(KEY_IDENTITY, &[vec![1, 2, 3]]),
+            c,
+            "the form tag separates identity keys from canonical ones"
+        );
+        assert_eq!(a, [KEY_CANONICAL, 2, 2, 1, 2, 1, 3]);
+        // Real graphs: two triangles against one hexagon, one square
+        // plus an edge against a path of six, differing only in how
+        // their nodes split into components.
+        let build = |edges: &[(usize, usize)]| {
+            let n = edges.iter().map(|&(u, v)| u.max(v) + 1).max().unwrap_or(0);
+            let mut g = SimpleGraph::new(n);
+            for &(u, v) in edges {
+                g.add_edge(NodeId::new(u), NodeId::new(v)).unwrap();
+            }
+            canonical_form(&ports::canonical_ports(&g).unwrap(), 4096).key
+        };
+        let triangles = build(&[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
+        let hexagon = build(&[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
+        assert_ne!(triangles, hexagon);
+        assert_eq!(triangles[..2], [KEY_CANONICAL, 2]);
+        assert_eq!(hexagon[..2], [KEY_CANONICAL, 1]);
+    }
+
+    /// The cache key of one frame, as the daemon computes it.
+    fn key_of(frame: &str) -> CacheKey {
+        let value = JsonParser::parse(frame).expect("valid JSON");
+        let config = ServeConfig::default();
+        let Ok(Frame::Solve(req)) = parse_frame(&value, &config) else {
+            panic!("not a solve frame: {frame}");
+        };
+        let Ok(prepared) = prepare(&req, &config) else {
+            panic!("cannot prepare {frame}");
+        };
+        prepared.key
+    }
+
+    #[test]
+    fn request_keys_separate_every_answer_shaping_field() {
+        let base = r#"{"edges":[[0,1],[1,2],[2,0]],"protocols":["vc3"]"#;
+        let variants = [
+            format!("{base}}}"),
+            // Same nodes and edges, split into a path and an edge.
+            r#"{"edges":[[0,1],[1,2],[3,4]],"protocols":["vc3"]}"#.to_owned(),
+            r#"{"edges":[[0,1],[1,2],[2,0]],"protocols":["vc3","port1"]}"#.to_owned(),
+            r#"{"edges":[[0,1],[1,2],[2,0]],"protocols":"all"}"#.to_owned(),
+            format!("{base},\"bounds\":\"lp\"}}"),
+            format!("{base},\"bounds\":\"mm\"}}"),
+            format!("{base},\"delta\":0}}"),
+            format!("{base},\"delta\":2}}"),
+            format!("{base},\"seed\":1}}"),
+            format!("{base},\"seed\":128}}"),
+            format!("{base},\"delta\":2,\"seed\":1}}"),
+        ];
+        let keys: Vec<CacheKey> = variants.iter().map(|f| key_of(f)).collect();
+        for (i, a) in keys.iter().enumerate() {
+            for (j, b) in keys.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "{} and {} share a key", variants[i], variants[j]);
+            }
+        }
+        // Relabelled inputs (same edge order, so ports are kept) share
+        // one key, and explicit defaults equal omitted ones.
+        assert_eq!(
+            key_of(&variants[0]),
+            key_of(r#"{"edges":[[2,0],[0,1],[1,2]],"protocols":["vc3"]}"#)
+        );
+        let perm = scramble(9);
+        let cycle = |label: &dyn Fn(usize) -> usize| -> String {
+            let pairs: Vec<String> = (0..9)
+                .map(|i| format!("[{},{}]", label(i), label((i + 1) % 9)))
+                .collect();
+            pairs.join(",")
+        };
+        assert_eq!(
+            key_of(&format!("{{\"edges\":[{}],\"seed\":3}}", cycle(&|i| i))),
+            key_of(&format!(
+                "{{\"edges\":[{}],\"protocols\":\"all\",\"bounds\":\"exact\",\"seed\":3}}",
+                cycle(&|i| perm[i].index())
+            ))
+        );
     }
 
     // -- spec grammar ------------------------------------------------
