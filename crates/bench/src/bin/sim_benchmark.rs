@@ -1,35 +1,24 @@
 //! Emits `BENCH_sim.json`: the tracked round-engine throughput numbers.
 //!
 //! For each workload the binary runs the same gossip protocol through
-//! the preserved pre-optimisation loop
-//! ([`eds_bench::legacy_engine::run_legacy`]), the current sequential
-//! engine ([`pn_runtime::Simulator::run`], `send_into`-based), and the
-//! persistent worker-pool parallel engine at 1/2/4/8 threads, asserts
-//! all [`pn_runtime::Run`]s are bit-identical, and records rounds/sec
-//! and messages/sec plus two speedups: sequential over legacy and the
-//! best parallel configuration over sequential (the thread-scaling
-//! curve). `host_threads` records the measuring host's available
-//! parallelism — on a single-core host the parallel curve measures pure
-//! pool overhead (`parallel_fields_overhead_only` is emitted `true` and
-//! the best ratio is expected to sit just below 1).
-//!
-//! On top of the generic curve, every workload measures the **bit-packed
-//! tier**: a bool-message gossip through the packed bridge engine
-//! (`run_packed`, verified bit-identical against the generic engine on
-//! the same protocol) and, on regular graphs whose window fits a word,
-//! the native 4-bit OR-gossip [`pn_runtime::WordKernel`]
-//! (`run_packed_kernel`, verified against its scalar twin) — the
-//! messages/sec headline the ROADMAP's raw-speed item tracks.
+//! the sequential engine ([`pn_runtime::Simulator::run`],
+//! `send_into`-based) and the persistent worker-pool parallel engine at
+//! 1/2/4/8 threads, asserts all [`pn_runtime::Run`]s are bit-identical,
+//! and records rounds/sec and messages/sec plus the best parallel
+//! configuration over sequential (the thread-scaling curve).
+//! `host_threads` records the measuring host's available parallelism —
+//! on a single-core host the parallel curve measures pure pool overhead
+//! (`parallel_fields_overhead_only` is emitted `true` and the best ratio
+//! is expected to sit just below 1).
 //!
 //! Usage:
 //!
 //! ```text
-//! sim_benchmark [--reduced] [--check-parallel] [--rounds N]
-//!               [--streamed N] [--out PATH]
+//! sim_benchmark [--reduced] [--check-parallel] [--rounds N] [--out PATH]
 //! ```
 //!
 //! * `--reduced` measures only the ≥100k-node workload (the CI
-//!   perf-smoke set) and skips the slow legacy engine;
+//!   perf-smoke set);
 //! * `--check-parallel` exits non-zero if `run_parallel(4)` falls below
 //!   90% of sequential throughput on any ≥100k-node workload — the
 //!   break-even regression gate, with one fresh remeasurement before a
@@ -40,13 +29,6 @@
 //! * `--rounds N` sets the protocol's fixed halting round (default 16;
 //!   recorded as `protocol_rounds` — reports with different values are
 //!   not comparable, which the perf gate checks);
-//! * `--streamed N` switches to the lean streamed-kernel mode for the
-//!   10M–100M tier: an `N`-node streamed cycle, the OR-gossip word
-//!   kernel only (the scalar-twin verification runs when `N` ≤ 2M; at
-//!   larger sizes the twin alone would dominate the wall clock), no
-//!   legacy/parallel curves — the mode the nightly 100M smoke runs,
-//!   with a few GB of RAM instead of a materialised scenario. Writes
-//!   `BENCH_sim_streamed.json` unless `--out` overrides;
 //! * `--out PATH` overrides the report path (default `BENCH_sim.json`
 //!   in the current directory).
 
@@ -54,12 +36,8 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use eds_bench::legacy_engine::run_legacy;
 use pn_graph::{covering, generators, ports, PortNumberedGraph};
-use pn_runtime::{
-    collect_send, kernel_reference_run, NodeAlgorithm, OrGossipKernel, Run, Simulator, WordKernel,
-    WrongCount,
-};
+use pn_runtime::{collect_send, NodeAlgorithm, Run, Simulator, WrongCount};
 
 /// Default number of rounds every node runs before halting
 /// (`--rounds` overrides).
@@ -113,81 +91,6 @@ impl NodeAlgorithm for Gossip {
     }
 }
 
-/// The same protocol with the pre-PR allocating `send` and no
-/// `send_into` override — the honest baseline for [`run_legacy`]: one
-/// fresh `Vec` per node per round, exactly what algorithms did before
-/// the migration (going through `collect_send` here would handicap the
-/// baseline with an extra buffer and pass).
-#[derive(Clone)]
-struct LegacyGossip(Gossip);
-
-impl LegacyGossip {
-    fn new(degree: usize, rounds: usize) -> Self {
-        LegacyGossip(Gossip::new(degree, rounds))
-    }
-}
-
-impl NodeAlgorithm for LegacyGossip {
-    type Message = u64;
-    type Output = u64;
-
-    fn send(&mut self, _round: usize) -> Vec<u64> {
-        (0..self.0.degree)
-            .map(|q| self.0.acc.wrapping_add(q as u64))
-            .collect()
-    }
-
-    fn receive(&mut self, round: usize, inbox: &[Option<u64>]) -> Option<u64> {
-        self.0.receive(round, inbox)
-    }
-}
-
-/// A `bool`-message gossip for the packed **bridge** measurement: same
-/// round structure as [`Gossip`], but a 2-bit lane alphabet so the
-/// packed engine is eligible. Compared against itself on the generic
-/// engine — bridge vs generic on the *same* protocol is the honest
-/// speedup.
-#[derive(Clone)]
-struct ParityGossip {
-    degree: usize,
-    flag: bool,
-    left: usize,
-}
-
-impl ParityGossip {
-    fn new(degree: usize, rounds: usize) -> Self {
-        ParityGossip {
-            degree,
-            flag: degree % 2 == 1,
-            left: rounds,
-        }
-    }
-}
-
-impl NodeAlgorithm for ParityGossip {
-    type Message = bool;
-    type Output = bool;
-
-    fn send(&mut self, round: usize) -> Vec<bool> {
-        collect_send(self, round, self.degree)
-    }
-
-    fn send_into(&mut self, _round: usize, outbox: &mut [Option<bool>]) -> Result<(), WrongCount> {
-        for slot in outbox.iter_mut() {
-            *slot = Some(self.flag);
-        }
-        Ok(())
-    }
-
-    fn receive(&mut self, _round: usize, inbox: &[Option<bool>]) -> Option<bool> {
-        for m in inbox.iter().flatten() {
-            self.flag ^= m;
-        }
-        self.left -= 1;
-        (self.left == 0).then_some(self.flag)
-    }
-}
-
 /// Times `f` adaptively: repeats until ~0.5 s of measurement, reports
 /// the best (lowest) seconds per call.
 fn time_best<R>(mut f: impl FnMut() -> R) -> f64 {
@@ -222,21 +125,10 @@ struct Row {
     nodes: usize,
     ports: usize,
     rounds: usize,
-    /// `None` under `--reduced` (legacy skipped).
-    legacy_rps: Option<f64>,
     sequential_rps: f64,
     /// One rate per [`THREAD_CURVE`] entry.
     parallel_rps: [f64; THREAD_CURVE.len()],
     sequential_mps: f64,
-    /// The bool-message gossip through the packed bridge engine.
-    packed_bridge_rps: f64,
-    /// ... and through the generic engine (same protocol) — the
-    /// denominator of the honest bridge speedup.
-    bridge_generic_rps: f64,
-    /// The native word kernel, when the graph is regular and the 4-bit
-    /// window fits a word.
-    kernel_mps: Option<f64>,
-    speedup_sequential_vs_legacy: Option<f64>,
     speedup_parallel_best_vs_sequential: f64,
 }
 
@@ -248,72 +140,23 @@ impl Row {
             .map(|i| self.parallel_rps[i])
             .expect("threads on the curve")
     }
-
-    fn speedup_packed_bridge(&self) -> f64 {
-        self.packed_bridge_rps / self.bridge_generic_rps
-    }
-
-    /// The raw-speed headline: word-kernel messages/sec over the generic
-    /// engine's messages/sec on the same graph and round count.
-    fn speedup_kernel_vs_sequential_mps(&self) -> Option<f64> {
-        self.kernel_mps.map(|k| k / self.sequential_mps)
-    }
 }
 
-fn measure(name: &'static str, pg: &PortNumberedGraph, with_legacy: bool, rounds: usize) -> Row {
+fn measure(name: &'static str, pg: &PortNumberedGraph, rounds: usize) -> Row {
     let sim = Simulator::new(pg);
     let gossip = |d: usize| Gossip::new(d, rounds);
-    let legacy_gossip = |d: usize| LegacyGossip::new(d, rounds);
-    let parity = |d: usize| ParityGossip::new(d, rounds);
     let seq = sim.run(gossip).expect("sequential run");
-    let old = with_legacy.then(|| {
-        let old = run_legacy(pg, legacy_gossip, 1 << 20).expect("legacy run");
-        assert_identical(&seq, &old, "sequential vs legacy");
-        old
-    });
     for threads in THREAD_CURVE {
         let par = sim.run_parallel(gossip, threads).expect("parallel run");
         assert_identical(&seq, &par, &format!("sequential vs parallel({threads})"));
     }
 
-    // The packed tier: bridge vs generic on the bool gossip (always
-    // eligible: 2-bit lanes), kernel vs scalar twin on regular graphs.
-    assert!(sim.packed_eligible::<bool>(), "bool gossip must pack");
-    let parity_generic = sim.run(parity).expect("generic parity run");
-    let parity_packed = sim.run_packed(parity).expect("packed parity run");
-    assert_identical(&parity_generic, &parity_packed, "generic vs packed bridge");
-    let parity_packed2 = sim
-        .run_packed_parallel(parity, 2)
-        .expect("packed parallel parity run");
-    assert_identical(
-        &parity_generic,
-        &parity_packed2,
-        "generic vs packed parallel(2)",
-    );
-    let kernel = OrGossipKernel { rounds };
-    let kernel_ok = pg
-        .regular_degree()
-        .is_some_and(|d| d > 0 && d as u32 * kernel.lane_bits() <= 64);
-    let kernel_run = kernel_ok.then(|| {
-        let fast = sim.run_packed_kernel(&kernel).expect("kernel run");
-        let slow = kernel_reference_run(&sim, &kernel).expect("kernel twin run");
-        assert_identical(&fast, &slow, "word kernel vs scalar twin");
-        fast
-    });
-
     let t_seq = time_best(|| sim.run(gossip).unwrap());
-    let t_old = old.map(|_| time_best(|| run_legacy(pg, legacy_gossip, 1 << 20).unwrap()));
     let mut parallel_rps = [0.0; THREAD_CURVE.len()];
     for (slot, threads) in parallel_rps.iter_mut().zip(THREAD_CURVE) {
         let t = time_best(|| sim.run_parallel(gossip, threads).unwrap());
         *slot = seq.rounds as f64 / t;
     }
-    let t_bridge = time_best(|| sim.run_packed(parity).unwrap());
-    let t_bridge_generic = time_best(|| sim.run(parity).unwrap());
-    let kernel_mps = kernel_run.map(|run| {
-        let t = time_best(|| sim.run_packed_kernel(&kernel).unwrap());
-        run.messages as f64 / t
-    });
 
     let rounds = seq.rounds;
     let sequential_rps = rounds as f64 / t_seq;
@@ -326,14 +169,9 @@ fn measure(name: &'static str, pg: &PortNumberedGraph, with_legacy: bool, rounds
         nodes: pg.node_count(),
         ports: pg.port_count(),
         rounds,
-        legacy_rps: t_old.map(|t| rounds as f64 / t),
         sequential_rps,
         parallel_rps,
         sequential_mps: seq.messages as f64 / t_seq,
-        packed_bridge_rps: rounds as f64 / t_bridge,
-        bridge_generic_rps: rounds as f64 / t_bridge_generic,
-        kernel_mps,
-        speedup_sequential_vs_legacy: t_old.map(|t| t / t_seq),
         speedup_parallel_best_vs_sequential: best_parallel / sequential_rps,
     }
 }
@@ -351,11 +189,6 @@ fn render_json(rows: &[Row], host_threads: usize, rounds: usize) -> String {
         "  \"parallel_fields_overhead_only\": {},",
         host_threads == 1
     );
-    // `engines_bit_identical` covers exactly the engines this run
-    // compared; under `--reduced` the legacy engine is skipped, which
-    // `legacy_engine_compared` records.
-    let legacy_compared = rows.iter().all(|r| r.legacy_rps.is_some());
-    let _ = writeln!(json, "  \"legacy_engine_compared\": {legacy_compared},");
     let _ = writeln!(json, "  \"engines_bit_identical\": true,");
     let _ = writeln!(json, "  \"workloads\": [");
     for (i, r) in rows.iter().enumerate() {
@@ -365,9 +198,6 @@ fn render_json(rows: &[Row], host_threads: usize, rounds: usize) -> String {
         let _ = writeln!(json, "      \"nodes\": {},", r.nodes);
         let _ = writeln!(json, "      \"ports\": {},", r.ports);
         let _ = writeln!(json, "      \"rounds\": {},", r.rounds);
-        if let Some(legacy) = r.legacy_rps {
-            let _ = writeln!(json, "      \"legacy_rounds_per_sec\": {legacy:.1},");
-        }
         let _ = writeln!(
             json,
             "      \"sequential_rounds_per_sec\": {:.1},",
@@ -386,31 +216,6 @@ fn render_json(rows: &[Row], host_threads: usize, rounds: usize) -> String {
         );
         let _ = writeln!(
             json,
-            "      \"packed_bridge_rounds_per_sec\": {:.1},",
-            r.packed_bridge_rps
-        );
-        let _ = writeln!(
-            json,
-            "      \"speedup_packed_bridge_vs_generic\": {:.2},",
-            r.speedup_packed_bridge()
-        );
-        if let Some(mps) = r.kernel_mps {
-            let _ = writeln!(json, "      \"packed_kernel_messages_per_sec\": {mps:.1},");
-        }
-        if let Some(speedup) = r.speedup_kernel_vs_sequential_mps() {
-            let _ = writeln!(
-                json,
-                "      \"speedup_packed_kernel_vs_sequential\": {speedup:.2},"
-            );
-        }
-        if let Some(speedup) = r.speedup_sequential_vs_legacy {
-            let _ = writeln!(
-                json,
-                "      \"speedup_sequential_vs_legacy\": {speedup:.2},"
-            );
-        }
-        let _ = writeln!(
-            json,
             "      \"speedup_parallel_best_vs_sequential\": {:.2}",
             r.speedup_parallel_best_vs_sequential
         );
@@ -421,58 +226,10 @@ fn render_json(rows: &[Row], host_threads: usize, rounds: usize) -> String {
     json
 }
 
-/// The lean `--streamed N` mode: one streamed cycle, word kernel only.
-fn run_streamed(n: usize, rounds: usize, out: &str, host_threads: usize) -> ExitCode {
-    eprintln!(
-        "streamed kernel mode: {n}-node cycle, {rounds} rounds, host_threads = {host_threads}"
-    );
-    let pg = match generators::streamed_cycle(n, None) {
-        Ok(pg) => pg,
-        Err(e) => {
-            eprintln!("streamed cycle generation failed: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    let sim = Simulator::new(&pg);
-    let kernel = OrGossipKernel { rounds };
-    // The scalar twin moves one message at a time; past ~2M nodes it
-    // would dominate the wall clock, and the packed-conformance suite
-    // already proves identity at smaller sizes.
-    let verified = n <= 2_000_000;
-    let fast = sim.run_packed_kernel(&kernel).expect("kernel run");
-    if verified {
-        let slow = kernel_reference_run(&sim, &kernel).expect("kernel twin run");
-        assert_identical(&fast, &slow, "word kernel vs scalar twin (streamed)");
-    }
-    let t = time_best(|| sim.run_packed_kernel(&kernel).unwrap());
-    let mps = fast.messages as f64 / t;
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"benchmark\": \"sim_streamed_kernel\",");
-    let _ = writeln!(json, "  \"protocol_rounds\": {rounds},");
-    let _ = writeln!(json, "  \"host_threads\": {host_threads},");
-    let _ = writeln!(json, "  \"nodes\": {n},");
-    let _ = writeln!(json, "  \"ports\": {},", pg.port_count());
-    let _ = writeln!(json, "  \"messages\": {},", fast.messages);
-    let _ = writeln!(json, "  \"kernel_verified_vs_scalar_twin\": {verified},");
-    let _ = writeln!(json, "  \"packed_kernel_messages_per_sec\": {mps:.1}");
-    let _ = writeln!(json, "}}");
-    std::fs::write(out, &json).expect("write streamed benchmark report");
-    print!("{json}");
-    eprintln!(
-        "streamed_cycle_{n}: kernel {:.3} B msgs/s ({} messages in {t:.3}s best)",
-        mps / 1e9,
-        fast.messages
-    );
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let mut reduced = false;
     let mut check_parallel = false;
     let mut rounds = DEFAULT_ROUNDS;
-    let mut streamed: Option<usize> = None;
     let mut out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -486,13 +243,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--streamed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => streamed = Some(n),
-                None => {
-                    eprintln!("--streamed requires a node count");
-                    return ExitCode::from(2);
-                }
-            },
             "--out" => match args.next() {
                 Some(path) => out = Some(path),
                 None => {
@@ -503,8 +253,7 @@ fn main() -> ExitCode {
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: sim_benchmark [--reduced] [--check-parallel] [--rounds N] \
-                     [--streamed N] [--out PATH]"
+                    "usage: sim_benchmark [--reduced] [--check-parallel] [--rounds N] [--out PATH]"
                 );
                 return ExitCode::from(2);
             }
@@ -512,12 +261,7 @@ fn main() -> ExitCode {
     }
 
     let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    if let Some(n) = streamed {
-        let out = out.unwrap_or_else(|| "BENCH_sim_streamed.json".to_owned());
-        return run_streamed(n, rounds, &out, host_threads);
-    }
     let out = out.unwrap_or_else(|| "BENCH_sim.json".to_owned());
-    let with_legacy = !reduced;
     let mut graphs: Vec<(&'static str, PortNumberedGraph)> = Vec::new();
 
     let cycle = ports::canonical_ports(&generators::cycle(100_000).unwrap()).unwrap();
@@ -535,7 +279,7 @@ fn main() -> ExitCode {
 
     let rows: Vec<Row> = graphs
         .iter()
-        .map(|(name, pg)| measure(name, pg, with_legacy, rounds))
+        .map(|(name, pg)| measure(name, pg, rounds))
         .collect();
 
     let json = render_json(&rows, host_threads, rounds);
@@ -552,18 +296,8 @@ fn main() -> ExitCode {
         eprintln!("host_threads = {host_threads}");
     }
     for r in &rows {
-        let legacy = r
-            .legacy_rps
-            .map_or("      (skipped)".to_owned(), |v| format!("{v:>10.0} r/s"));
-        let kernel = r.kernel_mps.map_or("(n/a)".to_owned(), |v| {
-            format!(
-                "{:.2} B msgs/s ({:.1}x seq)",
-                v / 1e9,
-                r.speedup_kernel_vs_sequential_mps().unwrap_or(0.0)
-            )
-        });
         eprintln!(
-            "[host_threads={host_threads}] {:<22} legacy {legacy}   sequential {:>10.0} r/s   parallel 1/2/4/8 {:>8.0}/{:>8.0}/{:>8.0}/{:>8.0} r/s   best-parallel/seq {:.2}x   bridge {:.2}x   kernel {kernel}",
+            "[host_threads={host_threads}] {:<22} sequential {:>10.0} r/s   parallel 1/2/4/8 {:>8.0}/{:>8.0}/{:>8.0}/{:>8.0} r/s   best-parallel/seq {:.2}x",
             r.name,
             r.sequential_rps,
             r.parallel_rps[0],
@@ -571,7 +305,6 @@ fn main() -> ExitCode {
             r.parallel_rps[2],
             r.parallel_rps[3],
             r.speedup_parallel_best_vs_sequential,
-            r.speedup_packed_bridge(),
         );
     }
 
@@ -595,7 +328,7 @@ fn main() -> ExitCode {
                 eprintln!(
                     "check-parallel: {name} at {ratio:.2}x on the first pass — remeasuring once"
                 );
-                let retry = measure(name, pg, false, rounds);
+                let retry = measure(name, pg, rounds);
                 ratio = ratio.max(retry.parallel_at(4) / retry.sequential_rps);
             }
             if ratio < BREAK_EVEN_TOLERANCE {

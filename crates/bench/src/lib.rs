@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod legacy_engine;
 pub mod report;
 pub mod workloads;
 

@@ -30,38 +30,6 @@ pub enum RegOddMsg {
     DegTwo(bool),
 }
 
-impl pn_runtime::PackedMessage for RegOddMsg {
-    fn lane_bits(max_degree: usize) -> Option<u32> {
-        // Six fixed codes plus one per port number (1-based, <= Δ).
-        pn_runtime::lane_width_for(6 + max_degree as u64)
-    }
-
-    fn encode(&self, _max_degree: usize) -> u64 {
-        match self {
-            RegOddMsg::Claim(false) => 1,
-            RegOddMsg::Claim(true) => 2,
-            RegOddMsg::Cover(false) => 3,
-            RegOddMsg::Cover(true) => 4,
-            RegOddMsg::DegTwo(false) => 5,
-            RegOddMsg::DegTwo(true) => 6,
-            RegOddMsg::Port(p) => 6 + u64::from(*p),
-        }
-    }
-
-    fn decode(code: u64, _max_degree: usize) -> Option<Self> {
-        match code {
-            0 => None,
-            1 => Some(RegOddMsg::Claim(false)),
-            2 => Some(RegOddMsg::Claim(true)),
-            3 => Some(RegOddMsg::Cover(false)),
-            4 => Some(RegOddMsg::Cover(true)),
-            5 => Some(RegOddMsg::DegTwo(false)),
-            6 => Some(RegOddMsg::DegTwo(true)),
-            p => Some(RegOddMsg::Port((p - 6) as u32)),
-        }
-    }
-}
-
 /// Number of rounds the protocol takes on a `d`-regular graph.
 pub fn regular_odd_rounds(d: usize) -> usize {
     if d == 0 {

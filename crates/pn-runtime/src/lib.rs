@@ -16,8 +16,11 @@
 //!
 //! # The three-phase round engine
 //!
-//! All entry points — [`Simulator::run`], [`Simulator::run_with_inputs`],
-//! and [`Simulator::run_parallel`] — execute the same zero-allocation
+//! There is one sequential engine ([`Simulator::run`],
+//! [`Simulator::run_with_inputs`]) and one worker pool
+//! ([`Simulator::run_parallel`], [`Simulator::run_parallel_with_inputs`]).
+//! The sequential engine is the oracle: the pool is bit-identical to it
+//! at every thread count. Both execute the same zero-allocation
 //! round loop over two flat per-port message buffers (`outbox`, `inbox`),
 //! laid out in the graph's slot arena: node `v`'s ports occupy the
 //! contiguous window starting at
@@ -57,21 +60,6 @@
 //! separate traced route phase; with tracing off (the default) the hot
 //! loop contains no formatting and no per-message branching beyond the
 //! occupancy check.
-//!
-//! # The bit-packed raw-speed tier
-//!
-//! Protocols whose messages implement [`PackedMessage`] (tiny enums over
-//! bounded degrees — every protocol in this workspace except the
-//! identifier-model baseline) can run through the **packed engine**
-//! ([`Simulator::run_packed`], [`Simulator::run_packed_parallel`]): port
-//! windows become bit lanes inside `u64` words, the route phase becomes
-//! a per-word gather plan, and nodes are relayouted by a stable degree
-//! sort for cache locality — bit-identical to this generic engine, which
-//! remains the conformance oracle. Regular-graph broadcast/fold programs
-//! can go further with [`WordKernel`]s
-//! ([`Simulator::run_packed_kernel`]), advancing 8–64 node-ports per
-//! word operation. See the `packed` module docs for the word layout,
-//! eligibility rules and the CSR permutation contract.
 //!
 //! # Migrating from `send` to `send_into`
 //!
@@ -136,7 +124,6 @@ mod churn;
 mod error;
 mod metrics;
 mod output;
-mod packed;
 mod parallel;
 mod pool;
 mod simulator;
@@ -147,9 +134,6 @@ pub use cancel::CancelToken;
 pub use churn::{ChurnError, ChurnEvent, ChurnSimulator, Epoch, EventSchedule};
 pub use error::RuntimeError;
 pub use output::{edge_set_from_outputs, fiber_agreement, outputs_from_edge_set, PortSet};
-pub use packed::{
-    kernel_reference_run, lane_width_for, KernelNode, OrGossipKernel, PackedMessage, WordKernel,
-};
 pub use pool::{SubmitError, WorkerPool};
 pub use simulator::{Run, RunOptions, Simulator};
 pub use trace::{HaltEvent, MessageEvent, Trace};

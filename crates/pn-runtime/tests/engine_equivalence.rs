@@ -62,7 +62,7 @@ impl NodeAlgorithm for Churn {
     }
 }
 
-/// Forces the legacy engine path: delegates `send` to the inner
+/// Forces the legacy `send` path: delegates `send` to the inner
 /// algorithm and does **not** override `send_into`, so the simulator
 /// takes the default Vec-allocating delegation with its count check.
 #[derive(Clone)]

@@ -88,8 +88,7 @@ pub use churn::{
     MaterializedChurn,
 };
 pub use protocol::{
-    recommended_simulator_threads, ExecOptions, PackedPolicy, Protocol, ProtocolRun, Solution,
-    SweepError,
+    recommended_simulator_threads, ExecOptions, Protocol, ProtocolRun, Solution, SweepError,
 };
 pub use registry::Registry;
 pub use scenario::{relabel_nodes, Family, PortPolicy, Scenario, ScenarioSpec};

@@ -210,14 +210,13 @@ impl Registry {
         Registry { specs }
     }
 
-    /// The 10M–100M streamed scale tier for the bit-packed engine: the
-    /// cycle and cubic streamed families at `n` nodes, canonical and
-    /// shuffled numberings, with sequential execution defaults — the
-    /// packed engine's win is single-thread throughput, and at this
-    /// scale the worker pool's per-chunk buffers would only add memory
+    /// The 10M–100M streamed scale registry: the cycle and cubic
+    /// streamed families at `n` nodes, canonical and shuffled
+    /// numberings, with sequential execution defaults — at this scale
+    /// the worker pool's per-chunk buffers would only add memory
     /// pressure. Not part of [`Registry::full`]: a 100M-node scenario
-    /// materialises multi-GB structures, so this tier is explicit
-    /// opt-in (`scenario_sweep --scale [N]` and the nightly workflow).
+    /// materialises multi-GB structures, so this registry is explicit
+    /// opt-in (`scenario_sweep --scale [N]`).
     pub fn scale(n: usize) -> Self {
         let mut specs = Vec::new();
         for policy in [PortPolicy::Canonical, PortPolicy::Shuffled] {

@@ -135,12 +135,12 @@ pub enum Family {
         /// `1_000_000`).
         n: usize,
     },
-    /// The 10M–100M streamed tier: an `n`-node cycle for the bit-packed
-    /// raw-speed engine, generated exactly like [`Family::MillionCycle`]
-    /// (one `O(n)` streamed pass straight into the flat involution) but
-    /// registered as its own family so the registry can gate it behind
-    /// explicit opt-in — materialising the simple projection costs
-    /// multiple GB at `n = 100_000_000`. See `Registry::scale`.
+    /// The 10M–100M streamed scale family: an `n`-node cycle, generated
+    /// exactly like [`Family::MillionCycle`] (one `O(n)` streamed pass
+    /// straight into the flat involution) but registered as its own
+    /// family so the registry can gate it behind explicit opt-in —
+    /// materialising the simple projection costs multiple GB at
+    /// `n = 100_000_000`. See `Registry::scale`.
     HundredMillionCycle {
         /// Number of nodes (any `n ≥ 3`; the scale registry uses
         /// `100_000_000`).

@@ -12,12 +12,10 @@
 //! # `--sim`: the perf-regression gate
 //!
 //! Compares two `sim_benchmark` reports workload by workload. The gate
-//! fails (exit 1) when a gated throughput metric drops by more than the
-//! tolerance (default 0.15, i.e. >15% slower):
-//! `sequential_rounds_per_sec` always, `packed_bridge_rounds_per_sec`
-//! and `packed_kernel_messages_per_sec` when both reports carry them.
-//! Parallel fields are never gated — they measure pool overhead on
-//! small hosts and `--check-parallel` owns the break-even floor.
+//! fails (exit 1) when `sequential_rounds_per_sec` drops by more than
+//! the tolerance (default 0.15, i.e. >15% slower). Parallel fields are
+//! never gated — they measure pool overhead on small hosts and
+//! `--check-parallel` owns the break-even floor.
 //! Workloads only in the baseline are skipped with a notice, never
 //! failed: CI measures the `--reduced` subset against the full
 //! committed baseline by design (perf gate, not coverage gate).
@@ -26,7 +24,7 @@
 //! `protocol_rounds` differ between the two reports the diff prints a
 //! notice and exits 0 (self-skip) — a laptop regenerating the
 //! CI-committed baseline must not fail, and neither report is wrong.
-//! Mismatched `benchmark` kinds (e.g. a streamed-kernel report against
+//! Mismatched `benchmark` kinds (a report of another benchmark against
 //! the throughput baseline) are a usage error, exit 2.
 //!
 //! Both files are JSON-lines reports written by `scenario_sweep` (one
@@ -253,11 +251,6 @@ fn parse_report(path: &str) -> Result<BTreeMap<(String, String), Record>, String
 #[derive(Clone, Debug, Default, PartialEq)]
 struct SimWorkload {
     sequential_rps: f64,
-    /// Packed-tier metrics; absent in reports predating the packed
-    /// engine (and the kernel on non-regular workloads), so each is
-    /// gated only when both reports carry it.
-    packed_bridge_rps: Option<f64>,
-    kernel_mps: Option<f64>,
 }
 
 /// A parsed `BENCH_sim.json` throughput report.
@@ -294,10 +287,6 @@ fn parse_sim_report(path: &str) -> Result<SimReport, String> {
                 w.sequential_rps = v
                     .parse()
                     .map_err(|_| format!("{path}: bad sequential_rounds_per_sec: {v}"))?;
-            } else if let Some(v) = field(line, "packed_bridge_rounds_per_sec") {
-                w.packed_bridge_rps = v.parse().ok();
-            } else if let Some(v) = field(line, "packed_kernel_messages_per_sec") {
-                w.kernel_mps = v.parse().ok();
             }
         }
     }
@@ -349,12 +338,6 @@ fn sim_diff(baseline: &SimReport, current: &SimReport, tolerance: f64) -> (Vec<S
             base.sequential_rps,
             cur.sequential_rps,
         );
-        if let (Some(b), Some(c)) = (base.packed_bridge_rps, cur.packed_bridge_rps) {
-            gate("packed_bridge_rounds_per_sec", b, c);
-        }
-        if let (Some(b), Some(c)) = (base.kernel_mps, cur.kernel_mps) {
-            gate("packed_kernel_messages_per_sec", b, c);
-        }
     }
     (failures, improved)
 }
@@ -799,16 +782,14 @@ mod tests {
     }
 
     /// A miniature pretty-printed `sim_benchmark` report.
-    fn sim_report_text(seq: f64, bridge: f64, kernel: f64) -> String {
+    fn sim_report_text(seq: f64) -> String {
         format!(
             "{{\n  \"benchmark\": \"sim_throughput\",\n  \"protocol_rounds\": 16,\n  \
              \"host_threads\": 1,\n  \"parallel_fields_overhead_only\": true,\n  \
              \"workloads\": [\n    {{\n      \"name\": \"cycle_100k\",\n      \
              \"nodes\": 100000,\n      \"rounds\": 16,\n      \
              \"sequential_rounds_per_sec\": {seq:.1},\n      \
-             \"parallel1_rounds_per_sec\": 500.0,\n      \
-             \"packed_bridge_rounds_per_sec\": {bridge:.1},\n      \
-             \"packed_kernel_messages_per_sec\": {kernel:.1}\n    }}\n  ]\n}}\n"
+             \"parallel1_rounds_per_sec\": 500.0\n    }}\n  ]\n}}\n"
         )
     }
 
@@ -822,7 +803,7 @@ mod tests {
 
     #[test]
     fn sim_report_parses_pretty_printed_fields() {
-        let report = parse_sim_text(&sim_report_text(550.0, 400.0, 6.0e8), "parse");
+        let report = parse_sim_text(&sim_report_text(550.0), "parse");
         assert_eq!(report.benchmark, "sim_throughput");
         assert_eq!(report.protocol_rounds, 16);
         assert_eq!(report.host_threads, 1);
@@ -830,23 +811,26 @@ mod tests {
         let (name, w) = &report.workloads[0];
         assert_eq!(name, "cycle_100k");
         assert_eq!(w.sequential_rps, 550.0);
-        assert_eq!(w.packed_bridge_rps, Some(400.0));
-        assert_eq!(w.kernel_mps, Some(6.0e8));
     }
 
     #[test]
     fn sim_diff_gates_drops_and_tolerates_noise() {
-        let base = parse_sim_text(&sim_report_text(550.0, 400.0, 6.0e8), "base");
-        // Within 15%: no failure; a >15% gain counts as improvement.
-        let ok = parse_sim_text(&sim_report_text(500.0, 380.0, 8.0e8), "ok");
+        let base = parse_sim_text(&sim_report_text(550.0), "base");
+        // Within 15%: no failure.
+        let ok = parse_sim_text(&sim_report_text(500.0), "ok");
         let (failures, improved) = sim_diff(&base, &ok, 0.15);
         assert!(failures.is_empty(), "{failures:?}");
+        assert_eq!(improved, 0);
+        // A >15% gain counts as improvement.
+        let fast = parse_sim_text(&sim_report_text(700.0), "fast");
+        let (failures, improved) = sim_diff(&base, &fast, 0.15);
+        assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(improved, 1);
-        // A >15% sequential drop fails; so does a kernel drop.
-        let slow = parse_sim_text(&sim_report_text(550.0, 400.0, 4.0e8), "slow");
+        // A >15% sequential drop fails.
+        let slow = parse_sim_text(&sim_report_text(400.0), "slow");
         let (failures, _) = sim_diff(&base, &slow, 0.15);
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("packed_kernel_messages_per_sec"));
+        assert!(failures[0].contains("sequential_rounds_per_sec"));
         // A workload missing from the current report is skipped, not
         // failed: the CI gate runs the --reduced subset against the
         // full committed baseline.
@@ -856,17 +840,6 @@ mod tests {
             .workloads
             .push(("other".to_owned(), SimWorkload::default()));
         let (failures, _) = sim_diff(&base, &dropped, 0.15);
-        assert!(failures.is_empty(), "{failures:?}");
-    }
-
-    #[test]
-    fn sim_diff_skips_packed_fields_absent_from_a_report() {
-        // A pre-packed baseline gates only the sequential rate.
-        let mut base = parse_sim_text(&sim_report_text(550.0, 400.0, 6.0e8), "prepacked");
-        base.workloads[0].1.packed_bridge_rps = None;
-        base.workloads[0].1.kernel_mps = None;
-        let cur = parse_sim_text(&sim_report_text(540.0, 1.0, 1.0), "cur");
-        let (failures, _) = sim_diff(&base, &cur, 0.15);
         assert!(failures.is_empty(), "{failures:?}");
     }
 

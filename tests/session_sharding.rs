@@ -6,7 +6,8 @@
 //! record stream — same records, same order, byte-identical serialised
 //! reports. These tests assert that promise on [`Registry::conformance`]
 //! (property-tested across thread counts and portfolio subsets) and on
-//! [`Registry::smoke`] at the JSON-lines byte level.
+//! [`Registry::smoke`] at the JSON-lines byte level, and check that the
+//! worker-pool engine leaves both registries' records unchanged.
 
 use edge_dominating_sets::scenarios::{JsonLinesSink, Protocol, Registry, Session, SweepRecord};
 use proptest::prelude::*;
@@ -76,17 +77,19 @@ fn json_lines_report_is_byte_identical_across_shardings() {
 }
 
 /// Sharding composes with the parallel simulator engine: records stay
-/// identical when each protocol run itself fans out across threads.
+/// identical when each protocol run itself fans out across threads. The
+/// conformance registry puts every (scenario, protocol) pair of the
+/// integration-test matrix through the worker pool against the
+/// sequential engine.
 #[test]
 fn simulator_threads_do_not_change_records() {
-    let reference = Session::over(Registry::smoke())
-        .sequential()
-        .collect()
-        .unwrap();
-    let inner_parallel = Session::over(Registry::smoke())
-        .threads(4)
-        .simulator_threads(3)
-        .collect()
-        .unwrap();
-    assert_eq!(reference, inner_parallel);
+    for registry in [Registry::smoke, Registry::conformance] {
+        let reference = Session::over(registry()).sequential().collect().unwrap();
+        let inner_parallel = Session::over(registry())
+            .threads(4)
+            .simulator_threads(3)
+            .collect()
+            .unwrap();
+        assert_eq!(reference, inner_parallel);
+    }
 }
