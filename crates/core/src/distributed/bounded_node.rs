@@ -233,14 +233,13 @@ impl BoundedDegreeNode {
         }
     }
 
-    fn cover_bits(&self, inbox: &[Option<BoundedMsg>]) -> Vec<bool> {
-        inbox
-            .iter()
-            .map(|m| match m {
-                Some(BoundedMsg::Cover(c)) => *c,
-                other => unreachable!("expected Cover, got {other:?}"),
-            })
-            .collect()
+    /// The far ends' cover bits, port by port, read straight off the
+    /// inbox (no per-round allocation).
+    fn cover_bits(inbox: &[Option<BoundedMsg>]) -> impl Iterator<Item = bool> + '_ {
+        inbox.iter().map(|m| match m {
+            Some(BoundedMsg::Cover(c)) => *c,
+            other => unreachable!("expected Cover, got {other:?}"),
+        })
     }
 
     fn output(&self) -> PortSet {
@@ -348,28 +347,27 @@ impl NodeAlgorithm for BoundedDegreeNode {
             }
             Step::Phase1(t) => {
                 let (i, j) = ((t / delta) as u32 + 1, (t % delta) as u32 + 1);
-                let far_cov = self.cover_bits(inbox);
-                let mut added = false;
-                for (q, &far) in far_cov.iter().enumerate() {
-                    if self.edge_in_mij(q, i, j) && !self.covered_m && !far {
-                        self.in_m[q] = true;
-                        added = true;
+                // A covered node adds nothing this round.
+                if !self.covered_m {
+                    let mut added = false;
+                    for (q, far) in Self::cover_bits(inbox).enumerate() {
+                        if !far && self.edge_in_mij(q, i, j) {
+                            self.in_m[q] = true;
+                            added = true;
+                        }
                     }
-                }
-                if added {
-                    self.covered_m = true;
+                    self.covered_m = added;
                 }
                 None
             }
             Step::Phase2Start(i) => {
                 // Freeze the eligible port list for this block: edges
                 // {u, v} with d(u) < d(v) = i and both ends uncovered.
-                let far_cov = self.cover_bits(inbox);
                 self.eligible.clear();
                 self.cursor = 0;
                 let black = self.degree == i && !self.covered_m;
                 if black {
-                    for (q, &far) in far_cov.iter().enumerate() {
+                    for (q, far) in Self::cover_bits(inbox).enumerate() {
                         let df = self.their_degree[q] as usize;
                         if df < i && !far {
                             self.eligible.push(q);
@@ -391,11 +389,10 @@ impl NodeAlgorithm for BoundedDegreeNode {
             }
             Step::Phase3Start => {
                 // H: edges with both endpoints M-uncovered.
-                let far_cov = self.cover_bits(inbox);
                 self.eligible.clear();
                 self.cursor = 0;
                 if !self.covered_m {
-                    for (q, &far) in far_cov.iter().enumerate() {
+                    for (q, far) in Self::cover_bits(inbox).enumerate() {
                         if !far {
                             self.eligible.push(q);
                         }

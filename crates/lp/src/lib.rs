@@ -47,6 +47,7 @@
 #![forbid(unsafe_code)]
 
 pub mod certificate;
+mod metrics;
 pub mod rational;
 pub mod simplex;
 
@@ -58,8 +59,9 @@ use pn_graph::matching::greedy_maximal_matching;
 use pn_graph::{EdgeId, SimpleGraph};
 
 /// Size budget for the exact simplex solve. The tableau is dense
-/// (`m × 2m` rationals for `m` edges), so the solve is gated on the
-/// edge count; instances beyond it get the matching-seed certificate.
+/// (`m × 2m` rationals for `m` edges) and the pivot count grows with
+/// it, so the solve is gated on the edge count; instances beyond it get
+/// the matching-seed certificate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LpBudget {
     /// Run the simplex only on graphs with at most this many edges.
@@ -68,9 +70,12 @@ pub struct LpBudget {
 
 impl Default for LpBudget {
     fn default() -> Self {
-        // Covers every non-streamed registry instance (≤ ~120 edges)
-        // with two orders of magnitude of headroom below a noticeable
-        // solve time; million-edge instances fall back to the seed.
+        // Covers every non-streamed registry instance (≤ ~120 edges);
+        // million-edge instances fall back to the seed. Measured in
+        // release on a 2-core Xeon, the EDS dual costs 0.14–0.23 s at
+        // 111 edges (the pivot count depends on the edge order), 1.2 s
+        // at 147 and about 2.8 s at 195 edges
+        // (`preferential_attachment(68, 3, 3)`), near this ceiling.
         LpBudget { max_edges: 200 }
     }
 }
@@ -263,6 +268,31 @@ mod tests {
             c.verify(&g).unwrap();
             assert_eq!(c.bound, 0);
         }
+    }
+
+    #[test]
+    fn power_law_forty_certificate_is_pinned() {
+        // The 111-edge EDS dual, solved from the greedy matching seed in
+        // the generator's edge order (the registry's shuffled instance
+        // numbers the same edges differently and takes 429 pivots).
+        let g = generators::preferential_attachment(40, 3, 0).unwrap();
+        assert_eq!(g.edge_count(), 111);
+        let c = eds_dual_certificate(&g, &LpBudget::default());
+        c.verify(&g).unwrap();
+        assert_eq!(c.source, CertificateSource::Simplex);
+        assert_eq!(c.value, Rational::new(934, 89));
+        assert_eq!(c.bound, 11);
+        let seed: Vec<usize> = greedy_maximal_matching(&g)
+            .iter()
+            .map(|e| e.index())
+            .collect();
+        let lp = PackingLp {
+            variables: g.edge_count(),
+            rows: dual_rows(&g, DualObjective::EdgeDomination),
+        };
+        let opt = maximise(&lp, &seed).unwrap();
+        assert_eq!(opt.pivots, 851);
+        assert_eq!(opt.values, c.weights);
     }
 
     #[test]

@@ -293,6 +293,45 @@ mod tests {
         }
     }
 
+    /// The registry's 111-edge power-law instance, the largest LP of a
+    /// batch pass, pinned: its EDS dual optimum, the certified bound
+    /// and the pivot count of the solve behind them.
+    #[test]
+    fn registry_power_law_lp_certificate_is_pinned() {
+        use eds_lp::{maximise, CertificateSource, PackingLp, Rational};
+        let s = ScenarioSpec::new(Family::PowerLaw { n: 40, m: 3 }, 0, PortPolicy::Shuffled)
+            .build()
+            .unwrap();
+        let g = &s.simple;
+        assert_eq!(g.edge_count(), 111);
+        let cert = dual_certificate(g, DualObjective::EdgeDomination, &LpBudget::default());
+        cert.verify(g).unwrap();
+        assert_eq!(cert.source, CertificateSource::Simplex);
+        assert_eq!(cert.value, Rational::new(934, 89));
+        assert_eq!(cert.bound, 11);
+        let rows = g
+            .edges()
+            .map(|(e, _, _)| {
+                g.closed_edge_neighborhood(e)
+                    .into_iter()
+                    .map(|f| f.index())
+                    .collect()
+            })
+            .collect();
+        let seed: Vec<usize> = pn_graph::matching::greedy_maximal_matching(g)
+            .iter()
+            .map(|e| e.index())
+            .collect();
+        let lp = PackingLp {
+            variables: g.edge_count(),
+            rows,
+        };
+        let opt = maximise(&lp, &seed).unwrap();
+        assert_eq!(opt.pivots, 429);
+        assert_eq!(opt.values, cert.weights);
+        assert_eq!(LpBounds::without_exact().eds_bounds(&s).lower_bound, 11);
+    }
+
     #[test]
     fn lp_keeps_the_exact_optimum_within_budget() {
         let s = ScenarioSpec::new(Family::Petersen, 0, PortPolicy::Canonical)

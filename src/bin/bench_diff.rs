@@ -6,26 +6,31 @@
 //!
 //! ```text
 //! bench_diff BASELINE CURRENT [--tolerance T] [--stats]
-//! bench_diff --sim BASELINE CURRENT [--tolerance T]
+//! bench_diff --sim BASELINE[,BASELINE...] CURRENT[,CURRENT...] [--tolerance T]
 //! ```
 //!
 //! # `--sim`: the perf-regression gate
 //!
-//! Compares two `sim_benchmark` reports workload by workload. The gate
-//! fails (exit 1) when `sequential_rounds_per_sec` drops by more than
-//! the tolerance (default 0.15, i.e. >15% slower). Parallel fields are
-//! never gated — they measure pool overhead on small hosts and
-//! `--check-parallel` owns the break-even floor.
-//! Workloads only in the baseline are skipped with a notice, never
-//! failed: CI measures the `--reduced` subset against the full
-//! committed baseline by design (perf gate, not coverage gate).
+//! Compares `sim_benchmark` reports workload by workload. Each side is
+//! one report or a comma-separated list of reports: CI builds the base
+//! commit and HEAD on one runner, runs them alternately three times
+//! each, and passes each build's three reports as one side. Per
+//! workload, a side's measure is its **best**
+//! `sequential_rounds_per_sec`, which discounts runs slowed by other
+//! load on a shared host. The gate
+//! fails (exit 1) when the current side's best drops below the
+//! baseline side's best by more than the tolerance (default 0.15: more
+//! than 15% slower). Parallel fields are never gated — they measure pool
+//! overhead on small hosts and `--check-parallel` owns the break-even
+//! floor. Workloads only in the baseline are skipped with a notice,
+//! never failed: a `--reduced` run may be diffed against a full report
+//! (perf gate, not coverage gate).
 //!
-//! Reports from different worlds do not gate: when `host_threads` or
-//! `protocol_rounds` differ between the two reports the diff prints a
-//! notice and exits 0 (self-skip) — a laptop regenerating the
-//! CI-committed baseline must not fail, and neither report is wrong.
-//! Mismatched `benchmark` kinds (a report of another benchmark against
-//! the throughput baseline) are a usage error, exit 2.
+//! Reports from different worlds are not comparable: when `host_threads`
+//! or `protocol_rounds` differ — between the sides or within one — or
+//! the `benchmark` kinds differ, the diff says so and exits 2. Absolute
+//! throughput means nothing across hosts, so the gate compares builds
+//! measured on the same host, and a mismatch is an error, not a pass.
 //!
 //! Both files are JSON-lines reports written by `scenario_sweep` (one
 //! record per line, a trailing summary line). Records are matched by
@@ -253,7 +258,8 @@ struct SimWorkload {
     sequential_rps: f64,
 }
 
-/// A parsed `BENCH_sim.json` throughput report.
+/// A parsed `BENCH_sim.json` throughput report, or the best of several
+/// (see [`best_of`]).
 #[derive(Clone, Debug)]
 struct SimReport {
     benchmark: String,
@@ -308,12 +314,63 @@ fn parse_sim_report(path: &str) -> Result<SimReport, String> {
     })
 }
 
+/// `Err` with the reason when two reports measure different things
+/// (benchmark kind, host parallelism or protocol rounds).
+fn comparable(a: &SimReport, b: &SimReport) -> Result<(), String> {
+    if a.benchmark != b.benchmark {
+        return Err(format!(
+            "benchmark kind mismatch ({} vs {})",
+            a.benchmark, b.benchmark
+        ));
+    }
+    if a.host_threads != b.host_threads {
+        return Err(format!(
+            "host_threads mismatch ({} vs {}): throughput is not comparable across hosts",
+            a.host_threads, b.host_threads
+        ));
+    }
+    if a.protocol_rounds != b.protocol_rounds {
+        return Err(format!(
+            "protocol_rounds mismatch ({} vs {})",
+            a.protocol_rounds, b.protocol_rounds
+        ));
+    }
+    Ok(())
+}
+
+/// One side of the gate: the reports must be mutually comparable, and
+/// each workload keeps its best `sequential_rounds_per_sec` (workloads
+/// in first-seen order).
+fn best_of(reports: Vec<SimReport>) -> Result<SimReport, String> {
+    let mut reports = reports.into_iter();
+    let mut best = reports.next().ok_or("no reports given")?;
+    for report in reports {
+        comparable(&best, &report)?;
+        for (name, w) in report.workloads {
+            match best.workloads.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, b)) => b.sequential_rps = b.sequential_rps.max(w.sequential_rps),
+                None => best.workloads.push((name, w)),
+            }
+        }
+    }
+    Ok(best)
+}
+
+/// Parses one side's comma-separated report list into its best-of
+/// report.
+fn load_side(paths: &str) -> Result<SimReport, String> {
+    let reports = paths
+        .split(',')
+        .map(parse_sim_report)
+        .collect::<Result<Vec<_>, _>>()?;
+    best_of(reports).map_err(|e| format!("{paths}: {e}"))
+}
+
 /// The `--sim` comparison proper: failure messages (empty = gate
 /// passes) plus the improvement count, separated from I/O and exit
 /// codes for testability. Workloads only in the baseline are skipped
-/// with a notice, not failed: the CI gate measures the `--reduced`
-/// subset against the full committed baseline by design — this is a
-/// perf gate, not a coverage gate.
+/// with a notice, not failed: a `--reduced` run may be diffed against a
+/// full report — this is a perf gate, not a coverage gate.
 fn sim_diff(baseline: &SimReport, current: &SimReport, tolerance: f64) -> (Vec<String>, usize) {
     let mut failures = Vec::new();
     let mut improved = 0usize;
@@ -342,41 +399,27 @@ fn sim_diff(baseline: &SimReport, current: &SimReport, tolerance: f64) -> (Vec<S
     (failures, improved)
 }
 
-fn run_sim_mode(baseline_path: &str, current_path: &str, tolerance: f64) -> ExitCode {
-    let (baseline, current) = match (
-        parse_sim_report(baseline_path),
-        parse_sim_report(current_path),
-    ) {
+fn run_sim_mode(baseline_paths: &str, current_paths: &str, tolerance: f64) -> ExitCode {
+    let (baseline, current) = match (load_side(baseline_paths), load_side(current_paths)) {
         (Ok(b), Ok(c)) => (b, c),
         (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
+            eprintln!("sim diff: {e}");
             return ExitCode::from(2);
         }
     };
-    if baseline.benchmark != current.benchmark {
-        eprintln!(
-            "sim diff: benchmark kind mismatch ({} vs {}) — not comparable",
-            baseline.benchmark, current.benchmark
-        );
+    if let Err(e) = comparable(&baseline, &current) {
+        eprintln!("sim diff: {e} — not comparable");
         return ExitCode::from(2);
     }
-    // Different hosts or round counts measure different things; neither
-    // report is wrong, so the gate self-skips instead of failing.
-    if baseline.host_threads != current.host_threads {
-        eprintln!(
-            "sim diff: host_threads mismatch (baseline {}, current {}) — \
-             throughput not comparable across hosts, gate skipped",
-            baseline.host_threads, current.host_threads
-        );
-        return ExitCode::SUCCESS;
-    }
-    if baseline.protocol_rounds != current.protocol_rounds {
-        eprintln!(
-            "sim diff: protocol_rounds mismatch (baseline {}, current {}) — \
-             gate skipped",
-            baseline.protocol_rounds, current.protocol_rounds
-        );
-        return ExitCode::SUCCESS;
+    for (name, base) in &baseline.workloads {
+        if let Some((_, cur)) = current.workloads.iter().find(|(n, _)| n == name) {
+            eprintln!(
+                "sim diff: {name}: best sequential rounds/sec {:.1} -> {:.1} ({:+.1}%)",
+                base.sequential_rps,
+                cur.sequential_rps,
+                (cur.sequential_rps / base.sequential_rps - 1.0) * 100.0
+            );
+        }
     }
     let (failures, improved) = sim_diff(&baseline, &current, tolerance);
     for f in &failures {
@@ -397,6 +440,9 @@ fn run_sim_mode(baseline_path: &str, current_path: &str, tolerance: f64) -> Exit
     }
 }
 
+const USAGE: &str = "usage: bench_diff BASELINE CURRENT [--tolerance T] [--stats]\n       \
+     bench_diff --sim BASELINE[,BASELINE...] CURRENT[,CURRENT...] [--tolerance T]";
+
 fn main() -> ExitCode {
     let mut tolerance: Option<f64> = None;
     let mut stats = false;
@@ -416,14 +462,14 @@ fn main() -> ExitCode {
             "--sim" => sim = true,
             other if other.starts_with('-') => {
                 eprintln!("unknown option: {other}");
-                eprintln!("usage: bench_diff [--sim] BASELINE CURRENT [--tolerance T] [--stats]");
+                eprintln!("{USAGE}");
                 return ExitCode::from(2);
             }
             path => files.push(path.to_owned()),
         }
     }
     let [baseline_path, current_path] = files.as_slice() else {
-        eprintln!("usage: bench_diff [--sim] BASELINE CURRENT [--tolerance T] [--stats]");
+        eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
     if sim {
@@ -841,6 +887,51 @@ mod tests {
             .push(("other".to_owned(), SimWorkload::default()));
         let (failures, _) = sim_diff(&base, &dropped, 0.15);
         assert!(failures.is_empty(), "{failures:?}");
+    }
+
+    #[test]
+    fn sim_sides_gate_on_each_workloads_best_run() {
+        let runs = |values: &[f64], tag: &str| {
+            values
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| parse_sim_text(&sim_report_text(v), &format!("{tag}{i}")))
+                .collect::<Vec<_>>()
+        };
+        let base = best_of(runs(&[520.0, 600.0, 480.0], "base")).unwrap();
+        assert_eq!(base.workloads.len(), 1);
+        assert_eq!(base.workloads[0].1.sequential_rps, 600.0);
+        // One noisy slow run on the current side does not fail the gate
+        // while its best run keeps up.
+        let noisy = best_of(runs(&[400.0, 590.0, 560.0], "noisy")).unwrap();
+        assert!(sim_diff(&base, &noisy, 0.15).0.is_empty());
+        // A build whose best run is 25% slower fails.
+        let slow = best_of(runs(&[450.0, 440.0, 430.0], "slow")).unwrap();
+        assert_eq!(sim_diff(&base, &slow, 0.15).0.len(), 1);
+    }
+
+    #[test]
+    fn sim_reports_from_different_worlds_are_not_comparable() {
+        let one = parse_sim_text(&sim_report_text(550.0), "world1");
+        let other_host = parse_sim_text(
+            &sim_report_text(550.0).replace("\"host_threads\": 1", "\"host_threads\": 4"),
+            "world4",
+        );
+        let other_rounds = parse_sim_text(
+            &sim_report_text(550.0).replace("\"protocol_rounds\": 16", "\"protocol_rounds\": 8"),
+            "world8",
+        );
+        assert_eq!(other_host.host_threads, 4);
+        assert_eq!(other_rounds.protocol_rounds, 8);
+        assert!(comparable(&one, &one).is_ok());
+        let err = comparable(&one, &other_host).unwrap_err();
+        assert!(err.contains("host_threads"), "{err}");
+        let err = comparable(&one, &other_rounds).unwrap_err();
+        assert!(err.contains("protocol_rounds"), "{err}");
+        // Within one side too: a side mixing hosts is rejected.
+        let err = best_of(vec![one.clone(), other_host]).unwrap_err();
+        assert!(err.contains("host_threads"), "{err}");
+        assert!(best_of(Vec::new()).is_err());
     }
 
     #[test]
