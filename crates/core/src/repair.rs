@@ -17,8 +17,8 @@
 //!
 //! The rules are generic over [`AdjacencyView`] — any structure that can
 //! enumerate a node's neighbours. That is what makes repair *streaming*:
-//! at the million-node tier the view is a delta overlay over a flat
-//! involution table, and a repair pass touches only the damaged
+//! under churn the view is the [`DynamicTopology`] overlay on the
+//! immutable starting graph, and a repair pass touches only the damaged
 //! neighbourhoods, never a second full copy of the graph.
 //!
 //! Accounting mirrors the message-passing model: each *round* is one
@@ -36,7 +36,6 @@
 use std::collections::BTreeSet;
 use std::collections::{BTreeMap, VecDeque};
 
-use pn_graph::dynamic::StreamedDynamicTopology;
 use pn_graph::{DynamicTopology, NodeId, SimpleGraph};
 
 /// An edge witness: normalised `(min, max)` endpoint pairs.
@@ -57,9 +56,8 @@ pub fn edge_key(u: usize, v: usize) -> (usize, usize) {
 
 /// Read-only adjacency access, the only capability the repair rules and
 /// witness checkers need. Implemented for [`SimpleGraph`] (the static
-/// path), [`DynamicTopology`] (the dense churn path), and
-/// [`StreamedDynamicTopology`] (the million-node overlay path), so a
-/// repair pass never forces a full graph materialisation.
+/// path) and [`DynamicTopology`] (the churn overlay), so a repair pass
+/// never forces a full graph materialisation.
 pub trait AdjacencyView {
     /// Number of nodes (including isolated ones).
     fn node_count(&self) -> usize;
@@ -108,7 +106,7 @@ impl AdjacencyView for SimpleGraph {
     }
 }
 
-impl AdjacencyView for DynamicTopology {
+impl AdjacencyView for DynamicTopology<'_> {
     fn node_count(&self) -> usize {
         DynamicTopology::node_count(self)
     }
@@ -124,26 +122,7 @@ impl AdjacencyView for DynamicTopology {
     }
 
     fn has_edge_between(&self, u: usize, v: usize) -> bool {
-        u < DynamicTopology::node_count(self) && self.has_edge(NodeId::new(u), NodeId::new(v))
-    }
-}
-
-impl AdjacencyView for StreamedDynamicTopology<'_> {
-    fn node_count(&self) -> usize {
-        StreamedDynamicTopology::node_count(self)
-    }
-
-    fn degree_of(&self, v: usize) -> usize {
-        self.degree(NodeId::new(v))
-    }
-
-    fn for_each_neighbor(&self, v: usize, f: &mut dyn FnMut(usize)) {
-        self.visit_neighbors(NodeId::new(v), &mut |u| f(u.index()));
-    }
-
-    fn has_edge_between(&self, u: usize, v: usize) -> bool {
-        u < StreamedDynamicTopology::node_count(self)
-            && self.has_edge(NodeId::new(u), NodeId::new(v))
+        self.has_edge(NodeId::new(u), NodeId::new(v))
     }
 }
 

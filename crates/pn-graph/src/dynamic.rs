@@ -3,12 +3,12 @@
 //! [`crate::PortNumberedGraph`] is deliberately immutable: its flat slot
 //! arena, routing table, and derived edge list are what make the
 //! simulator's round loop allocation-free, and none of them survive an
-//! edge mutation cheaply. [`DynamicTopology`] is the mutable counterpart
-//! the fault-injection harness edits between protocol epochs: a plain
-//! adjacency-with-ports structure supporting edge insertion/deletion,
-//! node joins, and crash isolation, which [`DynamicTopology::freeze`]s
-//! back into a fully validated `PortNumberedGraph` whenever a protocol
-//! needs to run.
+//! edge mutation cheaply. [`DynamicTopology`] is the mutable view the
+//! fault-injection harness edits between protocol epochs: it borrows an
+//! immutable base graph, records edge insertions/deletions, node joins,
+//! and crash isolation in a sparse overlay, and
+//! [`DynamicTopology::freeze`]s base plus overlay back into a fully
+//! validated `PortNumberedGraph` whenever a protocol needs to run.
 //!
 //! # Port semantics under mutation
 //!
@@ -23,101 +23,34 @@
 //! event must re-converge from the new numbering; nothing in this module
 //! tries to preserve the old one.
 //!
-//! The structure maintains **simple** topologies only: self-loops and
-//! parallel edges are rejected with the same structured errors as
-//! [`crate::SimpleGraph`]. (The multigraph covers of the lower-bound
-//! machinery never churn.)
+//! The structure maintains **simple** topologies only: a base graph with
+//! loops or parallel links is rejected with [`GraphError::NotSimple`],
+//! and mutations that would create either are rejected with the same
+//! structured errors as [`crate::SimpleGraph`]. (The multigraph covers of
+//! the lower-bound machinery never churn.)
 
 use std::collections::BTreeMap;
 
 use crate::{Endpoint, GraphError, NodeId, Port, PortNumberedGraph};
 
-/// The mutation capability a churn engine needs, abstracted over storage.
+/// A mutable simple topology: a churn overlay over a borrowed, immutable
+/// [`PortNumberedGraph`].
 ///
-/// [`DynamicTopology`] implements it with a dense per-node port table —
-/// right for the bench-tier graphs that are mutated heavily and frozen
-/// every epoch. [`StreamedDynamicTopology`] implements it as a sparse
-/// delta overlay over a borrowed immutable base, so churn over a
-/// million-node streamed graph never materialises a second full copy:
-/// only the port rows an event actually touches are ever allocated.
-///
-/// Both implementations share the dense-port mutation semantics described
-/// in the [module docs](self) — insertion appends highest ports, deletion
-/// swap-removes — so a schedule materialised on one replays identically
-/// on the other.
-pub trait DynTopology {
-    /// Number of nodes (including isolated ones).
-    fn node_count(&self) -> usize;
-
-    /// Number of edges.
-    fn edge_count(&self) -> usize;
-
-    /// Current degree of `v`.
-    fn degree(&self, v: NodeId) -> usize;
-
-    /// Maximum degree over all nodes.
-    fn max_degree(&self) -> usize;
-
-    /// Whether `{u, v}` is currently an edge. Out-of-range nodes are
-    /// simply not endpoints.
-    fn has_edge(&self, u: NodeId, v: NodeId) -> bool;
-
-    /// The peer on port `i` (0-based) of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range or `i >= degree(v)`.
-    fn nth_neighbor(&self, v: NodeId, i: usize) -> NodeId;
-
-    /// Calls `f` once per neighbour of `v`, in port order.
-    fn visit_neighbors(&self, v: NodeId, f: &mut dyn FnMut(NodeId));
-
-    /// Appends a fresh isolated node and returns its id.
-    fn add_node(&mut self) -> NodeId;
-
-    /// Inserts the edge `{u, v}` (see [`DynamicTopology::insert_edge`]).
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::NodeOutOfRange`], [`GraphError::LoopNotAllowed`], or
-    /// [`GraphError::ParallelEdge`], as for the dense implementation.
-    fn insert_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError>;
-
-    /// Deletes the edge `{u, v}` (see [`DynamicTopology::delete_edge`]).
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::NodeOutOfRange`] or [`GraphError::InvalidParameter`]
-    /// if the edge does not exist.
-    fn delete_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError>;
-
-    /// Crashes `v`: deletes every incident edge and returns the former
-    /// neighbours in port order (see [`DynamicTopology::isolate`]).
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::NodeOutOfRange`] for an unknown node.
-    fn isolate(&mut self, v: NodeId) -> Result<Vec<NodeId>, GraphError>;
-
-    /// Snapshots the current topology into a validated
-    /// [`PortNumberedGraph`] (see [`DynamicTopology::freeze`]).
-    ///
-    /// # Errors
-    ///
-    /// The validation errors of [`PortNumberedGraph::from_involution`].
-    fn freeze(&self) -> Result<PortNumberedGraph, GraphError>;
-}
-
-/// A mutable simple topology with dense per-node port assignments.
-///
-/// See the [module docs](self) for the mutation semantics.
+/// The base graph is never copied: a node's port row lives in the sparse
+/// `overlay` map only once a mutation touches it (directly, or indirectly
+/// when a swap-removed port at a neighbour re-points a peer entry), and
+/// joined nodes live in a short `appended` tail. Reads fall through to
+/// the base for untouched rows, so memory stays proportional to the
+/// damage, not the graph — the property that makes million-node churn
+/// affordable. See the [module docs](self) for the mutation semantics.
 ///
 /// # Examples
 ///
 /// ```
-/// use pn_graph::{DynamicTopology, NodeId};
+/// use pn_graph::{DynamicTopology, NodeId, PortNumberedGraph};
 /// # fn main() -> Result<(), pn_graph::GraphError> {
-/// let mut t = DynamicTopology::new(3);
+/// let edgeless = PortNumberedGraph::from_involution(vec![0; 3], vec![])?;
+/// let mut t = DynamicTopology::new(&edgeless)?;
 /// t.insert_edge(NodeId::new(0), NodeId::new(1))?;
 /// t.insert_edge(NodeId::new(1), NodeId::new(2))?;
 /// t.delete_edge(NodeId::new(0), NodeId::new(1))?;
@@ -127,52 +60,85 @@ pub trait DynTopology {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DynamicTopology {
-    /// `ports[v][i]` is the peer endpoint wired to port `i + 1` of `v`.
-    ports: Vec<Vec<Endpoint>>,
+#[derive(Clone, Debug)]
+pub struct DynamicTopology<'g> {
+    base: &'g PortNumberedGraph,
+    /// Materialised port rows for base nodes a mutation has touched.
+    overlay: BTreeMap<usize, Vec<Endpoint>>,
+    /// Port rows for nodes joined after construction; node id is
+    /// `base.node_count() + index`.
+    appended: Vec<Vec<Endpoint>>,
+    edges: usize,
 }
 
-impl DynamicTopology {
-    /// An edgeless topology on `n` nodes.
-    pub fn new(n: usize) -> Self {
-        DynamicTopology {
-            ports: vec![Vec::new(); n],
-        }
-    }
+/// Node `v`'s port row in the base graph's flat arena: entry `i` is the
+/// peer endpoint wired to port `i + 1`.
+fn base_row(base: &PortNumberedGraph, v: usize) -> &[Endpoint] {
+    let start = base.slot_offsets()[v];
+    &base.involution()[start..start + base.degree(NodeId::new(v))]
+}
 
-    /// Copies the wiring of an existing port-numbered graph.
+impl<'g> DynamicTopology<'g> {
+    /// Wraps `base` with an empty overlay.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::NotSimple`] if `g` has loops of either kind
-    /// — the dynamic layer maintains simple topologies only.
-    pub fn from_graph(g: &PortNumberedGraph) -> Result<Self, GraphError> {
-        let mut ports = Vec::with_capacity(g.node_count());
-        for v in g.nodes() {
-            let mut row = Vec::with_capacity(g.degree(v));
-            for i in 0..g.degree(v) {
-                let peer = g.connection(Endpoint::new(v, Port::from_index(i)));
-                if peer.node == v {
-                    return Err(GraphError::NotSimple {
-                        detail: format!("loop at node {v}"),
-                    });
-                }
-                row.push(peer);
-            }
-            ports.push(row);
+    /// Returns [`GraphError::NotSimple`] if `base` has a loop of either
+    /// kind or parallel links — the dynamic layer maintains simple
+    /// topologies only.
+    pub fn new(base: &'g PortNumberedGraph) -> Result<Self, GraphError> {
+        if !base.is_simple() {
+            return Err(GraphError::NotSimple {
+                detail: "a dynamic topology's base has a loop or parallel links".to_owned(),
+            });
         }
-        Ok(DynamicTopology { ports })
+        Ok(DynamicTopology {
+            base,
+            overlay: BTreeMap::new(),
+            appended: Vec::new(),
+            edges: base.edge_count(),
+        })
     }
 
-    /// Number of nodes (including isolated ones).
+    /// Number of base-node port rows the overlay has materialised — the
+    /// memory footprint the overlay contract bounds.
+    pub fn overlay_rows(&self) -> usize {
+        self.overlay.len()
+    }
+
+    /// Number of nodes (including isolated and joined ones).
     pub fn node_count(&self) -> usize {
-        self.ports.len()
+        self.base.node_count() + self.appended.len()
     }
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.ports.iter().map(Vec::len).sum::<usize>() / 2
+        self.edges
+    }
+
+    /// The current port row of `v`: entry `i` is the peer endpoint wired
+    /// to port `i + 1`.
+    fn row(&self, v: usize) -> &[Endpoint] {
+        match v.checked_sub(self.base.node_count()) {
+            Some(joined) => &self.appended[joined],
+            None => self
+                .overlay
+                .get(&v)
+                .map_or_else(|| base_row(self.base, v), Vec::as_slice),
+        }
+    }
+
+    /// The mutable row of `v`, materialising it from the base on first
+    /// touch.
+    fn row_mut(&mut self, v: usize) -> &mut Vec<Endpoint> {
+        let base = self.base;
+        match v.checked_sub(base.node_count()) {
+            Some(joined) => &mut self.appended[joined],
+            None => self
+                .overlay
+                .entry(v)
+                .or_insert_with(|| base_row(base, v).to_vec()),
+        }
     }
 
     /// Current degree of `v`.
@@ -181,30 +147,53 @@ impl DynamicTopology {
     ///
     /// Panics if `v` is out of range.
     pub fn degree(&self, v: NodeId) -> usize {
-        self.ports[v.index()].len()
+        self.row(v.index()).len()
     }
 
-    /// Maximum degree over all nodes.
+    /// Maximum degree over all nodes. Exact, in `O(node_count +
+    /// overlay)`: untouched rows read the base degree in constant time.
     pub fn max_degree(&self) -> usize {
-        self.ports.iter().map(Vec::len).max().unwrap_or(0)
+        (0..self.node_count())
+            .map(|v| self.row(v).len())
+            .max()
+            .unwrap_or(0)
     }
 
-    /// Whether `{u, v}` is currently an edge.
+    /// Whether `{u, v}` is currently an edge. Out-of-range nodes are
+    /// simply not endpoints.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        u.index() < self.ports.len() && self.ports[u.index()].iter().any(|peer| peer.node == v)
+        u.index() < self.node_count() && self.neighbors(u).any(|w| w == v)
+    }
+
+    /// The peer on port `i + 1` (0-based index `i`) of `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range or `i >= degree(v)`.
+    pub fn nth_neighbor(&self, v: NodeId, i: usize) -> NodeId {
+        self.row(v.index())[i].node
+    }
+
+    /// The current neighbours of `v`, in port order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.row(v.index()).iter().map(|p| p.node)
     }
 
     /// Appends a fresh isolated node and returns its id.
     pub fn add_node(&mut self) -> NodeId {
-        self.ports.push(Vec::new());
-        NodeId::new(self.ports.len() - 1)
+        self.appended.push(Vec::new());
+        NodeId::new(self.node_count() - 1)
     }
 
     fn check_node(&self, v: NodeId) -> Result<(), GraphError> {
-        if v.index() >= self.ports.len() {
+        if v.index() >= self.node_count() {
             return Err(GraphError::NodeOutOfRange {
                 node: v,
-                nodes: self.ports.len(),
+                nodes: self.node_count(),
             });
         }
         Ok(())
@@ -227,25 +216,26 @@ impl DynamicTopology {
         if self.has_edge(u, v) {
             return Err(GraphError::ParallelEdge { u, v });
         }
-        let pu = Port::from_index(self.ports[u.index()].len());
-        let pv = Port::from_index(self.ports[v.index()].len());
-        self.ports[u.index()].push(Endpoint::new(v, pv));
-        self.ports[v.index()].push(Endpoint::new(u, pu));
+        let pu = Port::from_index(self.degree(u));
+        let pv = Port::from_index(self.degree(v));
+        self.row_mut(u.index()).push(Endpoint::new(v, pv));
+        self.row_mut(v.index()).push(Endpoint::new(u, pu));
+        self.edges += 1;
         Ok(())
     }
 
     /// Unwires port `i` of `v` by swap-remove: the node's highest port
     /// moves into slot `i` and its peer is re-pointed at the new number.
     /// The peer of the *removed* port is left untouched (the caller
-    /// removes it separately).
+    /// removes it separately). Re-pointing the moved port's peer may
+    /// materialise that peer's row — overlay growth stays proportional
+    /// to the damage neighbourhood.
     fn remove_port(&mut self, v: NodeId, i: usize) {
-        let row = &mut self.ports[v.index()];
-        let last = row.len() - 1;
+        let row = self.row_mut(v.index());
         row.swap_remove(i);
-        if i < last {
+        if let Some(&moved) = row.get(i) {
             // The moved port kept its peer; tell the peer the new number.
-            let moved_peer = self.ports[v.index()][i];
-            self.ports[moved_peer.node.index()][moved_peer.port.index()] =
+            self.row_mut(moved.node.index())[moved.port.index()] =
                 Endpoint::new(v, Port::from_index(i));
         }
     }
@@ -261,17 +251,18 @@ impl DynamicTopology {
     pub fn delete_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
         self.check_node(u)?;
         self.check_node(v)?;
-        let Some(i) = self.ports[u.index()].iter().position(|peer| peer.node == v) else {
+        let Some(i) = self.neighbors(u).position(|w| w == v) else {
             return Err(GraphError::InvalidParameter {
                 detail: format!("edge {{{u}, {v}}} does not exist"),
             });
         };
-        let j = self.ports[u.index()][i].port.index();
+        let j = self.row(u.index())[i].port.index();
         // Removing (u, i) can move u's highest port down and re-point its
         // peer entry — never (v, j): (v, j)'s peer is (u, i), and the
         // moved port is u's old highest, distinct from i.
         self.remove_port(u, i);
         self.remove_port(v, j);
+        self.edges -= 1;
         Ok(())
     }
 
@@ -284,27 +275,18 @@ impl DynamicTopology {
     /// [`GraphError::NodeOutOfRange`] for an unknown node.
     pub fn isolate(&mut self, v: NodeId) -> Result<Vec<NodeId>, GraphError> {
         self.check_node(v)?;
-        let neighbors: Vec<NodeId> = self.ports[v.index()].iter().map(|p| p.node).collect();
+        let neighbors: Vec<NodeId> = self.neighbors(v).collect();
         for &u in &neighbors {
             self.delete_edge(v, u)?;
         }
         Ok(neighbors)
     }
 
-    /// The current neighbours of `v`, in port order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.ports[v.index()].iter().map(|p| p.node)
-    }
-
     /// Snapshots the current topology into a validated
-    /// [`PortNumberedGraph`] — the form a protocol epoch runs on. The
-    /// flat involution is rebuilt from the port lists and passes through
-    /// [`PortNumberedGraph::from_involution`], so a wiring bug in the
-    /// mutable layer surfaces as a structured error here, never as a
+    /// [`PortNumberedGraph`] — the form a protocol epoch runs on. Base
+    /// and overlay rows stream into one fresh involution, which passes
+    /// through [`PortNumberedGraph::from_involution`], so a wiring bug in
+    /// the mutable layer surfaces as a structured error here, never as a
     /// misrouted message inside the simulator.
     ///
     /// # Errors
@@ -312,301 +294,13 @@ impl DynamicTopology {
     /// The validation errors of [`PortNumberedGraph::from_involution`]
     /// (unreachable while the mutation invariants hold).
     pub fn freeze(&self) -> Result<PortNumberedGraph, GraphError> {
-        let degrees: Vec<u32> = self.ports.iter().map(|row| row.len() as u32).collect();
-        let involution: Vec<Endpoint> = self.ports.iter().flatten().copied().collect();
-        let g = PortNumberedGraph::from_involution(degrees, involution)?;
-        g.validate()?;
-        Ok(g)
-    }
-}
-
-impl DynTopology for DynamicTopology {
-    fn node_count(&self) -> usize {
-        DynamicTopology::node_count(self)
-    }
-
-    fn edge_count(&self) -> usize {
-        DynamicTopology::edge_count(self)
-    }
-
-    fn degree(&self, v: NodeId) -> usize {
-        DynamicTopology::degree(self, v)
-    }
-
-    fn max_degree(&self) -> usize {
-        DynamicTopology::max_degree(self)
-    }
-
-    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        DynamicTopology::has_edge(self, u, v)
-    }
-
-    fn nth_neighbor(&self, v: NodeId, i: usize) -> NodeId {
-        self.ports[v.index()][i].node
-    }
-
-    fn visit_neighbors(&self, v: NodeId, f: &mut dyn FnMut(NodeId)) {
-        for p in &self.ports[v.index()] {
-            f(p.node);
-        }
-    }
-
-    fn add_node(&mut self) -> NodeId {
-        DynamicTopology::add_node(self)
-    }
-
-    fn insert_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
-        DynamicTopology::insert_edge(self, u, v)
-    }
-
-    fn delete_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
-        DynamicTopology::delete_edge(self, u, v)
-    }
-
-    fn isolate(&mut self, v: NodeId) -> Result<Vec<NodeId>, GraphError> {
-        DynamicTopology::isolate(self, v)
-    }
-
-    fn freeze(&self) -> Result<PortNumberedGraph, GraphError> {
-        DynamicTopology::freeze(self)
-    }
-}
-
-/// A churn overlay over a borrowed, immutable [`PortNumberedGraph`].
-///
-/// The base graph is never copied: a node's port row lives in the sparse
-/// `overlay` map only once a mutation touches it (directly, or indirectly
-/// when a swap-removed port at a neighbour re-points a peer entry), and
-/// joined nodes live in a short `appended` tail. Reads fall through to
-/// the base for untouched rows, so memory stays proportional to the
-/// damage, not the graph — the property that makes million-node churn
-/// affordable. [`StreamedDynamicTopology::freeze`] streams the base plus
-/// overlay into one fresh involution without intermediate copies.
-///
-/// Mutation semantics (dense ports, swap-remove deletion) are identical
-/// to [`DynamicTopology`]; see the [module docs](self).
-#[derive(Clone, Debug)]
-pub struct StreamedDynamicTopology<'g> {
-    base: &'g PortNumberedGraph,
-    /// Materialised port rows for base nodes a mutation has touched.
-    overlay: BTreeMap<usize, Vec<Endpoint>>,
-    /// Port rows for nodes joined after construction; node id is
-    /// `base.node_count() + index`.
-    appended: Vec<Vec<Endpoint>>,
-    edges: usize,
-}
-
-impl<'g> StreamedDynamicTopology<'g> {
-    /// Wraps `base` with an empty overlay. Infallible: the base is
-    /// already a validated simple port-numbered graph.
-    pub fn new(base: &'g PortNumberedGraph) -> Self {
-        StreamedDynamicTopology {
-            base,
-            overlay: BTreeMap::new(),
-            appended: Vec::new(),
-            edges: base.edge_count(),
-        }
-    }
-
-    /// Number of base-node port rows the overlay has materialised — the
-    /// memory footprint the streaming contract bounds.
-    pub fn overlay_rows(&self) -> usize {
-        self.overlay.len()
-    }
-
-    /// Number of nodes (including isolated and joined ones).
-    pub fn node_count(&self) -> usize {
-        self.base.node_count() + self.appended.len()
-    }
-
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges
-    }
-
-    /// Current degree of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn degree(&self, v: NodeId) -> usize {
-        let base_n = self.base.node_count();
-        if v.index() >= base_n {
-            self.appended[v.index() - base_n].len()
-        } else if let Some(row) = self.overlay.get(&v.index()) {
-            row.len()
-        } else {
-            self.base.degree(v)
-        }
-    }
-
-    /// The peer endpoint wired to port `i` of `v`.
-    fn port_entry(&self, v: usize, i: usize) -> Endpoint {
-        let base_n = self.base.node_count();
-        if v >= base_n {
-            self.appended[v - base_n][i]
-        } else if let Some(row) = self.overlay.get(&v) {
-            row[i]
-        } else {
-            self.base
-                .connection(Endpoint::new(NodeId::new(v), Port::from_index(i)))
-        }
-    }
-
-    /// The mutable row of `v`, materialising it from the base on first
-    /// touch.
-    fn row_mut(&mut self, v: usize) -> &mut Vec<Endpoint> {
-        let base_n = self.base.node_count();
-        if v >= base_n {
-            &mut self.appended[v - base_n]
-        } else {
-            let base = self.base;
-            self.overlay.entry(v).or_insert_with(|| {
-                (0..base.degree(NodeId::new(v)))
-                    .map(|i| base.connection(Endpoint::new(NodeId::new(v), Port::from_index(i))))
-                    .collect()
-            })
-        }
-    }
-
-    /// Whether `{u, v}` is currently an edge.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        if u.index() >= self.node_count() || v.index() >= self.node_count() {
-            return false;
-        }
-        (0..self.degree(u)).any(|i| self.port_entry(u.index(), i).node == v)
-    }
-
-    /// The current neighbours of `v`, in port order.
-    pub fn visit_neighbors(&self, v: NodeId, f: &mut dyn FnMut(NodeId)) {
-        for i in 0..self.degree(v) {
-            f(self.port_entry(v.index(), i).node);
-        }
-    }
-
-    fn check_node(&self, v: NodeId) -> Result<(), GraphError> {
-        if v.index() >= self.node_count() {
-            return Err(GraphError::NodeOutOfRange {
-                node: v,
-                nodes: self.node_count(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Unwires port `i` of `v` by swap-remove, mirroring
-    /// [`DynamicTopology`]'s renumbering exactly. Re-pointing the moved
-    /// port's peer may materialise that peer's row — overlay growth stays
-    /// proportional to the damage neighbourhood.
-    fn remove_port(&mut self, v: NodeId, i: usize) {
-        let row = self.row_mut(v.index());
-        let last = row.len() - 1;
-        row.swap_remove(i);
-        if i < last {
-            let moved_peer = self.row_mut(v.index())[i];
-            self.row_mut(moved_peer.node.index())[moved_peer.port.index()] =
-                Endpoint::new(v, Port::from_index(i));
-        }
-    }
-}
-
-impl DynTopology for StreamedDynamicTopology<'_> {
-    fn node_count(&self) -> usize {
-        StreamedDynamicTopology::node_count(self)
-    }
-
-    fn edge_count(&self) -> usize {
-        StreamedDynamicTopology::edge_count(self)
-    }
-
-    fn degree(&self, v: NodeId) -> usize {
-        StreamedDynamicTopology::degree(self, v)
-    }
-
-    /// Exact, in `O(node_count + overlay)`: untouched rows read the base
-    /// degree in constant time.
-    fn max_degree(&self) -> usize {
-        (0..self.node_count())
-            .map(|v| self.degree(NodeId::new(v)))
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        StreamedDynamicTopology::has_edge(self, u, v)
-    }
-
-    fn nth_neighbor(&self, v: NodeId, i: usize) -> NodeId {
-        self.port_entry(v.index(), i).node
-    }
-
-    fn visit_neighbors(&self, v: NodeId, f: &mut dyn FnMut(NodeId)) {
-        StreamedDynamicTopology::visit_neighbors(self, v, f)
-    }
-
-    fn add_node(&mut self) -> NodeId {
-        self.appended.push(Vec::new());
-        NodeId::new(self.base.node_count() + self.appended.len() - 1)
-    }
-
-    fn insert_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
-        self.check_node(u)?;
-        self.check_node(v)?;
-        if u == v {
-            return Err(GraphError::LoopNotAllowed { node: u });
-        }
-        if self.has_edge(u, v) {
-            return Err(GraphError::ParallelEdge { u, v });
-        }
-        let pu = Port::from_index(self.degree(u));
-        let pv = Port::from_index(self.degree(v));
-        self.row_mut(u.index()).push(Endpoint::new(v, pv));
-        self.row_mut(v.index()).push(Endpoint::new(u, pu));
-        self.edges += 1;
-        Ok(())
-    }
-
-    fn delete_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
-        self.check_node(u)?;
-        self.check_node(v)?;
-        let Some(i) = (0..self.degree(u)).find(|&i| self.port_entry(u.index(), i).node == v) else {
-            return Err(GraphError::InvalidParameter {
-                detail: format!("edge {{{u}, {v}}} does not exist"),
-            });
-        };
-        let j = self.port_entry(u.index(), i).port.index();
-        // As in the dense implementation: removing (u, i) can re-point
-        // the peer of u's old highest port, never (v, j) itself.
-        self.remove_port(u, i);
-        self.remove_port(v, j);
-        self.edges -= 1;
-        Ok(())
-    }
-
-    fn isolate(&mut self, v: NodeId) -> Result<Vec<NodeId>, GraphError> {
-        self.check_node(v)?;
-        let neighbors: Vec<NodeId> = (0..self.degree(v))
-            .map(|i| self.port_entry(v.index(), i).node)
-            .collect();
-        for &u in &neighbors {
-            self.delete_edge(v, u)?;
-        }
-        Ok(neighbors)
-    }
-
-    /// Streams base + overlay into one fresh involution — the single
-    /// full-size allocation of the streamed path, paid only when a
-    /// protocol epoch actually needs a frozen graph.
-    fn freeze(&self) -> Result<PortNumberedGraph, GraphError> {
         let n = self.node_count();
         let mut degrees: Vec<u32> = Vec::with_capacity(n);
-        let mut involution: Vec<Endpoint> = Vec::new();
+        let mut involution: Vec<Endpoint> = Vec::with_capacity(2 * self.edges);
         for v in 0..n {
-            let d = self.degree(NodeId::new(v));
-            degrees.push(d as u32);
-            for i in 0..d {
-                involution.push(self.port_entry(v, i));
-            }
+            let row = self.row(v);
+            degrees.push(row.len() as u32);
+            involution.extend_from_slice(row);
         }
         let g = PortNumberedGraph::from_involution(degrees, involution)?;
         g.validate()?;
@@ -618,23 +312,188 @@ impl DynTopology for StreamedDynamicTopology<'_> {
 mod tests {
     use super::*;
     use crate::{generators, ports};
+    use proptest::prelude::*;
 
-    fn petersen_topology() -> DynamicTopology {
-        let g = ports::canonical_ports(&generators::petersen()).unwrap();
-        DynamicTopology::from_graph(&g).unwrap()
+    /// The dense reference model of the mutation semantics: every node's
+    /// port row held in full, no base and no overlay.
+    struct Dense {
+        ports: Vec<Vec<Endpoint>>,
+    }
+
+    impl Dense {
+        fn of(g: &PortNumberedGraph) -> Self {
+            let ports = g
+                .nodes()
+                .map(|v| {
+                    g.ports(v)
+                        .map(|p| g.connection(Endpoint::new(v, p)))
+                        .collect()
+                })
+                .collect();
+            Dense { ports }
+        }
+
+        fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+            self.ports[u.index()].iter().any(|p| p.node == v)
+        }
+
+        fn insert(&mut self, u: NodeId, v: NodeId) {
+            let pu = Port::from_index(self.ports[u.index()].len());
+            let pv = Port::from_index(self.ports[v.index()].len());
+            self.ports[u.index()].push(Endpoint::new(v, pv));
+            self.ports[v.index()].push(Endpoint::new(u, pu));
+        }
+
+        fn remove_port(&mut self, v: NodeId, i: usize) {
+            self.ports[v.index()].swap_remove(i);
+            if let Some(&moved) = self.ports[v.index()].get(i) {
+                self.ports[moved.node.index()][moved.port.index()] =
+                    Endpoint::new(v, Port::from_index(i));
+            }
+        }
+
+        fn delete(&mut self, u: NodeId, v: NodeId) {
+            let i = self.ports[u.index()].iter().position(|p| p.node == v);
+            let i = i.expect("deleted edge exists");
+            let j = self.ports[u.index()][i].port.index();
+            self.remove_port(u, i);
+            self.remove_port(v, j);
+        }
+
+        fn isolate(&mut self, v: NodeId) -> Vec<NodeId> {
+            let gone: Vec<NodeId> = self.ports[v.index()].iter().map(|p| p.node).collect();
+            for &u in &gone {
+                self.delete(v, u);
+            }
+            gone
+        }
+
+        fn join(&mut self) -> NodeId {
+            self.ports.push(Vec::new());
+            NodeId::new(self.ports.len() - 1)
+        }
+
+        fn freeze(&self) -> PortNumberedGraph {
+            let degrees = self.ports.iter().map(|row| row.len() as u32).collect();
+            PortNumberedGraph::from_involution(degrees, self.ports.concat()).unwrap()
+        }
+    }
+
+    /// Replays one seeded storm of inserts, deletes, crashes and joins on
+    /// the overlay over `base` and on the dense model. Edge counts are
+    /// compared after every step, `has_edge` and `isolate`'s return order
+    /// wherever a step uses them, and the frozen graphs and maximum
+    /// degrees every 16 steps and after the last.
+    fn storm(base: &PortNumberedGraph, seed: u64, steps: usize) {
+        let mut t = DynamicTopology::new(base).unwrap();
+        let mut model = Dense::of(base);
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        for step in 0..steps {
+            let n = model.ports.len() as u64;
+            let u = NodeId::new((next() % n) as usize);
+            match next() % 8 {
+                0..=2 => {
+                    let v = NodeId::new((next() % n) as usize);
+                    assert_eq!(t.has_edge(u, v), model.has_edge(u, v));
+                    if u == v {
+                        let loop_err = t.insert_edge(u, v);
+                        assert!(matches!(loop_err, Err(GraphError::LoopNotAllowed { .. })));
+                    } else if model.has_edge(u, v) {
+                        let parallel = t.insert_edge(u, v);
+                        assert!(matches!(parallel, Err(GraphError::ParallelEdge { .. })));
+                    } else {
+                        t.insert_edge(u, v).unwrap();
+                        model.insert(u, v);
+                    }
+                }
+                3..=5 => {
+                    let d = model.ports[u.index()].len();
+                    if d > 0 {
+                        let v = model.ports[u.index()][(next() % d as u64) as usize].node;
+                        t.delete_edge(u, v).unwrap();
+                        model.delete(u, v);
+                        assert!(!t.has_edge(u, v) && !t.has_edge(v, u));
+                    }
+                }
+                6 => assert_eq!(t.isolate(u).unwrap(), model.isolate(u)),
+                _ => assert_eq!(t.add_node(), model.join()),
+            }
+            let ports: usize = model.ports.iter().map(Vec::len).sum();
+            assert_eq!(t.edge_count(), ports / 2);
+            if step % 16 == 0 || step + 1 == steps {
+                let max_degree = model.ports.iter().map(Vec::len).max().unwrap_or(0);
+                assert_eq!(t.max_degree(), max_degree, "step {step}");
+                assert_eq!(t.freeze().unwrap(), model.freeze(), "step {step}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Dense ports and swap-remove deletion, step for step, over a
+        /// random base, a large sparse one, and an edgeless one.
+        #[test]
+        fn overlay_matches_the_dense_model_under_mutation_storms(
+            seed in proptest::num::u64::ANY
+        ) {
+            let random = generators::random_bounded_degree(64, 5, 0.6, seed).unwrap();
+            let random = ports::shuffled_ports(&random, seed).unwrap();
+            let cycle = ports::canonical_ports(&generators::cycle(4096).unwrap()).unwrap();
+            for base in [&random, &cycle, &edgeless(24)] {
+                storm(base, seed, 400);
+            }
+        }
+    }
+
+    fn edgeless(n: usize) -> PortNumberedGraph {
+        PortNumberedGraph::from_involution(vec![0; n], vec![]).unwrap()
+    }
+
+    fn petersen() -> PortNumberedGraph {
+        ports::canonical_ports(&generators::petersen()).unwrap()
     }
 
     #[test]
     fn round_trips_a_static_graph() {
         let g = ports::shuffled_ports(&generators::petersen(), 3).unwrap();
-        let t = DynamicTopology::from_graph(&g).unwrap();
+        let t = DynamicTopology::new(&g).unwrap();
         let frozen = t.freeze().unwrap();
         assert_eq!(frozen, g);
     }
 
     #[test]
+    fn non_simple_bases_are_rejected() {
+        let at = |v: usize, p: u32| Endpoint::new(NodeId::new(v), Port::new(p));
+        // Port 1 of node 0 wired to itself.
+        let half_loop = PortNumberedGraph::from_involution(vec![1], vec![at(0, 1)]).unwrap();
+        // Ports 1 and 2 of node 0 wired to each other.
+        let full_loop =
+            PortNumberedGraph::from_involution(vec![2], vec![at(0, 2), at(0, 1)]).unwrap();
+        // Two links between nodes 0 and 1.
+        let parallel = PortNumberedGraph::from_involution(
+            vec![2, 2],
+            vec![at(1, 1), at(1, 2), at(0, 1), at(0, 2)],
+        )
+        .unwrap();
+        for g in [&half_loop, &full_loop, &parallel] {
+            assert!(matches!(
+                DynamicTopology::new(g),
+                Err(GraphError::NotSimple { .. })
+            ));
+        }
+    }
+
+    #[test]
     fn insert_then_delete_is_identity_on_the_edge_set() {
-        let mut t = petersen_topology();
+        let g = petersen();
+        let mut t = DynamicTopology::new(&g).unwrap();
         let before = t.freeze().unwrap().to_simple().unwrap();
         let (u, v) = (NodeId::new(0), NodeId::new(7));
         assert!(!t.has_edge(u, v));
@@ -652,13 +511,15 @@ mod tests {
     #[test]
     fn delete_renumbers_densely_and_freeze_validates() {
         // Star: deleting the centre's port 1 moves its highest port down.
-        let mut t = DynamicTopology::new(5);
+        let g = edgeless(5);
+        let mut t = DynamicTopology::new(&g).unwrap();
         for leaf in 1..5 {
             t.insert_edge(NodeId::new(0), NodeId::new(leaf)).unwrap();
         }
         t.delete_edge(NodeId::new(0), NodeId::new(1)).unwrap();
         assert_eq!(t.degree(NodeId::new(0)), 3);
         assert_eq!(t.degree(NodeId::new(1)), 0);
+        assert_eq!(t.nth_neighbor(NodeId::new(0), 0), NodeId::new(4));
         let g = t.freeze().unwrap();
         assert!(g.validate().is_ok());
         assert_eq!(g.edge_count(), 3);
@@ -666,7 +527,8 @@ mod tests {
 
     #[test]
     fn isolate_reports_the_neighbors() {
-        let mut t = petersen_topology();
+        let g = petersen();
+        let mut t = DynamicTopology::new(&g).unwrap();
         let hit = t.isolate(NodeId::new(0)).unwrap();
         assert_eq!(hit.len(), 3);
         assert_eq!(t.degree(NodeId::new(0)), 0);
@@ -678,7 +540,8 @@ mod tests {
 
     #[test]
     fn join_attaches_fresh_nodes() {
-        let mut t = petersen_topology();
+        let g = petersen();
+        let mut t = DynamicTopology::new(&g).unwrap();
         let v = t.add_node();
         assert_eq!(v.index(), 10);
         t.insert_edge(v, NodeId::new(2)).unwrap();
@@ -689,7 +552,8 @@ mod tests {
 
     #[test]
     fn structured_errors_for_bad_mutations() {
-        let mut t = DynamicTopology::new(2);
+        let two = edgeless(2);
+        let mut t = DynamicTopology::new(&two).unwrap();
         assert!(matches!(
             t.insert_edge(NodeId::new(0), NodeId::new(0)),
             Err(GraphError::LoopNotAllowed { .. })
@@ -703,25 +567,29 @@ mod tests {
             t.insert_edge(NodeId::new(0), NodeId::new(9)),
             Err(GraphError::NodeOutOfRange { .. })
         ));
+        let three = edgeless(3);
         assert!(matches!(
-            DynamicTopology::new(3).delete_edge(NodeId::new(0), NodeId::new(1)),
+            DynamicTopology::new(&three)
+                .unwrap()
+                .delete_edge(NodeId::new(0), NodeId::new(1)),
             Err(GraphError::InvalidParameter { .. })
         ));
     }
 
     #[test]
     fn streamed_overlay_matches_dense_under_mutation() {
-        // Replay the same mutation sequence on the dense and streamed
-        // implementations; the frozen graphs must be identical, because
-        // both use the same dense-port swap-remove semantics.
+        // Replay the same mutation sequence on the overlay and the dense
+        // model; the frozen graphs must be identical, because both use
+        // the same dense-port swap-remove semantics.
         let base = ports::shuffled_ports(
             &generators::random_bounded_degree(64, 5, 0.6, 9).unwrap(),
             4,
         )
         .unwrap();
-        let mut dense = DynamicTopology::from_graph(&base).unwrap();
-        let mut streamed = StreamedDynamicTopology::new(&base);
-        assert_eq!(streamed.edge_count(), dense.edge_count());
+        let mut dense = Dense::of(&base);
+        let mut streamed = DynamicTopology::new(&base).unwrap();
+        let dense_edges = |d: &Dense| d.ports.iter().map(Vec::len).sum::<usize>() / 2;
+        assert_eq!(streamed.edge_count(), dense_edges(&dense));
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         let mut step = || {
             x ^= x >> 12;
@@ -737,63 +605,36 @@ mod tests {
             }
             assert_eq!(dense.has_edge(u, v), streamed.has_edge(u, v));
             if dense.has_edge(u, v) {
-                dense.delete_edge(u, v).unwrap();
-                DynTopology::delete_edge(&mut streamed, u, v).unwrap();
+                dense.delete(u, v);
+                streamed.delete_edge(u, v).unwrap();
             } else {
-                dense.insert_edge(u, v).unwrap();
-                DynTopology::insert_edge(&mut streamed, u, v).unwrap();
+                dense.insert(u, v);
+                streamed.insert_edge(u, v).unwrap();
             }
             if round % 40 == 17 {
                 let w = NodeId::new((step() % 64) as usize);
-                assert_eq!(
-                    dense.isolate(w).unwrap(),
-                    DynTopology::isolate(&mut streamed, w).unwrap()
-                );
+                assert_eq!(dense.isolate(w), streamed.isolate(w).unwrap());
             }
-            assert_eq!(dense.edge_count(), streamed.edge_count());
+            assert_eq!(dense_edges(&dense), streamed.edge_count());
         }
-        let j = DynTopology::add_node(&mut streamed);
-        assert_eq!(dense.add_node(), j);
-        dense.insert_edge(j, NodeId::new(3)).unwrap();
-        DynTopology::insert_edge(&mut streamed, j, NodeId::new(3)).unwrap();
+        let j = streamed.add_node();
+        assert_eq!(dense.join(), j);
+        dense.insert(j, NodeId::new(3));
+        streamed.insert_edge(j, NodeId::new(3)).unwrap();
+        let dense_max = dense.ports.iter().map(Vec::len).max().unwrap_or(0);
         assert_eq!(
-            DynTopology::max_degree(&streamed),
-            dense.max_degree(),
+            streamed.max_degree(),
+            dense_max,
             "exact max degree over base + overlay"
         );
-        assert_eq!(
-            DynTopology::freeze(&streamed).unwrap(),
-            dense.freeze().unwrap()
-        );
-    }
-
-    #[test]
-    fn streamed_overlay_stays_sparse() {
-        // One edge deletion on a 4096-node cycle touches the two
-        // endpoints plus at most the re-pointed peers — never O(n) rows.
-        let base = ports::canonical_ports(&generators::cycle(4096).unwrap()).unwrap();
-        let mut t = StreamedDynamicTopology::new(&base);
-        assert_eq!(t.overlay_rows(), 0);
-        DynTopology::delete_edge(&mut t, NodeId::new(100), NodeId::new(101)).unwrap();
-        assert!(
-            t.overlay_rows() <= 4,
-            "overlay materialised {} rows for one deletion",
-            t.overlay_rows()
-        );
-        assert_eq!(t.edge_count(), 4095);
-        assert_eq!(t.degree(NodeId::new(100)), 1);
-        let g = DynTopology::freeze(&t).unwrap();
-        assert_eq!(g.edge_count(), 4095);
-        assert!(!g
-            .to_simple()
-            .unwrap()
-            .has_edge(NodeId::new(100), NodeId::new(101)));
+        assert_eq!(streamed.freeze().unwrap(), dense.freeze());
     }
 
     #[test]
     fn heavy_churn_preserves_the_involution_invariant() {
         // Deterministic mutation storm; freeze() validates after each.
-        let mut t = DynamicTopology::new(12);
+        let base = edgeless(12);
+        let mut t = DynamicTopology::new(&base).unwrap();
         let mut x = 0x243f_6a88_85a3_08d3u64;
         let mut step = || {
             x ^= x >> 12;
@@ -815,5 +656,28 @@ mod tests {
             let g = t.freeze().unwrap();
             assert_eq!(g.edge_count(), t.edge_count());
         }
+    }
+
+    #[test]
+    fn streamed_overlay_stays_sparse() {
+        // One edge deletion on a 4096-node cycle touches the two
+        // endpoints plus at most the re-pointed peers — never O(n) rows.
+        let base = ports::canonical_ports(&generators::cycle(4096).unwrap()).unwrap();
+        let mut t = DynamicTopology::new(&base).unwrap();
+        assert_eq!(t.overlay_rows(), 0);
+        t.delete_edge(NodeId::new(100), NodeId::new(101)).unwrap();
+        assert!(
+            t.overlay_rows() <= 4,
+            "overlay materialised {} rows for one deletion",
+            t.overlay_rows()
+        );
+        assert_eq!(t.edge_count(), 4095);
+        assert_eq!(t.degree(NodeId::new(100)), 1);
+        let g = t.freeze().unwrap();
+        assert_eq!(g.edge_count(), 4095);
+        assert!(!g
+            .to_simple()
+            .unwrap()
+            .has_edge(NodeId::new(100), NodeId::new(101)));
     }
 }

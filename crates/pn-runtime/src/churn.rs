@@ -10,15 +10,15 @@
 //! # Epoch semantics
 //!
 //! Events are applied only at *quiescence barriers*: every node has
-//! halted, the burst mutates the topology ([`pn_graph::DynamicTopology`])
-//! and/or queues state corruption, and the protocol then re-runs to
-//! quiescence on the frozen snapshot. Events are never interleaved with
-//! the send/route/receive phases of a round — the paper's protocols are
-//! driven by rigid round schedules derived from `Δ` and the port
-//! numbering, both of which a topology change invalidates, so the honest
-//! dynamic model is *re-stabilization*: a churn event restarts the
-//! affected protocol from its initial states on the new topology, and
-//! recovery is measured in the rounds of that re-run.
+//! halted, the burst mutates the topology (a [`pn_graph::DynamicTopology`]
+//! overlay on the starting graph) and/or queues state corruption, and the
+//! protocol then re-runs to quiescence on the frozen snapshot. Events are
+//! never interleaved with the send/route/receive phases of a round — the
+//! paper's protocols are driven by rigid round schedules derived from `Δ`
+//! and the port numbering, both of which a topology change invalidates,
+//! so the honest dynamic model is *re-stabilization*: a churn event
+//! restarts the affected protocol from its initial states on the new
+//! topology, and recovery is measured in the rounds of that re-run.
 //!
 //! Within an epoch the engine is the unmodified static one — the
 //! sequential core, or the persistent worker pool when
@@ -42,7 +42,7 @@
 //! states. [`Epoch::reset_recovery`] records that the fallback fired;
 //! its rounds count toward recovery like any others.
 
-use pn_graph::{DynTopology, DynamicTopology, GraphError, NodeId, PortNumberedGraph};
+use pn_graph::{DynamicTopology, GraphError, NodeId, PortNumberedGraph};
 
 use crate::cancel::CancelToken;
 use crate::{NodeAlgorithm, RunOptions, RuntimeError, Simulator};
@@ -189,26 +189,22 @@ pub struct Epoch<O> {
 /// node id. Nodes created by [`ChurnEvent::Join`] get fresh ids past the
 /// original range — factories must be total over them.
 ///
-/// The topology parameter `T` defaults to the dense
-/// [`DynamicTopology`]; [`ChurnSimulator::with_topology`] accepts any
-/// [`DynTopology`] — in particular
-/// [`pn_graph::StreamedDynamicTopology`], which lets million-node
-/// streamed graphs churn without a second full materialisation.
-pub struct ChurnSimulator<A, F, T = DynamicTopology>
+/// The topology borrows the starting graph and overlays only the port
+/// rows the events touch, so even million-node graphs churn without a
+/// second full copy.
+pub struct ChurnSimulator<'g, A, F>
 where
     F: Fn(NodeId, usize) -> A,
-    T: DynTopology,
 {
-    topo: T,
+    topo: DynamicTopology<'g>,
     factory: F,
     options: RunOptions,
     threads: usize,
-    crashed: Vec<bool>,
     pending_corrupt: Vec<(NodeId, u64)>,
     cancel: Option<CancelToken>,
 }
 
-impl<A, F> ChurnSimulator<A, F, DynamicTopology>
+impl<'g, A, F> ChurnSimulator<'g, A, F>
 where
     A: NodeAlgorithm + Send,
     A::Message: Send,
@@ -220,38 +216,17 @@ where
     ///
     /// # Errors
     ///
-    /// [`GraphError::NotSimple`] if `g` has loops — the dynamic layer
-    /// maintains simple topologies only.
-    pub fn new(g: &PortNumberedGraph, factory: F) -> Result<Self, GraphError> {
-        Ok(Self::with_topology(
-            DynamicTopology::from_graph(g)?,
-            factory,
-        ))
-    }
-}
-
-impl<A, F, T> ChurnSimulator<A, F, T>
-where
-    A: NodeAlgorithm + Send,
-    A::Message: Send,
-    A::Output: Send,
-    F: Fn(NodeId, usize) -> A,
-    T: DynTopology,
-{
-    /// A churn simulator over an existing mutable topology (dense or
-    /// streamed) with default options and the sequential per-epoch
-    /// engine. Every node starts alive.
-    pub fn with_topology(topo: T, factory: F) -> Self {
-        let n = topo.node_count();
-        ChurnSimulator {
-            topo,
+    /// [`GraphError::NotSimple`] if `g` has loops or parallel links — the
+    /// dynamic layer maintains simple topologies only.
+    pub fn new(g: &'g PortNumberedGraph, factory: F) -> Result<Self, GraphError> {
+        Ok(ChurnSimulator {
+            topo: DynamicTopology::new(g)?,
             factory,
             options: RunOptions::default(),
             threads: 1,
-            crashed: vec![false; n],
             pending_corrupt: Vec::new(),
             cancel: None,
-        }
+        })
     }
 
     /// Overrides the per-epoch run options.
@@ -280,7 +255,7 @@ where
     }
 
     /// The current (mutable) topology.
-    pub fn topology(&self) -> &T {
+    pub fn topology(&self) -> &DynamicTopology<'g> {
         &self.topo
     }
 
@@ -293,11 +268,6 @@ where
         let n = self.pending_corrupt.len();
         self.pending_corrupt.clear();
         n
-    }
-
-    /// Whether `v` is currently crashed (isolated and not yet revived).
-    pub fn is_crashed(&self, v: NodeId) -> bool {
-        self.crashed.get(v.index()).copied().unwrap_or(false)
     }
 
     /// Applies one burst of events at the current epoch barrier.
@@ -315,19 +285,15 @@ where
             match event {
                 ChurnEvent::InsertEdge { u, v } => {
                     self.topo.insert_edge(*u, *v)?;
-                    self.crashed[u.index()] = false;
-                    self.crashed[v.index()] = false;
                 }
                 ChurnEvent::DeleteEdge { u, v } => {
                     self.topo.delete_edge(*u, *v)?;
                 }
                 ChurnEvent::Crash { v } => {
                     self.topo.isolate(*v)?;
-                    self.crashed[v.index()] = true;
                 }
                 ChurnEvent::Join { attach } => {
                     let newcomer = self.topo.add_node();
-                    self.crashed.push(false);
                     for &u in attach {
                         self.topo.insert_edge(newcomer, u)?;
                     }
@@ -438,7 +404,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pn_graph::{generators, ports};
+    use pn_graph::{generators, ports, Endpoint, Port};
 
     /// A two-round echo protocol with corruptible soft state: nodes
     /// exchange a token and output `base + smallest neighbour token`.
@@ -475,9 +441,12 @@ mod tests {
         }
     }
 
-    fn sim() -> ChurnSimulator<Echo, impl Fn(NodeId, usize) -> Echo> {
-        let g = ports::canonical_ports(&generators::cycle(6).unwrap()).unwrap();
-        ChurnSimulator::new(&g, |_, d| Echo {
+    fn cycle6() -> PortNumberedGraph {
+        ports::canonical_ports(&generators::cycle(6).unwrap()).unwrap()
+    }
+
+    fn sim(g: &PortNumberedGraph) -> ChurnSimulator<'_, Echo, impl Fn(NodeId, usize) -> Echo> {
+        ChurnSimulator::new(g, |_, d| Echo {
             degree: d,
             token: 1,
         })
@@ -486,14 +455,14 @@ mod tests {
 
     #[test]
     fn empty_schedule_is_one_static_run() {
-        let g = ports::canonical_ports(&generators::cycle(6).unwrap()).unwrap();
+        let g = cycle6();
         let baseline = Simulator::new(&g)
             .run(|d| Echo {
                 degree: d,
                 token: 1,
             })
             .unwrap();
-        let epochs = sim().run(&EventSchedule::new()).unwrap();
+        let epochs = sim(&g).run(&EventSchedule::new()).unwrap();
         assert_eq!(epochs.len(), 1);
         assert_eq!(epochs[0].outputs, baseline.outputs);
         assert_eq!(epochs[0].rounds, baseline.rounds);
@@ -503,6 +472,7 @@ mod tests {
 
     #[test]
     fn epochs_are_bit_identical_across_thread_counts() {
+        let g = cycle6();
         let mut schedule = EventSchedule::new();
         schedule
             .push_burst(vec![
@@ -521,9 +491,9 @@ mod tests {
                     attach: vec![NodeId::new(4), NodeId::new(5)],
                 },
             ]);
-        let baseline = sim().run(&schedule).unwrap();
+        let baseline = sim(&g).run(&schedule).unwrap();
         for threads in [2, 4] {
-            let parallel = sim().simulator_threads(threads).run(&schedule).unwrap();
+            let parallel = sim(&g).simulator_threads(threads).run(&schedule).unwrap();
             assert_eq!(parallel.len(), baseline.len());
             for (p, b) in parallel.iter().zip(&baseline) {
                 assert_eq!(p.graph, b.graph, "threads={threads}");
@@ -536,10 +506,10 @@ mod tests {
 
     #[test]
     fn crash_isolates_and_insert_revives() {
-        let mut s = sim();
+        let g = cycle6();
+        let mut s = sim(&g);
         s.apply_burst(&[ChurnEvent::Crash { v: NodeId::new(2) }])
             .unwrap();
-        assert!(s.is_crashed(NodeId::new(2)));
         let epoch = s.stabilize().unwrap();
         assert_eq!(epoch.graph.degree(NodeId::new(2)), 0);
         s.apply_burst(&[ChurnEvent::InsertEdge {
@@ -547,13 +517,13 @@ mod tests {
             v: NodeId::new(5),
         }])
         .unwrap();
-        assert!(!s.is_crashed(NodeId::new(2)));
         assert_eq!(s.stabilize().unwrap().graph.degree(NodeId::new(2)), 1);
     }
 
     #[test]
     fn corruption_is_consumed_and_counted() {
-        let mut s = sim();
+        let g = cycle6();
+        let mut s = sim(&g);
         s.apply_burst(&[ChurnEvent::Corrupt {
             v: NodeId::new(0),
             entropy: 41,
@@ -573,7 +543,8 @@ mod tests {
 
     #[test]
     fn failed_corrupted_epoch_recovers_through_reset() {
-        let mut s = sim();
+        let g = cycle6();
+        let mut s = sim(&g);
         s.apply_burst(&[ChurnEvent::Corrupt {
             v: NodeId::new(3),
             entropy: u64::MAX, // makes the node's send fail outright
@@ -583,7 +554,7 @@ mod tests {
         assert!(epoch.reset_recovery);
         assert_eq!(epoch.corrupted, 1);
         // After reset the epoch is indistinguishable from a clean one.
-        let clean = sim().stabilize().unwrap();
+        let clean = sim(&g).stabilize().unwrap();
         assert_eq!(epoch.outputs, clean.outputs);
     }
 
@@ -603,9 +574,10 @@ mod tests {
 
     #[test]
     fn cancelled_barrier_yields_structured_timeout() {
+        let g = cycle6();
         let token = CancelToken::new();
         token.cancel();
-        let mut s = sim().cancel_token(token);
+        let mut s = sim(&g).cancel_token(token);
         match s.stabilize() {
             Err(ChurnError::Runtime(RuntimeError::Cancelled {
                 after_rounds,
@@ -620,11 +592,12 @@ mod tests {
 
     #[test]
     fn cancelled_corrupted_epoch_skips_reset_recovery() {
+        let g = cycle6();
         // Corruption is queued AND the token is already cancelled: the
         // epoch must report the timeout, not attempt the reset re-run.
         let token = CancelToken::new();
         token.cancel();
-        let mut s = sim().cancel_token(token);
+        let mut s = sim(&g).cancel_token(token);
         s.apply_burst(&[ChurnEvent::Corrupt {
             v: NodeId::new(0),
             entropy: u64::MAX,
@@ -638,7 +611,8 @@ mod tests {
 
     #[test]
     fn clear_corruption_discards_the_queue() {
-        let mut s = sim();
+        let g = cycle6();
+        let mut s = sim(&g);
         s.apply_burst(&[ChurnEvent::Corrupt {
             v: NodeId::new(0),
             entropy: 41,
@@ -651,47 +625,27 @@ mod tests {
     }
 
     #[test]
-    fn streamed_topology_churns_identically_to_dense() {
-        let g = ports::canonical_ports(&generators::cycle(6).unwrap()).unwrap();
-        let mut schedule = EventSchedule::new();
-        schedule
-            .push_burst(vec![
-                ChurnEvent::DeleteEdge {
-                    u: NodeId::new(0),
-                    v: NodeId::new(1),
-                },
-                ChurnEvent::InsertEdge {
-                    u: NodeId::new(0),
-                    v: NodeId::new(3),
-                },
-            ])
-            .push_burst(vec![
-                ChurnEvent::Crash { v: NodeId::new(2) },
-                ChurnEvent::Join {
-                    attach: vec![NodeId::new(4)],
-                },
-            ]);
-        let dense = sim().run(&schedule).unwrap();
-        let factory = |_: NodeId, d: usize| Echo {
-            degree: d,
-            token: 1,
-        };
-        let streamed =
-            ChurnSimulator::with_topology(pn_graph::StreamedDynamicTopology::new(&g), factory)
-                .run(&schedule)
-                .unwrap();
-        assert_eq!(dense.len(), streamed.len());
-        for (d, s) in dense.iter().zip(&streamed) {
-            assert_eq!(d.graph, s.graph);
-            assert_eq!(d.outputs, s.outputs);
-            assert_eq!(d.rounds, s.rounds);
-            assert_eq!(d.messages, s.messages);
+    fn non_simple_graphs_are_rejected() {
+        let at = |v: usize, p: u32| Endpoint::new(NodeId::new(v), Port::new(p));
+        let half_loop = PortNumberedGraph::from_involution(vec![1], vec![at(0, 1)]).unwrap();
+        let parallel = PortNumberedGraph::from_involution(
+            vec![2, 2],
+            vec![at(1, 1), at(1, 2), at(0, 1), at(0, 2)],
+        )
+        .unwrap();
+        for g in [&half_loop, &parallel] {
+            let s = ChurnSimulator::new(g, |_, d| Echo {
+                degree: d,
+                token: 1,
+            });
+            assert!(matches!(s, Err(GraphError::NotSimple { .. })));
         }
     }
 
     #[test]
     fn invalid_events_surface_structured_errors() {
-        let mut s = sim();
+        let g = cycle6();
+        let mut s = sim(&g);
         assert!(matches!(
             s.apply_burst(&[ChurnEvent::DeleteEdge {
                 u: NodeId::new(0),

@@ -32,10 +32,7 @@ use eds_core::repair::{
 use eds_core::vertex_cover::VertexCoverNode;
 use eds_verify::{check_edge_dominating_set, check_maximal_matching};
 use pn_graph::ports::canonical_ports;
-use pn_graph::{
-    DynTopology, DynamicTopology, GraphError, NodeId, PortNumberedGraph, SimpleGraph,
-    StreamedDynamicTopology,
-};
+use pn_graph::{DynamicTopology, GraphError, NodeId, PortNumberedGraph, SimpleGraph};
 use pn_runtime::{
     edge_set_from_outputs, entropy_stream, CancelToken, ChurnError, ChurnEvent, ChurnSimulator,
     EventSchedule, NodeAlgorithm, PortSet, RuntimeError, Simulator,
@@ -100,8 +97,6 @@ pub struct MaterializedChurn {
     pub touched: Vec<BTreeSet<usize>>,
     /// Per burst: the corrupted nodes.
     pub corrupted: Vec<Vec<usize>>,
-    /// The final topology after every burst (protocol-independent).
-    pub final_graph: PortNumberedGraph,
     /// The largest degree any node reaches at any point of the schedule;
     /// the `Δ`-parametrised protocols are instantiated with (at least)
     /// this claim.
@@ -117,46 +112,23 @@ pub struct MaterializedChurn {
 /// insertable pair under the degree cap), so the realised
 /// [`EventSchedule::event_count`] may be below the plan's nominal count.
 ///
+/// The whole schedule is drawn up front, because its final node count
+/// sizes the identifier and seed tables of every epoch. The drawing
+/// topology is a [`DynamicTopology`] overlay on `base`, so it costs
+/// memory proportional to the events, not the graph.
+///
 /// # Errors
 ///
-/// Propagates topology errors; none occur for simple base graphs.
+/// [`GraphError::NotSimple`] if `base` has loops or parallel links.
 pub fn materialize(
     base: &PortNumberedGraph,
     plan: &ChurnPlan,
     seed: u64,
 ) -> Result<MaterializedChurn, GraphError> {
-    let mut topo = DynamicTopology::from_graph(base)?;
-    materialize_on(&mut topo, plan, seed)
-}
-
-/// [`materialize`] over a streaming delta overlay: the schedule is drawn
-/// against a [`StreamedDynamicTopology`] that borrows `base` instead of
-/// copying it, so million-node bases materialise in memory proportional
-/// to the events, not the graph. The drawn schedule is bit-identical to
-/// the dense path's (both follow the same mutation semantics).
-///
-/// # Errors
-///
-/// Propagates topology errors; none occur for simple base graphs.
-pub fn materialize_streamed(
-    base: &PortNumberedGraph,
-    plan: &ChurnPlan,
-    seed: u64,
-) -> Result<MaterializedChurn, GraphError> {
-    let mut topo = StreamedDynamicTopology::new(base);
-    materialize_on(&mut topo, plan, seed)
-}
-
-/// The topology-generic schedule drawer shared by [`materialize`] and
-/// [`materialize_streamed`].
-fn materialize_on<T: DynTopology>(
-    topo: &mut T,
-    plan: &ChurnPlan,
-    seed: u64,
-) -> Result<MaterializedChurn, GraphError> {
-    let mut crashed = vec![false; topo.node_count()];
-    let cap = topo.max_degree().max(2);
-    let base_edges = topo.edge_count();
+    let mut topo = DynamicTopology::new(base)?;
+    let mut crashed = vec![false; base.node_count()];
+    let cap = base.max_degree().max(2);
+    let base_edges = base.edge_count();
     let mut next = entropy_stream(seed ^ CHURN_SALT);
     let mut schedule = EventSchedule::new();
     let mut touched_per_burst = Vec::with_capacity(plan.bursts);
@@ -255,7 +227,6 @@ fn materialize_on<T: DynTopology>(
     }
 
     Ok(MaterializedChurn {
-        final_graph: topo.freeze()?,
         degree_cap: cap,
         max_nodes: topo.node_count(),
         schedule,
@@ -263,6 +234,10 @@ fn materialize_on<T: DynTopology>(
         corrupted: corrupted_per_burst,
     })
 }
+
+/// An alias of [`materialize`] with no logic of its own, kept because
+/// existing callers still use this name.
+pub use self::materialize as materialize_streamed;
 
 /// The witness family a protocol's output maintains under churn.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -472,10 +447,10 @@ pub fn run_churn(
 /// the fresh output — any divergence fails the run with a structured
 /// report.
 ///
-/// Streamed bases (`MillionCycle`/`MillionRegular` under
-/// [`Family::Churn`]) churn through a [`StreamedDynamicTopology`] delta
-/// overlay, so no second full copy of the graph is ever materialised;
-/// repair-only epochs touch memory proportional to the damage frontier.
+/// Every family churns through a [`DynamicTopology`] overlay on the
+/// scenario graph, so no second full copy of the graph is ever
+/// materialised; repair-only epochs touch memory proportional to the
+/// damage frontier.
 ///
 /// `cancel` is polled at every epoch barrier and once per round inside
 /// full epochs; a deadline firing mid-run yields a structured
@@ -492,52 +467,13 @@ pub fn run_churn_with(
     policy: &RecoveryPolicy,
     cancel: Option<&CancelToken>,
 ) -> Result<ChurnRun, SweepError> {
-    let Family::Churn { base, plan } = &scenario.spec.family else {
+    let Family::Churn { plan, .. } = &scenario.spec.family else {
         return Err(SweepError::Graph(GraphError::InvalidParameter {
             detail: format!("{} is not a churn scenario", scenario.name()),
         }));
     };
-    let streamed = matches!(
-        **base,
-        Family::MillionCycle { .. } | Family::MillionRegular { .. }
-    );
-    if streamed {
-        let mat = materialize_streamed(&scenario.graph, plan, scenario.spec.seed)?;
-        let topo = StreamedDynamicTopology::new(&scenario.graph);
-        run_on(scenario, mat, topo, protocol, exec, policy, cancel)
-    } else {
-        let mat = materialize(&scenario.graph, plan, scenario.spec.seed)?;
-        let topo = DynamicTopology::from_graph(&scenario.graph)?;
-        run_on(scenario, mat, topo, protocol, exec, policy, cancel)
-    }
-}
-
-/// Recovery context threaded through the epoch loop.
-struct RecoveryCtx<'a> {
-    policy: &'a RecoveryPolicy,
-    cancel: Option<&'a CancelToken>,
-    /// The paper-bound ratio `(num, den)` the audit holds the repaired
-    /// witness to, against the freshly re-stabilised size (sound because
-    /// the optimum is never larger than the fresh solution). `None`
-    /// where no per-instance ratio exists (port-one needs regularity,
-    /// which churn breaks).
-    bound: Option<(u64, u64)>,
-    seed: u64,
-}
-
-/// Protocol dispatch over an already-materialised schedule and topology.
-fn run_on<T>(
-    scenario: &Scenario,
-    mat: MaterializedChurn,
-    topo: T,
-    protocol: Protocol,
-    exec: &ExecOptions,
-    policy: &RecoveryPolicy,
-    cancel: Option<&CancelToken>,
-) -> Result<ChurnRun, SweepError>
-where
-    T: DynTopology + AdjacencyView,
-{
+    let mat = materialize(&scenario.graph, plan, scenario.spec.seed)?;
+    let graph = &scenario.graph;
     let delta = exec.delta.unwrap_or(0).max(mat.degree_cap);
     let threads = exec.simulator_threads.max(1);
     let seed = scenario.spec.seed;
@@ -554,8 +490,8 @@ where
     };
     match protocol {
         Protocol::PortOne => drive(
+            graph,
             mat,
-            topo,
             |_, d| PortOneNode::new(d),
             threads,
             delta,
@@ -564,8 +500,8 @@ where
             edges_of,
         ),
         Protocol::BoundedDegree => drive(
+            graph,
             mat,
-            topo,
             |_, d| BoundedDegreeNode::new(delta, d),
             threads,
             delta,
@@ -574,8 +510,8 @@ where
             edges_of,
         ),
         Protocol::VertexCover => drive(
+            graph,
             mat,
-            topo,
             |_, d| VertexCoverNode::new(delta, d),
             threads,
             delta,
@@ -590,8 +526,8 @@ where
         Protocol::IdMatching => {
             let ids = node_identifiers(mat.max_nodes, seed);
             drive(
+                graph,
                 mat,
-                topo,
                 move |v: NodeId, d| IdMatchingNode::new(delta, d, ids[v.index()]),
                 threads,
                 delta,
@@ -607,8 +543,8 @@ where
             // deterministic schedule.
             let phases = randomized_matching_phases(mat.max_nodes);
             drive(
+                graph,
                 mat,
-                topo,
                 move |v: NodeId, d| RandMatchingNode::new(d, seeds[v.index()], phases),
                 threads,
                 delta,
@@ -622,6 +558,19 @@ where
                 .to_owned(),
         })),
     }
+}
+
+/// Recovery context threaded through the epoch loop.
+struct RecoveryCtx<'a> {
+    policy: &'a RecoveryPolicy,
+    cancel: Option<&'a CancelToken>,
+    /// The paper-bound ratio `(num, den)` the audit holds the repaired
+    /// witness to, against the freshly re-stabilised size (sound because
+    /// the optimum is never larger than the fresh solution). `None`
+    /// where no per-instance ratio exists (port-one needs regularity,
+    /// which churn breaks).
+    bound: Option<(u64, u64)>,
+    seed: u64,
 }
 
 /// One verified full epoch: stabilise, extract and feasibility-check the
@@ -638,8 +587,8 @@ struct VerifiedEpoch {
     transients: usize,
 }
 
-fn stabilize_verified<A, F, S, T>(
-    sim: &mut ChurnSimulator<A, F, T>,
+fn stabilize_verified<A, F, S>(
+    sim: &mut ChurnSimulator<'_, A, F>,
     to_solution: &S,
     kind: WitnessKind,
     max_retries: usize,
@@ -650,7 +599,6 @@ where
     A::Output: Send,
     F: Fn(NodeId, usize) -> A,
     S: Fn(&PortNumberedGraph, &[A::Output]) -> Result<Solution, RuntimeError>,
-    T: DynTopology,
 {
     let epoch = sim.stabilize().map_err(churn_err)?;
     let mut rounds = epoch.rounds;
@@ -809,11 +757,11 @@ where
 }
 
 /// The generic epoch loop shared by every protocol: the recovery ladder
-/// with sampled-epoch audits.
+/// with sampled-epoch audits, over an overlay on `graph`.
 #[allow(clippy::too_many_arguments)]
-fn drive<A, F, S, T>(
+fn drive<A, F, S>(
+    graph: &PortNumberedGraph,
     mat: MaterializedChurn,
-    topo: T,
     factory: F,
     threads: usize,
     claimed_delta: usize,
@@ -827,9 +775,8 @@ where
     A::Output: Send,
     F: Fn(NodeId, usize) -> A,
     S: Fn(&PortNumberedGraph, &[A::Output]) -> Result<Solution, RuntimeError>,
-    T: DynTopology + AdjacencyView,
 {
-    let mut sim = ChurnSimulator::with_topology(topo, &factory).simulator_threads(threads);
+    let mut sim = ChurnSimulator::new(graph, &factory)?.simulator_threads(threads);
     if let Some(token) = ctx.cancel {
         sim = sim.cancel_token(token.clone());
     }
@@ -859,7 +806,7 @@ where
             if token.check() {
                 return Err(SweepError::Runtime(RuntimeError::Cancelled {
                     after_rounds: rounds,
-                    still_running: DynTopology::node_count(sim.topology()),
+                    still_running: sim.topology().node_count(),
                 }));
             }
         }
@@ -873,7 +820,7 @@ where
             witness.scramble_at(v, &mut touched);
         }
         let frontier_nodes = touched.len();
-        let n_now = DynTopology::node_count(sim.topology());
+        let n_now = sim.topology().node_count();
         repair_metrics()
             .frontier_nodes
             .observe(frontier_nodes as u64);
@@ -997,7 +944,7 @@ where
         stats.max_transient_violation = stats.max_transient_violation.max(burst_violations);
     }
 
-    let final_graph = mat.final_graph;
+    let final_graph = sim.topology().freeze()?;
     let final_simple = final_graph.to_simple()?;
     if !solution_current {
         // The last burst recovered without re-stabilising: the witness
@@ -1046,12 +993,33 @@ mod tests {
         let a = materialize(&scenario.graph, &ChurnPlan::new(4, 3, 2), 7).unwrap();
         let b = materialize(&scenario.graph, &ChurnPlan::new(4, 3, 2), 7).unwrap();
         assert_eq!(a.schedule.bursts(), b.schedule.bursts());
-        assert_eq!(a.final_graph, b.final_graph);
         assert_eq!(a.touched, b.touched);
         assert!(a.schedule.event_count() > 0);
         assert_eq!(a.schedule.len(), 4);
-        assert!(a.final_graph.max_degree() <= a.degree_cap);
+        let run = run_churn(&scenario, Protocol::BoundedDegree, &ExecOptions::default()).unwrap();
+        assert!(run.final_graph.max_degree() <= a.degree_cap);
         assert!(a.max_nodes >= 10);
+    }
+
+    #[test]
+    fn the_overlay_stays_sparse_on_a_dense_family() {
+        let plan = ChurnPlan::new(3, 3, 2);
+        let scenario = churn_spec(Family::RandomRegular { n: 4000, d: 3 }, plan, 2)
+            .build()
+            .unwrap();
+        let mat = materialize(&scenario.graph, &plan, 2).unwrap();
+        let mut sim = ChurnSimulator::new(&scenario.graph, |_, d| PortOneNode::new(d)).unwrap();
+        for burst in mat.schedule.bursts() {
+            sim.apply_burst(burst).unwrap();
+        }
+        let touched: BTreeSet<usize> = mat.touched.iter().flatten().copied().collect();
+        let rows = sim.topology().overlay_rows();
+        assert!(rows > 0, "the schedule mutated nothing");
+        assert!(
+            rows <= touched.len() * (mat.degree_cap + 1),
+            "{rows} overlay rows for {} touched nodes",
+            touched.len()
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Integration test: the streamed-tier churn gate.
 //!
 //! [`Registry::churn_scale`] runs churn over the million-node streamed
-//! bases through [`StreamedDynamicTopology`], which overlays the event
-//! schedule on the borrowed base graph instead of materialising a second
-//! full copy. Under the repair-first recovery policy every burst must
+//! bases through [`DynamicTopology`], which overlays the event schedule
+//! on the borrowed base graph instead of materialising a second full
+//! copy. Under the repair-first recovery policy every burst must
 //! recover by local witness repair — escalation to a ball re-run or a
 //! full re-stabilisation fails the gate — and every epoch is audited
 //! against a fresh full re-stabilisation with zero divergences.

@@ -4,6 +4,10 @@
 //! duplicate sibling keys with a small indentation-based reader — enough
 //! for the block-style YAML these files use (mappings, `- ` sequences,
 //! `|`/`>` block scalars, comments), with no YAML dependency.
+//!
+//! A second check keeps `cargo --locked` steps runnable: `--locked`
+//! fails in a fresh checkout unless the manifest's `Cargo.lock` is
+//! committed, so no root `.gitignore` rule may ignore that lock file.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -103,6 +107,175 @@ fn yaml_files(dir: &Path, out: &mut Vec<PathBuf>) {
             out.push(path);
         }
     }
+}
+
+/// The manifest directory (relative to the repository root, `""` for
+/// the root) of every `cargo` command passing `--locked` in `source`,
+/// with its 1-based line number. Backslash-continued lines are joined;
+/// comment lines are skipped.
+fn locked_manifest_dirs(source: &str) -> Vec<(usize, String)> {
+    let mut found = Vec::new();
+    let mut command = String::new();
+    let mut start = 0;
+    for (number, line) in source.lines().enumerate() {
+        if line.trim_start().starts_with('#') {
+            continue;
+        }
+        if command.is_empty() {
+            start = number + 1;
+        }
+        match line.trim_end().strip_suffix('\\') {
+            Some(head) => {
+                command.push_str(head);
+                command.push(' ');
+                continue;
+            }
+            None => command.push_str(line),
+        }
+        let words: Vec<&str> = command.split_whitespace().collect();
+        if let Some(cargo) = words.iter().position(|&w| w == "cargo") {
+            let args = &words[cargo..];
+            if args.contains(&"--locked") {
+                let manifest = args.iter().enumerate().find_map(|(i, &w)| {
+                    match w.strip_prefix("--manifest-path")? {
+                        "" => args.get(i + 1).copied(),
+                        joined => joined.strip_prefix('='),
+                    }
+                });
+                let dir = manifest.map_or("", |m| {
+                    let m = m.trim_start_matches("./");
+                    m.trim_end_matches("Cargo.toml").trim_end_matches('/')
+                });
+                found.push((start, dir.to_owned()));
+            }
+        }
+        command.clear();
+    }
+    found
+}
+
+/// `*` and `?` wildcard matching that never crosses a `/`.
+fn glob(pattern: &[u8], text: &[u8]) -> bool {
+    match (pattern.first(), text.first()) {
+        (None, None) => true,
+        (Some(b'*'), _) => {
+            glob(&pattern[1..], text)
+                || text.first().is_some_and(|&c| c != b'/') && glob(pattern, &text[1..])
+        }
+        (Some(b'?'), Some(&c)) if c != b'/' => glob(&pattern[1..], &text[1..]),
+        (Some(&p), Some(&c)) if p == c => glob(&pattern[1..], &text[1..]),
+        _ => false,
+    }
+}
+
+/// Whether the `.gitignore` rule `rule` matches `path` (relative,
+/// `/`-separated; `is_dir` for directories). Covers the rule forms a
+/// root `.gitignore` uses: plain names matching at any depth, anchored
+/// and multi-component paths, `*`/`?` wildcards and a trailing `/`
+/// (`**` is not supported).
+fn rule_matches(rule: &str, path: &str, is_dir: bool) -> bool {
+    let (rule, dir_only) = match rule.strip_suffix('/') {
+        Some(rule) => (rule, true),
+        None => (rule, false),
+    };
+    if dir_only && !is_dir {
+        return false;
+    }
+    // A leading or inner `/` anchors the rule at the root; otherwise it
+    // matches the last path component at any depth.
+    let anchored = rule.contains('/');
+    let rule = rule.strip_prefix('/').unwrap_or(rule);
+    let subject = if anchored {
+        path
+    } else {
+        path.rsplit('/').next().unwrap_or(path)
+    };
+    glob(rule.as_bytes(), subject.as_bytes())
+}
+
+/// Whether `gitignore` ignores the file `path`: the file itself or one
+/// of its directories matches a rule, and no later `!` rule re-includes
+/// it (nothing re-includes a file inside an ignored directory).
+fn is_ignored(gitignore: &str, path: &str) -> bool {
+    let rules: Vec<&str> = gitignore
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    let parts: Vec<&str> = path.split('/').collect();
+    (1..=parts.len()).any(|depth| {
+        let prefix = parts[..depth].join("/");
+        let is_dir = depth < parts.len();
+        let mut ignored = false;
+        for rule in &rules {
+            match rule.strip_prefix('!') {
+                Some(negated) if rule_matches(negated, &prefix, is_dir) => ignored = false,
+                None if rule_matches(rule, &prefix, is_dir) => ignored = true,
+                _ => {}
+            }
+        }
+        ignored
+    })
+}
+
+#[test]
+fn locked_cargo_steps_have_a_committable_lock_file() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let gitignore = std::fs::read_to_string(repo.join(".gitignore")).unwrap_or_default();
+    let mut files = Vec::new();
+    yaml_files(&repo.join(".github"), &mut files);
+    files.sort();
+    let mut steps = 0;
+    let mut problems = Vec::new();
+    for file in &files {
+        let source = std::fs::read_to_string(file).expect("readable YAML file");
+        for (line, dir) in locked_manifest_dirs(&source) {
+            steps += 1;
+            let lock = Path::new(&dir).join("Cargo.lock");
+            let lock = lock.to_string_lossy();
+            if is_ignored(&gitignore, &lock) {
+                problems.push(format!(
+                    "{}:{line}: cargo --locked, but .gitignore ignores {lock}",
+                    file.display()
+                ));
+            }
+        }
+    }
+    assert!(steps > 0, "no cargo --locked steps found");
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+#[test]
+fn the_lock_checker_reads_commands_and_ignore_rules() {
+    let workflow = "\
+      - run: cargo test --locked -q --workspace
+      # cargo build --locked, in a comment
+      - run: cargo test --release --manifest-path perfbench/Cargo.toml
+      - run: |
+          cargo build --locked --release \\
+            --manifest-path tools/x/Cargo.toml
+          cargo run --locked --manifest-path=./y/Cargo.toml
+";
+    assert_eq!(
+        locked_manifest_dirs(workflow),
+        vec![
+            (1, String::new()),
+            (5, "tools/x".to_owned()),
+            (7, "y".to_owned())
+        ]
+    );
+
+    let everywhere = "/target\nCargo.lock\n";
+    assert!(is_ignored(everywhere, "Cargo.lock"));
+    assert!(is_ignored(everywhere, "perfbench/Cargo.lock"));
+    let anchored = "# lock files\n/perfbench/Cargo.lock\n/perfbench/target\n";
+    assert!(!is_ignored(anchored, "Cargo.lock"));
+    assert!(is_ignored(anchored, "perfbench/Cargo.lock"));
+    assert!(is_ignored("/perfbench/\n", "perfbench/Cargo.lock"));
+    assert!(!is_ignored("Cargo.lock/\n", "Cargo.lock"));
+    assert!(is_ignored("*.lock\n", "a/Cargo.lock"));
+    assert!(!is_ignored("*.lock\n!Cargo.lock\n", "Cargo.lock"));
+    assert!(is_ignored("/a\n!a/Cargo.lock\n", "a/Cargo.lock"));
 }
 
 #[test]
