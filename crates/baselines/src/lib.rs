@@ -17,7 +17,9 @@
 //!   Cole–Vishkin colouring, `O(Δ + log* n)` rounds);
 //! * [`randomized_mm`] — a randomised distributed maximal matching
 //!   (Israeli–Itai style, `O(log n)` rounds w.h.p.): what the paper's
-//!   deterministic impossibilities cost relative to coin flips.
+//!   deterministic impossibilities cost relative to coin flips. Its
+//!   `O(log n)` phase count is a cap: each node halts as soon as it is
+//!   matched or has no free neighbour.
 //!
 //! # Example
 //!

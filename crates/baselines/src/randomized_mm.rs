@@ -11,6 +11,26 @@
 //! edges disappears per phase in expectation, so `O(log n)` phases
 //! suffice with high probability.
 //!
+//! # Halting
+//!
+//! The phase count ([`randomized_matching_phases`]) is a cap, not a
+//! schedule. A node halts with its current output as soon as it is done:
+//!
+//! * once it is matched — checked at the respond round where it matches
+//!   and at every status round, which also covers an epoch that starts
+//!   corrupted into the matched state;
+//! * once a status round shows it no free neighbour.
+//!
+//! A halted node sends nothing, and its neighbours read the `None` it
+//! leaves on a status round as "not free". This cannot change the
+//! matching. A matched node stays matched. A node that halts unmatched
+//! has only matched neighbours: a free neighbour would still be running
+//! and would have announced itself on that status round. So no running
+//! node would ever propose to a halted node or accept it, and every node
+//! outputs exactly what the full budget would give it. Only the run's
+//! `rounds` (the round in which the last node halts) and `messages`
+//! fall.
+//!
 //! The protocol is implemented as a [`NodeAlgorithm`] whose nodes are
 //! seeded through [`Simulator::run_with_inputs`] — the seeds are the
 //! *only* symmetry break: no identifiers, no port-numbering tricks. For
@@ -23,7 +43,9 @@ use pn_runtime::{collect_send, NodeAlgorithm, PortSet, RuntimeError, Simulator, 
 /// Messages of the randomised matching protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RandMmMsg {
-    /// Still unmatched (sent every status round on every port).
+    /// Whether the sender is still unmatched: sent on every port at each
+    /// status round by every running node. A halted node sends nothing,
+    /// which its neighbours read as `Free(false)`.
     Free(bool),
     /// A proposal (propose rounds).
     Propose,
@@ -53,8 +75,9 @@ pub struct RandMatchingNode {
 
 impl RandMatchingNode {
     /// Creates the state machine: `degree` ports, a per-node random
-    /// `seed`, and the number of proposal `phases` to run (callers use
-    /// `O(log n)`; see [`randomized_matching_phases`]).
+    /// `seed`, and the cap on proposal `phases` (callers use `O(log n)`;
+    /// see [`randomized_matching_phases`]). The node halts before the
+    /// cap once it is matched or has no free neighbour left.
     pub fn new(degree: usize, seed: u64, phases: usize) -> Self {
         RandMatchingNode {
             degree,
@@ -81,13 +104,14 @@ impl RandMatchingNode {
     }
 }
 
-/// Phases (status + propose + respond triples) sufficient for maximality
-/// with overwhelming probability on `n`-node graphs.
+/// The cap on phases (status + propose + respond triples): enough for
+/// maximality with overwhelming probability on `n`-node graphs. Nodes
+/// halt as soon as they are done, so a run usually ends well before it.
 pub fn randomized_matching_phases(n: usize) -> usize {
     8 * (usize::BITS - n.max(2).leading_zeros()) as usize + 16
 }
 
-/// Total protocol rounds for a given phase count.
+/// The round cap for a given phase count: no node runs past it.
 pub fn randomized_matching_rounds(phases: usize) -> usize {
     3 * phases
 }
@@ -152,14 +176,14 @@ impl NodeAlgorithm for RandMatchingNode {
         if self.degree == 0 {
             return Some(PortSet::new());
         }
-        match round % 3 {
+        let done = match round % 3 {
             0 => {
-                for (q, m) in inbox.iter().enumerate() {
-                    if let Some(RandMmMsg::Free(f)) = m {
-                        self.neighbor_free[q] = *f;
-                    }
+                // A halted neighbour's `None` reads as "not free": it is
+                // matched, or all its neighbours are.
+                for (free, m) in self.neighbor_free.iter_mut().zip(inbox) {
+                    *free = *m == Some(RandMmMsg::Free(true));
                 }
-                None
+                self.matched || !self.neighbor_free.contains(&true)
             }
             1 => {
                 self.incoming.clear();
@@ -168,7 +192,7 @@ impl NodeAlgorithm for RandMatchingNode {
                         self.incoming.push(q);
                     }
                 }
-                None
+                false
             }
             _ => {
                 if let Some(q) = self.pending.take() {
@@ -177,17 +201,16 @@ impl NodeAlgorithm for RandMatchingNode {
                         self.matched_port = Some(q);
                     }
                 }
-                if round + 1 >= randomized_matching_rounds(self.phases) {
-                    let mut x = PortSet::new();
-                    if let Some(q) = self.matched_port {
-                        x.insert(Port::from_index(q));
-                    }
-                    Some(x)
-                } else {
-                    None
-                }
+                self.matched || round + 1 >= randomized_matching_rounds(self.phases)
             }
-        }
+        };
+        done.then(|| {
+            let mut x = PortSet::new();
+            if let Some(q) = self.matched_port {
+                x.insert(Port::from_index(q));
+            }
+            x
+        })
     }
 
     fn corrupt(&mut self, entropy: u64) {
@@ -215,9 +238,10 @@ impl NodeAlgorithm for RandMatchingNode {
     }
 }
 
-/// Runs the randomised matching on `g` with per-node `seeds` for
-/// [`randomized_matching_phases`]`(n)` phases and returns the matched
-/// edges.
+/// Runs the randomised matching on `g` with per-node `seeds`, capped at
+/// [`randomized_matching_phases`]`(n)` phases, and returns the matched
+/// edges. Nodes halt as soon as they are matched or have no free
+/// neighbour, so the run usually ends well before the cap.
 ///
 /// The result is a matching by construction; it is maximal with
 /// overwhelming probability (the property tests check maximality on
@@ -240,6 +264,172 @@ pub fn randomized_matching_distributed(
         RandMatchingNode::new(degree, seed, phases)
     })?;
     pn_runtime::edge_set_from_outputs(g, &run.outputs)
+}
+
+/// The node before the halting rule — every node runs the whole phase
+/// budget, and a `None` on a status round leaves the old flag standing —
+/// kept verbatim as the oracle the halting node must match output for
+/// output.
+#[cfg(test)]
+mod reference {
+    use super::{randomized_matching_rounds, RandMmMsg};
+    use pn_graph::Port;
+    use pn_runtime::{collect_send, NodeAlgorithm, PortSet, WrongCount};
+
+    #[derive(Clone, Debug)]
+    pub(super) struct FixedBudgetNode {
+        degree: usize,
+        seed: u64,
+        rng: u64,
+        phases: usize,
+        matched: bool,
+        matched_port: Option<usize>,
+        proposer_role: bool,
+        neighbor_free: Vec<bool>,
+        pending: Option<usize>,
+        incoming: Vec<usize>,
+    }
+
+    impl FixedBudgetNode {
+        pub(super) fn new(degree: usize, seed: u64, phases: usize) -> Self {
+            FixedBudgetNode {
+                degree,
+                seed,
+                rng: seed ^ 0x9e37_79b9_7f4a_7c15,
+                phases,
+                matched: false,
+                matched_port: None,
+                proposer_role: false,
+                neighbor_free: vec![true; degree],
+                pending: None,
+                incoming: Vec::new(),
+            }
+        }
+
+        fn next_rand(&mut self) -> u64 {
+            let mut x = self.rng.max(1);
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.rng = x;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+    }
+
+    impl NodeAlgorithm for FixedBudgetNode {
+        type Message = RandMmMsg;
+        type Output = PortSet;
+
+        fn send(&mut self, round: usize) -> Vec<RandMmMsg> {
+            collect_send(self, round, self.degree)
+        }
+
+        fn send_into(
+            &mut self,
+            round: usize,
+            outbox: &mut [Option<RandMmMsg>],
+        ) -> Result<(), WrongCount> {
+            let d = self.degree;
+            match round % 3 {
+                0 => {
+                    self.proposer_role = self.next_rand() & 1 == 1;
+                    outbox.fill(Some(RandMmMsg::Free(!self.matched)));
+                }
+                1 => {
+                    outbox.fill(Some(RandMmMsg::Nothing));
+                    self.pending = None;
+                    if !self.matched && self.proposer_role {
+                        let free_count = self.neighbor_free.iter().filter(|&&f| f).count();
+                        if free_count > 0 {
+                            let pick = (self.next_rand() % free_count as u64) as usize;
+                            let q = (0..d)
+                                .filter(|&q| self.neighbor_free[q])
+                                .nth(pick)
+                                .expect("pick < free_count");
+                            self.pending = Some(q);
+                            outbox[q] = Some(RandMmMsg::Propose);
+                        }
+                    }
+                }
+                _ => {
+                    outbox.fill(Some(RandMmMsg::Nothing));
+                    let incoming = std::mem::take(&mut self.incoming);
+                    for &q in &incoming {
+                        outbox[q] = Some(RandMmMsg::Response(false));
+                    }
+                    if !self.matched && !self.proposer_role && !incoming.is_empty() {
+                        let q = incoming[(self.next_rand() % incoming.len() as u64) as usize];
+                        outbox[q] = Some(RandMmMsg::Response(true));
+                        self.matched = true;
+                        self.matched_port = Some(q);
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        fn receive(&mut self, round: usize, inbox: &[Option<RandMmMsg>]) -> Option<PortSet> {
+            if self.degree == 0 {
+                return Some(PortSet::new());
+            }
+            match round % 3 {
+                0 => {
+                    for (q, m) in inbox.iter().enumerate() {
+                        if let Some(RandMmMsg::Free(f)) = m {
+                            self.neighbor_free[q] = *f;
+                        }
+                    }
+                    None
+                }
+                1 => {
+                    self.incoming.clear();
+                    for (q, m) in inbox.iter().enumerate() {
+                        if m == &Some(RandMmMsg::Propose) {
+                            self.incoming.push(q);
+                        }
+                    }
+                    None
+                }
+                _ => {
+                    if let Some(q) = self.pending.take() {
+                        if inbox[q] == Some(RandMmMsg::Response(true)) {
+                            self.matched = true;
+                            self.matched_port = Some(q);
+                        }
+                    }
+                    if round + 1 >= randomized_matching_rounds(self.phases) {
+                        let mut x = PortSet::new();
+                        if let Some(q) = self.matched_port {
+                            x.insert(Port::from_index(q));
+                        }
+                        Some(x)
+                    } else {
+                        None
+                    }
+                }
+            }
+        }
+
+        fn corrupt(&mut self, entropy: u64) {
+            if self.degree == 0 {
+                return;
+            }
+            let mut next = pn_runtime::entropy_stream(entropy);
+            self.rng = next();
+            self.matched = next() & 1 == 0;
+            self.matched_port = (next() & 1 == 0).then(|| (next() % self.degree as u64) as usize);
+            self.proposer_role = next() & 1 == 0;
+            for b in &mut self.neighbor_free {
+                *b = next() & 1 == 0;
+            }
+            self.pending = (next() & 1 == 0).then(|| (next() % self.degree as u64) as usize);
+            self.incoming = (0..self.degree).filter(|_| next() & 1 == 0).collect();
+        }
+
+        fn reset(&mut self) {
+            *self = FixedBudgetNode::new(self.degree, self.seed, self.phases);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -322,6 +512,110 @@ mod tests {
         let a = randomized_matching_distributed(&pg, &s).unwrap();
         let b = randomized_matching_distributed(&pg, &s).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// The halting node against the fixed-budget reference: the same
+    /// output at every node, within the round cap and never more
+    /// messages, on static runs and on one epoch with a third of the
+    /// nodes corrupted.
+    #[test]
+    fn halting_matches_the_fixed_budget_reference() {
+        use super::reference::FixedBudgetNode;
+        use pn_graph::{NodeId, SimpleGraph};
+        use pn_runtime::{ChurnEvent, ChurnSimulator};
+
+        let families = |salt: u64| -> Vec<(&'static str, SimpleGraph)> {
+            vec![
+                ("gnp-30", generators::gnp(30, 0.15, salt).unwrap()),
+                ("gnp-60", generators::gnp(60, 0.06, salt).unwrap()),
+                ("cubic-24", generators::random_regular(24, 3, salt).unwrap()),
+                ("cubic-50", generators::random_regular(50, 3, salt).unwrap()),
+                (
+                    "5-regular-30",
+                    generators::random_regular(30, 5, salt).unwrap(),
+                ),
+                (
+                    "pa-40",
+                    generators::preferential_attachment(40, 2, salt).unwrap(),
+                ),
+                ("tree-40", generators::random_tree(40, salt).unwrap()),
+                (
+                    "cycle",
+                    generators::cycle(3 + (salt as usize % 17)).unwrap(),
+                ),
+                ("cycle-64", generators::cycle(64).unwrap()),
+                ("petersen", generators::petersen()),
+                ("grid-5x6", generators::grid(5, 6).unwrap()),
+                ("grid-8x8", generators::grid(8, 8).unwrap()),
+            ]
+        };
+        let (mut instances, mut halting_messages, mut budget_messages) = (0, 0, 0);
+        for salt in 0..30u64 {
+            for (name, g) in families(salt) {
+                for shuffled in [false, true] {
+                    let pg = if shuffled {
+                        ports::shuffled_ports(&g, salt).unwrap()
+                    } else {
+                        ports::canonical_ports(&g).unwrap()
+                    };
+                    let n = pg.node_count();
+                    let phases = randomized_matching_phases(n);
+                    let s = seeds(n, salt * 1_000_003 + n as u64);
+                    let what = format!("{name} shuffled={shuffled} salt={salt}");
+
+                    let sim = Simulator::new(&pg);
+                    let run = sim
+                        .run_with_inputs(&s, |d, &seed| RandMatchingNode::new(d, seed, phases))
+                        .unwrap();
+                    let reference = sim
+                        .run_with_inputs(&s, |d, &seed| FixedBudgetNode::new(d, seed, phases))
+                        .unwrap();
+                    assert_eq!(run.outputs, reference.outputs, "{what}");
+                    assert!(run.rounds <= randomized_matching_rounds(phases), "{what}");
+                    assert!(run.messages <= reference.messages, "{what}");
+                    halting_messages += run.messages;
+                    budget_messages += reference.messages;
+
+                    let burst: Vec<_> = (0..n)
+                        .step_by(3)
+                        .map(|v| ChurnEvent::Corrupt {
+                            v: NodeId::new(v),
+                            entropy: salt.wrapping_mul(0x9e37_79b9) ^ v as u64,
+                        })
+                        .collect();
+                    let mut churn = ChurnSimulator::new(&pg, |v, d| {
+                        RandMatchingNode::new(d, s[v.index()], phases)
+                    })
+                    .unwrap();
+                    let mut churn_reference = ChurnSimulator::new(&pg, |v, d| {
+                        FixedBudgetNode::new(d, s[v.index()], phases)
+                    })
+                    .unwrap();
+                    churn.apply_burst(&burst).unwrap();
+                    churn_reference.apply_burst(&burst).unwrap();
+                    let epoch = churn.stabilize().unwrap();
+                    let epoch_reference = churn_reference.stabilize().unwrap();
+                    assert_eq!(epoch.outputs, epoch_reference.outputs, "corrupted {what}");
+                    assert_eq!(
+                        epoch.reset_recovery, epoch_reference.reset_recovery,
+                        "corrupted {what}"
+                    );
+                    assert!(epoch.rounds <= epoch_reference.rounds, "corrupted {what}");
+                    assert!(
+                        epoch.messages <= epoch_reference.messages,
+                        "corrupted {what}"
+                    );
+                    instances += 1;
+                }
+            }
+        }
+        assert_eq!(instances, 720);
+        // Halting pays: the instances above settle in a fraction of the
+        // budget.
+        assert!(
+            halting_messages * 4 < budget_messages,
+            "{halting_messages} vs {budget_messages} messages"
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use eds_baselines::distributed_mm::{id_matching_distributed, id_matching_rounds, IdMatchingNode};
 use eds_baselines::randomized_mm::{
-    randomized_matching_distributed, randomized_matching_phases, randomized_matching_rounds,
+    randomized_matching_phases, randomized_matching_rounds, RandMatchingNode,
 };
 use eds_bench::Table;
 use eds_core::distributed::{bounded_schedule_length, BoundedDegreeNode};
@@ -80,16 +80,23 @@ fn main() {
         let seeds: Vec<u64> = (0..pg.node_count() as u64)
             .map(|i| i.wrapping_mul(0x517c_c1b7_2722_0a95) ^ 0xabcd)
             .collect();
-        let rand_edges = randomized_matching_distributed(&pg, &seeds).expect("rand protocol");
-        let rand_rounds = randomized_matching_rounds(randomized_matching_phases(pg.node_count()));
+        let phases = randomized_matching_phases(pg.node_count());
+        let rand_run = Simulator::new(&pg)
+            .run_with_inputs(&seeds, |deg, &seed| {
+                RandMatchingNode::new(deg, seed, phases)
+            })
+            .expect("rand protocol");
+        let rand_edges =
+            pn_runtime::edge_set_from_outputs(&pg, &rand_run.outputs).expect("consistent");
 
         assert_eq!(id_run.rounds, id_matching_rounds(delta));
         assert_eq!(anon_run.rounds, bounded_schedule_length(delta));
+        assert!(rand_run.rounds <= randomized_matching_rounds(phases));
         table.row(vec![
             name.to_owned(),
             pg.node_count().to_string(),
             id_run.rounds.to_string(),
-            rand_rounds.to_string(),
+            rand_run.rounds.to_string(),
             anon_run.rounds.to_string(),
             id_edges.len().to_string(),
             rand_edges.len().to_string(),
@@ -101,7 +108,8 @@ fn main() {
     println!(
         "three regimes, exactly as the theory places them: deterministic \
          IDs give a maximal matching in O(Δ + log* n) rounds; random seeds \
-         give one in O(log n) rounds (the round column grows with n); \
+         give one in O(log n) rounds w.h.p. (measured: nodes halt well \
+         before the phase cap); \
          deterministic anonymity runs in O(Δ²) rounds but is capped at the \
          factor ~4 worst case the paper proves — on these benign inputs \
          all three qualities happen to be close"

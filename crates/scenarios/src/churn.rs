@@ -538,8 +538,8 @@ pub fn run_churn_with(
         }
         Protocol::RandMatching => {
             let seeds = node_seeds(mat.max_nodes, seed);
-            // The phase budget is fixed up front for the largest node
-            // count the schedule can reach, so every epoch runs the same
+            // The phase cap is fixed up front for the largest node count
+            // the schedule can reach, so every epoch runs under the same
             // deterministic schedule.
             let phases = randomized_matching_phases(mat.max_nodes);
             drive(

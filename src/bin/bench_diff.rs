@@ -53,7 +53,11 @@
 //!   recovery more (or higher) than it used to, so the incremental
 //!   repair path regressed (exact integers, no tolerance). Records
 //!   missing the fields on either side — static records, pre-recovery
-//!   baselines — are skipped, never failed.
+//!   baselines — are skipped, never failed;
+//! * a matched record's `rounds` or `messages` **increased** — the
+//!   protocol now runs longer or sends more on the same instance (exact
+//!   integers, no tolerance). Both counts are deterministic and are the
+//!   paper's cost model. Decreases are counted, never failed.
 //!
 //! Records only present in the current report (new scenario families,
 //! new protocols) are reported but never fail the diff, so the gate
@@ -62,10 +66,11 @@
 //! tracking the ROADMAP asks for.
 //!
 //! `--stats` publishes the diff tallies (records compared, drift,
-//! improvements, bound moves, failures) as `bench_diff_*` series in the
-//! process-global telemetry registry and dumps it to stderr in the same
-//! Prometheus text format `eds-serve` exposes on `/metrics`, so a CI
-//! wrapper can scrape the diff outcome without parsing the prose.
+//! improvements, bound moves, cost moves, failures) as `bench_diff_*`
+//! series in the process-global telemetry registry and dumps it to
+//! stderr in the same Prometheus text format `eds-serve` exposes on
+//! `/metrics`, so a CI wrapper can scrape the diff outcome without
+//! parsing the prose.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -116,6 +121,9 @@ struct Record {
     /// Highest recovery rung reached (0 none … 3 full re-stabilisation);
     /// `None` with the same tolerance as `escalations`.
     recovery_tier: Option<u64>,
+    /// The protocol run's rounds and messages: the paper's cost model.
+    rounds: u64,
+    messages: u64,
 }
 
 impl Record {
@@ -198,6 +206,8 @@ fn parse_report(path: &str) -> Result<BTreeMap<(String, String), Record>, String
             // pre-recovery reports simply lack the keys.
             let escalations = field(line, "escalations").and_then(|v| v.parse().ok());
             let recovery_tier = field(line, "recovery_tier").and_then(|v| v.parse().ok());
+            let rounds = field(line, "rounds")?.parse().ok()?;
+            let messages = field(line, "messages")?.parse().ok()?;
             Some((
                 (scenario, protocol),
                 Record {
@@ -208,6 +218,8 @@ fn parse_report(path: &str) -> Result<BTreeMap<(String, String), Record>, String
                     bound_exact,
                     escalations,
                     recovery_tier,
+                    rounds,
+                    messages,
                 },
             ))
         };
@@ -440,6 +452,137 @@ fn run_sim_mode(baseline_paths: &str, current_paths: &str, tolerance: f64) -> Ex
     }
 }
 
+/// The outcome of one quality diff: the findings in baseline key order
+/// and the tallies `--stats` publishes.
+#[derive(Debug, Default)]
+struct QualityDiff {
+    /// One line per gate failure, plus the exact-bound notices that
+    /// never fail.
+    lines: Vec<String>,
+    failures: usize,
+    missing: usize,
+    added: usize,
+    drifted: usize,
+    improved: usize,
+    loosened: usize,
+    tightened: usize,
+    escalated: usize,
+    /// Records whose rounds or messages grew.
+    costlier: usize,
+    /// Records whose rounds or messages shrank and neither grew.
+    cheaper: usize,
+}
+
+/// The quality comparison proper, separated from I/O and exit codes for
+/// testability. See the [module docs](self) for the gates.
+fn quality_diff(
+    baseline: &BTreeMap<(String, String), Record>,
+    current: &BTreeMap<(String, String), Record>,
+    tolerance: f64,
+) -> QualityDiff {
+    let mut diff = QualityDiff::default();
+    for (key, base) in baseline {
+        let Some(cur) = current.get(key) else {
+            diff.lines.push(format!(
+                "MISSING  {}/{}: record dropped from current report",
+                key.0, key.1
+            ));
+            diff.failures += 1;
+            diff.missing += 1;
+            continue;
+        };
+        if base.clean && !cur.clean {
+            diff.lines.push(format!(
+                "UNCLEAN  {}/{}: violation introduced",
+                key.0, key.1
+            ));
+            diff.failures += 1;
+        }
+        // Certified lower bounds are exact integers: any decrease is a
+        // tightness regression, gated without tolerance.
+        if cur.lower_bound < base.lower_bound {
+            diff.lines.push(format!(
+                "LOOSER   {}/{}: certified lower bound {} -> {}",
+                key.0, key.1, base.lower_bound, cur.lower_bound
+            ));
+            diff.failures += 1;
+            diff.loosened += 1;
+        } else if cur.lower_bound > base.lower_bound {
+            diff.tightened += 1;
+        }
+        // Exact paper-bound fractions, compared verbatim: a change means
+        // protocol/bound semantics shifted. Reported (the float field
+        // rounds to 4 decimals and can hide it) but never failed — the
+        // drift and within_bound gates own correctness.
+        if let (Some(b), Some(c)) = (base.bound_exact, cur.bound_exact) {
+            if b != c {
+                diff.lines.push(format!(
+                    "BOUND    {}/{}: exact paper bound {}/{} -> {}/{}",
+                    key.0, key.1, b.0, b.1, c.0, c.1
+                ));
+            }
+        }
+        // Churn-recovery accounting, exact integers: the same scenario
+        // escalating past repair-only recovery more often (or to a
+        // higher rung) than the baseline means the incremental repair
+        // path regressed. Absent fields — static records, pre-recovery
+        // baselines — never gate.
+        if let (Some(b), Some(c)) = (base.escalations, cur.escalations) {
+            if c > b {
+                diff.lines.push(format!(
+                    "ESCALATE {}/{}: churn escalations {b} -> {c}",
+                    key.0, key.1
+                ));
+                diff.failures += 1;
+                diff.escalated += 1;
+            }
+        }
+        if let (Some(b), Some(c)) = (base.recovery_tier, cur.recovery_tier) {
+            if c > b {
+                diff.lines.push(format!(
+                    "TIER     {}/{}: worst recovery tier {b} -> {c}",
+                    key.0, key.1
+                ));
+                diff.failures += 1;
+                diff.escalated += 1;
+            }
+        }
+        // Rounds and messages are deterministic and the paper's cost
+        // model: a rise means the protocol now runs longer on the same
+        // instance, gated as exact integers with no tolerance.
+        if cur.rounds > base.rounds || cur.messages > base.messages {
+            diff.lines.push(format!(
+                "COSTLIER {}/{}: rounds {} -> {}, messages {} -> {}",
+                key.0, key.1, base.rounds, cur.rounds, base.messages, cur.messages
+            ));
+            diff.failures += 1;
+            diff.costlier += 1;
+        } else if cur.rounds < base.rounds || cur.messages < base.messages {
+            diff.cheaper += 1;
+        }
+        let (Some(b), Some(c)) = (base.measure(), cur.measure()) else {
+            continue;
+        };
+        if c > b + tolerance {
+            diff.lines.push(format!(
+                "DRIFT    {}/{}: ratio {b:.4} -> {c:.4} (+{:.4} > tolerance {tolerance})",
+                key.0,
+                key.1,
+                c - b
+            ));
+            diff.failures += 1;
+            diff.drifted += 1;
+        } else if c < b - tolerance {
+            diff.improved += 1;
+        }
+    }
+    diff.added = current
+        .keys()
+        .filter(|k| !baseline.contains_key(*k))
+        .count();
+    diff
+}
+
 const USAGE: &str = "usage: bench_diff BASELINE CURRENT [--tolerance T] [--stats]\n       \
      bench_diff --sim BASELINE[,BASELINE...] CURRENT[,CURRENT...] [--tolerance T]";
 
@@ -485,97 +628,25 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut failures = 0usize;
-    let mut drifted = 0usize;
-    let mut improved = 0usize;
-    let mut loosened = 0usize;
-    let mut tightened = 0usize;
-    let mut missing = 0usize;
-    let mut escalated = 0usize;
-    for (key, base) in &baseline {
-        let Some(cur) = current.get(key) else {
-            eprintln!(
-                "MISSING  {}/{}: record dropped from current report",
-                key.0, key.1
-            );
-            failures += 1;
-            missing += 1;
-            continue;
-        };
-        if base.clean && !cur.clean {
-            eprintln!("UNCLEAN  {}/{}: violation introduced", key.0, key.1);
-            failures += 1;
-        }
-        // Certified lower bounds are exact integers: any decrease is a
-        // tightness regression, gated without tolerance.
-        if cur.lower_bound < base.lower_bound {
-            eprintln!(
-                "LOOSER   {}/{}: certified lower bound {} -> {}",
-                key.0, key.1, base.lower_bound, cur.lower_bound
-            );
-            failures += 1;
-            loosened += 1;
-        } else if cur.lower_bound > base.lower_bound {
-            tightened += 1;
-        }
-        // Exact paper-bound fractions, compared verbatim: a change means
-        // protocol/bound semantics shifted. Reported (the float field
-        // rounds to 4 decimals and can hide it) but never failed — the
-        // drift and within_bound gates own correctness.
-        if let (Some(b), Some(c)) = (base.bound_exact, cur.bound_exact) {
-            if b != c {
-                eprintln!(
-                    "BOUND    {}/{}: exact paper bound {}/{} -> {}/{}",
-                    key.0, key.1, b.0, b.1, c.0, c.1
-                );
-            }
-        }
-        // Churn-recovery accounting, exact integers: the same scenario
-        // escalating past repair-only recovery more often (or to a
-        // higher rung) than the baseline means the incremental repair
-        // path regressed. Absent fields — static records, pre-recovery
-        // baselines — never gate.
-        if let (Some(b), Some(c)) = (base.escalations, cur.escalations) {
-            if c > b {
-                eprintln!("ESCALATE {}/{}: churn escalations {b} -> {c}", key.0, key.1);
-                failures += 1;
-                escalated += 1;
-            }
-        }
-        if let (Some(b), Some(c)) = (base.recovery_tier, cur.recovery_tier) {
-            if c > b {
-                eprintln!(
-                    "TIER     {}/{}: worst recovery tier {b} -> {c}",
-                    key.0, key.1
-                );
-                failures += 1;
-                escalated += 1;
-            }
-        }
-        let (Some(b), Some(c)) = (base.measure(), cur.measure()) else {
-            continue;
-        };
-        if c > b + tolerance {
-            eprintln!(
-                "DRIFT    {}/{}: ratio {b:.4} -> {c:.4} (+{:.4} > tolerance {tolerance})",
-                key.0,
-                key.1,
-                c - b
-            );
-            failures += 1;
-            drifted += 1;
-        } else if c < b - tolerance {
-            improved += 1;
-        }
+    let diff = quality_diff(&baseline, &current, tolerance);
+    for line in &diff.lines {
+        eprintln!("{line}");
     }
-    let added = current.keys().filter(|k| !baseline.contains_key(k)).count();
-
     eprintln!(
-        "compared {} baseline records against {} current ({added} new): \
-         {drifted} drifted, {improved} improved, bounds {tightened} tightened / \
-         {loosened} loosened, {escalated} recovery regressions, {failures} failures",
+        "compared {} baseline records against {} current ({} new): \
+         {} drifted, {} improved, bounds {} tightened / {} loosened, \
+         {} recovery regressions, costs {} rose / {} fell, {} failures",
         baseline.len(),
         current.len(),
+        diff.added,
+        diff.drifted,
+        diff.improved,
+        diff.tightened,
+        diff.loosened,
+        diff.escalated,
+        diff.costlier,
+        diff.cheaper,
+        diff.failures,
     );
     if stats {
         let registry = eds_telemetry::global();
@@ -590,47 +661,57 @@ fn main() -> ExitCode {
         tally(
             "bench_diff_records_added_total",
             "Records only present in the current report.",
-            added,
+            diff.added,
         );
         tally(
             "bench_diff_records_missing_total",
             "Baseline records dropped from the current report.",
-            missing,
+            diff.missing,
         );
         tally(
             "bench_diff_drifted_total",
             "Records whose quality measure grew beyond the tolerance.",
-            drifted,
+            diff.drifted,
         );
         tally(
             "bench_diff_improved_total",
             "Records whose quality measure shrank beyond the tolerance.",
-            improved,
+            diff.improved,
         );
         tally(
             "bench_diff_bounds_tightened_total",
             "Records whose certified lower bound increased.",
-            tightened,
+            diff.tightened,
         );
         tally(
             "bench_diff_bounds_loosened_total",
             "Records whose certified lower bound decreased.",
-            loosened,
+            diff.loosened,
         );
         tally(
             "bench_diff_recovery_regressions_total",
             "Churn records whose escalation count or recovery tier grew.",
-            escalated,
+            diff.escalated,
+        );
+        tally(
+            "bench_diff_cost_rises_total",
+            "Records whose rounds or messages grew.",
+            diff.costlier,
+        );
+        tally(
+            "bench_diff_cost_falls_total",
+            "Records whose rounds or messages shrank and neither grew.",
+            diff.cheaper,
         );
         tally(
             "bench_diff_failures_total",
             "Gate failures across all categories.",
-            failures,
+            diff.failures,
         );
         eprint!("{}", registry.render());
     }
-    if failures > 0 {
-        eprintln!("quality drift beyond tolerance {tolerance} — failing");
+    if diff.failures > 0 {
+        eprintln!("quality or cost regression (ratio tolerance {tolerance}) — failing");
         return ExitCode::from(1);
     }
     ExitCode::SUCCESS
@@ -730,6 +811,8 @@ mod tests {
             bound_exact: None,
             escalations: None,
             recovery_tier: None,
+            rounds: 2,
+            messages: 60,
         };
         assert_eq!(r.measure(), Some(2.0));
         let lb = Record { optimum: None, ..r };
@@ -749,7 +832,86 @@ mod tests {
         assert_eq!(record.measure(), Some(2.0));
         // A pre-exact-fields baseline parses with no exact bound.
         assert_eq!(record.bound_exact, None);
+        assert_eq!((record.rounds, record.messages), (2, 60));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A one-record report of `CHURN_LINE`'s values with `edit` applied.
+    fn churn_report(edit: impl FnOnce(&mut Record)) -> BTreeMap<(String, String), Record> {
+        let mut record = Record {
+            size: 5.0,
+            optimum: Some(4.0),
+            lower_bound: 4.0,
+            clean: true,
+            bound_exact: None,
+            escalations: Some(0),
+            recovery_tier: Some(1),
+            rounds: 24,
+            messages: 700,
+        };
+        edit(&mut record);
+        let key = (
+            "churn(petersen)-b3e2c1/shuffled/s0".to_owned(),
+            "bounded-degree".to_owned(),
+        );
+        BTreeMap::from([(key, record)])
+    }
+
+    #[test]
+    fn recovery_escalations_fail_the_diff() {
+        let base = churn_report(|_| {});
+        let clean = quality_diff(&base, &churn_report(|_| {}), 0.05);
+        assert_eq!(clean.failures, 0, "{:?}", clean.lines);
+        let escalated = quality_diff(&base, &churn_report(|r| r.escalations = Some(1)), 0.05);
+        assert_eq!((escalated.failures, escalated.escalated), (1, 1));
+        assert!(
+            escalated.lines[0].starts_with("ESCALATE"),
+            "{:?}",
+            escalated.lines
+        );
+        let higher = quality_diff(&base, &churn_report(|r| r.recovery_tier = Some(3)), 0.05);
+        assert_eq!((higher.failures, higher.escalated), (1, 1));
+        assert!(higher.lines[0].starts_with("TIER"), "{:?}", higher.lines);
+        // Fewer escalations pass, and a record without the fields (a
+        // pre-recovery baseline) never gates.
+        let fewer = churn_report(|r| r.escalations = Some(0));
+        let more = churn_report(|r| r.escalations = Some(2));
+        assert_eq!(quality_diff(&more, &fewer, 0.05).failures, 0);
+        let legacy = churn_report(|r| (r.escalations, r.recovery_tier) = (None, None));
+        assert_eq!(quality_diff(&legacy, &more, 0.05).failures, 0);
+    }
+
+    #[test]
+    fn cost_rises_fail_the_diff_and_falls_are_counted() {
+        let base = churn_report(|_| {});
+        let same = quality_diff(&base, &churn_report(|_| {}), 0.05);
+        assert_eq!((same.failures, same.costlier, same.cheaper), (0, 0, 0));
+        // One more round or one more message fails, with no tolerance.
+        for rise in [
+            churn_report(|r| r.rounds = 25),
+            churn_report(|r| r.messages = 701),
+            churn_report(|r| (r.rounds, r.messages) = (12, 701)),
+        ] {
+            let diff = quality_diff(&base, &rise, 0.05);
+            assert_eq!((diff.failures, diff.costlier, diff.cheaper), (1, 1, 0));
+            assert_eq!(
+                diff.lines,
+                [format!(
+                    "COSTLIER churn(petersen)-b3e2c1/shuffled/s0/bounded-degree: \
+                     rounds 24 -> {}, messages 700 -> {}",
+                    rise.values().next().unwrap().rounds,
+                    rise.values().next().unwrap().messages
+                )]
+            );
+        }
+        // Falls are counted and never fail.
+        for fall in [
+            churn_report(|r| r.rounds = 12),
+            churn_report(|r| (r.rounds, r.messages) = (12, 90)),
+        ] {
+            let diff = quality_diff(&base, &fall, 0.05);
+            assert_eq!((diff.failures, diff.costlier, diff.cheaper), (0, 0, 1));
+        }
     }
 
     /// A `SweepRecord` with a bound fraction the 4-decimal float cannot
