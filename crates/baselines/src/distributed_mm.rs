@@ -26,7 +26,7 @@
 //! `A(Δ)` protocol's `O(Δ²)` and its factor-4 barrier.
 
 use pn_graph::{EdgeId, PortNumberedGraph};
-use pn_runtime::{collect_send, NodeAlgorithm, PortSet, RuntimeError, Simulator, WrongCount};
+use pn_runtime::{NodeAlgorithm, PortSet, RuntimeError, Simulator};
 
 /// Cole–Vishkin iterations hard-wired into the schedule. Identifiers are
 /// `u64`, so colours shrink 64-bit → ≤13 → ≤9 → ≤7 → ≤6 values within
@@ -141,15 +141,7 @@ impl NodeAlgorithm for IdMatchingNode {
     type Message = IdMmMsg;
     type Output = PortSet;
 
-    fn send(&mut self, round: usize) -> Vec<IdMmMsg> {
-        collect_send(self, round, self.degree)
-    }
-
-    fn send_into(
-        &mut self,
-        round: usize,
-        outbox: &mut [Option<IdMmMsg>],
-    ) -> Result<(), WrongCount> {
+    fn send_into(&mut self, round: usize, outbox: &mut [Option<IdMmMsg>]) {
         match self.schedule(round) {
             Phase::Ident => outbox.fill(Some(IdMmMsg::Ident(self.id))),
             Phase::ColeVishkin => {
@@ -183,7 +175,6 @@ impl NodeAlgorithm for IdMatchingNode {
                 }
             }
         }
-        Ok(())
     }
 
     fn receive(&mut self, round: usize, inbox: &[Option<IdMmMsg>]) -> Option<PortSet> {
@@ -310,8 +301,8 @@ pub fn id_matching_distributed(
         sorted.dedup();
         assert_eq!(sorted.len(), ids.len(), "identifiers must be unique");
     }
-    let run = Simulator::new(g)
-        .run_with_inputs(ids, |degree, &id| IdMatchingNode::new(delta, degree, id))?;
+    let run =
+        Simulator::new(g).run(|v, degree| IdMatchingNode::new(delta, degree, ids[v.index()]))?;
     pn_runtime::edge_set_from_outputs(g, &run.outputs)
 }
 
@@ -360,7 +351,7 @@ mod tests {
         let pg = ports::shuffled_ports(&g, 9).unwrap();
         let ids: Vec<u64> = (0..12u64).collect();
         let run = Simulator::new(&pg)
-            .run_with_inputs(&ids, |d, &id| IdMatchingNode::new(4, d, id))
+            .run(|v, d| IdMatchingNode::new(4, d, ids[v.index()]))
             .unwrap();
         assert_eq!(run.rounds, id_matching_rounds(4));
     }

@@ -32,13 +32,13 @@
 //! fall.
 //!
 //! The protocol is implemented as a [`NodeAlgorithm`] whose nodes are
-//! seeded through [`Simulator::run_with_inputs`] — the seeds are the
-//! *only* symmetry break: no identifiers, no port-numbering tricks. For
-//! a fixed seed assignment the execution is fully deterministic and
-//! reproducible.
+//! seeded by the [`Simulator::run`] factory, which looks each node's
+//! seed up by its id — the seeds are the *only* symmetry break: no
+//! identifiers, no port-numbering tricks. For a fixed seed assignment
+//! the execution is fully deterministic and reproducible.
 
 use pn_graph::{EdgeId, Port, PortNumberedGraph};
-use pn_runtime::{collect_send, NodeAlgorithm, PortSet, RuntimeError, Simulator, WrongCount};
+use pn_runtime::{NodeAlgorithm, PortSet, RuntimeError, Simulator};
 
 /// Messages of the randomised matching protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,15 +120,7 @@ impl NodeAlgorithm for RandMatchingNode {
     type Message = RandMmMsg;
     type Output = PortSet;
 
-    fn send(&mut self, round: usize) -> Vec<RandMmMsg> {
-        collect_send(self, round, self.degree)
-    }
-
-    fn send_into(
-        &mut self,
-        round: usize,
-        outbox: &mut [Option<RandMmMsg>],
-    ) -> Result<(), WrongCount> {
+    fn send_into(&mut self, round: usize, outbox: &mut [Option<RandMmMsg>]) {
         let d = self.degree;
         match round % 3 {
             0 => {
@@ -169,7 +161,6 @@ impl NodeAlgorithm for RandMatchingNode {
                 }
             }
         }
-        Ok(())
     }
 
     fn receive(&mut self, round: usize, inbox: &[Option<RandMmMsg>]) -> Option<PortSet> {
@@ -260,9 +251,8 @@ pub fn randomized_matching_distributed(
 ) -> Result<Vec<EdgeId>, RuntimeError> {
     assert_eq!(seeds.len(), g.node_count(), "one seed per node");
     let phases = randomized_matching_phases(g.node_count());
-    let run = Simulator::new(g).run_with_inputs(seeds, |degree, &seed| {
-        RandMatchingNode::new(degree, seed, phases)
-    })?;
+    let run = Simulator::new(g)
+        .run(|v, degree| RandMatchingNode::new(degree, seeds[v.index()], phases))?;
     pn_runtime::edge_set_from_outputs(g, &run.outputs)
 }
 
@@ -274,7 +264,7 @@ pub fn randomized_matching_distributed(
 mod reference {
     use super::{randomized_matching_rounds, RandMmMsg};
     use pn_graph::Port;
-    use pn_runtime::{collect_send, NodeAlgorithm, PortSet, WrongCount};
+    use pn_runtime::{NodeAlgorithm, PortSet};
 
     #[derive(Clone, Debug)]
     pub(super) struct FixedBudgetNode {
@@ -320,15 +310,7 @@ mod reference {
         type Message = RandMmMsg;
         type Output = PortSet;
 
-        fn send(&mut self, round: usize) -> Vec<RandMmMsg> {
-            collect_send(self, round, self.degree)
-        }
-
-        fn send_into(
-            &mut self,
-            round: usize,
-            outbox: &mut [Option<RandMmMsg>],
-        ) -> Result<(), WrongCount> {
+        fn send_into(&mut self, round: usize, outbox: &mut [Option<RandMmMsg>]) {
             let d = self.degree;
             match round % 3 {
                 0 => {
@@ -365,7 +347,6 @@ mod reference {
                     }
                 }
             }
-            Ok(())
         }
 
         fn receive(&mut self, round: usize, inbox: &[Option<RandMmMsg>]) -> Option<PortSet> {
@@ -565,10 +546,10 @@ mod tests {
 
                     let sim = Simulator::new(&pg);
                     let run = sim
-                        .run_with_inputs(&s, |d, &seed| RandMatchingNode::new(d, seed, phases))
+                        .run(|v, d| RandMatchingNode::new(d, s[v.index()], phases))
                         .unwrap();
                     let reference = sim
-                        .run_with_inputs(&s, |d, &seed| FixedBudgetNode::new(d, seed, phases))
+                        .run(|v, d| FixedBudgetNode::new(d, s[v.index()], phases))
                         .unwrap();
                     assert_eq!(run.outputs, reference.outputs, "{what}");
                     assert!(run.rounds <= randomized_matching_rounds(phases), "{what}");

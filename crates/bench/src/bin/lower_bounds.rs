@@ -58,10 +58,10 @@ fn figure4(d: usize) {
     // the 2d-1 nodes of G from the single node of M.
     let delta = d + 1;
     let on_g = Simulator::new(g)
-        .run(|deg: usize| BoundedDegreeNode::new(delta, deg))
+        .run(|_, deg| BoundedDegreeNode::new(delta, deg))
         .expect("protocol runs on G");
     let on_m = Simulator::new(&inst.target)
-        .run(|deg: usize| BoundedDegreeNode::new(delta, deg))
+        .run(|_, deg| BoundedDegreeNode::new(delta, deg))
         .expect("protocol runs on M");
     let fibers = inst.covering.fibers(inst.target.node_count());
     let agree =
@@ -117,10 +117,10 @@ fn figures5to7(d: usize) {
     // node of component H(l) answers exactly like the quotient node x_l,
     // and every hub like y.
     let on_g = Simulator::new(g)
-        .run(RegularOddNode::new)
+        .run(|_, d| RegularOddNode::new(d))
         .expect("protocol runs on G");
     let on_m = Simulator::new(&inst.target)
-        .run(RegularOddNode::new)
+        .run(|_, d| RegularOddNode::new(d))
         .expect("protocol runs on M");
     let fibers = inst.covering.fibers(inst.target.node_count());
     let mut agree = fiber_agreement(&fibers, &on_g.outputs).is_ok();

@@ -67,12 +67,12 @@ fn main() {
         };
 
         let id_run = Simulator::new(&pg)
-            .run_with_inputs(&ids, |deg, &id| IdMatchingNode::new(delta, deg, id))
+            .run(|v, deg| IdMatchingNode::new(delta, deg, ids[v.index()]))
             .expect("id protocol");
         let id_edges = id_matching_distributed(&pg, delta, &ids).expect("id protocol");
 
         let anon_run = Simulator::new(&pg)
-            .run(|deg: usize| BoundedDegreeNode::new(delta, deg))
+            .run(|_, deg| BoundedDegreeNode::new(delta, deg))
             .expect("anonymous protocol");
         let anon_edges =
             pn_runtime::edge_set_from_outputs(&pg, &anon_run.outputs).expect("consistent");
@@ -82,9 +82,7 @@ fn main() {
             .collect();
         let phases = randomized_matching_phases(pg.node_count());
         let rand_run = Simulator::new(&pg)
-            .run_with_inputs(&seeds, |deg, &seed| {
-                RandMatchingNode::new(deg, seed, phases)
-            })
+            .run(|v, deg| RandMatchingNode::new(deg, seeds[v.index()], phases))
             .expect("rand protocol");
         let rand_edges =
             pn_runtime::edge_set_from_outputs(&pg, &rand_run.outputs).expect("consistent");

@@ -25,7 +25,9 @@ fn main() {
     for d in [2usize, 4, 6, 8] {
         let g = generators::random_regular(2 * d + 4, d, d as u64).expect("graph");
         let pg = ports::shuffled_ports(&g, 1).expect("ports");
-        let run = Simulator::new(&pg).run(PortOneNode::new).expect("runs");
+        let run = Simulator::new(&pg)
+            .run(|_, d| PortOneNode::new(d))
+            .expect("runs");
         table.row(vec![
             "port-1 (Thm 3)".to_owned(),
             format!("d={d}"),
@@ -37,7 +39,9 @@ fn main() {
     for d in [1usize, 3, 5, 7] {
         let g = generators::random_regular(2 * d + 4, d, d as u64).expect("graph");
         let pg = ports::shuffled_ports(&g, 2).expect("ports");
-        let run = Simulator::new(&pg).run(RegularOddNode::new).expect("runs");
+        let run = Simulator::new(&pg)
+            .run(|_, d| RegularOddNode::new(d))
+            .expect("runs");
         assert_eq!(run.rounds, regular_odd_rounds(d));
         table.row(vec![
             "Thm 4".to_owned(),
@@ -51,7 +55,7 @@ fn main() {
         let g = generators::random_bounded_degree(24, delta, 0.8, delta as u64).expect("graph");
         let pg = ports::shuffled_ports(&g, 3).expect("ports");
         let run = Simulator::new(&pg)
-            .run(|deg: usize| BoundedDegreeNode::new(delta, deg))
+            .run(|_, deg| BoundedDegreeNode::new(delta, deg))
             .expect("runs");
         assert_eq!(run.rounds, bounded_schedule_length(delta));
         table.row(vec![
@@ -72,11 +76,11 @@ fn main() {
         let g = generators::random_regular(n, 4, n as u64).expect("graph");
         let pg = ports::shuffled_ports(&g, 4).expect("ports");
         let r1 = Simulator::new(&pg)
-            .run(PortOneNode::new)
+            .run(|_, d| PortOneNode::new(d))
             .expect("runs")
             .rounds;
         let r2 = Simulator::new(&pg)
-            .run(|deg: usize| BoundedDegreeNode::new(5, deg))
+            .run(|_, deg| BoundedDegreeNode::new(5, deg))
             .expect("runs")
             .rounds;
         table2.row(vec![n.to_string(), r1.to_string(), r2.to_string()]);

@@ -13,7 +13,7 @@
 use eds_bench::Table;
 use eds_core::distributed::BoundedDegreeNode;
 use pn_graph::{generators, ports, NodeId, SimpleGraph};
-use pn_runtime::Simulator;
+use pn_runtime::{RunOptions, Simulator};
 use std::time::Instant;
 
 fn main() {
@@ -50,14 +50,20 @@ fn main() {
 
         let t0 = Instant::now();
         let seq = Simulator::new(&pg)
-            .run(|d: usize| BoundedDegreeNode::new(delta, d))
+            .run(|_, d| BoundedDegreeNode::new(delta, d))
             .expect("sequential run");
         let t_seq = t0.elapsed();
 
         let t0 = Instant::now();
-        let par = Simulator::new(&pg)
-            .run_parallel(|d: usize| BoundedDegreeNode::new(delta, d), threads)
-            .expect("parallel run");
+        let par = Simulator::with_options(
+            &pg,
+            RunOptions {
+                threads,
+                ..RunOptions::default()
+            },
+        )
+        .run(|_, d| BoundedDegreeNode::new(delta, d))
+        .expect("parallel run");
         let t_par = t0.elapsed();
 
         assert_eq!(seq.outputs, par.outputs, "parallel must be bit-identical");

@@ -1,11 +1,11 @@
 //! Emits `BENCH_sim.json`: the tracked round-engine throughput numbers.
 //!
 //! For each workload the binary runs the same gossip protocol through
-//! the sequential engine ([`pn_runtime::Simulator::run`],
-//! `send_into`-based) and the persistent worker-pool parallel engine at
-//! 1/2/4/8 threads, asserts all [`pn_runtime::Run`]s are bit-identical,
-//! and records rounds/sec and messages/sec plus the best parallel
-//! configuration over sequential (the thread-scaling curve).
+//! [`pn_runtime::Simulator::run`] on the sequential engine and at
+//! [`pn_runtime::RunOptions::threads`] 1/2/4/8 (2 and up run the
+//! persistent worker pool), asserts all [`pn_runtime::Run`]s are
+//! bit-identical, and records rounds/sec and messages/sec plus the best
+//! parallel configuration over sequential (the thread-scaling curve).
 //! `host_threads` records the measuring host's available parallelism —
 //! on a single-core host the parallel curve measures pure pool overhead
 //! (`parallel_fields_overhead_only` is emitted `true` and the best ratio
@@ -19,7 +19,7 @@
 //!
 //! * `--reduced` measures only the ≥100k-node workload (the CI
 //!   perf-smoke set);
-//! * `--check-parallel` exits non-zero if `run_parallel(4)` falls below
+//! * `--check-parallel` exits non-zero if the 4-thread pool falls below
 //!   90% of sequential throughput on any ≥100k-node workload — the
 //!   break-even regression gate, with one fresh remeasurement before a
 //!   failure is declared (shared CI runners are noisy). The check is
@@ -37,7 +37,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use pn_graph::{covering, generators, ports, PortNumberedGraph};
-use pn_runtime::{collect_send, NodeAlgorithm, Run, Simulator, WrongCount};
+use pn_runtime::{NodeAlgorithm, Run, RunOptions, Simulator};
 
 /// Default number of rounds every node runs before halting
 /// (`--rounds` overrides).
@@ -52,7 +52,6 @@ const BREAK_EVEN_TOLERANCE: f64 = 0.9;
 
 #[derive(Clone)]
 struct Gossip {
-    degree: usize,
     acc: u64,
     left: usize,
 }
@@ -60,7 +59,6 @@ struct Gossip {
 impl Gossip {
     fn new(degree: usize, rounds: usize) -> Self {
         Gossip {
-            degree,
             acc: degree as u64,
             left: rounds,
         }
@@ -71,15 +69,10 @@ impl NodeAlgorithm for Gossip {
     type Message = u64;
     type Output = u64;
 
-    fn send(&mut self, round: usize) -> Vec<u64> {
-        collect_send(self, round, self.degree)
-    }
-
-    fn send_into(&mut self, _round: usize, outbox: &mut [Option<u64>]) -> Result<(), WrongCount> {
+    fn send_into(&mut self, _round: usize, outbox: &mut [Option<u64>]) {
         for (q, slot) in outbox.iter_mut().enumerate() {
             *slot = Some(self.acc.wrapping_add(q as u64));
         }
-        Ok(())
     }
 
     fn receive(&mut self, _round: usize, inbox: &[Option<u64>]) -> Option<u64> {
@@ -143,18 +136,28 @@ impl Row {
 }
 
 fn measure(name: &'static str, pg: &PortNumberedGraph, rounds: usize) -> Row {
+    let on_threads = |threads| {
+        Simulator::with_options(
+            pg,
+            RunOptions {
+                threads,
+                ..RunOptions::default()
+            },
+        )
+    };
     let sim = Simulator::new(pg);
-    let gossip = |d: usize| Gossip::new(d, rounds);
+    let gossip = |_, d: usize| Gossip::new(d, rounds);
     let seq = sim.run(gossip).expect("sequential run");
     for threads in THREAD_CURVE {
-        let par = sim.run_parallel(gossip, threads).expect("parallel run");
+        let par = on_threads(threads).run(gossip).expect("parallel run");
         assert_identical(&seq, &par, &format!("sequential vs parallel({threads})"));
     }
 
     let t_seq = time_best(|| sim.run(gossip).unwrap());
     let mut parallel_rps = [0.0; THREAD_CURVE.len()];
     for (slot, threads) in parallel_rps.iter_mut().zip(THREAD_CURVE) {
-        let t = time_best(|| sim.run_parallel(gossip, threads).unwrap());
+        let pool = on_threads(threads);
+        let t = time_best(|| pool.run(gossip).unwrap());
         *slot = seq.rounds as f64 / t;
     }
 

@@ -38,7 +38,7 @@ fn main() {
     // --- d-regular, even d: Theorem 3 vs Theorem 1. ---
     for d in (2..=max_d).step_by(2) {
         let inst = even::build(d).expect("even construction");
-        let (edges, rounds, _) = run_distributed(&inst.graph, PortOneNode::new);
+        let (edges, rounds, _) = run_distributed(&inst.graph, |_, d| PortOneNode::new(d));
         let measured = Ratio::of_sizes(edges.len(), inst.optimal_size());
         let theory = Ratio::from(inst.ratio());
         let status = if measured.eq_exact(theory) {
@@ -64,7 +64,7 @@ fn main() {
         let inst = odd::build(d).expect("odd construction");
         let edges = regular_odd_distributed(&inst.graph).expect("protocol runs");
         let run = pn_runtime::Simulator::new(&inst.graph)
-            .run(eds_core::distributed::RegularOddNode::new)
+            .run(|_, d| eds_core::distributed::RegularOddNode::new(d))
             .expect("protocol runs");
         let measured = Ratio::of_sizes(edges.len(), inst.optimal_size());
         let theory = Ratio::from(inst.ratio());
@@ -104,7 +104,7 @@ fn main() {
         let inst = even::build(d).expect("even construction");
         let edges = bounded_degree_distributed(&inst.graph, delta).expect("protocol runs");
         let run = pn_runtime::Simulator::new(&inst.graph)
-            .run(|deg: usize| eds_core::distributed::BoundedDegreeNode::new(delta, deg))
+            .run(|_, deg| eds_core::distributed::BoundedDegreeNode::new(delta, deg))
             .expect("protocol runs");
         let measured = Ratio::of_sizes(edges.len(), inst.optimal_size());
         let theory = eds_lower_bounds::bound::corollary1_bound(delta);

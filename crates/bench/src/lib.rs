@@ -45,10 +45,11 @@ impl Measurement {
 ///
 /// Panics on simulator errors or inconsistent outputs — these indicate
 /// bugs, not data-dependent failures.
-pub fn run_distributed<F>(g: &PortNumberedGraph, factory: F) -> (Vec<EdgeId>, usize, usize)
+pub fn run_distributed<A, F>(g: &PortNumberedGraph, factory: F) -> (Vec<EdgeId>, usize, usize)
 where
-    F: pn_runtime::AlgorithmFactory,
-    F::Algorithm: pn_runtime::NodeAlgorithm<Output = pn_runtime::PortSet>,
+    A: pn_runtime::NodeAlgorithm<Output = pn_runtime::PortSet> + Send,
+    A::Message: Send,
+    F: Fn(pn_graph::NodeId, usize) -> A,
 {
     let run = pn_runtime::Simulator::new(g)
         .run(factory)
@@ -76,7 +77,8 @@ mod tests {
     #[test]
     fn run_distributed_port_one() {
         let g = pn_graph::ports::canonical_ports(&pn_graph::generators::cycle(6).unwrap()).unwrap();
-        let (edges, rounds, messages) = run_distributed(&g, eds_core::port_one::PortOneNode::new);
+        let (edges, rounds, messages) =
+            run_distributed(&g, |_, d| eds_core::port_one::PortOneNode::new(d));
         assert!(!edges.is_empty());
         assert_eq!(rounds, 1);
         assert_eq!(messages, 12);

@@ -17,7 +17,7 @@
 //! on every input.
 
 use pn_graph::{EdgeId, GraphError, Port, PortNumberedGraph};
-use pn_runtime::{collect_send, NodeAlgorithm, PortSet, Simulator, WrongCount};
+use pn_runtime::{NodeAlgorithm, PortSet, Simulator};
 
 use super::common::dn_port_index;
 
@@ -254,15 +254,7 @@ impl NodeAlgorithm for BoundedDegreeNode {
     type Message = BoundedMsg;
     type Output = PortSet;
 
-    fn send(&mut self, round: usize) -> Vec<BoundedMsg> {
-        collect_send(self, round, self.degree)
-    }
-
-    fn send_into(
-        &mut self,
-        round: usize,
-        outbox: &mut [Option<BoundedMsg>],
-    ) -> Result<(), WrongCount> {
+    fn send_into(&mut self, round: usize, outbox: &mut [Option<BoundedMsg>]) {
         let d = self.degree;
         match step_at(self.delta, round) {
             Step::Hello => {
@@ -312,7 +304,6 @@ impl NodeAlgorithm for BoundedDegreeNode {
                 );
             }
         }
-        Ok(())
     }
 
     fn receive(&mut self, round: usize, inbox: &[Option<BoundedMsg>]) -> Option<PortSet> {
@@ -467,7 +458,7 @@ pub fn bounded_degree_distributed(
         });
     }
     let run = Simulator::new(g)
-        .run(|d: usize| BoundedDegreeNode::new(delta, d))
+        .run(|_, d| BoundedDegreeNode::new(delta, d))
         .map_err(|e| GraphError::InvalidParameter {
             detail: format!("simulation failed: {e}"),
         })?;
@@ -537,7 +528,7 @@ mod tests {
         let pg = ports::shuffled_ports(&g, 2).unwrap();
         let delta = 4;
         let run = Simulator::new(&pg)
-            .run(|d: usize| BoundedDegreeNode::new(delta, d))
+            .run(|_, d| BoundedDegreeNode::new(delta, d))
             .unwrap();
         assert_eq!(run.rounds, bounded_schedule_length(delta));
     }

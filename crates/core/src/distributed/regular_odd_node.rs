@@ -13,7 +13,7 @@
 //! Every node halts after round `2 + 2d²` and outputs its selected ports.
 
 use pn_graph::{EdgeId, Port, PortNumberedGraph};
-use pn_runtime::{collect_send, NodeAlgorithm, PortSet, RuntimeError, Simulator, WrongCount};
+use pn_runtime::{NodeAlgorithm, PortSet, RuntimeError, Simulator};
 
 use super::common::dn_port_index;
 
@@ -98,27 +98,19 @@ impl NodeAlgorithm for RegularOddNode {
     type Message = RegOddMsg;
     type Output = PortSet;
 
-    fn send(&mut self, round: usize) -> Vec<RegOddMsg> {
-        collect_send(self, round, self.degree)
-    }
-
-    fn send_into(
-        &mut self,
-        round: usize,
-        outbox: &mut [Option<RegOddMsg>],
-    ) -> Result<(), WrongCount> {
+    fn send_into(&mut self, round: usize, outbox: &mut [Option<RegOddMsg>]) {
         let d = self.degree;
         if round == 0 {
             for (q, slot) in outbox.iter_mut().enumerate() {
                 *slot = Some(RegOddMsg::Port((q + 1) as u32));
             }
-            return Ok(());
+            return;
         }
         if round == 1 {
             for (q, slot) in outbox.iter_mut().enumerate() {
                 *slot = Some(RegOddMsg::Claim(self.my_claim[q]));
             }
-            return Ok(());
+            return;
         }
         let msg = if round - 2 < d * d {
             RegOddMsg::Cover(self.covered)
@@ -126,7 +118,6 @@ impl NodeAlgorithm for RegularOddNode {
             RegOddMsg::DegTwo(self.d_degree() >= 2)
         };
         outbox.fill(Some(msg));
-        Ok(())
     }
 
     fn receive(&mut self, round: usize, inbox: &[Option<RegOddMsg>]) -> Option<PortSet> {
@@ -244,7 +235,7 @@ pub fn regular_odd_distributed(g: &PortNumberedGraph) -> Result<Vec<EdgeId>, pn_
         });
     }
     let run = Simulator::new(g)
-        .run(RegularOddNode::new)
+        .run(|_, d| RegularOddNode::new(d))
         .map_err(wrap_runtime)?;
     pn_runtime::edge_set_from_outputs(g, &run.outputs).map_err(wrap_runtime)
 }
@@ -290,7 +281,9 @@ mod tests {
             let n = if d == 1 { 2 } else { 2 * d + 2 };
             let g = generators::random_regular(n, d, d as u64).unwrap();
             let pg = ports::shuffled_ports(&g, 1).unwrap();
-            let run = Simulator::new(&pg).run(RegularOddNode::new).unwrap();
+            let run = Simulator::new(&pg)
+                .run(|_, d| RegularOddNode::new(d))
+                .unwrap();
             assert_eq!(run.rounds, regular_odd_rounds(d));
         }
     }
@@ -323,7 +316,9 @@ mod tests {
     fn isolated_nodes_halt_immediately() {
         let g = pn_graph::SimpleGraph::new(3);
         let pg = ports::canonical_ports(&g).unwrap();
-        let run = Simulator::new(&pg).run(RegularOddNode::new).unwrap();
+        let run = Simulator::new(&pg)
+            .run(|_, d| RegularOddNode::new(d))
+            .unwrap();
         assert_eq!(run.rounds, 1);
         assert!(run.outputs.iter().all(PortSet::is_empty));
     }

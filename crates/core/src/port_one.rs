@@ -11,7 +11,7 @@
 //! `|D| / |D*| ≤ 4 - 2/d`, which Theorem 1 shows is optimal for even `d`.
 
 use pn_graph::{EdgeId, Endpoint, NodeId, Port, PortNumberedGraph};
-use pn_runtime::{collect_send, NodeAlgorithm, PortSet, WrongCount};
+use pn_runtime::{NodeAlgorithm, PortSet};
 
 /// Centralised reference implementation: all edges touching a port 1.
 ///
@@ -70,19 +70,10 @@ impl NodeAlgorithm for PortOneNode {
     type Message = PortOneMessage;
     type Output = PortSet;
 
-    fn send(&mut self, round: usize) -> Vec<Self::Message> {
-        collect_send(self, round, self.degree)
-    }
-
-    fn send_into(
-        &mut self,
-        _round: usize,
-        outbox: &mut [Option<Self::Message>],
-    ) -> Result<(), WrongCount> {
+    fn send_into(&mut self, _round: usize, outbox: &mut [Option<Self::Message>]) {
         for (i, slot) in outbox.iter_mut().enumerate() {
             *slot = Some(i == 0);
         }
-        Ok(())
     }
 
     // `corrupt`/`reset` keep the trait's no-op defaults: the node's only
@@ -136,7 +127,7 @@ pub fn covers_all_nodes(g: &PortNumberedGraph, edges: &[EdgeId]) -> bool {
 pub fn port_one_distributed(
     g: &PortNumberedGraph,
 ) -> Result<Vec<EdgeId>, pn_runtime::RuntimeError> {
-    let run = pn_runtime::Simulator::new(g).run(PortOneNode::new)?;
+    let run = pn_runtime::Simulator::new(g).run(|_, d| PortOneNode::new(d))?;
     pn_runtime::edge_set_from_outputs(g, &run.outputs)
 }
 
@@ -181,7 +172,7 @@ mod tests {
     fn one_round_only() {
         let g = ports::canonical_ports(&generators::torus(4, 4).unwrap()).unwrap();
         let run = pn_runtime::Simulator::new(&g)
-            .run(PortOneNode::new)
+            .run(|_, d| PortOneNode::new(d))
             .unwrap();
         assert_eq!(run.rounds, 1);
     }

@@ -16,7 +16,7 @@
 //! edge-based problem.
 
 use pn_graph::{NodeId, PortNumberedGraph};
-use pn_runtime::{collect_send, NodeAlgorithm, RuntimeError, Simulator, WrongCount};
+use pn_runtime::{NodeAlgorithm, RuntimeError, Simulator};
 
 use crate::proposals::double_cover_two_matching;
 
@@ -104,11 +104,7 @@ impl NodeAlgorithm for VertexCoverNode {
     /// `true` iff the node belongs to the vertex cover.
     type Output = bool;
 
-    fn send(&mut self, round: usize) -> Vec<VcMsg> {
-        collect_send(self, round, self.degree)
-    }
-
-    fn send_into(&mut self, round: usize, outbox: &mut [Option<VcMsg>]) -> Result<(), WrongCount> {
+    fn send_into(&mut self, round: usize, outbox: &mut [Option<VcMsg>]) {
         outbox.fill(Some(VcMsg::Nothing));
         if round.is_multiple_of(2) {
             // Propose round.
@@ -133,7 +129,6 @@ impl NodeAlgorithm for VertexCoverNode {
                 }
             }
         }
-        Ok(())
     }
 
     fn receive(&mut self, round: usize, inbox: &[Option<VcMsg>]) -> Option<bool> {
@@ -195,7 +190,7 @@ pub fn vertex_cover_distributed(
     g: &PortNumberedGraph,
     delta: usize,
 ) -> Result<Vec<NodeId>, RuntimeError> {
-    let run = Simulator::new(g).run(|d: usize| VertexCoverNode::new(delta, d))?;
+    let run = Simulator::new(g).run(|_, d| VertexCoverNode::new(delta, d))?;
     Ok(g.nodes().filter(|v| run.outputs[v.index()]).collect())
 }
 
@@ -267,7 +262,7 @@ mod tests {
         let g = generators::random_regular(12, 4, 3).unwrap();
         let pg = ports::shuffled_ports(&g, 3).unwrap();
         let run = Simulator::new(&pg)
-            .run(|d: usize| VertexCoverNode::new(4, d))
+            .run(|_, d| VertexCoverNode::new(4, d))
             .unwrap();
         assert_eq!(run.rounds, 8);
     }

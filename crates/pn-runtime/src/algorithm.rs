@@ -5,38 +5,18 @@
 //! degree** (and any parameters of the algorithm family, such as `Δ`). In
 //! each synchronous round every running node
 //!
-//! 1. performs local computation and sends one message per port
-//!    ([`NodeAlgorithm::send_into`], or the legacy allocating
-//!    [`NodeAlgorithm::send`]), then
+//! 1. performs local computation and writes one message per port into a
+//!    simulator-owned outbox ([`NodeAlgorithm::send_into`]), then
 //! 2. receives one message per port and updates its state
 //!    ([`NodeAlgorithm::receive`]), optionally halting with an output.
 //!
-//! The simulator enforces that a node of degree `d` emits exactly `d`
-//! messages per round when the legacy `send` path is used. Messages from
-//! already-halted neighbours arrive as `None`; the algorithms in this
-//! workspace are round-synchronised and never observe one, but the API
-//! keeps the case explicit.
-//!
-//! # `send` vs `send_into`
-//!
-//! [`NodeAlgorithm::send`] returns a freshly allocated `Vec` every node,
-//! every round — convenient for prototypes and correct by default.
-//! [`NodeAlgorithm::send_into`] writes into a preallocated per-port slice
-//! owned by the simulator and allocates nothing. The simulator only ever
-//! calls `send_into`; its default implementation delegates to `send`, so
-//! existing algorithms keep working unchanged. Hot-path algorithms should
-//! override `send_into` directly and implement `send` as a thin wrapper
-//! (see [`collect_send`]) for callers that still want the allocating form.
-
-/// Returned by [`NodeAlgorithm::send_into`] when the number of produced
-/// messages does not match the node's degree (only possible through the
-/// legacy [`NodeAlgorithm::send`] delegation — a native `send_into`
-/// implementation writes into a slice that *is* the right size).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WrongCount {
-    /// How many messages the node produced.
-    pub got: usize,
-}
+//! The outbox has exactly one slot per port, so a node cannot send the
+//! wrong number of messages, and the round loop allocates nothing. A
+//! slot left `None` delivers nothing on that port. Messages from
+//! already-halted neighbours arrive as `None` too, so a protocol whose
+//! nodes halt at different rounds must give `None` a meaning: the
+//! randomised matching baseline, whose nodes halt once they are matched,
+//! reads it as "not free".
 
 /// The state machine run by every node.
 ///
@@ -51,42 +31,12 @@ pub trait NodeAlgorithm {
     /// The local output announced when the node halts.
     type Output: Clone + std::fmt::Debug;
 
-    /// Produces the outgoing messages for this round, one per port, in
-    /// port order (index 0 = port 1). Must return exactly `degree` many.
-    ///
-    /// This is the legacy allocating entry point; the simulator never
-    /// calls it directly, only through the default [`NodeAlgorithm::send_into`].
-    fn send(&mut self, round: usize) -> Vec<Self::Message>;
-
     /// Writes the outgoing messages for this round into `outbox`, one
-    /// slot per port in port order (`outbox.len()` equals the node's
-    /// degree). All slots are `None` on entry; a slot left `None` delivers
-    /// nothing on that port (the neighbour receives `None`, exactly as
-    /// from a halted node).
-    ///
-    /// This is the simulator's hot path: overriding it (instead of
-    /// relying on the default delegation to [`NodeAlgorithm::send`])
-    /// removes one `Vec` allocation per node per round.
-    ///
-    /// # Errors
-    ///
-    /// The default implementation returns [`WrongCount`] if `send`
-    /// produced a number of messages different from the degree; native
-    /// implementations should always return `Ok(())`.
-    fn send_into(
-        &mut self,
-        round: usize,
-        outbox: &mut [Option<Self::Message>],
-    ) -> Result<(), WrongCount> {
-        let out = self.send(round);
-        if out.len() != outbox.len() {
-            return Err(WrongCount { got: out.len() });
-        }
-        for (slot, m) in outbox.iter_mut().zip(out) {
-            *slot = Some(m);
-        }
-        Ok(())
-    }
+    /// slot per port in port order (index 0 = port 1; `outbox.len()`
+    /// equals the node's degree). All slots are `None` on entry; a slot
+    /// left `None` delivers nothing on that port (the neighbour receives
+    /// `None`, exactly as from a halted node).
+    fn send_into(&mut self, round: usize, outbox: &mut [Option<Self::Message>]);
 
     /// Consumes the incoming messages for this round (index 0 = port 1;
     /// `None` marks a halted neighbour). Returns `Some(output)` to halt.
@@ -133,134 +83,41 @@ pub fn entropy_stream(entropy: u64) -> impl FnMut() -> u64 {
     }
 }
 
-/// Builds the allocating [`NodeAlgorithm::send`] result out of a native
-/// [`NodeAlgorithm::send_into`] implementation — the compat shim migrated
-/// algorithms use so both entry points stay available.
-///
-/// Only call this from a `send` whose type **overrides `send_into`**:
-/// with the default `send_into` still in place the two methods delegate
-/// to each other (`send` → `collect_send` → default `send_into` → `send`)
-/// and recurse until the stack overflows.
-///
-/// # Panics
-///
-/// Panics if the `send_into` implementation reports a wrong count or
-/// leaves a slot empty (native implementations of full-duplex protocols
-/// fill every slot).
-pub fn collect_send<A: NodeAlgorithm>(alg: &mut A, round: usize, degree: usize) -> Vec<A::Message> {
-    let mut buf: Vec<Option<A::Message>> = (0..degree).map(|_| None).collect();
-    alg.send_into(round, &mut buf)
-        .expect("native send_into never reports a wrong count");
-    buf.into_iter()
-        .map(|m| m.expect("send_into left a port slot empty"))
-        .collect()
-}
-
-/// A factory constructing the per-node state machine from the node's
-/// degree. Implemented for closures.
-pub trait AlgorithmFactory {
-    /// The node state machine this factory builds.
-    type Algorithm: NodeAlgorithm;
-
-    /// Builds the state machine for a node of degree `degree`. All nodes
-    /// of the same degree must receive identical initial states —
-    /// anonymity is the whole point of the model.
-    fn create(&self, degree: usize) -> Self::Algorithm;
-}
-
-impl<F, A> AlgorithmFactory for F
-where
-    F: Fn(usize) -> A,
-    A: NodeAlgorithm,
-{
-    type Algorithm = A;
-
-    fn create(&self, degree: usize) -> A {
-        self(degree)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pn_graph::{generators, ports, NodeId};
 
-    /// A one-round algorithm: every node immediately outputs its degree.
-    struct DegreeEcho {
+    /// A one-round algorithm: every node outputs what its factory saw.
+    struct Announce {
+        id: usize,
         degree: usize,
     }
 
-    impl NodeAlgorithm for DegreeEcho {
+    impl NodeAlgorithm for Announce {
         type Message = ();
-        type Output = usize;
+        type Output = (usize, usize);
 
-        fn send(&mut self, _round: usize) -> Vec<()> {
-            vec![(); self.degree]
+        fn send_into(&mut self, _round: usize, outbox: &mut [Option<()>]) {
+            outbox.fill(Some(()));
         }
 
-        fn receive(&mut self, _round: usize, _inbox: &[Option<()>]) -> Option<usize> {
-            Some(self.degree)
+        fn receive(&mut self, _round: usize, _inbox: &[Option<()>]) -> Option<(usize, usize)> {
+            Some((self.id, self.degree))
         }
     }
 
     #[test]
     fn closures_are_factories() {
-        let factory = |d: usize| DegreeEcho { degree: d };
-        let mut a = factory.create(3);
-        assert_eq!(a.send(0).len(), 3);
-        assert_eq!(a.receive(0, &[None, None, None]), Some(3));
-    }
-
-    #[test]
-    fn default_send_into_delegates_to_send() {
-        let mut a = DegreeEcho { degree: 2 };
-        let mut outbox = [None, None];
-        a.send_into(0, &mut outbox).unwrap();
-        assert_eq!(outbox, [Some(()), Some(())]);
-    }
-
-    #[test]
-    fn default_send_into_reports_wrong_count() {
-        struct Liar;
-        impl NodeAlgorithm for Liar {
-            type Message = u8;
-            type Output = ();
-            fn send(&mut self, _round: usize) -> Vec<u8> {
-                vec![1, 2, 3]
-            }
-            fn receive(&mut self, _round: usize, _inbox: &[Option<u8>]) -> Option<()> {
-                None
-            }
-        }
-        let mut outbox = [None; 2];
-        assert_eq!(Liar.send_into(0, &mut outbox), Err(WrongCount { got: 3 }));
-    }
-
-    #[test]
-    fn collect_send_round_trips_native_impls() {
-        struct Native {
-            degree: usize,
-        }
-        impl NodeAlgorithm for Native {
-            type Message = u32;
-            type Output = ();
-            fn send(&mut self, round: usize) -> Vec<u32> {
-                collect_send(self, round, self.degree)
-            }
-            fn send_into(
-                &mut self,
-                round: usize,
-                outbox: &mut [Option<u32>],
-            ) -> Result<(), WrongCount> {
-                for (i, slot) in outbox.iter_mut().enumerate() {
-                    *slot = Some((round + i) as u32);
-                }
-                Ok(())
-            }
-            fn receive(&mut self, _round: usize, _inbox: &[Option<u32>]) -> Option<()> {
-                None
-            }
-        }
-        let mut a = Native { degree: 3 };
-        assert_eq!(a.send(5), vec![5, 6, 7]);
+        // Any `Fn(NodeId, usize) -> A` builds the node states: it is
+        // handed every node's id and degree.
+        let g = ports::canonical_ports(&generators::star(3).unwrap()).unwrap();
+        let run = crate::Simulator::new(&g)
+            .run(|v: NodeId, d| Announce {
+                id: v.index(),
+                degree: d,
+            })
+            .unwrap();
+        assert_eq!(run.outputs, vec![(0, 3), (1, 1), (2, 1), (3, 1)]);
     }
 }

@@ -21,12 +21,12 @@
 //! topology, and recovery is measured in the rounds of that re-run.
 //!
 //! Within an epoch the engine is the unmodified static one — the
-//! sequential core, or the persistent worker pool when
-//! [`ChurnSimulator::simulator_threads`] asks for it. The pool applies
-//! each burst at the same epoch barrier as the sequential path and the
-//! per-epoch engine is bit-identical across thread counts, so a whole
-//! churn run is reproducible at any `--simulator-threads` value, and a
-//! run with an **empty** schedule is exactly one static run.
+//! sequential core, or the persistent worker pool when the
+//! [`RunOptions::threads`] set through [`ChurnSimulator::options`] asks
+//! for it. Bursts apply at the same epoch barriers on either engine and
+//! the per-epoch engine is bit-identical across thread counts, so a
+//! whole churn run is reproducible at any thread count, and a run with
+//! an **empty** schedule is exactly one static run.
 //!
 //! # Corruption and recovery
 //!
@@ -199,7 +199,6 @@ where
     topo: DynamicTopology<'g>,
     factory: F,
     options: RunOptions,
-    threads: usize,
     pending_corrupt: Vec<(NodeId, u64)>,
     cancel: Option<CancelToken>,
 }
@@ -211,8 +210,8 @@ where
     A::Output: Send,
     F: Fn(NodeId, usize) -> A,
 {
-    /// A churn simulator over the wiring of `g` with default options and
-    /// the sequential per-epoch engine.
+    /// A churn simulator over the wiring of `g` with default options (so
+    /// the sequential per-epoch engine).
     ///
     /// # Errors
     ///
@@ -223,24 +222,16 @@ where
             topo: DynamicTopology::new(g)?,
             factory,
             options: RunOptions::default(),
-            threads: 1,
             pending_corrupt: Vec::new(),
             cancel: None,
         })
     }
 
-    /// Overrides the per-epoch run options.
+    /// Overrides the per-epoch run options; [`RunOptions::threads`]
+    /// picks each epoch's engine, with bit-identical epochs at every
+    /// value.
     pub fn options(mut self, options: RunOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Routes every epoch through the persistent worker pool on
-    /// `threads` workers (`1` keeps the sequential engine). Epoch
-    /// results are bit-identical at every value — the pool applies
-    /// bursts at the same epoch barriers as the sequential path.
-    pub fn simulator_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -352,14 +343,7 @@ where
         if let Some(token) = &self.cancel {
             sim = sim.cancel_token(token.clone());
         }
-        let run_epoch = |states: Vec<A>| {
-            if self.threads > 1 {
-                sim.run_parallel_states(states, self.threads)
-            } else {
-                sim.run_states(states)
-            }
-        };
-        let (run, reset_recovery) = match run_epoch(self.build_states(&g, false)) {
+        let (run, reset_recovery) = match sim.run_states(self.build_states(&g, false)) {
             Ok(run) => (run, false),
             // A cancelled epoch is a timeout, not scrambled bookkeeping —
             // retrying from reset would just burn the rest of the budget.
@@ -367,7 +351,7 @@ where
             Err(_) if corrupted > 0 => {
                 // Self-stabilizing restart: rebuild, scramble identically,
                 // reset back to initial states, and re-run clean.
-                (run_epoch(self.build_states(&g, true))?, true)
+                (sim.run_states(self.build_states(&g, true))?, true)
             }
             Err(e) => return Err(e.into()),
         };
@@ -406,14 +390,14 @@ mod tests {
     use super::*;
     use pn_graph::{generators, ports, Endpoint, Port};
 
-    /// A two-round echo protocol with corruptible soft state: nodes
+    /// A one-round echo protocol with corruptible soft state: nodes
     /// exchange a token and output `base + smallest neighbour token`.
-    /// `corrupt` garbles the token, `reset` restores it — and a token of
-    /// `u64::MAX` makes the node emit a wrong *message count*, so a
-    /// corrupted epoch can fail outright and exercise reset recovery.
+    /// `corrupt` garbles the token, `reset` restores it — and a node
+    /// holding the token `u64::MAX` never halts, so under a small
+    /// `max_rounds` a corrupted epoch fails outright and exercises reset
+    /// recovery.
     #[derive(Clone, Debug)]
     struct Echo {
-        degree: usize,
         token: u64,
     }
 
@@ -421,15 +405,13 @@ mod tests {
         type Message = u64;
         type Output = u64;
 
-        fn send(&mut self, _round: usize) -> Vec<u64> {
-            if self.token == u64::MAX {
-                return Vec::new(); // wrong count -> RuntimeError
-            }
-            vec![self.token; self.degree]
+        fn send_into(&mut self, _round: usize, outbox: &mut [Option<u64>]) {
+            outbox.fill(Some(self.token));
         }
 
         fn receive(&mut self, _round: usize, inbox: &[Option<u64>]) -> Option<u64> {
-            Some(self.token + inbox.iter().flatten().min().copied().unwrap_or(0))
+            let min = inbox.iter().flatten().min().copied().unwrap_or(0);
+            (self.token != u64::MAX).then(|| self.token.saturating_add(min))
         }
 
         fn corrupt(&mut self, entropy: u64) {
@@ -446,22 +428,22 @@ mod tests {
     }
 
     fn sim(g: &PortNumberedGraph) -> ChurnSimulator<'_, Echo, impl Fn(NodeId, usize) -> Echo> {
-        ChurnSimulator::new(g, |_, d| Echo {
-            degree: d,
-            token: 1,
-        })
-        .unwrap()
+        ChurnSimulator::new(g, |_, _| Echo { token: 1 }).unwrap()
+    }
+
+    /// Run options that fail a never-halting epoch after a few rounds.
+    fn limited(threads: usize) -> RunOptions {
+        RunOptions {
+            max_rounds: 4,
+            threads,
+            ..RunOptions::default()
+        }
     }
 
     #[test]
     fn empty_schedule_is_one_static_run() {
         let g = cycle6();
-        let baseline = Simulator::new(&g)
-            .run(|d| Echo {
-                degree: d,
-                token: 1,
-            })
-            .unwrap();
+        let baseline = Simulator::new(&g).run(|_, _| Echo { token: 1 }).unwrap();
         let epochs = sim(&g).run(&EventSchedule::new()).unwrap();
         assert_eq!(epochs.len(), 1);
         assert_eq!(epochs[0].outputs, baseline.outputs);
@@ -493,7 +475,13 @@ mod tests {
             ]);
         let baseline = sim(&g).run(&schedule).unwrap();
         for threads in [2, 4] {
-            let parallel = sim(&g).simulator_threads(threads).run(&schedule).unwrap();
+            let parallel = sim(&g)
+                .options(RunOptions {
+                    threads,
+                    ..RunOptions::default()
+                })
+                .run(&schedule)
+                .unwrap();
             assert_eq!(parallel.len(), baseline.len());
             for (p, b) in parallel.iter().zip(&baseline) {
                 assert_eq!(p.graph, b.graph, "threads={threads}");
@@ -544,31 +532,33 @@ mod tests {
     #[test]
     fn failed_corrupted_epoch_recovers_through_reset() {
         let g = cycle6();
-        let mut s = sim(&g);
-        s.apply_burst(&[ChurnEvent::Corrupt {
-            v: NodeId::new(3),
-            entropy: u64::MAX, // makes the node's send fail outright
-        }])
-        .unwrap();
-        let epoch = s.stabilize().unwrap();
-        assert!(epoch.reset_recovery);
-        assert_eq!(epoch.corrupted, 1);
-        // After reset the epoch is indistinguishable from a clean one.
-        let clean = sim(&g).stabilize().unwrap();
-        assert_eq!(epoch.outputs, clean.outputs);
+        // Both engines: the pool's round-limit abort must reach reset
+        // recovery exactly like the sequential one.
+        for threads in [1, 2] {
+            let mut s = sim(&g).options(limited(threads));
+            s.apply_burst(&[ChurnEvent::Corrupt {
+                v: NodeId::new(3),
+                entropy: u64::MAX, // the node never halts: the epoch fails
+            }])
+            .unwrap();
+            let epoch = s.stabilize().unwrap();
+            assert!(epoch.reset_recovery, "threads={threads}");
+            assert_eq!(epoch.corrupted, 1);
+            // After reset the epoch is indistinguishable from a clean one.
+            let clean = sim(&g).stabilize().unwrap();
+            assert_eq!(epoch.outputs, clean.outputs, "threads={threads}");
+        }
     }
 
     #[test]
     fn uncorrupted_failure_propagates() {
         let g = ports::canonical_ports(&generators::cycle(4).unwrap()).unwrap();
-        let mut s = ChurnSimulator::new(&g, |_, d| Echo {
-            degree: d,
-            token: u64::MAX,
-        })
-        .unwrap();
+        let mut s = ChurnSimulator::new(&g, |_, _| Echo { token: u64::MAX })
+            .unwrap()
+            .options(limited(1));
         assert!(matches!(
             s.stabilize(),
-            Err(ChurnError::Runtime(RuntimeError::WrongMessageCount { .. }))
+            Err(ChurnError::Runtime(RuntimeError::RoundLimitExceeded { .. }))
         ));
     }
 
@@ -597,7 +587,7 @@ mod tests {
         // epoch must report the timeout, not attempt the reset re-run.
         let token = CancelToken::new();
         token.cancel();
-        let mut s = sim(&g).cancel_token(token);
+        let mut s = sim(&g).options(limited(1)).cancel_token(token);
         s.apply_burst(&[ChurnEvent::Corrupt {
             v: NodeId::new(0),
             entropy: u64::MAX,
@@ -634,10 +624,7 @@ mod tests {
         )
         .unwrap();
         for g in [&half_loop, &parallel] {
-            let s = ChurnSimulator::new(g, |_, d| Echo {
-                degree: d,
-                token: 1,
-            });
+            let s = ChurnSimulator::new(g, |_, _| Echo { token: 1 });
             assert!(matches!(s, Err(GraphError::NotSimple { .. })));
         }
     }

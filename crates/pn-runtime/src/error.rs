@@ -16,16 +16,6 @@ pub enum RuntimeError {
         /// Number of nodes still running.
         still_running: usize,
     },
-    /// A node emitted the wrong number of outgoing messages: a node of
-    /// degree `d` must send exactly one message per port.
-    WrongMessageCount {
-        /// The offending node.
-        node: NodeId,
-        /// Number of messages emitted.
-        got: usize,
-        /// The node's degree.
-        expected: usize,
-    },
     /// A port-set output is not internally consistent: `i ∈ X(v)` with
     /// `p(v, i) = (u, j)` requires `j ∈ X(u)` (paper Section 2.2).
     InconsistentOutput {
@@ -68,14 +58,6 @@ impl fmt::Display for RuntimeError {
                 f,
                 "round limit {limit} exceeded with {still_running} nodes still running"
             ),
-            RuntimeError::WrongMessageCount {
-                node,
-                got,
-                expected,
-            } => write!(
-                f,
-                "node {node} sent {got} messages but has degree {expected}"
-            ),
             RuntimeError::InconsistentOutput {
                 node,
                 port,
@@ -114,10 +96,10 @@ mod tests {
             still_running: 3,
         };
         assert!(e.to_string().contains("10"));
-        let e = RuntimeError::WrongMessageCount {
+        let e = RuntimeError::OutputPortOutOfRange {
             node: NodeId::new(2),
-            got: 1,
-            expected: 3,
+            port: Port::new(4),
+            degree: 3,
         };
         assert!(e.to_string().contains("degree 3"));
     }

@@ -16,11 +16,13 @@
 //!
 //! # The three-phase round engine
 //!
-//! There is one sequential engine ([`Simulator::run`],
-//! [`Simulator::run_with_inputs`]) and one worker pool
-//! ([`Simulator::run_parallel`], [`Simulator::run_parallel_with_inputs`]).
-//! The sequential engine is the oracle: the pool is bit-identical to it
-//! at every thread count. Both execute the same zero-allocation
+//! [`Simulator::run`] is the one entry point. It builds every node's
+//! state with a factory `Fn(NodeId, usize) -> A` (node id and degree;
+//! anonymous protocols ignore the id) and runs it on one of two private
+//! engines: the sequential engine, or a worker pool when
+//! [`RunOptions::threads`] is two or more. The sequential engine is the
+//! oracle: the pool is bit-identical to it at every thread count. Both
+//! execute the same zero-allocation
 //! round loop over two flat per-port message buffers (`outbox`, `inbox`),
 //! laid out in the graph's slot arena: node `v`'s ports occupy the
 //! contiguous window starting at
@@ -47,8 +49,8 @@
 //! where a few high-degree nodes outlive everyone else run at the cost
 //! of the survivors, not of the graph.
 //!
-//! [`Simulator::run_parallel`] executes the same loop on a **persistent
-//! worker pool**: workers are spawned once per run, own contiguous node
+//! The pool executes the same loop on **persistent workers**: they are
+//! spawned once per run, own contiguous node
 //! chunks (states, slot ranges, per-chunk frontiers), and synchronise
 //! phases through an epoch barrier — two barrier waits per round,
 //! cross-chunk messages moved through per-pair mailboxes, results
@@ -57,42 +59,34 @@
 //! quiescent chunks, barrier poisoning).
 //!
 //! Execution transcripts ([`RunOptions::record_trace`]) are captured by a
-//! separate traced route phase; with tracing off (the default) the hot
-//! loop contains no formatting and no per-message branching beyond the
+//! separate traced route phase of the sequential engine, which a traced
+//! run always takes; with tracing off (the default) the hot loop
+//! contains no formatting and no per-message branching beyond the
 //! occupancy check.
 //!
-//! # Migrating from `send` to `send_into`
-//!
-//! [`NodeAlgorithm::send`] (allocate and return a `Vec` per node per
-//! round) keeps working unchanged: the default
-//! [`NodeAlgorithm::send_into`] delegates to it and enforces the
-//! message-count contract. Hot algorithms should override `send_into` to
-//! write into the engine-owned window directly and implement `send` as
-//! `pn_runtime::collect_send(self, round, degree)` for API
-//! compatibility; see `eds_core::distributed` for migrated examples.
-//! A native `send_into` may leave a slot `None`, which delivers nothing
-//! on that port (the peer receives `None`, as from a halted neighbour).
-//! Silent ports have no representation in the legacy `Vec` API, so an
-//! algorithm that uses them cannot go through [`collect_send`] (it
-//! panics on empty slots by design) — implement `send` as
-//! `unimplemented!` for such protocols and route all callers through
-//! the simulator, which only ever calls `send_into`.
+//! A node sends by writing into its window of the outbox
+//! ([`NodeAlgorithm::send_into`]), one slot per port, so the engine never
+//! allocates per node per round and a node cannot send the wrong number
+//! of messages. A slot left `None` delivers nothing on that port (the
+//! peer receives `None`, as from a halted neighbour).
 //!
 //! # Example
 //!
-//! The "port-1" algorithm of Theorem 3 in 15 lines: every node selects
+//! The "port-1" algorithm of Theorem 3 in 20 lines: every node selects
 //! port 1 and any port whose counterpart announced itself as a port 1.
 //!
 //! ```
 //! use pn_graph::{generators, ports, Port};
 //! use pn_runtime::{edge_set_from_outputs, NodeAlgorithm, PortSet, Simulator};
 //!
-//! struct PortOne { degree: usize }
+//! struct PortOne;
 //! impl NodeAlgorithm for PortOne {
 //!     type Message = bool; // "my end of this link is port 1"
 //!     type Output = PortSet;
-//!     fn send(&mut self, _r: usize) -> Vec<bool> {
-//!         (1..=self.degree).map(|i| i == 1).collect()
+//!     fn send_into(&mut self, _r: usize, outbox: &mut [Option<bool>]) {
+//!         for (i, slot) in outbox.iter_mut().enumerate() {
+//!             *slot = Some(i == 0);
+//!         }
 //!     }
 //!     fn receive(&mut self, _r: usize, inbox: &[Option<bool>]) -> Option<PortSet> {
 //!         let mut x = PortSet::new();
@@ -108,7 +102,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let g = ports::canonical_ports(&generators::cycle(6)?)?;
-//! let run = Simulator::new(&g).run(|d| PortOne { degree: d })?;
+//! let run = Simulator::new(&g).run(|_, _| PortOne)?;
 //! let edges = edge_set_from_outputs(&g, &run.outputs)?; // consistent!
 //! assert!(!edges.is_empty());
 //! # Ok(())
@@ -129,7 +123,7 @@ mod pool;
 mod simulator;
 mod trace;
 
-pub use algorithm::{collect_send, entropy_stream, AlgorithmFactory, NodeAlgorithm, WrongCount};
+pub use algorithm::{entropy_stream, NodeAlgorithm};
 pub use cancel::CancelToken;
 pub use churn::{ChurnError, ChurnEvent, ChurnSimulator, Epoch, EventSchedule};
 pub use error::RuntimeError;

@@ -3,13 +3,14 @@
 //!
 //! # Execution model
 //!
-//! [`Simulator::run_parallel`] spawns `threads - 1` OS threads **once per
-//! run** (the calling thread seats the remaining worker) and moves the
-//! whole round loop inside that scope. Nodes are partitioned into one
-//! contiguous chunk per worker; each worker exclusively owns its chunk's
-//! algorithm states, outbox and inbox slot ranges, output/halt slots and
-//! an **active-node frontier** (compacted in place as its nodes halt,
-//! exactly like the sequential engine). Workers advance in lock step
+//! [`Simulator::run`] with [`RunOptions::threads`] `≥ 2` spawns
+//! `threads - 1` OS threads **once per run** (the calling thread seats
+//! the remaining worker; `threads` is clamped to the node count) and
+//! moves the whole round loop inside that scope. Nodes are partitioned
+//! into one contiguous chunk per worker; each worker exclusively owns its
+//! chunk's algorithm states, outbox and inbox slot ranges, output/halt
+//! slots and an **active-node frontier** (compacted in place as its nodes
+//! halt, exactly like the sequential engine). Workers advance in lock step
 //! through a shared [`PoolBarrier`] — an epoch counter plus a poisoning
 //! flag — so the steady-state cost of a round is **two barrier waits**,
 //! not the `3 × threads` thread spawns of the previous scoped-spawn
@@ -46,30 +47,29 @@
 //!
 //! [`RunOptions::max_rounds`]: crate::RunOptions::max_rounds
 //! [`RunOptions::record_trace`]: crate::RunOptions::record_trace
+//! [`RunOptions::threads`]: crate::RunOptions::threads
 //!
 //! Chunks are contiguous node ranges on purpose: for structured
 //! workloads (cycles, grids, lifts) most edges stay within a chunk, so
 //! the bulk of the traffic takes the direct in-chunk move and the
 //! mailboxes carry only the boundary.
 //!
-//! `threads == 1` (or a single-node graph) bypasses the pool entirely
-//! and runs the sequential engine — bit-identical by construction and
-//! honouring [`RunOptions::record_trace`]. With two or more workers
-//! tracing is not supported; use the sequential driver when a transcript
-//! is needed.
+//! One thread (or a single-node graph) never reaches the pool:
+//! [`Simulator::run`] takes the sequential engine. So does a run with
+//! [`RunOptions::record_trace`] set, since the pool records no
+//! transcript.
 //!
-//! [`Simulator::run_parallel`] produces **bit-identical** [`Run`]s to
-//! [`Simulator::run`] for every thread count — outputs, halt rounds and
-//! message totals (per-worker counters merged in deterministic chunk
-//! order at the end). The equivalence suite asserts this, not just
-//! promises it.
+//! The pool produces **bit-identical** [`Run`]s to the sequential
+//! engine for every thread count — outputs, halt rounds and message
+//! totals (per-worker counters merged in deterministic chunk order at
+//! the end). The equivalence suite asserts this, not just promises it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use pn_graph::NodeId;
 
-use crate::algorithm::{AlgorithmFactory, NodeAlgorithm};
+use crate::algorithm::NodeAlgorithm;
 use crate::metrics::RunFlush;
 use crate::simulator::{Run, Simulator};
 use crate::{CancelToken, RuntimeError};
@@ -199,8 +199,8 @@ struct SharedCtx<'a, A: NodeAlgorithm> {
     /// phase, so every lock is uncontended in the steady state.
     mailboxes: Vec<Mailbox<A::Message>>,
     barrier: PoolBarrier,
-    /// Set by a worker whose chunk produced a [`RuntimeError`]; every
-    /// worker checks it after the route barrier and aborts the run.
+    /// Set by worker 0 when the cancellation token fires; every worker
+    /// checks it after the route barrier and aborts the run.
     failed: AtomicBool,
     /// Per-chunk remaining-node counts, republished every round after
     /// the receive phase; their sum is the termination condition every
@@ -242,69 +242,13 @@ struct Seat<'a, A: NodeAlgorithm> {
     outbound: Vec<Vec<(u32, A::Message)>>,
 }
 
-impl<'g> Simulator<'g> {
-    /// Runs the algorithm on a pool of `threads` persistent workers
-    /// (clamped to at least 1 and at most the node count). Results are
-    /// bit-identical to [`Simulator::run`]; wall-clock time shrinks for
-    /// large graphs on multi-core hosts.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulator::run`].
-    pub fn run_parallel<F>(
-        &self,
-        factory: F,
-        threads: usize,
-    ) -> Result<Run<<F::Algorithm as NodeAlgorithm>::Output>, RuntimeError>
-    where
-        F: AlgorithmFactory,
-        F::Algorithm: Send,
-        <F::Algorithm as NodeAlgorithm>::Message: Send,
-        <F::Algorithm as NodeAlgorithm>::Output: Send,
-    {
-        let g = self.graph();
-        self.run_parallel_states(
-            g.nodes().map(|v| factory.create(g.degree(v))).collect(),
-            threads,
-        )
-    }
-
-    /// The per-node-inputs sibling of [`Simulator::run_parallel`]: the
-    /// identifier-model entry point ([`Simulator::run_with_inputs`]) on
-    /// the worker pool, again bit-identical to the sequential run.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulator::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the node count.
-    pub fn run_parallel_with_inputs<A, I>(
-        &self,
-        inputs: &[I],
-        factory: impl Fn(usize, &I) -> A,
-        threads: usize,
-    ) -> Result<Run<A::Output>, RuntimeError>
-    where
-        A: NodeAlgorithm + Send,
-        A::Message: Send,
-        A::Output: Send,
-    {
-        let g = self.graph();
-        assert_eq!(inputs.len(), g.node_count(), "one input per node required");
-        self.run_parallel_states(
-            g.nodes()
-                .map(|v| factory(g.degree(v), &inputs[v.index()]))
-                .collect(),
-            threads,
-        )
-    }
-
-    pub(crate) fn run_parallel_states<A>(
+impl Simulator<'_> {
+    /// The worker-pool engine behind [`Simulator::run`] for `workers`
+    /// (`2..=n`) threads.
+    pub(crate) fn run_pool<A>(
         &self,
         states: Vec<A>,
-        threads: usize,
+        workers: usize,
     ) -> Result<Run<A::Output>, RuntimeError>
     where
         A: NodeAlgorithm + Send,
@@ -313,15 +257,6 @@ impl<'g> Simulator<'g> {
     {
         let g = self.graph();
         let n = g.node_count();
-        let workers = threads.clamp(1, n.max(1));
-        if workers <= 1 {
-            // Not worth a pool: the sequential engine *is* the
-            // single-worker pool, without the barriers (and it honours
-            // `record_trace`, making `run_parallel(_, 1)` behave exactly
-            // like `run`).
-            return self.run_states(states);
-        }
-
         type Msg<A> = <A as NodeAlgorithm>::Message;
         type Out<A> = <A as NodeAlgorithm>::Output;
 
@@ -420,8 +355,8 @@ impl<'g> Simulator<'g> {
             results
         });
 
-        // First error in chunk order: chunks hold ascending node ids, so
-        // this is the same node the sequential engine would report.
+        // Only worker 0 materialises an error (the round limit or a
+        // cancellation); the others abort quietly.
         let mut messages = 0usize;
         for r in results {
             messages += r?;
@@ -488,9 +423,7 @@ where
         // ---- Send + route (fused), frontier-driven: each node's
         // freshly written window is gathered while still cache-hot.
         // Gathering before an abort is harmless — everything it touches
-        // (own inbox, private staging) dies with the aborted run, and
-        // the mailbox handoff below only happens on success. ----
-        let mut sent_ok = true;
+        // (own inbox, staging, mailboxes) dies with the aborted run. ----
         let slot_base = seat.slot_base;
         let route = sh.route;
         for &vu in &seat.frontier {
@@ -502,16 +435,7 @@ where
                 .as_mut()
                 .expect("frontier nodes run");
             let window = &mut seat.outbox[local..local + d];
-            if let Err(wrong) = state.send_into(rounds, window) {
-                my_error = Some(RuntimeError::WrongMessageCount {
-                    node: NodeId::new(v),
-                    got: wrong.got,
-                    expected: d,
-                });
-                sh.failed.store(true, Ordering::Release);
-                sent_ok = false;
-                break;
-            }
+            state.send_into(rounds, window);
             for (off, slot) in window.iter_mut().enumerate() {
                 if let Some(m) = slot.take() {
                     messages += 1;
@@ -529,19 +453,17 @@ where
                 }
             }
         }
-        if sent_ok {
-            // Hand the staged cross-chunk messages over wholesale: one
-            // uncontended lock per destination chunk, buffers swapped so
-            // both sides keep their capacity.
-            for (dest_worker, staged) in seat.outbound.iter_mut().enumerate() {
-                if staged.is_empty() {
-                    continue;
-                }
-                let mut mailbox = sh.mailboxes[seat.index * workers + dest_worker]
-                    .lock()
-                    .expect("mailbox lock");
-                std::mem::swap(&mut *mailbox, staged);
+        // Hand the staged cross-chunk messages over wholesale: one
+        // uncontended lock per destination chunk, buffers swapped so both
+        // sides keep their capacity.
+        for (dest_worker, staged) in seat.outbound.iter_mut().enumerate() {
+            if staged.is_empty() {
+                continue;
             }
+            let mut mailbox = sh.mailboxes[seat.index * workers + dest_worker]
+                .lock()
+                .expect("mailbox lock");
+            std::mem::swap(&mut *mailbox, staged);
         }
         if sh.barrier.wait().is_err() {
             return Ok(0); // a peer panicked; the scope join re-raises it
@@ -620,12 +542,22 @@ where
 #[cfg(test)]
 mod tests {
     use super::PoolBarrier;
-    use crate::{NodeAlgorithm, Simulator};
-    use pn_graph::{generators, ports};
+    use crate::{NodeAlgorithm, RunOptions, Simulator};
+    use pn_graph::{generators, ports, PortNumberedGraph};
+
+    /// A simulator for `g` running on `threads` workers.
+    fn pool(g: &PortNumberedGraph, threads: usize) -> Simulator<'_> {
+        Simulator::with_options(
+            g,
+            RunOptions {
+                threads,
+                ..RunOptions::default()
+            },
+        )
+    }
 
     #[derive(Clone)]
     struct Gossip {
-        degree: usize,
         acc: u64,
         left: usize,
     }
@@ -633,10 +565,10 @@ mod tests {
     impl NodeAlgorithm for Gossip {
         type Message = u64;
         type Output = u64;
-        fn send(&mut self, _r: usize) -> Vec<u64> {
-            (0..self.degree)
-                .map(|q| self.acc.wrapping_add(q as u64))
-                .collect()
+        fn send_into(&mut self, _r: usize, outbox: &mut [Option<u64>]) {
+            for (q, slot) in outbox.iter_mut().enumerate() {
+                *slot = Some(self.acc.wrapping_add(q as u64));
+            }
         }
         fn receive(&mut self, _r: usize, inbox: &[Option<u64>]) -> Option<u64> {
             for m in inbox.iter().flatten() {
@@ -653,14 +585,13 @@ mod tests {
             let n = if (n * d) % 2 == 1 { n + 1 } else { n };
             let g = generators::random_regular(n, d, seed).unwrap();
             let pg = ports::shuffled_ports(&g, seed).unwrap();
-            let factory = |deg: usize| Gossip {
-                degree: deg,
+            let factory = |_, deg: usize| Gossip {
                 acc: deg as u64,
                 left: 9,
             };
             let seq = Simulator::new(&pg).run(factory).unwrap();
             for threads in [1usize, 2, 3, 8, 1000] {
-                let par = Simulator::new(&pg).run_parallel(factory, threads).unwrap();
+                let par = pool(&pg, threads).run(factory).unwrap();
                 assert_eq!(par.outputs, seq.outputs, "threads = {threads}");
                 assert_eq!(par.rounds, seq.rounds);
                 assert_eq!(par.messages, seq.messages);
@@ -684,8 +615,8 @@ mod tests {
         impl NodeAlgorithm for Staggered {
             type Message = u64;
             type Output = u64;
-            fn send(&mut self, r: usize) -> Vec<u64> {
-                vec![self.seen.wrapping_add(r as u64); self.degree]
+            fn send_into(&mut self, r: usize, outbox: &mut [Option<u64>]) {
+                outbox.fill(Some(self.seen.wrapping_add(r as u64)));
             }
             fn receive(&mut self, _r: usize, inbox: &[Option<u64>]) -> Option<u64> {
                 for (q, m) in inbox.iter().enumerate() {
@@ -700,14 +631,14 @@ mod tests {
         }
         let g = generators::gnp(40, 0.12, 5).unwrap();
         let pg = ports::shuffled_ports(&g, 6).unwrap();
-        let factory = |d: usize| Staggered {
+        let factory = |_, d: usize| Staggered {
             degree: d,
             seen: d as u64,
             round_count: 0,
         };
         let seq = Simulator::new(&pg).run(factory).unwrap();
         for threads in [1usize, 2, 5, 16] {
-            let par = Simulator::new(&pg).run_parallel(factory, threads).unwrap();
+            let par = pool(&pg, threads).run(factory).unwrap();
             assert_eq!(par.outputs, seq.outputs, "threads = {threads}");
             assert_eq!(par.messages, seq.messages, "threads = {threads}");
             assert_eq!(par.halted_at, seq.halted_at, "threads = {threads}");
@@ -721,8 +652,10 @@ mod tests {
     impl NodeAlgorithm for PortOne {
         type Message = bool;
         type Output = crate::PortSet;
-        fn send(&mut self, _r: usize) -> Vec<bool> {
-            (1..=self.degree).map(|i| i == 1).collect()
+        fn send_into(&mut self, _r: usize, outbox: &mut [Option<bool>]) {
+            for (i, slot) in outbox.iter_mut().enumerate() {
+                *slot = Some(i == 0);
+            }
         }
         fn receive(&mut self, _r: usize, inbox: &[Option<bool>]) -> Option<crate::PortSet> {
             let mut x = crate::PortSet::new();
@@ -742,11 +675,9 @@ mod tests {
     fn parallel_runs_real_protocols() {
         let g = ports::shuffled_ports(&generators::torus(6, 6).unwrap(), 4).unwrap();
         let seq = Simulator::new(&g)
-            .run(|d: usize| PortOne { degree: d })
+            .run(|_, d| PortOne { degree: d })
             .unwrap();
-        let par = Simulator::new(&g)
-            .run_parallel(|d: usize| PortOne { degree: d }, 4)
-            .unwrap();
+        let par = pool(&g, 4).run(|_, d| PortOne { degree: d }).unwrap();
         assert_eq!(seq.outputs, par.outputs);
         let edges = crate::edge_set_from_outputs(&g, &par.outputs).unwrap();
         assert!(!edges.is_empty());
@@ -754,53 +685,52 @@ mod tests {
 
     #[test]
     fn parallel_error_paths() {
-        struct Liar {
-            degree: usize,
+        // A token that fired before the run: worker 0 raises the abort
+        // on the first barrier, every worker stops, and the caller gets
+        // one structured error, before any round ran.
+        let g = ports::canonical_ports(&generators::cycle(9).unwrap()).unwrap();
+        for threads in [2usize, 3] {
+            let token = crate::CancelToken::new();
+            token.cancel();
+            let err = pool(&g, threads)
+                .cancel_token(token)
+                .run(|_, d| PortOne { degree: d })
+                .unwrap_err();
+            assert_eq!(
+                err,
+                crate::RuntimeError::Cancelled {
+                    after_rounds: 0,
+                    still_running: 9
+                },
+                "threads = {threads}"
+            );
         }
-        impl NodeAlgorithm for Liar {
-            type Message = ();
-            type Output = ();
-            fn send(&mut self, _r: usize) -> Vec<()> {
-                vec![(); self.degree + 1]
-            }
-            fn receive(&mut self, _r: usize, _i: &[Option<()>]) -> Option<()> {
-                Some(())
-            }
-        }
-        let g = ports::canonical_ports(&generators::cycle(5).unwrap()).unwrap();
-        let err = Simulator::new(&g)
-            .run_parallel(|d: usize| Liar { degree: d }, 3)
-            .unwrap_err();
-        assert!(matches!(err, crate::RuntimeError::WrongMessageCount { .. }));
     }
 
     #[test]
     fn parallel_round_limit() {
-        struct Forever {
-            degree: usize,
-        }
+        struct Forever;
         impl NodeAlgorithm for Forever {
             type Message = ();
             type Output = ();
-            fn send(&mut self, _r: usize) -> Vec<()> {
-                vec![(); self.degree]
+            fn send_into(&mut self, _r: usize, outbox: &mut [Option<()>]) {
+                outbox.fill(Some(()));
             }
             fn receive(&mut self, _r: usize, _i: &[Option<()>]) -> Option<()> {
                 None
             }
         }
         let g = ports::canonical_ports(&generators::cycle(12).unwrap()).unwrap();
-        let sim = Simulator::with_options(
-            &g,
-            crate::RunOptions {
-                max_rounds: 7,
-                ..crate::RunOptions::default()
-            },
-        );
         for threads in [2usize, 4] {
-            let err = sim
-                .run_parallel(|d: usize| Forever { degree: d }, threads)
-                .unwrap_err();
+            let sim = Simulator::with_options(
+                &g,
+                RunOptions {
+                    max_rounds: 7,
+                    threads,
+                    ..RunOptions::default()
+                },
+            );
+            let err = sim.run(|_, _| Forever).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -817,14 +747,13 @@ mod tests {
     #[test]
     fn panicking_algorithm_propagates_without_deadlock() {
         struct Bomb {
-            degree: usize,
             armed: bool,
         }
         impl NodeAlgorithm for Bomb {
             type Message = ();
             type Output = ();
-            fn send(&mut self, _r: usize) -> Vec<()> {
-                vec![(); self.degree]
+            fn send_into(&mut self, _r: usize, outbox: &mut [Option<()>]) {
+                outbox.fill(Some(()));
             }
             fn receive(&mut self, _r: usize, _i: &[Option<()>]) -> Option<()> {
                 assert!(!self.armed, "bomb went off");
@@ -832,16 +761,12 @@ mod tests {
             }
         }
         let g = ports::canonical_ports(&generators::cycle(16).unwrap()).unwrap();
-        let sim = Simulator::new(&g);
+        let sim = pool(&g, 4);
         let armed = std::sync::atomic::AtomicBool::new(true);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sim.run_parallel(
-                |d: usize| Bomb {
-                    degree: d,
-                    armed: armed.swap(false, std::sync::atomic::Ordering::Relaxed),
-                },
-                4,
-            )
+            sim.run(|_, _| Bomb {
+                armed: armed.swap(false, std::sync::atomic::Ordering::Relaxed),
+            })
         }));
         assert!(result.is_err(), "panic must propagate, not deadlock");
     }

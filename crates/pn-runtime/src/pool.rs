@@ -1,7 +1,8 @@
 //! A persistent, bounded, batching worker pool for solver services.
 //!
-//! The simulator's own parallel engine ([`crate::Simulator::run_parallel`])
-//! spawns its workers per run and shards the *nodes of one graph*; this
+//! The simulator's own parallel engine ([`crate::Simulator::run`] with
+//! [`crate::RunOptions::threads`] `≥ 2`) spawns its workers per run and
+//! shards the *nodes of one graph*; this
 //! module is the complementary layer above it: a pool that outlives any
 //! single run and shards *independent jobs* (whole solve requests) across
 //! long-lived threads. `eds-serve` multiplexes every client connection

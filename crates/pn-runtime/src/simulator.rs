@@ -8,7 +8,7 @@
 
 use pn_graph::{Endpoint, NodeId, Port, PortNumberedGraph};
 
-use crate::algorithm::{AlgorithmFactory, NodeAlgorithm};
+use crate::algorithm::NodeAlgorithm;
 use crate::metrics::RunFlush;
 use crate::{CancelToken, RuntimeError};
 
@@ -19,8 +19,15 @@ pub struct RunOptions {
     /// still running after this many rounds. Defaults to 1,000,000.
     pub max_rounds: usize,
     /// Record a full [`crate::Trace`] of message deliveries and halts
-    /// (costly; off by default).
+    /// (costly; off by default). A traced run always takes the
+    /// sequential engine, whatever [`RunOptions::threads`] says: the pool
+    /// records no transcript, and the two engines are bit-identical, so
+    /// the trace is the one the pool's run would have produced.
     pub record_trace: bool,
+    /// Worker threads for the run. `1` (the default) runs the sequential
+    /// engine; two or more run the persistent worker pool, clamped to the
+    /// node count. Results are bit-identical at every value.
+    pub threads: usize,
 }
 
 impl Default for RunOptions {
@@ -28,6 +35,7 @@ impl Default for RunOptions {
         RunOptions {
             max_rounds: 1_000_000,
             record_trace: false,
+            threads: 1,
         }
     }
 }
@@ -65,11 +73,13 @@ pub struct Run<O> {
 /// use pn_graph::{generators, ports};
 /// use pn_runtime::{NodeAlgorithm, Simulator};
 ///
-/// struct Ping { degree: usize, got: usize }
+/// struct Ping { got: usize }
 /// impl NodeAlgorithm for Ping {
 ///     type Message = u64;
 ///     type Output = usize;
-///     fn send(&mut self, _round: usize) -> Vec<u64> { vec![7; self.degree] }
+///     fn send_into(&mut self, _round: usize, outbox: &mut [Option<u64>]) {
+///         outbox.fill(Some(7));
+///     }
 ///     fn receive(&mut self, _round: usize, inbox: &[Option<u64>]) -> Option<usize> {
 ///         self.got = inbox.iter().flatten().count();
 ///         Some(self.got)
@@ -78,7 +88,7 @@ pub struct Run<O> {
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = ports::canonical_ports(&generators::cycle(5)?)?;
-/// let run = Simulator::new(&g).run(|d| Ping { degree: d, got: 0 })?;
+/// let run = Simulator::new(&g).run(|_, _| Ping { got: 0 })?;
 /// assert_eq!(run.rounds, 1);
 /// assert!(run.outputs.iter().all(|&o| o == 2));
 /// # Ok(())
@@ -155,64 +165,52 @@ impl<'g> Simulator<'g> {
     /// Runs the algorithm built by `factory` at every node until all
     /// nodes halt.
     ///
-    /// # Errors
+    /// The factory receives each node's id and degree. Anonymous
+    /// protocols, the port-numbering model proper, ignore the id;
+    /// identifier-model baselines use it to look up their per-node
+    /// inputs, which deliberately breaks the symmetry the model is about.
     ///
-    /// * [`RuntimeError::WrongMessageCount`] if a node sends a number of
-    ///   messages different from its degree;
-    /// * [`RuntimeError::RoundLimitExceeded`] if the round limit is hit.
-    pub fn run<F>(
-        &self,
-        factory: F,
-    ) -> Result<Run<<F::Algorithm as NodeAlgorithm>::Output>, RuntimeError>
-    where
-        F: AlgorithmFactory,
-    {
-        self.run_states(
-            self.graph
-                .nodes()
-                .map(|v| factory.create(self.graph.degree(v)))
-                .collect(),
-        )
-    }
-
-    /// Runs an algorithm whose nodes receive **per-node inputs** in
-    /// addition to their degree — the *identifier model* and other
-    /// non-anonymous settings. `inputs[v]` is handed to the factory
-    /// together with the degree of node `v`.
-    ///
-    /// Anonymous algorithms should use [`Simulator::run`]; this entry
-    /// point deliberately breaks the symmetry the port-numbering model is
-    /// about, and exists to host the paper's identifier-model baselines.
+    /// [`RunOptions::threads`] picks the engine: the sequential round
+    /// loop, or the persistent worker pool (see the `parallel` module)
+    /// for two or more threads. Both return bit-identical [`Run`]s.
     ///
     /// # Errors
     ///
-    /// Same as [`Simulator::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the node count.
-    pub fn run_with_inputs<A, I>(
-        &self,
-        inputs: &[I],
-        factory: impl Fn(usize, &I) -> A,
-    ) -> Result<Run<A::Output>, RuntimeError>
+    /// * [`RuntimeError::RoundLimitExceeded`] if the round limit is hit;
+    /// * [`RuntimeError::Cancelled`] once an installed [`CancelToken`]
+    ///   fires.
+    pub fn run<A, F>(&self, factory: F) -> Result<Run<A::Output>, RuntimeError>
     where
-        A: NodeAlgorithm,
+        A: NodeAlgorithm + Send,
+        A::Message: Send,
+        A::Output: Send,
+        F: Fn(NodeId, usize) -> A,
     {
-        assert_eq!(
-            inputs.len(),
-            self.graph.node_count(),
-            "one input per node required"
-        );
-        self.run_states(
-            self.graph
-                .nodes()
-                .map(|v| factory(self.graph.degree(v), &inputs[v.index()]))
-                .collect(),
-        )
+        let g = self.graph;
+        self.run_states(g.nodes().map(|v| factory(v, g.degree(v))).collect())
     }
 
+    /// Runs prebuilt node states on the engine [`RunOptions::threads`]
+    /// picks (a traced run always takes the sequential one).
     pub(crate) fn run_states<A>(&self, states: Vec<A>) -> Result<Run<A::Output>, RuntimeError>
+    where
+        A: NodeAlgorithm + Send,
+        A::Message: Send,
+        A::Output: Send,
+    {
+        let workers = self
+            .options
+            .threads
+            .clamp(1, self.graph.node_count().max(1));
+        if workers > 1 && !self.options.record_trace {
+            self.run_pool(states, workers)
+        } else {
+            self.run_sequential(states)
+        }
+    }
+
+    /// The sequential engine: the oracle the pool is bit-identical to.
+    fn run_sequential<A>(&self, states: Vec<A>) -> Result<Run<A::Output>, RuntimeError>
     where
         A: NodeAlgorithm,
     {
@@ -266,13 +264,7 @@ impl<'g> Simulator<'g> {
                 let base = offsets[v];
                 let d = g.degree(NodeId::new(v));
                 let state = states[v].as_mut().expect("frontier nodes are running");
-                state
-                    .send_into(rounds, &mut outbox[base..base + d])
-                    .map_err(|wrong| RuntimeError::WrongMessageCount {
-                        node: NodeId::new(v),
-                        got: wrong.got,
-                        expected: d,
-                    })?;
+                state.send_into(rounds, &mut outbox[base..base + d]);
             }
 
             // ---- Route phase: permuted move through the routing table,
@@ -371,7 +363,6 @@ mod tests {
 
     /// Flood the minimum of an initial per-degree token for `t` rounds.
     struct MinFlood {
-        degree: usize,
         value: u64,
         rounds_left: usize,
     }
@@ -380,8 +371,8 @@ mod tests {
         type Message = u64;
         type Output = u64;
 
-        fn send(&mut self, _round: usize) -> Vec<u64> {
-            vec![self.value; self.degree]
+        fn send_into(&mut self, _round: usize, outbox: &mut [Option<u64>]) {
+            outbox.fill(Some(self.value));
         }
 
         fn receive(&mut self, _round: usize, inbox: &[Option<u64>]) -> Option<u64> {
@@ -402,8 +393,7 @@ mod tests {
         // Degrees on a path: endpoints 1, middle 2. Min value = 1.
         let g = ports::canonical_ports(&generators::path(6).unwrap()).unwrap();
         let run = Simulator::new(&g)
-            .run(|d| MinFlood {
-                degree: d,
+            .run(|_, d| MinFlood {
                 value: d as u64,
                 rounds_left: 6,
             })
@@ -416,14 +406,12 @@ mod tests {
 
     #[test]
     fn round_limit_enforced() {
-        struct Forever {
-            degree: usize,
-        }
+        struct Forever;
         impl NodeAlgorithm for Forever {
             type Message = ();
             type Output = ();
-            fn send(&mut self, _round: usize) -> Vec<()> {
-                vec![(); self.degree]
+            fn send_into(&mut self, _round: usize, outbox: &mut [Option<()>]) {
+                outbox.fill(Some(()));
             }
             fn receive(&mut self, _round: usize, _inbox: &[Option<()>]) -> Option<()> {
                 None
@@ -437,7 +425,7 @@ mod tests {
                 ..RunOptions::default()
             },
         );
-        let err = sim.run(|d| Forever { degree: d }).unwrap_err();
+        let err = sim.run(|_, _| Forever).unwrap_err();
         assert!(matches!(
             err,
             RuntimeError::RoundLimitExceeded { limit: 5, .. }
@@ -445,35 +433,15 @@ mod tests {
     }
 
     #[test]
-    fn wrong_message_count_detected() {
-        struct Liar;
-        impl NodeAlgorithm for Liar {
-            type Message = ();
-            type Output = ();
-            fn send(&mut self, _round: usize) -> Vec<()> {
-                vec![()] // always one message, regardless of degree
-            }
-            fn receive(&mut self, _round: usize, _inbox: &[Option<()>]) -> Option<()> {
-                Some(())
-            }
-        }
-        let g = ports::canonical_ports(&generators::star(3).unwrap()).unwrap();
-        let err = Simulator::new(&g).run(|_| Liar).unwrap_err();
-        assert!(matches!(err, RuntimeError::WrongMessageCount { .. }));
-    }
-
-    #[test]
     fn half_loop_reflects_message() {
         // One node, one port, fixed point: the node receives its own
         // message back on the same port.
-        struct Echo {
-            degree: usize,
-        }
+        struct Echo;
         impl NodeAlgorithm for Echo {
             type Message = u32;
             type Output = u32;
-            fn send(&mut self, _round: usize) -> Vec<u32> {
-                vec![41; self.degree]
+            fn send_into(&mut self, _round: usize, outbox: &mut [Option<u32>]) {
+                outbox.fill(Some(41));
             }
             fn receive(&mut self, _round: usize, inbox: &[Option<u32>]) -> Option<u32> {
                 Some(inbox[0].unwrap() + 1)
@@ -484,7 +452,7 @@ mod tests {
         b.fix_point(pn_graph::Endpoint::new(x, Port::new(1)))
             .unwrap();
         let g = b.finish().unwrap();
-        let run = Simulator::new(&g).run(|d| Echo { degree: d }).unwrap();
+        let run = Simulator::new(&g).run(|_, _| Echo).unwrap();
         assert_eq!(run.outputs, vec![42]);
     }
 
@@ -500,8 +468,8 @@ mod tests {
         impl NodeAlgorithm for Staggered {
             type Message = u8;
             type Output = bool;
-            fn send(&mut self, _round: usize) -> Vec<u8> {
-                vec![0; self.degree]
+            fn send_into(&mut self, _round: usize, outbox: &mut [Option<u8>]) {
+                outbox.fill(Some(0));
             }
             fn receive(&mut self, _round: usize, inbox: &[Option<u8>]) -> Option<bool> {
                 if inbox.iter().any(Option::is_none) {
@@ -517,7 +485,7 @@ mod tests {
         }
         let g = ports::canonical_ports(&generators::path(3).unwrap()).unwrap();
         let run = Simulator::new(&g)
-            .run(|d| Staggered {
+            .run(|_, d| Staggered {
                 degree: d,
                 seen_none: false,
                 round_count: 0,
@@ -541,8 +509,7 @@ mod tests {
             },
         );
         let run = sim
-            .run(|d| MinFlood {
-                degree: d,
+            .run(|_, d| MinFlood {
                 value: d as u64,
                 rounds_left: 2,
             })
@@ -557,8 +524,7 @@ mod tests {
         assert!(rendered.contains("halt"));
         // No trace without the flag.
         let run = Simulator::new(&g)
-            .run(|d| MinFlood {
-                degree: d,
+            .run(|_, d| MinFlood {
                 value: d as u64,
                 rounds_left: 2,
             })
@@ -569,8 +535,7 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let g = ports::shuffled_ports(&generators::petersen(), 3).unwrap();
-        let factory = |d: usize| MinFlood {
-            degree: d,
+        let factory = |_, d: usize| MinFlood {
             value: d as u64 * 17 % 5,
             rounds_left: 6,
         };
@@ -588,14 +553,14 @@ mod tests {
         impl NodeAlgorithm for Never {
             type Message = ();
             type Output = ();
-            fn send(&mut self, _r: usize) -> Vec<()> {
+            fn send_into(&mut self, _r: usize, _outbox: &mut [Option<()>]) {
                 unreachable!()
             }
             fn receive(&mut self, _r: usize, _i: &[Option<()>]) -> Option<()> {
                 unreachable!()
             }
         }
-        let run = Simulator::new(&g).run(|_| Never).unwrap();
+        let run = Simulator::new(&g).run(|_, _| Never).unwrap();
         assert_eq!(run.rounds, 0);
         assert!(run.outputs.is_empty());
     }
@@ -632,21 +597,10 @@ mod tests {
         impl NodeAlgorithm for FirstPortOnly {
             type Message = u8;
             type Output = Vec<bool>;
-            fn send(&mut self, _round: usize) -> Vec<u8> {
-                // Silent ports have no representation in the legacy Vec
-                // API (and `collect_send` would rightly panic), so this
-                // protocol offers `send_into` only.
-                unimplemented!("FirstPortOnly uses silent ports; only send_into is supported")
-            }
-            fn send_into(
-                &mut self,
-                _round: usize,
-                outbox: &mut [Option<u8>],
-            ) -> Result<(), crate::WrongCount> {
+            fn send_into(&mut self, _round: usize, outbox: &mut [Option<u8>]) {
                 if let Some(first) = outbox.first_mut() {
                     *first = Some(1);
                 }
-                Ok(())
             }
             fn receive(&mut self, _round: usize, inbox: &[Option<u8>]) -> Option<Vec<bool>> {
                 self.got = inbox.iter().map(Option::is_some).collect();
@@ -657,7 +611,7 @@ mod tests {
         // whose port 1 points at it.
         let g = ports::canonical_ports(&generators::path(3).unwrap()).unwrap();
         let run = Simulator::new(&g)
-            .run(|_| FirstPortOnly { got: Vec::new() })
+            .run(|_, _| FirstPortOnly { got: Vec::new() })
             .unwrap();
         // Every delivered message was counted; silent ports were not.
         assert_eq!(

@@ -1,6 +1,6 @@
-//! Property tests: the three executions of one algorithm — native
-//! `send_into`, the legacy allocating `send` path, and the parallel
-//! driver — produce **bit-identical** [`pn_runtime::Run`]s.
+//! Property tests: the sequential engine and the worker pool produce
+//! **bit-identical** [`pn_runtime::Run`]s, for anonymous node states and
+//! for states that depend on the node id the factory receives.
 //!
 //! The inputs deliberately cover the awkward corners of the model:
 //! shuffled port numberings, half-loops (fixed points of the involution),
@@ -8,8 +8,8 @@
 //! edges, and staggered halting (low-degree nodes fall silent while
 //! high-degree neighbours keep running and observe `None`s).
 
-use pn_graph::{generators, ports, Endpoint, PnGraphBuilder, Port, PortNumberedGraph};
-use pn_runtime::{collect_send, NodeAlgorithm, Run, Simulator, WrongCount};
+use pn_graph::{generators, ports, Endpoint, NodeId, PnGraphBuilder, Port, PortNumberedGraph};
+use pn_runtime::{NodeAlgorithm, Run, RunOptions, Simulator};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -26,12 +26,21 @@ struct Churn {
 }
 
 impl Churn {
-    fn new(degree: usize) -> Self {
+    /// The anonymous variant: the initial state depends on the degree only.
+    fn new(_v: NodeId, degree: usize) -> Self {
         Churn {
             degree,
             acc: degree as u64 ^ 0x9e37_79b9,
             round_count: 0,
         }
+    }
+
+    /// The identifier-model variant: the initial state also mixes in the
+    /// node id, so every node starts from a different state.
+    fn identified(v: NodeId, degree: usize) -> Self {
+        let mut churn = Churn::new(v, degree);
+        churn.acc ^= (v.index() as u64 + 1).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        churn
     }
 }
 
@@ -39,15 +48,10 @@ impl NodeAlgorithm for Churn {
     type Message = u64;
     type Output = u64;
 
-    fn send(&mut self, round: usize) -> Vec<u64> {
-        collect_send(self, round, self.degree)
-    }
-
-    fn send_into(&mut self, round: usize, outbox: &mut [Option<u64>]) -> Result<(), WrongCount> {
+    fn send_into(&mut self, round: usize, outbox: &mut [Option<u64>]) {
         for (q, slot) in outbox.iter_mut().enumerate() {
             *slot = Some(self.acc.wrapping_add((round * 31 + q) as u64));
         }
-        Ok(())
     }
 
     fn receive(&mut self, _round: usize, inbox: &[Option<u64>]) -> Option<u64> {
@@ -62,23 +66,15 @@ impl NodeAlgorithm for Churn {
     }
 }
 
-/// Forces the legacy `send` path: delegates `send` to the inner
-/// algorithm and does **not** override `send_into`, so the simulator
-/// takes the default Vec-allocating delegation with its count check.
-#[derive(Clone)]
-struct LegacyPath<A>(A);
-
-impl<A: NodeAlgorithm> NodeAlgorithm for LegacyPath<A> {
-    type Message = A::Message;
-    type Output = A::Output;
-
-    fn send(&mut self, round: usize) -> Vec<A::Message> {
-        self.0.send(round)
-    }
-
-    fn receive(&mut self, round: usize, inbox: &[Option<A::Message>]) -> Option<A::Output> {
-        self.0.receive(round, inbox)
-    }
+/// A simulator for `pg` on `threads` workers.
+fn on_threads(pg: &PortNumberedGraph, threads: usize) -> Simulator<'_> {
+    Simulator::with_options(
+        pg,
+        RunOptions {
+            threads,
+            ..RunOptions::default()
+        },
+    )
 }
 
 fn assert_identical<O: PartialEq + std::fmt::Debug>(a: &Run<O>, b: &Run<O>, what: &str) {
@@ -90,12 +86,18 @@ fn assert_identical<O: PartialEq + std::fmt::Debug>(a: &Run<O>, b: &Run<O>, what
 
 fn check_all_paths(pg: &PortNumberedGraph) {
     let sim = Simulator::new(pg);
-    let native = sim.run(Churn::new).unwrap();
-    let legacy = sim.run(|d| LegacyPath(Churn::new(d))).unwrap();
-    assert_identical(&native, &legacy, "send_into vs legacy send");
+    let anonymous = sim.run(Churn::new).unwrap();
+    let identified = sim.run(Churn::identified).unwrap();
     for threads in [1usize, 3, 7] {
-        let par = sim.run_parallel(Churn::new, threads).unwrap();
-        assert_identical(&native, &par, &format!("sequential vs parallel({threads})"));
+        let pool = on_threads(pg, threads);
+        let par = pool.run(Churn::new).unwrap();
+        assert_identical(&anonymous, &par, &format!("sequential vs pool({threads})"));
+        let par = pool.run(Churn::identified).unwrap();
+        assert_identical(
+            &identified,
+            &par,
+            &format!("node-dependent states: sequential vs pool({threads})"),
+        );
     }
 }
 
@@ -196,10 +198,9 @@ fn pool_with_more_threads_than_nodes() {
     // and empty tail chunks must neither panic nor change results.
     for n in [1usize, 2, 3, 5] {
         let g = ports::canonical_ports(&generators::path(n).unwrap()).unwrap();
-        let sim = Simulator::new(&g);
-        let seq = sim.run(Churn::new).unwrap();
+        let seq = Simulator::new(&g).run(Churn::new).unwrap();
         for threads in [n + 1, 2 * n + 3, 64] {
-            let par = sim.run_parallel(Churn::new, threads).unwrap();
+            let par = on_threads(&g, threads).run(Churn::new).unwrap();
             assert_identical(&seq, &par, &format!("n = {n}, threads = {threads}"));
         }
     }
@@ -207,53 +208,74 @@ fn pool_with_more_threads_than_nodes() {
 
 #[test]
 fn pool_with_one_thread_is_bit_identical_to_run() {
-    // threads == 1 takes the sequential engine verbatim — including the
-    // trace, which the multi-worker pool does not produce.
+    // threads == 1 takes the sequential engine verbatim, including the
+    // trace.
     let g = ports::shuffled_ports(&generators::gnp(24, 0.2, 3).unwrap(), 4).unwrap();
-    let sim = Simulator::new(&g);
-    let seq = sim.run(Churn::new).unwrap();
-    let par = sim.run_parallel(Churn::new, 1).unwrap();
+    let seq = Simulator::new(&g).run(Churn::new).unwrap();
+    let par = on_threads(&g, 1).run(Churn::new).unwrap();
     assert_identical(&seq, &par, "threads = 1");
     assert!(par.trace.is_none(), "no trace was requested");
     let sim = Simulator::with_options(
         &g,
-        pn_runtime::RunOptions {
+        RunOptions {
             record_trace: true,
-            ..pn_runtime::RunOptions::default()
+            threads: 1,
+            ..RunOptions::default()
         },
     );
-    let traced = sim.run_parallel(Churn::new, 1).unwrap();
+    let traced = sim.run(Churn::new).unwrap();
     assert!(
         traced.trace.is_some(),
-        "the single-worker pool honours record_trace like run()"
+        "the single-worker run honours record_trace"
     );
+}
+
+#[test]
+fn traced_run_on_many_threads_keeps_its_trace() {
+    // The pool records no transcript, so a traced run takes the
+    // sequential engine whatever `threads` says — and loses nothing.
+    let g = ports::shuffled_ports(&generators::gnp(24, 0.2, 3).unwrap(), 4).unwrap();
+    let traced = |threads| {
+        Simulator::with_options(
+            &g,
+            RunOptions {
+                record_trace: true,
+                threads,
+                ..RunOptions::default()
+            },
+        )
+        .run(Churn::new)
+        .unwrap()
+    };
+    let seq = traced(1);
+    let par = traced(4);
+    assert_identical(&seq, &par, "traced, threads = 4");
+    let trace = par
+        .trace
+        .expect("record_trace with threads = 4 keeps the trace");
+    assert_eq!(trace.render(), seq.trace.expect("traced").render());
 }
 
 #[test]
 fn pool_when_every_node_halts_in_round_zero() {
     // One round, then global quiescence: the termination agreement must
     // fire on the very first barrier epoch.
-    struct OneShot {
-        degree: usize,
-    }
+    struct OneShot;
     impl NodeAlgorithm for OneShot {
         type Message = u8;
         type Output = usize;
-        fn send(&mut self, _r: usize) -> Vec<u8> {
-            vec![7; self.degree]
+        fn send_into(&mut self, _r: usize, outbox: &mut [Option<u8>]) {
+            outbox.fill(Some(7));
         }
         fn receive(&mut self, _r: usize, inbox: &[Option<u8>]) -> Option<usize> {
             Some(inbox.iter().flatten().count())
         }
     }
     let g = ports::shuffled_ports(&generators::torus(5, 5).unwrap(), 9).unwrap();
-    let sim = Simulator::new(&g);
-    let seq = sim.run(|d: usize| OneShot { degree: d }).unwrap();
+    let seq = Simulator::new(&g).run(|_, _| OneShot).unwrap();
     assert_eq!(seq.rounds, 1);
     for threads in [2usize, 3, 8] {
-        let par = sim
-            .run_parallel(|d: usize| OneShot { degree: d }, threads)
-            .unwrap();
+        let par = on_threads(&g, threads).run(|_, _| OneShot).unwrap();
         assert_eq!(par.outputs, seq.outputs, "threads = {threads}");
         assert_eq!(par.halted_at, seq.halted_at, "threads = {threads}");
         assert_eq!(par.rounds, 1, "threads = {threads}");
@@ -273,13 +295,12 @@ fn pool_with_isolated_nodes() {
     g.add_edge_ids(2, 0).unwrap();
     g.add_edge_ids(4, 5).unwrap();
     let pg = ports::canonical_ports(&g).unwrap();
-    let sim = Simulator::new(&pg);
-    let seq = sim.run(Churn::new).unwrap();
+    let seq = Simulator::new(&pg).run(Churn::new).unwrap();
     // Churn halts after degree + 2 rounds: isolated nodes after 2.
     assert_eq!(seq.halted_at[3], 2);
     assert_eq!(seq.halted_at[6], 2);
     for threads in [2usize, 3, 7, 20] {
-        let par = sim.run_parallel(Churn::new, threads).unwrap();
+        let par = on_threads(&pg, threads).run(Churn::new).unwrap();
         assert_identical(&seq, &par, &format!("threads = {threads}"));
     }
 }

@@ -1,107 +1,12 @@
-//! Error-path and edge-case tests for the round engine: misbehaving
-//! senders, message delivery to halted nodes, and zero-round runs —
-//! the contracts the quality sweeps rely on when something goes wrong.
+//! Error-path and edge-case tests for the round engine: message delivery
+//! to halted nodes, round limits and cancellation — the contracts the
+//! quality sweeps rely on when something goes wrong.
 
-use pn_graph::{generators, ports, NodeId, PnGraphBuilder, Port};
-use pn_runtime::{NodeAlgorithm, RunOptions, RuntimeError, Simulator, WrongCount};
-
-/// Sends a fixed number of messages regardless of degree (legacy `send`
-/// path).
-struct FixedCountSender {
-    count: usize,
-}
-
-impl NodeAlgorithm for FixedCountSender {
-    type Message = u8;
-    type Output = ();
-
-    fn send(&mut self, _round: usize) -> Vec<u8> {
-        vec![7; self.count]
-    }
-
-    fn receive(&mut self, _round: usize, _inbox: &[Option<u8>]) -> Option<()> {
-        Some(())
-    }
-}
-
-#[test]
-fn legacy_send_with_too_few_messages_reports_the_node_and_counts() {
-    // Star: hub has degree 3, leaves degree 1. Sending one message
-    // everywhere breaks only at the hub.
-    let g = ports::canonical_ports(&generators::star(3).unwrap()).unwrap();
-    let err = Simulator::new(&g)
-        .run(|_| FixedCountSender { count: 1 })
-        .unwrap_err();
-    match err {
-        RuntimeError::WrongMessageCount {
-            node,
-            got,
-            expected,
-        } => {
-            assert_eq!(node, NodeId::new(0), "the hub is node 0");
-            assert_eq!(got, 1);
-            assert_eq!(expected, 3);
-        }
-        other => panic!("expected WrongMessageCount, got {other}"),
-    }
-}
-
-#[test]
-fn legacy_send_with_too_many_messages_is_rejected() {
-    let g = ports::canonical_ports(&generators::cycle(4).unwrap()).unwrap();
-    let err = Simulator::new(&g)
-        .run(|_| FixedCountSender { count: 5 })
-        .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            RuntimeError::WrongMessageCount {
-                got: 5,
-                expected: 2,
-                ..
-            }
-        ),
-        "got {err}"
-    );
-}
-
-/// A native `send_into` that *reports* a wrong count instead of filling
-/// the window — the engine must surface it as `WrongMessageCount`.
-struct LyingNative;
-
-impl NodeAlgorithm for LyingNative {
-    type Message = u8;
-    type Output = ();
-
-    fn send(&mut self, _round: usize) -> Vec<u8> {
-        unreachable!("simulator only calls send_into")
-    }
-
-    fn send_into(&mut self, _round: usize, _outbox: &mut [Option<u8>]) -> Result<(), WrongCount> {
-        Err(WrongCount { got: 99 })
-    }
-
-    fn receive(&mut self, _round: usize, _inbox: &[Option<u8>]) -> Option<()> {
-        Some(())
-    }
-}
-
-#[test]
-fn native_send_into_error_maps_to_wrong_message_count() {
-    let g = ports::canonical_ports(&generators::path(3).unwrap()).unwrap();
-    let err = Simulator::new(&g).run(|_| LyingNative).unwrap_err();
-    match err {
-        RuntimeError::WrongMessageCount { node, got, .. } => {
-            assert_eq!(node, NodeId::new(0), "first frontier node fails first");
-            assert_eq!(got, 99);
-        }
-        other => panic!("expected WrongMessageCount, got {other}"),
-    }
-}
+use pn_graph::{generators, ports};
+use pn_runtime::{NodeAlgorithm, RunOptions, RuntimeError, Simulator};
 
 /// Halts after a per-node number of rounds, recording everything heard.
 struct TalkUntil {
-    degree: usize,
     rounds_left: usize,
     heard: Vec<Vec<Option<u64>>>,
 }
@@ -110,8 +15,8 @@ impl NodeAlgorithm for TalkUntil {
     type Message = u64;
     type Output = Vec<Vec<Option<u64>>>;
 
-    fn send(&mut self, round: usize) -> Vec<u64> {
-        vec![round as u64 + 10; self.degree]
+    fn send_into(&mut self, round: usize, outbox: &mut [Option<u64>]) {
+        outbox.fill(Some(round as u64 + 10));
     }
 
     fn receive(&mut self, _round: usize, inbox: &[Option<u64>]) -> Option<Self::Output> {
@@ -128,8 +33,7 @@ fn messages_to_halted_nodes_are_counted_but_never_resurface() {
     let g = ports::canonical_ports(&generators::path(3).unwrap()).unwrap();
     let lifetime = |d: usize| if d == 1 { 1 } else { 3 };
     let run = Simulator::new(&g)
-        .run(|d| TalkUntil {
-            degree: d,
+        .run(|_, d| TalkUntil {
             rounds_left: lifetime(d),
             heard: Vec::new(),
         })
@@ -157,8 +61,7 @@ fn message_delivered_in_the_halting_round_does_not_leak() {
     // flight; the run completes cleanly with both messages delivered.
     let g = ports::canonical_ports(&generators::path(2).unwrap()).unwrap();
     let run = Simulator::new(&g)
-        .run(|d| TalkUntil {
-            degree: d,
+        .run(|_, _| TalkUntil {
             rounds_left: 1,
             heard: Vec::new(),
         })
@@ -180,8 +83,7 @@ fn zero_round_limit_fails_immediately_on_nonempty_graphs() {
         },
     );
     let err = sim
-        .run(|d| TalkUntil {
-            degree: d,
+        .run(|_, _| TalkUntil {
             rounds_left: 1,
             heard: Vec::new(),
         })
@@ -210,8 +112,7 @@ fn zero_round_limit_is_fine_on_the_empty_graph() {
         },
     );
     let run = sim
-        .run(|d| TalkUntil {
-            degree: d,
+        .run(|_, _| TalkUntil {
             rounds_left: 1,
             heard: Vec::new(),
         })
@@ -221,50 +122,14 @@ fn zero_round_limit_is_fine_on_the_empty_graph() {
     assert!(run.outputs.is_empty());
 }
 
-#[test]
-#[should_panic(expected = "one input per node")]
-fn run_with_inputs_rejects_wrong_input_length() {
-    let g = ports::canonical_ports(&generators::path(3).unwrap()).unwrap();
-    let inputs = vec![1u64, 2]; // three nodes, two inputs
-    let _ = Simulator::new(&g).run_with_inputs(&inputs, |d, &x| TalkUntil {
-        degree: d,
-        rounds_left: (x as usize).max(1),
-        heard: Vec::new(),
-    });
-}
-
-#[test]
-fn half_loop_sender_error_still_reported() {
-    // A one-node graph with a directed loop: the misbehaving sender is
-    // caught even on degenerate wiring.
-    let mut b = PnGraphBuilder::new();
-    let x = b.add_node(1);
-    b.fix_point(pn_graph::Endpoint::new(x, Port::new(1)))
-        .unwrap();
-    let g = b.finish().unwrap();
-    let err = Simulator::new(&g)
-        .run(|_| FixedCountSender { count: 4 })
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        RuntimeError::WrongMessageCount {
-            got: 4,
-            expected: 1,
-            ..
-        }
-    ));
-}
-
 /// A node that never halts: the substrate for cancellation tests.
-struct Chatter {
-    degree: usize,
-}
+struct Chatter;
 
 impl NodeAlgorithm for Chatter {
     type Message = u8;
     type Output = ();
-    fn send(&mut self, _round: usize) -> Vec<u8> {
-        vec![0; self.degree]
+    fn send_into(&mut self, _round: usize, outbox: &mut [Option<u8>]) {
+        outbox.fill(Some(0));
     }
     fn receive(&mut self, _round: usize, _inbox: &[Option<u8>]) -> Option<()> {
         None
@@ -278,7 +143,7 @@ fn pre_cancelled_token_aborts_before_the_first_round() {
     token.cancel();
     let err = Simulator::new(&g)
         .cancel_token(token)
-        .run(|d| Chatter { degree: d })
+        .run(|_, _| Chatter)
         .unwrap_err();
     match err {
         RuntimeError::Cancelled {
@@ -300,13 +165,15 @@ fn expired_deadline_cancels_mid_run_on_both_engines() {
     for threads in [1usize, 3] {
         let token =
             pn_runtime::CancelToken::with_deadline(Instant::now() + Duration::from_millis(5));
-        let sim = Simulator::new(&g).cancel_token(token);
-        let result = if threads > 1 {
-            sim.run_parallel(|d: usize| Chatter { degree: d }, threads)
-        } else {
-            sim.run(|d| Chatter { degree: d })
-        };
-        match result.unwrap_err() {
+        let sim = Simulator::with_options(
+            &g,
+            RunOptions {
+                threads,
+                ..RunOptions::default()
+            },
+        )
+        .cancel_token(token);
+        match sim.run(|_, _| Chatter).unwrap_err() {
             RuntimeError::Cancelled { still_running, .. } => {
                 assert_eq!(still_running, 8, "threads={threads}: nobody ever halts")
             }
@@ -321,15 +188,13 @@ fn uncancelled_token_changes_nothing() {
     let token = pn_runtime::CancelToken::new();
     let with = Simulator::new(&g)
         .cancel_token(token)
-        .run(|d| TalkUntil {
-            degree: d,
+        .run(|_, _| TalkUntil {
             rounds_left: 3,
             heard: Vec::new(),
         })
         .unwrap();
     let without = Simulator::new(&g)
-        .run(|d| TalkUntil {
-            degree: d,
+        .run(|_, _| TalkUntil {
             rounds_left: 3,
             heard: Vec::new(),
         })

@@ -35,7 +35,7 @@ use pn_graph::ports::canonical_ports;
 use pn_graph::{DynamicTopology, GraphError, NodeId, PortNumberedGraph, SimpleGraph};
 use pn_runtime::{
     edge_set_from_outputs, entropy_stream, CancelToken, ChurnError, ChurnEvent, ChurnSimulator,
-    EventSchedule, NodeAlgorithm, PortSet, RuntimeError, Simulator,
+    EventSchedule, NodeAlgorithm, PortSet, RunOptions, RuntimeError, Simulator,
 };
 
 use crate::metrics::repair_metrics;
@@ -475,7 +475,7 @@ pub fn run_churn_with(
     let mat = materialize(&scenario.graph, plan, scenario.spec.seed)?;
     let graph = &scenario.graph;
     let delta = exec.delta.unwrap_or(0).max(mat.degree_cap);
-    let threads = exec.simulator_threads.max(1);
+    let threads = exec.simulator_threads;
     let seed = scenario.spec.seed;
     let kind = WitnessKind::of(protocol);
     let ctx = |bound: Option<(u64, u64)>| RecoveryCtx {
@@ -718,12 +718,11 @@ where
     if let Some(token) = cancel {
         ball_sim = ball_sim.cancel_token(token.clone());
     }
-    let run =
-        match ball_sim.run_with_inputs(&ball.nodes, |d, &global| factory(NodeId::new(global), d)) {
-            Ok(run) => run,
-            Err(e @ RuntimeError::Cancelled { .. }) => return Err(SweepError::Runtime(e)),
-            Err(_) => return Ok(None),
-        };
+    let run = match ball_sim.run(|v, d| factory(NodeId::new(ball.nodes[v.index()]), d)) {
+        Ok(run) => run,
+        Err(e @ RuntimeError::Cancelled { .. }) => return Err(SweepError::Runtime(e)),
+        Err(_) => return Ok(None),
+    };
     let Ok(local_solution) = to_solution(&ports, &run.outputs) else {
         return Ok(None);
     };
@@ -776,7 +775,10 @@ where
     F: Fn(NodeId, usize) -> A,
     S: Fn(&PortNumberedGraph, &[A::Output]) -> Result<Solution, RuntimeError>,
 {
-    let mut sim = ChurnSimulator::new(graph, &factory)?.simulator_threads(threads);
+    let mut sim = ChurnSimulator::new(graph, &factory)?.options(RunOptions {
+        threads,
+        ..RunOptions::default()
+    });
     if let Some(token) = ctx.cancel {
         sim = sim.cancel_token(token.clone());
     }

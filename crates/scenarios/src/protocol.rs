@@ -14,7 +14,7 @@ use eds_core::port_one::PortOneNode;
 use eds_core::vertex_cover::VertexCoverNode;
 use pn_graph::{EdgeId, GraphError, NodeId};
 use pn_runtime::{
-    edge_set_from_outputs, AlgorithmFactory, CancelToken, NodeAlgorithm, RuntimeError, Simulator,
+    edge_set_from_outputs, CancelToken, PortSet, Run, RunOptions, RuntimeError, Simulator,
 };
 
 use crate::scenario::Scenario;
@@ -122,9 +122,10 @@ pub struct ExecOptions {
     /// the claim to cover every node, so values below the instance
     /// maximum are raised to it.
     pub delta: Option<usize>,
-    /// Simulator threads: `> 1` routes the run through
-    /// [`Simulator::run_parallel`] (bit-identical results, useful for
-    /// single huge instances), `1` stays on the sequential engine.
+    /// Simulator threads, handed to the run as
+    /// [`RunOptions::threads`]: `> 1` runs the simulator's worker pool
+    /// (bit-identical results, useful for single huge instances), `1`
+    /// stays on the sequential engine.
     pub simulator_threads: usize,
 }
 
@@ -153,8 +154,9 @@ impl ExecOptions {
 /// A sensible simulator thread count for single huge instances: the
 /// host's available parallelism, capped at 8 (the pool's barrier
 /// synchronisation outgrows the gains beyond that for these workloads).
-/// On a single-core host this is 1, which routes runs through the
-/// sequential engine — results are bit-identical either way.
+/// It becomes the run's [`RunOptions::threads`]; on a single-core host
+/// it is 1, which keeps runs on the sequential engine — results are
+/// bit-identical either way.
 ///
 /// Nested-parallelism guidance: a [`crate::Session`] shards *scenarios*
 /// across threads while the simulator shards *nodes* of one scenario —
@@ -258,78 +260,33 @@ impl Protocol {
         cancel: Option<&CancelToken>,
     ) -> Result<ProtocolRun, SweepError> {
         let g = &scenario.graph;
-        let mut sim = Simulator::new(g);
+        let mut sim = Simulator::with_options(
+            g,
+            RunOptions {
+                threads: opts.simulator_threads,
+                ..RunOptions::default()
+            },
+        );
         if let Some(token) = cancel {
             sim = sim.cancel_token(token.clone());
         }
-        let threads = opts.simulator_threads.max(1);
         // A claimed Δ below the true maximum would violate the node
         // algorithms' contract (every degree must be ≤ Δ); raise it.
         let delta = opts.delta.unwrap_or(0).max(g.max_degree());
-
-        fn drive<F>(
-            sim: &Simulator,
-            factory: F,
-            threads: usize,
-        ) -> Result<pn_runtime::Run<<F::Algorithm as NodeAlgorithm>::Output>, RuntimeError>
-        where
-            F: AlgorithmFactory,
-            F::Algorithm: Send,
-            <F::Algorithm as NodeAlgorithm>::Message: Send,
-            <F::Algorithm as NodeAlgorithm>::Output: Send,
-        {
-            if threads > 1 {
-                sim.run_parallel(factory, threads)
-            } else {
-                sim.run(factory)
-            }
-        }
-
-        fn drive_with_inputs<A, I>(
-            sim: &Simulator,
-            inputs: &[I],
-            factory: impl Fn(usize, &I) -> A,
-            threads: usize,
-        ) -> Result<pn_runtime::Run<A::Output>, RuntimeError>
-        where
-            A: NodeAlgorithm + Send,
-            A::Message: Send,
-            A::Output: Send,
-        {
-            if threads > 1 {
-                sim.run_parallel_with_inputs(inputs, factory, threads)
-            } else {
-                sim.run_with_inputs(inputs, factory)
-            }
-        }
+        let edges = |run: Run<PortSet>| -> Result<ProtocolRun, SweepError> {
+            Ok(ProtocolRun {
+                solution: Solution::Edges(edge_set_from_outputs(g, &run.outputs)?),
+                rounds: run.rounds,
+                messages: run.messages,
+            })
+        };
 
         match self {
-            Protocol::PortOne => {
-                let run = drive(&sim, PortOneNode::new, threads)?;
-                Ok(ProtocolRun {
-                    solution: Solution::Edges(edge_set_from_outputs(g, &run.outputs)?),
-                    rounds: run.rounds,
-                    messages: run.messages,
-                })
-            }
-            Protocol::RegularOdd => {
-                let run = drive(&sim, RegularOddNode::new, threads)?;
-                Ok(ProtocolRun {
-                    solution: Solution::Edges(edge_set_from_outputs(g, &run.outputs)?),
-                    rounds: run.rounds,
-                    messages: run.messages,
-                })
-            }
-            Protocol::BoundedDegree => {
-                let run = drive(&sim, |d: usize| BoundedDegreeNode::new(delta, d), threads)?;
-                Ok(ProtocolRun {
-                    solution: Solution::Edges(edge_set_from_outputs(g, &run.outputs)?),
-                    rounds: run.rounds,
-                    messages: run.messages,
-                })
-            }
+            Protocol::PortOne => edges(sim.run(|_, d| PortOneNode::new(d))?),
+            Protocol::RegularOdd => edges(sim.run(|_, d| RegularOddNode::new(d))?),
+            Protocol::BoundedDegree => edges(sim.run(|_, d| BoundedDegreeNode::new(delta, d))?),
             Protocol::VertexCover => {
-                let run = drive(&sim, |d: usize| VertexCoverNode::new(delta, d), threads)?;
+                let run = sim.run(|_, d| VertexCoverNode::new(delta, d))?;
                 Ok(ProtocolRun {
                     solution: Solution::Nodes(
                         g.nodes().filter(|v| run.outputs[v.index()]).collect(),
@@ -340,32 +297,12 @@ impl Protocol {
             }
             Protocol::IdMatching => {
                 let ids = node_identifiers(g.node_count(), scenario.spec.seed);
-                let run = drive_with_inputs(
-                    &sim,
-                    &ids,
-                    |degree, &id| IdMatchingNode::new(delta, degree, id),
-                    threads,
-                )?;
-                Ok(ProtocolRun {
-                    solution: Solution::Edges(edge_set_from_outputs(g, &run.outputs)?),
-                    rounds: run.rounds,
-                    messages: run.messages,
-                })
+                edges(sim.run(|v, d| IdMatchingNode::new(delta, d, ids[v.index()]))?)
             }
             Protocol::RandMatching => {
                 let seeds = node_seeds(g.node_count(), scenario.spec.seed);
                 let phases = randomized_matching_phases(g.node_count());
-                let run = drive_with_inputs(
-                    &sim,
-                    &seeds,
-                    |degree, &seed| RandMatchingNode::new(degree, seed, phases),
-                    threads,
-                )?;
-                Ok(ProtocolRun {
-                    solution: Solution::Edges(edge_set_from_outputs(g, &run.outputs)?),
-                    rounds: run.rounds,
-                    messages: run.messages,
-                })
+                edges(sim.run(|v, d| RandMatchingNode::new(d, seeds[v.index()], phases))?)
             }
         }
     }

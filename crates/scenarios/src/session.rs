@@ -13,7 +13,7 @@
 //!
 //! By default the session is **sharded**: the scenario iterator is
 //! partitioned across OS threads (the same scoped-thread infrastructure
-//! as [`pn_runtime`]'s `run_parallel` engine), each worker builds and
+//! as [`pn_runtime`]'s worker-pool engine), each worker builds and
 //! measures its scenarios locally, and a deterministic in-order merge
 //! feeds the sink on the calling thread. The merge emits scenario
 //! results strictly in source order, so the sink observes **exactly**
@@ -21,8 +21,9 @@
 //! byte-identical, a property the test suite asserts on every registry.
 //! Back-pressure bounds the merge buffer: workers stall once they run
 //! more than a few scenarios ahead of the emitter. For single huge
-//! instances, [`Session::simulator_threads`] additionally routes each
-//! protocol run through the parallel simulator engine.
+//! instances, [`Session::simulator_threads`] additionally sets each
+//! protocol run's `pn_runtime::RunOptions::threads`, which runs it on
+//! the simulator's worker pool.
 //!
 //! # Bound providers
 //!
@@ -335,8 +336,9 @@ impl Session {
         self.threads(1)
     }
 
-    /// Routes every protocol run through the parallel simulator engine
-    /// with this many threads (`1` forces the sequential engine). The
+    /// Runs every protocol run on this many simulator threads, handed to
+    /// the simulator as `pn_runtime::RunOptions::threads` (`1` forces the
+    /// sequential engine, two or more the worker pool). The
     /// default defers to each spec's [`ScenarioSpec::exec`] defaults —
     /// the registry's million-node workloads carry
     /// [`ExecOptions::scaled`] — and runs everything else sequentially.

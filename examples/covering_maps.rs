@@ -17,7 +17,6 @@ use edge_dominating_sets::runtime::fiber_agreement;
 /// `r` rounds and outputs the final digest — enough to distinguish nodes
 /// if anything local could.
 struct Digest {
-    degree: usize,
     state: u64,
     rounds_left: usize,
 }
@@ -26,12 +25,12 @@ impl NodeAlgorithm for Digest {
     type Message = u64;
     type Output = u64;
 
-    fn send(&mut self, _round: usize) -> Vec<u64> {
+    fn send_into(&mut self, _round: usize, outbox: &mut [Option<u64>]) {
         // One message per port; include the port number so the digest is
         // sensitive to the wiring.
-        (0..self.degree)
-            .map(|q| self.state.wrapping_mul(31).wrapping_add(q as u64))
-            .collect()
+        for (q, slot) in outbox.iter_mut().enumerate() {
+            *slot = Some(self.state.wrapping_mul(31).wrapping_add(q as u64));
+        }
     }
 
     fn receive(&mut self, _round: usize, inbox: &[Option<u64>]) -> Option<u64> {
@@ -98,8 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Run the same deterministic protocol on both graphs.
     let rounds = 8;
-    let factory = |d: usize| Digest {
-        degree: d,
+    let factory = |_, d: usize| Digest {
         state: d as u64,
         rounds_left: rounds,
     };

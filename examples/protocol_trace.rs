@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..RunOptions::default()
         },
     );
-    let run = sim.run(PortOneNode::new)?;
+    let run = sim.run(|_, d| PortOneNode::new(d))?;
     println!("=== port-one protocol on a triangle ===");
     println!("{}", run.trace.as_ref().expect("trace requested").render());
     let edges = edge_set_from_outputs(&g, &run.outputs)?;
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..RunOptions::default()
         },
     );
-    let run = sim.run(RegularOddNode::new)?;
+    let run = sim.run(|_, d| RegularOddNode::new(d))?;
     println!();
     println!("=== Theorem 4 protocol on two disjoint edges (d = 1) ===");
     println!("{}", run.trace.as_ref().expect("trace requested").render());

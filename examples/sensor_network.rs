@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let network = ports::shuffled_ports(&g, n as u64 ^ 0xcafe)?;
 
-        let run = Simulator::new(&network).run(|deg: usize| BoundedDegreeNode::new(delta, deg))?;
+        let run = Simulator::new(&network).run(|_, deg| BoundedDegreeNode::new(delta, deg))?;
         let monitors = edge_set_from_outputs(&network, &run.outputs)?;
         let simple = network.to_simple()?;
         check_edge_dominating_set(&simple, &monitors)?;

@@ -23,8 +23,8 @@ fn check_all_protocols(
     let delta = g.max_degree().max(h.max_degree());
 
     // Port-one protocol.
-    let on_h = Simulator::new(h).run(PortOneNode::new).unwrap();
-    let on_g = Simulator::new(g).run(PortOneNode::new).unwrap();
+    let on_h = Simulator::new(h).run(|_, d| PortOneNode::new(d)).unwrap();
+    let on_g = Simulator::new(g).run(|_, d| PortOneNode::new(d)).unwrap();
     fiber_agreement(&fibers, &on_h.outputs).expect("port-one fibres agree");
     for (x, fiber) in fibers.iter().enumerate() {
         for &v in fiber {
@@ -33,8 +33,12 @@ fn check_all_protocols(
     }
 
     // Theorem 4 protocol (runs on any graph; regular inputs here).
-    let on_h = Simulator::new(h).run(RegularOddNode::new).unwrap();
-    let on_g = Simulator::new(g).run(RegularOddNode::new).unwrap();
+    let on_h = Simulator::new(h)
+        .run(|_, d| RegularOddNode::new(d))
+        .unwrap();
+    let on_g = Simulator::new(g)
+        .run(|_, d| RegularOddNode::new(d))
+        .unwrap();
     for (x, fiber) in fibers.iter().enumerate() {
         for &v in fiber {
             assert_eq!(on_h.outputs[v.index()], on_g.outputs[x], "thm4");
@@ -43,10 +47,10 @@ fn check_all_protocols(
 
     // Theorem 5 protocol.
     let on_h = Simulator::new(h)
-        .run(|d: usize| BoundedDegreeNode::new(delta, d))
+        .run(|_, d| BoundedDegreeNode::new(delta, d))
         .unwrap();
     let on_g = Simulator::new(g)
-        .run(|d: usize| BoundedDegreeNode::new(delta, d))
+        .run(|_, d| BoundedDegreeNode::new(delta, d))
         .unwrap();
     for (x, fiber) in fibers.iter().enumerate() {
         for &v in fiber {

@@ -200,15 +200,15 @@ fn outputs_are_internally_consistent_port_sets() {
     .unwrap();
     let pg = &case.graph;
     let run = Simulator::new(pg)
-        .run(edge_dominating_sets::algorithms::port_one::PortOneNode::new)
+        .run(|_, d| edge_dominating_sets::algorithms::port_one::PortOneNode::new(d))
         .unwrap();
     edge_set_from_outputs(pg, &run.outputs).unwrap();
     let run = Simulator::new(pg)
-        .run(edge_dominating_sets::algorithms::distributed::RegularOddNode::new)
+        .run(|_, d| edge_dominating_sets::algorithms::distributed::RegularOddNode::new(d))
         .unwrap();
     edge_set_from_outputs(pg, &run.outputs).unwrap();
     let run = Simulator::new(pg)
-        .run(|d: usize| edge_dominating_sets::algorithms::distributed::BoundedDegreeNode::new(5, d))
+        .run(|_, d| edge_dominating_sets::algorithms::distributed::BoundedDegreeNode::new(5, d))
         .unwrap();
     edge_set_from_outputs(pg, &run.outputs).unwrap();
 }

@@ -69,7 +69,7 @@ fn traces_replay_message_counts() {
         },
     );
     let run = sim
-        .run(edge_dominating_sets::algorithms::distributed::RegularOddNode::new)
+        .run(|_, d| edge_dominating_sets::algorithms::distributed::RegularOddNode::new(d))
         .unwrap();
     let trace = run.trace.expect("requested");
     assert_eq!(trace.message_count(), run.messages);
@@ -166,14 +166,12 @@ fn message_complexity_is_linear_in_edges_per_round() {
     // message per port per round, so messages = Σ_r 2|E| while all run.
     let g = ports::canonical_ports(&generators::torus(4, 4).unwrap()).unwrap();
     let run = edge_dominating_sets::runtime::Simulator::new(&g)
-        .run(edge_dominating_sets::algorithms::port_one::PortOneNode::new)
+        .run(|_, d| edge_dominating_sets::algorithms::port_one::PortOneNode::new(d))
         .unwrap();
     assert_eq!(run.messages, 2 * g.edge_count());
     let delta = 4;
     let run = edge_dominating_sets::runtime::Simulator::new(&g)
-        .run(|d: usize| {
-            edge_dominating_sets::algorithms::distributed::BoundedDegreeNode::new(delta, d)
-        })
+        .run(|_, d| edge_dominating_sets::algorithms::distributed::BoundedDegreeNode::new(delta, d))
         .unwrap();
     assert_eq!(run.messages, run.rounds * 2 * g.edge_count());
 }

@@ -110,7 +110,7 @@ fn our_protocols_obey_the_impossibility() {
     for n in [4usize, 6, 8] {
         let c = symmetric_cycle(n);
 
-        let run = Simulator::new(&c).run(PortOneNode::new).unwrap();
+        let run = Simulator::new(&c).run(|_, d| PortOneNode::new(d)).unwrap();
         assert!(
             run.outputs.windows(2).all(|w| w[0] == w[1]),
             "uniform outputs"
@@ -119,7 +119,7 @@ fn our_protocols_obey_the_impossibility() {
         assert!(edges.len() == n, "port-1 selects every edge here");
 
         let run = Simulator::new(&c)
-            .run(|d: usize| BoundedDegreeNode::new(2, d))
+            .run(|_, d| BoundedDegreeNode::new(2, d))
             .unwrap();
         assert!(
             run.outputs.windows(2).all(|w| w[0] == w[1]),

@@ -112,10 +112,10 @@ fn anonymous_outputs_are_equivariant_under_relabeling() {
         let relabeled = relabel_nodes(&pg, &perm);
 
         let run_a = Simulator::new(&pg)
-            .run(edge_dominating_sets::algorithms::port_one::PortOneNode::new)
+            .run(|_, d| edge_dominating_sets::algorithms::port_one::PortOneNode::new(d))
             .unwrap();
         let run_b = Simulator::new(&relabeled)
-            .run(edge_dominating_sets::algorithms::port_one::PortOneNode::new)
+            .run(|_, d| edge_dominating_sets::algorithms::port_one::PortOneNode::new(d))
             .unwrap();
         for (v, p) in perm.iter().enumerate() {
             assert_eq!(
@@ -128,12 +128,12 @@ fn anonymous_outputs_are_equivariant_under_relabeling() {
 
         let delta = pg.max_degree();
         let run_a = Simulator::new(&pg)
-            .run(|d: usize| {
+            .run(|_, d| {
                 edge_dominating_sets::algorithms::distributed::BoundedDegreeNode::new(delta, d)
             })
             .unwrap();
         let run_b = Simulator::new(&relabeled)
-            .run(|d: usize| {
+            .run(|_, d| {
                 edge_dominating_sets::algorithms::distributed::BoundedDegreeNode::new(delta, d)
             })
             .unwrap();
@@ -169,7 +169,7 @@ fn theorem3_two_regular_output_is_bit_identical_under_rotations() {
             assert_eq!(rotated, pg, "n = {n}, shift = {shift}");
         }
         let run = Simulator::new(&pg)
-            .run(edge_dominating_sets::algorithms::port_one::PortOneNode::new)
+            .run(|_, d| edge_dominating_sets::algorithms::port_one::PortOneNode::new(d))
             .unwrap();
         // Bit-identical outputs across all nodes...
         for v in 1..n {
