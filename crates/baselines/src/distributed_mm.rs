@@ -7,20 +7,34 @@
 //! dominating set) is computable in rounds independent of the
 //! approximation quality. The algorithm:
 //!
-//! 1. **Orient** every edge toward its lower-identifier endpoint; the
-//!    out-edges of a node, in port order, index up to `Δ` **forests**
-//!    (following out-edges strictly decreases identifiers, so each class
-//!    is acyclic, with out-degree at most 1 per node — parent pointers).
+//! 1. **Orient** every edge toward its lower-identifier endpoint (round
+//!    0 exchanges the identifiers); the out-edges of a node, in port
+//!    order, index up to `Δ` **forests** (following out-edges strictly
+//!    decreases identifiers, so each class is acyclic, with out-degree
+//!    at most 1 per node — parent pointers).
 //! 2. **Colour** all forests in parallel with Cole–Vishkin iterated
 //!    bit-reduction, starting from the identifiers: after `O(log* n)`
 //!    iterations every forest is properly coloured with at most 6
-//!    colours.
+//!    colours. A node keeps one colour per forest index, and a child
+//!    needs only its parent's colour *in the child's forest*. So the
+//!    first colouring round is a **forest-index handshake**: each child
+//!    sends its parent the forest index of their edge (the edge's rank
+//!    among the child's out-edges) while each parent sends its colour,
+//!    which is still its identifier. From then on a parent sends each
+//!    child one colour, its own in that child's forest, and the port
+//!    toward the parent carries a filler.
 //! 3. **Match** forest by forest, colour class by colour class:
 //!    unmatched nodes of the current colour propose to their forest
 //!    parent; an unmatched parent accepts its smallest-port proposal.
 //!    Each forest pass adds a maximal matching among still-unmatched
 //!    nodes; every edge lives in exactly one forest, so the union is a
 //!    maximal matching of the whole graph.
+//!
+//! Every port carries exactly one message per round, and every message
+//! is one word: an identifier, a colour (an identifier or a Cole–Vishkin
+//! reduct of one), a forest index below `Δ`, or a constant-size
+//! proposal, answer or filler. With identifiers from a range polynomial
+//! in `n`, every message has `O(log n)` bits, the CONGEST bandwidth.
 //!
 //! Round complexity: `1 + O(log* n) + O(Δ)` — compare with the anonymous
 //! `A(Δ)` protocol's `O(Δ²)` and its factor-4 barrier.
@@ -34,20 +48,24 @@ use pn_runtime::{NodeAlgorithm, PortSet, RuntimeError, Simulator};
 /// colouring proper and below 6).
 const CV_ITERATIONS: usize = 12;
 
-/// Messages of the identifier-model matching protocol.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Messages of the identifier-model matching protocol: each fits in one
+/// word, so `Option<IdMmMsg>` takes 16 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IdMmMsg {
     /// Round 0: the sender's unique identifier.
     Ident(u64),
-    /// Cole–Vishkin rounds: the sender's colour vector, one colour per
-    /// forest index `0..Δ`; a receiving child indexes it by the forest
-    /// number of the shared edge (the rank among the child's out-edges).
-    Colors(Vec<u64>),
+    /// First Cole–Vishkin round, child → parent: the forest index of the
+    /// shared edge, i.e. its rank among the child's out-edges.
+    Forest(u32),
+    /// Cole–Vishkin rounds, parent → child: the parent's colour in the
+    /// child's forest (in the first round, its identifier).
+    Color(u64),
     /// Matching rounds: a proposal along a forest edge.
     Propose,
     /// Matching rounds: the answer to a proposal.
     Response(bool),
-    /// Filler.
+    /// Filler: ports toward a parent after the handshake, ports between
+    /// equal identifiers (loops), and unused ports in matching rounds.
     Nothing,
 }
 
@@ -67,14 +85,17 @@ pub struct IdMatchingNode {
     /// position in this list is the forest index of the edge.
     out_ports: Vec<usize>,
     /// Colour per forest index (0..delta): this node's Cole–Vishkin
-    /// colour *as a member of* each forest. Children read entry `f` of
-    /// the parent's vector; a node with no out-edge of rank `f` is a
-    /// root of forest `f` and folds against a pseudo-parent.
+    /// colour *as a member of* each forest. A node with no out-edge of
+    /// rank `f` is a root of forest `f` and folds against a
+    /// pseudo-parent.
     colors: Vec<u64>,
     matched: bool,
     matched_port: Option<usize>,
     pending: Option<usize>,
     incoming: Vec<usize>,
+    /// Per port: the forest index of the edge if the neighbour is a child
+    /// there, learned in the first Cole–Vishkin round; `None` elsewhere.
+    child_forest: Vec<Option<u32>>,
 }
 
 impl IdMatchingNode {
@@ -97,6 +118,7 @@ impl IdMatchingNode {
             matched_port: None,
             pending: None,
             incoming: Vec::new(),
+            child_forest: vec![None; degree],
         }
     }
 
@@ -108,32 +130,40 @@ impl IdMatchingNode {
         let i = (c ^ p).trailing_zeros() as u64;
         2 * i + ((c >> i) & 1)
     }
+}
 
-    fn schedule(&self, round: usize) -> Phase {
-        if round == 0 {
-            return Phase::Ident;
-        }
-        let r = round - 1;
-        if r < CV_ITERATIONS {
-            return Phase::ColeVishkin;
-        }
-        let r = r - CV_ITERATIONS;
-        let step = r / 2;
-        let forest = step / 6;
-        let color = (step % 6) as u64;
-        if r.is_multiple_of(2) {
-            Phase::Propose { forest, color }
-        } else {
-            Phase::Respond
-        }
+/// The protocol phase of round `round`.
+fn schedule(round: usize) -> Phase {
+    if round == 0 {
+        return Phase::Ident;
+    }
+    let r = round - 1;
+    if r < CV_ITERATIONS {
+        return Phase::ColeVishkin { handshake: r == 0 };
+    }
+    let r = r - CV_ITERATIONS;
+    let step = r / 2;
+    let forest = step / 6;
+    let color = (step % 6) as u64;
+    if r.is_multiple_of(2) {
+        Phase::Propose { forest, color }
+    } else {
+        Phase::Respond
     }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
     Ident,
-    ColeVishkin,
-    Propose { forest: usize, color: u64 },
+    /// A Cole–Vishkin round; the first one is also the forest-index
+    /// handshake.
+    ColeVishkin {
+        handshake: bool,
+    },
+    Propose {
+        forest: usize,
+        color: u64,
+    },
     Respond,
 }
 
@@ -142,13 +172,29 @@ impl NodeAlgorithm for IdMatchingNode {
     type Output = PortSet;
 
     fn send_into(&mut self, round: usize, outbox: &mut [Option<IdMmMsg>]) {
-        match self.schedule(round) {
+        match schedule(round) {
             Phase::Ident => outbox.fill(Some(IdMmMsg::Ident(self.id))),
-            Phase::ColeVishkin => {
-                // The colour vector is part of the protocol (children index
-                // the parent's vector); the clone per port is inherent to
-                // the message, not to the engine.
-                outbox.fill(Some(IdMmMsg::Colors(self.colors.clone())));
+            Phase::ColeVishkin { handshake: true } => {
+                // Every colour is still the identifier.
+                for (slot, &theirs) in outbox.iter_mut().zip(&self.their_id) {
+                    *slot = Some(if theirs > self.id {
+                        IdMmMsg::Color(self.id)
+                    } else {
+                        IdMmMsg::Nothing
+                    });
+                }
+                for (f, &port) in self.out_ports.iter().enumerate() {
+                    let f = u32::try_from(f).expect("a forest index is below the degree, a u32");
+                    outbox[port] = Some(IdMmMsg::Forest(f));
+                }
+            }
+            Phase::ColeVishkin { handshake: false } => {
+                for (slot, &child) in outbox.iter_mut().zip(&self.child_forest) {
+                    *slot = Some(match child {
+                        Some(f) => IdMmMsg::Color(self.colors[f as usize]),
+                        None => IdMmMsg::Nothing,
+                    });
+                }
             }
             Phase::Propose { forest, color } => {
                 outbox.fill(Some(IdMmMsg::Nothing));
@@ -162,12 +208,11 @@ impl NodeAlgorithm for IdMatchingNode {
             }
             Phase::Respond => {
                 outbox.fill(Some(IdMmMsg::Nothing));
-                let incoming = std::mem::take(&mut self.incoming);
-                for &q in &incoming {
+                for &q in &self.incoming {
                     outbox[q] = Some(IdMmMsg::Response(false));
                 }
                 if !self.matched {
-                    if let Some(&best) = incoming.iter().min() {
+                    if let Some(&best) = self.incoming.iter().min() {
                         outbox[best] = Some(IdMmMsg::Response(true));
                         self.matched = true;
                         self.matched_port = Some(best);
@@ -181,7 +226,7 @@ impl NodeAlgorithm for IdMatchingNode {
         if self.degree == 0 {
             return Some(PortSet::new());
         }
-        match self.schedule(round) {
+        match schedule(round) {
             Phase::Ident => {
                 for (q, m) in inbox.iter().enumerate() {
                     match m {
@@ -195,30 +240,29 @@ impl NodeAlgorithm for IdMatchingNode {
                     .collect();
                 None
             }
-            Phase::ColeVishkin => {
-                // New colour per forest: children read the parent's colour
-                // for that forest from the parent's vector — the parent's
-                // colour of forest f sits at index f of *its* vector, but
-                // we receive the whole vector and we know which forest the
-                // shared edge is in from OUR side (it is our out-edge).
-                let mut next = self.colors.clone();
+            Phase::ColeVishkin { handshake } => {
+                if handshake {
+                    for (child, m) in self.child_forest.iter_mut().zip(inbox) {
+                        *child = match m {
+                            Some(IdMmMsg::Forest(f)) => Some(*f),
+                            _ => None,
+                        };
+                    }
+                }
+                // The out-edge of rank f leads to the parent in forest f,
+                // which sent its colour in that forest.
                 for (f, &port) in self.out_ports.iter().enumerate() {
-                    let parent_colors = match &inbox[port] {
-                        Some(IdMmMsg::Colors(v)) => v,
-                        other => unreachable!("CV round expects Colors, got {other:?}"),
+                    let p = match inbox[port] {
+                        Some(IdMmMsg::Color(p)) => p,
+                        other => unreachable!("CV round expects Color, got {other:?}"),
                     };
-                    // The parent's colour *in forest f* is its vector at
-                    // index f: every node keeps a colour per forest index.
-                    let p = parent_colors.get(f).copied().unwrap_or(0);
-                    next[f] = Self::cv_step(self.colors[f], p);
+                    self.colors[f] = Self::cv_step(self.colors[f], p);
                 }
                 // Forest roots (no out-edge of that index): fold against a
                 // pseudo-parent that differs in the lowest bit.
-                for (f, slot) in next.iter_mut().enumerate().skip(self.out_ports.len()) {
-                    let c = self.colors[f];
-                    *slot = Self::cv_step(c, c ^ 1);
+                for c in self.colors.iter_mut().skip(self.out_ports.len()) {
+                    *c = Self::cv_step(*c, *c ^ 1);
                 }
-                self.colors = next;
                 None
             }
             Phase::Propose { .. } => {
@@ -252,13 +296,16 @@ impl NodeAlgorithm for IdMatchingNode {
 
     fn corrupt(&mut self, entropy: u64) {
         // Garble the matching bookkeeping and the learned labels; round 0
-        // re-derives `out_ports` from the real `Ident` exchange before
-        // anything reads them. Two fields stay intact by contract: `id`
-        // (global uniqueness is what makes the forest orientation acyclic)
-        // and `colors` (the Cole–Vishkin step requires a proper colouring
-        // along forest edges — an invariant no single node can re-satisfy
-        // locally, so scrambling it would break `cv_step`'s precondition
-        // rather than model a recoverable fault).
+        // re-derives `out_ports`, and the handshake `child_forest`, from
+        // the real exchanges before anything reads them. Two fields stay
+        // intact by contract: `id` (global uniqueness is what makes the
+        // forest orientation acyclic) and `colors` (the Cole–Vishkin step
+        // requires a proper colouring along forest edges — an invariant
+        // no single node can re-satisfy locally, so scrambling it would
+        // break `cv_step`'s precondition rather than model a recoverable
+        // fault). `child_forest` is drawn last: no other field's draw may
+        // depend on it, so an entropy garbles them exactly as it garbles
+        // the colour-vector reference node's.
         if self.degree == 0 {
             return;
         }
@@ -271,6 +318,9 @@ impl NodeAlgorithm for IdMatchingNode {
         self.matched_port = (next() & 1 == 0).then(|| (next() % self.degree as u64) as usize);
         self.pending = (next() & 1 == 0).then(|| (next() % self.degree as u64) as usize);
         self.incoming = (0..self.degree).filter(|_| next() & 1 == 0).collect();
+        for f in &mut self.child_forest {
+            *f = (next() & 1 == 0).then(|| (next() % self.degree as u64) as u32);
+        }
     }
 
     fn reset(&mut self) {
@@ -304,6 +354,178 @@ pub fn id_matching_distributed(
     let run =
         Simulator::new(g).run(|v, degree| IdMatchingNode::new(delta, degree, ids[v.index()]))?;
     pn_runtime::edge_set_from_outputs(g, &run.outputs)
+}
+
+/// The node before the forest-index handshake — every Cole–Vishkin round
+/// sends the whole colour vector on every port — kept verbatim as the
+/// oracle the word-sized node must match run for run.
+#[cfg(test)]
+mod reference {
+    use super::{id_matching_rounds, schedule, IdMatchingNode, Phase};
+    use pn_runtime::{NodeAlgorithm, PortSet};
+
+    /// The reference node's messages: [`super::IdMmMsg`] with a colour
+    /// vector in place of the handshake and the single colour.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub(super) enum VectorMsg {
+        Ident(u64),
+        Colors(Vec<u64>),
+        Propose,
+        Response(bool),
+        Nothing,
+    }
+
+    #[derive(Clone, Debug)]
+    pub(super) struct VectorNode {
+        delta: usize,
+        degree: usize,
+        id: u64,
+        their_id: Vec<u64>,
+        out_ports: Vec<usize>,
+        colors: Vec<u64>,
+        matched: bool,
+        matched_port: Option<usize>,
+        pending: Option<usize>,
+        incoming: Vec<usize>,
+    }
+
+    impl VectorNode {
+        pub(super) fn new(delta: usize, degree: usize, id: u64) -> Self {
+            assert!(degree <= delta, "node degree exceeds Δ");
+            VectorNode {
+                delta,
+                degree,
+                id,
+                their_id: vec![0; degree],
+                out_ports: Vec::new(),
+                colors: vec![id; delta.max(1)],
+                matched: false,
+                matched_port: None,
+                pending: None,
+                incoming: Vec::new(),
+            }
+        }
+    }
+
+    impl NodeAlgorithm for VectorNode {
+        type Message = VectorMsg;
+        type Output = PortSet;
+
+        fn send_into(&mut self, round: usize, outbox: &mut [Option<VectorMsg>]) {
+            match schedule(round) {
+                Phase::Ident => outbox.fill(Some(VectorMsg::Ident(self.id))),
+                Phase::ColeVishkin { .. } => {
+                    outbox.fill(Some(VectorMsg::Colors(self.colors.clone())));
+                }
+                Phase::Propose { forest, color } => {
+                    outbox.fill(Some(VectorMsg::Nothing));
+                    self.pending = None;
+                    if !self.matched && self.colors.get(forest) == Some(&color) {
+                        if let Some(&port) = self.out_ports.get(forest) {
+                            self.pending = Some(port);
+                            outbox[port] = Some(VectorMsg::Propose);
+                        }
+                    }
+                }
+                Phase::Respond => {
+                    outbox.fill(Some(VectorMsg::Nothing));
+                    let incoming = std::mem::take(&mut self.incoming);
+                    for &q in &incoming {
+                        outbox[q] = Some(VectorMsg::Response(false));
+                    }
+                    if !self.matched {
+                        if let Some(&best) = incoming.iter().min() {
+                            outbox[best] = Some(VectorMsg::Response(true));
+                            self.matched = true;
+                            self.matched_port = Some(best);
+                        }
+                    }
+                }
+            }
+        }
+
+        fn receive(&mut self, round: usize, inbox: &[Option<VectorMsg>]) -> Option<PortSet> {
+            if self.degree == 0 {
+                return Some(PortSet::new());
+            }
+            match schedule(round) {
+                Phase::Ident => {
+                    for (q, m) in inbox.iter().enumerate() {
+                        match m {
+                            Some(VectorMsg::Ident(x)) => self.their_id[q] = *x,
+                            other => unreachable!("round 0 expects Ident, got {other:?}"),
+                        }
+                    }
+                    self.out_ports = (0..self.degree)
+                        .filter(|&q| self.their_id[q] < self.id)
+                        .collect();
+                    None
+                }
+                Phase::ColeVishkin { .. } => {
+                    let mut next = self.colors.clone();
+                    for (f, &port) in self.out_ports.iter().enumerate() {
+                        let parent_colors = match &inbox[port] {
+                            Some(VectorMsg::Colors(v)) => v,
+                            other => unreachable!("CV round expects Colors, got {other:?}"),
+                        };
+                        let p = parent_colors.get(f).copied().unwrap_or(0);
+                        next[f] = IdMatchingNode::cv_step(self.colors[f], p);
+                    }
+                    for (f, slot) in next.iter_mut().enumerate().skip(self.out_ports.len()) {
+                        let c = self.colors[f];
+                        *slot = IdMatchingNode::cv_step(c, c ^ 1);
+                    }
+                    self.colors = next;
+                    None
+                }
+                Phase::Propose { .. } => {
+                    self.incoming.clear();
+                    for (q, m) in inbox.iter().enumerate() {
+                        if m == &Some(VectorMsg::Propose) {
+                            self.incoming.push(q);
+                        }
+                    }
+                    None
+                }
+                Phase::Respond => {
+                    if let Some(q) = self.pending.take() {
+                        if inbox[q] == Some(VectorMsg::Response(true)) {
+                            self.matched = true;
+                            self.matched_port = Some(q);
+                        }
+                    }
+                    if round + 1 == id_matching_rounds(self.delta) {
+                        let mut x = PortSet::new();
+                        if let Some(q) = self.matched_port {
+                            x.insert(pn_graph::Port::from_index(q));
+                        }
+                        Some(x)
+                    } else {
+                        None
+                    }
+                }
+            }
+        }
+
+        fn corrupt(&mut self, entropy: u64) {
+            if self.degree == 0 {
+                return;
+            }
+            let mut next = pn_runtime::entropy_stream(entropy);
+            for x in &mut self.their_id {
+                *x = next();
+            }
+            self.out_ports = (0..self.degree).filter(|_| next() & 1 == 0).collect();
+            self.matched = next() & 1 == 0;
+            self.matched_port = (next() & 1 == 0).then(|| (next() % self.degree as u64) as usize);
+            self.pending = (next() & 1 == 0).then(|| (next() % self.degree as u64) as usize);
+            self.incoming = (0..self.degree).filter(|_| next() & 1 == 0).collect();
+        }
+
+        fn reset(&mut self) {
+            *self = VectorNode::new(self.delta, self.degree, self.id);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -356,16 +578,21 @@ mod tests {
         assert_eq!(run.rounds, id_matching_rounds(4));
     }
 
+    /// Adversarial identifiers for an 8-cycle: huge, consecutive,
+    /// bit-patterned.
+    fn adversarial_cycle_ids() -> [Vec<u64>; 3] {
+        [
+            (0..8u64).map(|i| u64::MAX - i).collect(),
+            (0..8u64).map(|i| i << 60 | i).collect(),
+            vec![5, 2, 9, 1, 7, 3, 8, 4],
+        ]
+    }
+
     #[test]
     fn identifier_values_do_not_break_it() {
-        // Adversarial identifiers: huge, consecutive, bit-patterned.
         let g = generators::cycle(8).unwrap();
         let pg = ports::canonical_ports(&g).unwrap();
-        for ids in [
-            (0..8u64).map(|i| u64::MAX - i).collect::<Vec<_>>(),
-            (0..8u64).map(|i| i << 60 | i).collect::<Vec<_>>(),
-            vec![5, 2, 9, 1, 7, 3, 8, 4],
-        ] {
+        for ids in adversarial_cycle_ids() {
             let edges = id_matching_distributed(&pg, 2, &ids).unwrap();
             assert!(is_maximal_matching(&pg.to_simple().unwrap(), &edges));
         }
@@ -427,5 +654,167 @@ mod tests {
         let clean = sim.stabilize().unwrap();
         let edges = pn_runtime::edge_set_from_outputs(&g, &clean.outputs).unwrap();
         assert!(is_maximal_matching(&g.to_simple().unwrap(), &edges));
+    }
+
+    /// A port-numbered multigraph with parallel edges, self-loops and
+    /// half-loops: 1–4 port stubs per node, paired at random, a fifth of
+    /// them fixed as half-loops.
+    fn loopy_multigraph(n: usize, seed: u64) -> PortNumberedGraph {
+        use pn_graph::{Endpoint, PnGraphBuilder, Port};
+        use rand::seq::SliceRandom;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = PnGraphBuilder::new();
+        let mut stubs: Vec<Endpoint> = Vec::new();
+        for _ in 0..n {
+            let d = rng.gen_range(1usize..=4);
+            let node = b.add_node(d);
+            for p in 0..d {
+                stubs.push(Endpoint::new(node, Port::from_index(p)));
+            }
+        }
+        stubs.shuffle(&mut rng);
+        while stubs.len() >= 2 {
+            let a = stubs.pop().unwrap();
+            if rng.gen_bool(0.2) {
+                b.fix_point(a).unwrap();
+                continue;
+            }
+            let c = stubs.pop().unwrap();
+            b.connect(a, c).unwrap();
+        }
+        if let Some(last) = stubs.pop() {
+            b.fix_point(last).unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    /// Unique identifiers for `n` nodes: the scenarios' affine map
+    /// (which may wrap past `u64::MAX`), and scaled-up versions of the
+    /// adversarial sets of `identifier_values_do_not_break_it` —
+    /// descending from `u64::MAX`, high-bit patterned, and scrambled.
+    fn identifier_sets(n: usize, salt: u64) -> Vec<Vec<u64>> {
+        let n = n as u64;
+        let offset = salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        vec![
+            (0..n).map(|i| i.wrapping_add(offset)).collect(),
+            (0..n).map(|i| u64::MAX - i).collect(),
+            (0..n).map(|i| i << 60 | i).collect(),
+            (0..n)
+                .map(|i| i.wrapping_mul(0xbf58_476d_1ce4_e5b9) ^ salt)
+                .collect(),
+        ]
+    }
+
+    /// One run from the initial states of an epoch — factory-fresh, with
+    /// every third node corrupted when `corrupted` is set, as the churn
+    /// simulator builds them. Built here, not through `ChurnSimulator`,
+    /// so multigraphs run too and `halted_at` is kept.
+    fn epoch<A>(
+        pg: &PortNumberedGraph,
+        corrupted: bool,
+        salt: u64,
+        build: impl Fn(usize, usize) -> A,
+    ) -> pn_runtime::Run<PortSet>
+    where
+        A: NodeAlgorithm<Output = PortSet> + Send,
+        A::Message: Send,
+    {
+        Simulator::new(pg)
+            .run(|v, d| {
+                let mut node = build(v.index(), d);
+                if corrupted && v.index() % 3 == 0 {
+                    node.corrupt(salt.wrapping_mul(0x9e37_79b9) ^ v.index() as u64);
+                }
+                node
+            })
+            .unwrap()
+    }
+
+    /// The word-sized node against the colour-vector reference: equal
+    /// outputs, halting rounds, round counts and message counts, on a
+    /// static run and on one epoch with a third of the nodes corrupted.
+    fn assert_matches_reference(
+        pg: &PortNumberedGraph,
+        delta: usize,
+        ids: &[u64],
+        salt: u64,
+        what: &str,
+    ) {
+        use super::reference::VectorNode;
+        for corrupted in [false, true] {
+            let run = epoch(pg, corrupted, salt, |v, d| {
+                IdMatchingNode::new(delta, d, ids[v])
+            });
+            let reference = epoch(pg, corrupted, salt, |v, d| {
+                VectorNode::new(delta, d, ids[v])
+            });
+            let what = format!("{what} Δ={delta} corrupted={corrupted}");
+            assert_eq!(run.outputs, reference.outputs, "{what}");
+            assert_eq!(run.halted_at, reference.halted_at, "{what}");
+            assert_eq!(run.rounds, reference.rounds, "{what}");
+            assert_eq!(run.messages, reference.messages, "{what}");
+        }
+    }
+
+    #[test]
+    fn word_sized_node_matches_the_colour_vector_reference() {
+        let mut instances = 0;
+        for salt in 0..8u64 {
+            let families = [
+                (
+                    "bounded-degree-40-D4",
+                    generators::random_bounded_degree(40, 4, 0.8, salt).unwrap(),
+                ),
+                ("gnp-30", generators::gnp(30, 0.15, salt).unwrap()),
+                ("cubic-24", generators::random_regular(24, 3, salt).unwrap()),
+                (
+                    "5-regular-30",
+                    generators::random_regular(30, 5, salt).unwrap(),
+                ),
+                (
+                    "pa-40",
+                    generators::preferential_attachment(40, 2, salt).unwrap(),
+                ),
+                ("cycle-8", generators::cycle(8).unwrap()),
+            ];
+            for (name, g) in families {
+                for shuffled in [false, true] {
+                    let pg = if shuffled {
+                        ports::shuffled_ports(&g, salt).unwrap()
+                    } else {
+                        ports::canonical_ports(&g).unwrap()
+                    };
+                    // The true maximum degree, and a claimed Δ above it.
+                    let max = pg.max_degree();
+                    for delta in [max, max + 1 + salt as usize % 3] {
+                        for (i, ids) in identifier_sets(pg.node_count(), salt).iter().enumerate() {
+                            let what = format!("{name} shuffled={shuffled} salt={salt} ids#{i}");
+                            assert_matches_reference(&pg, delta, ids, salt, &what);
+                            instances += 1;
+                        }
+                    }
+                }
+            }
+            for n in [1, 2, 7, 23] {
+                let pg = loopy_multigraph(n, salt * 31 + n as u64);
+                let max = pg.max_degree();
+                for delta in [max, max + 2] {
+                    for (i, ids) in identifier_sets(n, salt).iter().enumerate() {
+                        let what = format!("loopy-multigraph-{n} salt={salt} ids#{i}");
+                        assert_matches_reference(&pg, delta, ids, salt, &what);
+                        instances += 1;
+                    }
+                }
+            }
+        }
+        // The literal adversarial sets, on the cycle they were written for.
+        let pg = ports::canonical_ports(&generators::cycle(8).unwrap()).unwrap();
+        for (i, ids) in adversarial_cycle_ids().iter().enumerate() {
+            assert_matches_reference(&pg, 2, ids, 0, &format!("cycle-8 adversarial #{i}"));
+            instances += 1;
+        }
+        assert_eq!(instances, 8 * (6 * 2 * 2 * 4 + 4 * 2 * 4) + 3);
     }
 }

@@ -372,6 +372,29 @@ mod tests {
         }
     }
 
+    /// Every protocol's message is a plain value that fits one engine
+    /// slot of at most 16 bytes: a heap payload (a `Vec` per port, say)
+    /// fails to compile here, and a wider one fails the size check.
+    #[test]
+    fn messages_are_word_sized() {
+        fn slot_bytes<A: pn_runtime::NodeAlgorithm>() -> usize
+        where
+            A::Message: Copy,
+        {
+            std::mem::size_of::<Option<A::Message>>()
+        }
+        for (node, bytes) in [
+            ("PortOneNode", slot_bytes::<PortOneNode>()),
+            ("RegularOddNode", slot_bytes::<RegularOddNode>()),
+            ("BoundedDegreeNode", slot_bytes::<BoundedDegreeNode>()),
+            ("VertexCoverNode", slot_bytes::<VertexCoverNode>()),
+            ("IdMatchingNode", slot_bytes::<IdMatchingNode>()),
+            ("RandMatchingNode", slot_bytes::<RandMatchingNode>()),
+        ] {
+            assert!(bytes <= 16, "{node}: {bytes} bytes per message slot");
+        }
+    }
+
     #[test]
     fn identifiers_are_distinct() {
         for seed in [0u64, 1, 0xdead_beef] {
