@@ -1,42 +1,23 @@
 //! Benchmark harness and experiment drivers for the PODC 2010
 //! reproduction.
 //!
-//! The binaries in `src/bin/` regenerate every table and figure of the
-//! paper (see `DESIGN.md` for the experiment index); this library holds
-//! the shared pieces: workload construction, exact-ratio measurement, and
-//! plain-text table rendering.
+//! The binaries in `src/bin/` regenerate the paper's results: `table1`
+//! (Table 1; exits non-zero on any ratio deviation), `lower_bounds`
+//! (Figures 4–7), `figure8`, `figure9`, and `render_figures` (the
+//! figures as Graphviz DOT). The extension experiments are
+//! `ablation_ports`, `adversary_search`, `model_comparison`,
+//! `random_ratio`, `round_complexity` and `scalability`. This library
+//! holds the shared pieces: running a distributed protocol to an edge
+//! set, and plain-text table rendering.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod report;
-pub mod workloads;
 
 pub use report::Table;
 
-use eds_lower_bounds::bound::Ratio;
 use pn_graph::{EdgeId, PortNumberedGraph};
-
-/// The outcome of running one algorithm on one instance with a known
-/// optimum.
-#[derive(Clone, Debug)]
-pub struct Measurement {
-    /// Solution size produced by the algorithm.
-    pub found: usize,
-    /// The optimal solution size.
-    pub optimal: usize,
-    /// Rounds used by the distributed execution (0 for centralised runs).
-    pub rounds: usize,
-    /// Messages delivered during the distributed execution.
-    pub messages: usize,
-}
-
-impl Measurement {
-    /// The empirical approximation ratio.
-    pub fn ratio(&self) -> Ratio {
-        Ratio::of_sizes(self.found, self.optimal)
-    }
-}
 
 /// Runs a distributed `NodeAlgorithm` producing port sets and returns the
 /// selected edges plus run statistics.
@@ -62,17 +43,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn measurement_ratio() {
-        let m = Measurement {
-            found: 10,
-            optimal: 4,
-            rounds: 3,
-            messages: 100,
-        };
-        assert!(m.ratio().eq_exact(Ratio::new(5, 2)));
-    }
 
     #[test]
     fn run_distributed_port_one() {

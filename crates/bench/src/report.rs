@@ -31,16 +31,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Returns `true` if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -89,8 +79,6 @@ mod tests {
         let s = t.render();
         assert!(s.contains("d   ratio"));
         assert!(s.lines().count() == 4);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]

@@ -62,9 +62,9 @@
 //! 2. List specs for it in [`Registry::full`] (and
 //!    [`Registry::smoke`]/[`Registry::conformance`] if appropriate).
 //!
-//! Every consumer — the `scenario_sweep` binary, the bench workloads,
-//! and the integration tests — iterates the registry through a
-//! [`Session`], so no other code changes.
+//! Every consumer — the `scenario_sweep` binary, `eds-serve`, the
+//! `perfbench` workloads and the integration tests — iterates the
+//! registry through a [`Session`], so no other code changes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -19,7 +19,7 @@
 //!
 //! To add a family: add a [`Family`] variant (and its builder) in
 //! [`crate::scenario`], then list specs for it here — every consumer
-//! (sweep binary, benches, conformance tests) picks it up from the
+//! (sweep binary, perfbench, conformance tests) picks it up from the
 //! registry without further changes.
 
 use crate::churn::ChurnPlan;
@@ -207,28 +207,6 @@ impl Registry {
             1,
             PortPolicy::Shuffled,
         ));
-        Registry { specs }
-    }
-
-    /// The 10M–100M streamed scale registry: the cycle and cubic
-    /// streamed families at `n` nodes, canonical and shuffled
-    /// numberings, with sequential execution defaults — at this scale
-    /// the worker pool's per-chunk buffers would only add memory
-    /// pressure. Not part of [`Registry::full`]: a 100M-node scenario
-    /// materialises multi-GB structures, so this registry is explicit
-    /// opt-in (`scenario_sweep --scale [N]`).
-    pub fn scale(n: usize) -> Self {
-        let mut specs = Vec::new();
-        for policy in [PortPolicy::Canonical, PortPolicy::Shuffled] {
-            specs.push(
-                ScenarioSpec::new(Family::HundredMillionCycle { n }, 0, policy)
-                    .with_exec(ExecOptions::default()),
-            );
-            specs.push(
-                ScenarioSpec::new(Family::HundredMillionRegular { n }, 0, policy)
-                    .with_exec(ExecOptions::default()),
-            );
-        }
         Registry { specs }
     }
 

@@ -135,25 +135,6 @@ pub enum Family {
         /// `1_000_000`).
         n: usize,
     },
-    /// The 10M–100M streamed scale family: an `n`-node cycle, generated
-    /// exactly like [`Family::MillionCycle`] (one `O(n)` streamed pass
-    /// straight into the flat involution) but registered as its own
-    /// family so the registry can gate it behind explicit opt-in —
-    /// materialising the simple projection costs multiple GB at
-    /// `n = 100_000_000`. See `Registry::scale`.
-    HundredMillionCycle {
-        /// Number of nodes (any `n ≥ 3`; the scale registry uses
-        /// `100_000_000`).
-        n: usize,
-    },
-    /// The 3-regular sibling of [`Family::HundredMillionCycle`]
-    /// (Hamiltonian cycle plus seeded perfect matching), odd-regular so
-    /// the Theorem 4 protocol joins the 100M portfolio.
-    HundredMillionRegular {
-        /// Number of nodes (even, `n ≥ 4`; the scale registry uses
-        /// `100_000_000`).
-        n: usize,
-    },
     /// The `index`-th connected graph on `n ≤ 6` nodes in the exhaustive
     /// enumeration of [`crate::small::connected`] — the substrate of the
     /// n ≤ 6 conformance suite.
@@ -213,8 +194,6 @@ impl Family {
             Family::Figure2Cover { .. } => "figure2-cover",
             Family::MillionCycle { .. } => "million-cycle",
             Family::MillionRegular { .. } => "million-regular",
-            Family::HundredMillionCycle { .. } => "hundred-million-cycle",
-            Family::HundredMillionRegular { .. } => "hundred-million-regular",
             Family::SmallConnected { .. } => "small-connected",
             Family::External { .. } => "external",
             Family::Churn { .. } => "churn",
@@ -252,8 +231,6 @@ impl Family {
             Family::Figure2Cover { layers } => format!("figure2-cover-{layers}"),
             Family::MillionCycle { n } => format!("million-cycle-{n}"),
             Family::MillionRegular { n } => format!("million-regular-{n}"),
-            Family::HundredMillionCycle { n } => format!("hundred-million-cycle-{n}"),
-            Family::HundredMillionRegular { n } => format!("hundred-million-regular-{n}"),
             Family::SmallConnected { n, index } => format!("small{n}-{index}"),
             Family::External { name } => name.clone(),
             Family::Churn { base, plan } => format!("churn({})-{}", base.label(), plan.tag()),
@@ -313,10 +290,8 @@ impl Family {
                     .0
                     .to_simple()
             }
-            Family::MillionCycle { n } | Family::HundredMillionCycle { n } => {
-                generators::streamed_cycle(*n, None)?.to_simple()
-            }
-            Family::MillionRegular { n } | Family::HundredMillionRegular { n } => {
+            Family::MillionCycle { n } => generators::streamed_cycle(*n, None)?.to_simple(),
+            Family::MillionRegular { n } => {
                 generators::streamed_cubic(*n, seed, false)?.to_simple()
             }
             Family::SmallConnected { n, index } => {
@@ -462,11 +437,11 @@ impl ScenarioSpec {
             // directly; the port policy selects the construction's own
             // numbering (canonical role order or a seeded per-node
             // permutation) instead of re-numbering a simple graph.
-            Family::MillionCycle { n } | Family::HundredMillionCycle { n } => {
+            Family::MillionCycle { n } => {
                 let shuffle = self.streamed_shuffle()?;
                 generators::streamed_cycle(*n, shuffle.then_some(self.seed))?
             }
-            Family::MillionRegular { n } | Family::HundredMillionRegular { n } => {
+            Family::MillionRegular { n } => {
                 let shuffle = self.streamed_shuffle()?;
                 generators::streamed_cubic(*n, self.seed, shuffle)?
             }

@@ -61,7 +61,7 @@ use pn_runtime::CancelToken;
 
 use crate::churn::run_churn_with;
 use crate::metrics::session_metrics;
-use crate::protocol::{ExecOptions, Protocol, Solution, SweepError};
+use crate::protocol::{ExecOptions, Protocol, ProtocolRun, Solution, SweepError};
 use crate::registry::Registry;
 use crate::scenario::{Family, Scenario, ScenarioSpec};
 use crate::sink::RecordSink;
@@ -574,7 +574,6 @@ impl Session {
                 &self.recovery,
                 self.cancel.as_ref(),
             )?;
-            let size = run.solution.len();
             // The schedule is protocol-independent, so the final graph
             // is too; build the scored scenario (and its exact/LP
             // reference bounds) once.
@@ -594,41 +593,14 @@ impl Session {
                 )),
                 _ => paper_bound(protocol, fs),
             };
-            let reference = match &run.solution {
-                Solution::Edges(_) => bounds.eds(fs),
-                Solution::Nodes(_) => bounds.vc(fs),
-            };
-            let ratio = reference
-                .optimum
-                .filter(|&opt| opt > 0)
-                .map(|opt| size as f64 / opt as f64);
-            let within_bound = bound.and_then(|(num, den)| match reference.optimum {
-                Some(opt) => Some(size as u64 * den <= num * opt as u64),
-                None => (size as u64 * den <= num * reference.lower_bound as u64).then_some(true),
-            });
-            measurements.push(Measurement {
-                record: SweepRecord {
-                    scenario: scenario.name(),
-                    family: scenario.spec.family.key(),
-                    policy: scenario.spec.policy.name(),
-                    seed: scenario.spec.seed,
-                    nodes: fs.simple.node_count(),
-                    edges: fs.simple.edge_count(),
-                    protocol: protocol.name(),
-                    rounds: run.rounds,
-                    messages: run.messages,
-                    size,
-                    optimum: reference.optimum,
-                    lower_bound: reference.lower_bound,
-                    bounds: self.bounds.name(),
-                    bound,
-                    ratio,
-                    within_bound,
-                    violation: run.violation,
-                    churn: Some(run.stats),
-                },
+            let finished = ProtocolRun {
                 solution: run.solution,
-            });
+                rounds: run.rounds,
+                messages: run.messages,
+            };
+            let mut measurement = self.score(fs, &bounds, protocol, bound, finished, run.violation);
+            measurement.record.churn = Some(run.stats);
+            measurements.push(measurement);
         }
         Ok(measurements)
     }
@@ -641,7 +613,6 @@ impl Session {
     ) -> Result<Measurement, SweepError> {
         let exec = self.exec_for(scenario);
         let run = protocol.execute_with_cancel(scenario, &exec, self.cancel.as_ref())?;
-        let size = run.solution.len();
         // Score the run against the bound for the Δ the protocol was
         // actually parametrised with: a delta hint above the instance
         // maximum loosens A(Δ)'s theorem to 4 - 1/⌊Δ'/2⌋ (hints below
@@ -655,25 +626,42 @@ impl Session {
             _ => paper_bound(protocol, scenario),
         };
 
-        let (reference, violation) = match &run.solution {
-            Solution::Edges(edges) => {
-                let violation = match protocol {
-                    Protocol::IdMatching | Protocol::RandMatching => {
-                        check_maximal_matching(&scenario.simple, edges)
-                            .err()
-                            .map(|v| v.to_string())
-                    }
-                    _ => check_edge_dominating_set(&scenario.simple, edges)
+        let violation = match &run.solution {
+            Solution::Edges(edges) => match protocol {
+                Protocol::IdMatching | Protocol::RandMatching => {
+                    check_maximal_matching(&scenario.simple, edges)
                         .err()
-                        .map(|v| v.to_string()),
-                };
-                (bounds.eds(scenario), violation)
-            }
-            Solution::Nodes(cover) => {
-                (bounds.vc(scenario), vertex_cover_violation(scenario, cover))
-            }
+                        .map(|v| v.to_string())
+                }
+                _ => check_edge_dominating_set(&scenario.simple, edges)
+                    .err()
+                    .map(|v| v.to_string()),
+            },
+            Solution::Nodes(cover) => vertex_cover_violation(scenario, cover),
         };
+        Ok(self.score(scenario, bounds, protocol, bound, run, violation))
+    }
 
+    /// Scores a finished run on `scored` (the scenario itself, or a churn
+    /// scenario's final topology) and builds its record without churn
+    /// fields: the reference bounds of the solution's objective, the
+    /// empirical ratio, and the verdict against the paper `bound`. Static
+    /// and churn records share this, so the two kinds cannot be scored
+    /// differently.
+    fn score(
+        &self,
+        scored: &Scenario,
+        bounds: &ScenarioBounds<'_>,
+        protocol: Protocol,
+        bound: Option<(u64, u64)>,
+        run: ProtocolRun,
+        violation: Option<String>,
+    ) -> Measurement {
+        let size = run.solution.len();
+        let reference = match &run.solution {
+            Solution::Edges(_) => bounds.eds(scored),
+            Solution::Nodes(_) => bounds.vc(scored),
+        };
         let ratio = reference
             .optimum
             .filter(|&opt| opt > 0)
@@ -684,15 +672,14 @@ impl Session {
             // success, never a violation.
             None => (size as u64 * den <= num * reference.lower_bound as u64).then_some(true),
         });
-
-        Ok(Measurement {
+        Measurement {
             record: SweepRecord {
-                scenario: scenario.name(),
-                family: scenario.spec.family.key(),
-                policy: scenario.spec.policy.name(),
-                seed: scenario.spec.seed,
-                nodes: scenario.simple.node_count(),
-                edges: scenario.simple.edge_count(),
+                scenario: scored.name(),
+                family: scored.spec.family.key(),
+                policy: scored.spec.policy.name(),
+                seed: scored.spec.seed,
+                nodes: scored.simple.node_count(),
+                edges: scored.simple.edge_count(),
                 protocol: protocol.name(),
                 rounds: run.rounds,
                 messages: run.messages,
@@ -707,7 +694,7 @@ impl Session {
                 churn: None,
             },
             solution: run.solution,
-        })
+        }
     }
 }
 

@@ -1,36 +1,13 @@
 //! `bench_diff`: compare two `BENCH_scenarios.json` quality reports and
-//! fail on approximation-ratio drift — or, with `--sim`, two
-//! `BENCH_sim.json` throughput reports and fail on perf regression.
+//! fail on approximation-ratio drift — or, with `--perf`, two builds'
+//! `perfbench` runs and fail on a slowdown.
 //!
 //! Usage:
 //!
 //! ```text
 //! bench_diff BASELINE CURRENT [--tolerance T] [--stats]
-//! bench_diff --sim BASELINE[,BASELINE...] CURRENT[,CURRENT...] [--tolerance T]
+//! bench_diff --perf BASE_1,...,BASE_N HEAD_1,...,HEAD_N [--tolerance T]
 //! ```
-//!
-//! # `--sim`: the perf-regression gate
-//!
-//! Compares `sim_benchmark` reports workload by workload. Each side is
-//! one report or a comma-separated list of reports: CI builds the base
-//! commit and HEAD on one runner, runs them alternately three times
-//! each, and passes each build's three reports as one side. Per
-//! workload, a side's measure is its **best**
-//! `sequential_rounds_per_sec`, which discounts runs slowed by other
-//! load on a shared host. The gate
-//! fails (exit 1) when the current side's best drops below the
-//! baseline side's best by more than the tolerance (default 0.15: more
-//! than 15% slower). Parallel fields are never gated — they measure pool
-//! overhead on small hosts and `--check-parallel` owns the break-even
-//! floor. Workloads only in the baseline are skipped with a notice,
-//! never failed: a `--reduced` run may be diffed against a full report
-//! (perf gate, not coverage gate).
-//!
-//! Reports from different worlds are not comparable: when `host_threads`
-//! or `protocol_rounds` differ — between the sides or within one — or
-//! the `benchmark` kinds differ, the diff says so and exits 2. Absolute
-//! throughput means nothing across hosts, so the gate compares builds
-//! measured on the same host, and a mismatch is an error, not a pass.
 //!
 //! Both files are JSON-lines reports written by `scenario_sweep` (one
 //! record per line, a trailing summary line). Records are matched by
@@ -71,6 +48,27 @@
 //! stderr in the same Prometheus text format `eds-serve` exposes on
 //! `/metrics`, so a CI wrapper can scrape the diff outcome without
 //! parsing the prose.
+//!
+//! # `--perf`: the perf-regression gate
+//!
+//! CI builds the base commit and HEAD on one runner and runs
+//! `python3 perfbench/run.py --workload batch_mixed --seed i` on both in
+//! N alternating pairs: both runs of pair `i` use seed `i`, and the side
+//! that runs first alternates from pair to pair. Each file holds one
+//! run's standard output: the `host` line and, last, the result object.
+//! `BASE_i` and `HEAD_i` form pair `i`.
+//!
+//! The gate fails (exit 1) when the median over pairs of HEAD/base
+//! `wall_s` exceeds 1 + the tolerance (default 0.06), or when any HEAD
+//! run reports `failed > 0`. The median of per-pair ratios, not the best
+//! run of each side, is what separates a 25% slower round loop from an
+//! unchanged build on a shared 2-core host whose speed drifts between
+//! runs (the calibration is in CHANGES.md).
+//!
+//! Runs that cannot be compared exit 2: a base run that failed its
+//! checks, lists of unequal length, or `host` lines that differ in
+//! `nproc` or `cpu_model`. Wall time means nothing across hosts, so a
+//! mismatch is an error, not a pass.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -82,8 +80,8 @@ use std::process::ExitCode;
 fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let needle = format!("\"{key}\":");
     let start = line.find(&needle)? + needle.len();
-    // JSON-lines records put no space after the colon; the
-    // pretty-printed sim report puts one.
+    // JSON-lines records put no space after the colon; the host line
+    // of a perfbench run puts one.
     let rest = line[start..].trim_start();
     if let Some(quoted) = rest.strip_prefix('"') {
         // Scan to the closing quote, skipping backslash escapes.
@@ -264,190 +262,154 @@ fn parse_report(path: &str) -> Result<BTreeMap<(String, String), Record>, String
     Ok(records)
 }
 
-/// One workload's gated metrics from a `BENCH_sim.json` report.
-#[derive(Clone, Debug, Default, PartialEq)]
-struct SimWorkload {
-    sequential_rps: f64,
-}
-
-/// A parsed `BENCH_sim.json` throughput report, or the best of several
-/// (see [`best_of`]).
+/// One `perfbench` run: the host facts the comparison needs and the
+/// figures of its result line.
 #[derive(Clone, Debug)]
-struct SimReport {
-    benchmark: String,
-    protocol_rounds: u64,
-    host_threads: u64,
-    /// Workloads in file order, keyed by name.
-    workloads: Vec<(String, SimWorkload)>,
+struct PerfRun {
+    /// `nproc` and `cpu_model` from the host line.
+    host: (String, String),
+    failed: u64,
+    wall_s: f64,
 }
 
-/// Parses the pretty-printed (one field per line) `sim_benchmark`
-/// report. Line-based like the JSON-lines parser: a `"name"` line opens
-/// a workload, metric lines attach to the last opened one.
-fn parse_sim_report(path: &str) -> Result<SimReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut benchmark = None;
-    let mut protocol_rounds = None;
-    let mut host_threads = None;
-    let mut workloads: Vec<(String, SimWorkload)> = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(v) = field(line, "benchmark") {
-            benchmark = Some(v.to_owned());
-        } else if let Some(v) = field(line, "protocol_rounds") {
-            protocol_rounds = v.parse().ok();
-        } else if let Some(v) = field(line, "host_threads") {
-            host_threads = v.parse().ok();
-        } else if let Some(v) = field(line, "name") {
-            workloads.push((v.to_owned(), SimWorkload::default()));
-        } else if let Some((_, w)) = workloads.last_mut() {
-            if let Some(v) = field(line, "sequential_rounds_per_sec") {
-                w.sequential_rps = v
-                    .parse()
-                    .map_err(|_| format!("{path}: bad sequential_rounds_per_sec: {v}"))?;
-            }
-        }
-    }
-    let benchmark = benchmark.ok_or_else(|| format!("{path}: no \"benchmark\" field"))?;
-    if workloads.is_empty() {
-        return Err(format!("{path}: no workloads found"));
-    }
-    if let Some((name, _)) = workloads.iter().find(|(_, w)| w.sequential_rps <= 0.0) {
-        return Err(format!(
-            "{path}: workload {name} has no sequential_rounds_per_sec"
-        ));
-    }
-    Ok(SimReport {
-        benchmark,
-        protocol_rounds: protocol_rounds
-            .ok_or_else(|| format!("{path}: no \"protocol_rounds\" field"))?,
-        host_threads: host_threads.ok_or_else(|| format!("{path}: no \"host_threads\" field"))?,
-        workloads,
+/// Parses the standard output of one `perfbench/run.py` run: its `host`
+/// line and, last, its result object.
+fn parse_perf_run(text: &str) -> Result<PerfRun, String> {
+    let host = text
+        .lines()
+        .find_map(|l| l.strip_prefix("host "))
+        .ok_or("no host line")?;
+    let result = text.lines().rev().find(|l| !l.trim().is_empty());
+    let result = result
+        .filter(|l| field(l, "correct").is_some())
+        .ok_or("the last line is not a perfbench result (run cut short?)")?;
+    let wall_s = result
+        .find("\"wall_s\":")
+        .and_then(|at| field(&result[at..], "value"))
+        .and_then(|v| v.parse::<f64>().ok())
+        .filter(|&v| v > 0.0)
+        .ok_or("the result has no positive wall_s")?;
+    let failed = field(result, "failed")
+        .and_then(|v| v.parse().ok())
+        .ok_or("the result has no failed count")?;
+    let fact = |key| {
+        field(host, key)
+            .map(str::to_owned)
+            .ok_or(format!("the host line has no {key}"))
+    };
+    Ok(PerfRun {
+        host: (fact("nproc")?, fact("cpu_model")?),
+        failed,
+        wall_s,
     })
 }
 
-/// `Err` with the reason when two reports measure different things
-/// (benchmark kind, host parallelism or protocol rounds).
-fn comparable(a: &SimReport, b: &SimReport) -> Result<(), String> {
-    if a.benchmark != b.benchmark {
-        return Err(format!(
-            "benchmark kind mismatch ({} vs {})",
-            a.benchmark, b.benchmark
-        ));
-    }
-    if a.host_threads != b.host_threads {
-        return Err(format!(
-            "host_threads mismatch ({} vs {}): throughput is not comparable across hosts",
-            a.host_threads, b.host_threads
-        ));
-    }
-    if a.protocol_rounds != b.protocol_rounds {
-        return Err(format!(
-            "protocol_rounds mismatch ({} vs {})",
-            a.protocol_rounds, b.protocol_rounds
-        ));
-    }
-    Ok(())
+/// The `--perf` verdict on runs that can be compared.
+#[derive(Debug)]
+struct PerfDiff {
+    /// HEAD/base `wall_s` of each pair, in run order.
+    ratios: Vec<f64>,
+    median: f64,
+    /// Why the gate fails; empty when it passes.
+    failures: Vec<String>,
 }
 
-/// One side of the gate: the reports must be mutually comparable, and
-/// each workload keeps its best `sequential_rounds_per_sec` (workloads
-/// in first-seen order).
-fn best_of(reports: Vec<SimReport>) -> Result<SimReport, String> {
-    let mut reports = reports.into_iter();
-    let mut best = reports.next().ok_or("no reports given")?;
-    for report in reports {
-        comparable(&best, &report)?;
-        for (name, w) in report.workloads {
-            match best.workloads.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, b)) => b.sequential_rps = b.sequential_rps.max(w.sequential_rps),
-                None => best.workloads.push((name, w)),
-            }
+/// The `--perf` comparison proper, separated from I/O and exit codes for
+/// testability: `Err` when the runs cannot be compared (exit 2), else
+/// the verdict (exit 1 when it has failures). Run `i` of one side pairs
+/// with run `i` of the other.
+fn perf_diff(base: &[PerfRun], head: &[PerfRun], tolerance: f64) -> Result<PerfDiff, String> {
+    if base.len() != head.len() {
+        return Err(format!(
+            "{} base runs but {} HEAD runs: the runs must come in pairs",
+            base.len(),
+            head.len()
+        ));
+    }
+    let first = base.first().ok_or("no runs given")?;
+    for run in base.iter().chain(head) {
+        if run.host != first.host {
+            return Err(format!(
+                "host mismatch ({:?} vs {:?}): wall time is not comparable across hosts",
+                first.host, run.host
+            ));
         }
     }
-    Ok(best)
-}
-
-/// Parses one side's comma-separated report list into its best-of
-/// report.
-fn load_side(paths: &str) -> Result<SimReport, String> {
-    let reports = paths
-        .split(',')
-        .map(parse_sim_report)
-        .collect::<Result<Vec<_>, _>>()?;
-    best_of(reports).map_err(|e| format!("{paths}: {e}"))
-}
-
-/// The `--sim` comparison proper: failure messages (empty = gate
-/// passes) plus the improvement count, separated from I/O and exit
-/// codes for testability. Workloads only in the baseline are skipped
-/// with a notice, not failed: a `--reduced` run may be diffed against a
-/// full report — this is a perf gate, not a coverage gate.
-fn sim_diff(baseline: &SimReport, current: &SimReport, tolerance: f64) -> (Vec<String>, usize) {
-    let mut failures = Vec::new();
-    let mut improved = 0usize;
-    for (name, base) in &baseline.workloads {
-        let Some((_, cur)) = current.workloads.iter().find(|(n, _)| n == name) else {
-            eprintln!("sim diff: {name} not in the current report — skipped (reduced run?)");
-            continue;
-        };
-        let mut gate = |metric: &str, b: f64, c: f64| {
-            if c < b * (1.0 - tolerance) {
-                failures.push(format!(
-                    "SLOWER   {name}: {metric} {b:.1} -> {c:.1} ({:+.1}% > tolerance {:.0}%)",
-                    (c / b - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-            } else if c > b * (1.0 + tolerance) {
-                improved += 1;
-            }
-        };
-        gate(
-            "sequential_rounds_per_sec",
-            base.sequential_rps,
-            cur.sequential_rps,
-        );
+    if let Some(i) = base.iter().position(|r| r.failed > 0) {
+        return Err(format!(
+            "base run {} reports {} failed checks: the base build gives no reference",
+            i + 1,
+            base[i].failed
+        ));
     }
-    (failures, improved)
+    let ratios: Vec<f64> = base
+        .iter()
+        .zip(head)
+        .map(|(b, h)| h.wall_s / b.wall_s)
+        .collect();
+    let mut sorted = ratios.clone();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    let median = if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    };
+    let mut failures: Vec<String> = head
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| r.failed > 0)
+        .map(|(i, r)| format!("FAILED   HEAD run {}: {} failed checks", i + 1, r.failed))
+        .collect();
+    if median > 1.0 + tolerance {
+        failures.push(format!(
+            "SLOWER   median HEAD/base wall_s {median:.3} > {:.3}",
+            1.0 + tolerance
+        ));
+    }
+    Ok(PerfDiff {
+        ratios,
+        median,
+        failures,
+    })
 }
 
-fn run_sim_mode(baseline_paths: &str, current_paths: &str, tolerance: f64) -> ExitCode {
-    let (baseline, current) = match (load_side(baseline_paths), load_side(current_paths)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("sim diff: {e}");
+fn run_perf_mode(base_paths: &str, head_paths: &str, tolerance: f64) -> ExitCode {
+    let load = |paths: &str| -> Result<Vec<PerfRun>, String> {
+        paths
+            .split(',')
+            .map(|path| {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read {path}: {e}"))?;
+                parse_perf_run(&text).map_err(|e| format!("{path}: {e}"))
+            })
+            .collect()
+    };
+    let diff = load(base_paths).and_then(|base| perf_diff(&base, &load(head_paths)?, tolerance));
+    let diff = match diff {
+        Ok(diff) => diff,
+        Err(e) => {
+            eprintln!("perf diff: {e} — not comparable");
             return ExitCode::from(2);
         }
     };
-    if let Err(e) = comparable(&baseline, &current) {
-        eprintln!("sim diff: {e} — not comparable");
-        return ExitCode::from(2);
+    for (i, ratio) in diff.ratios.iter().enumerate() {
+        eprintln!("perf diff: pair {}: HEAD/base wall_s {ratio:.3}", i + 1);
     }
-    for (name, base) in &baseline.workloads {
-        if let Some((_, cur)) = current.workloads.iter().find(|(n, _)| n == name) {
-            eprintln!(
-                "sim diff: {name}: best sequential rounds/sec {:.1} -> {:.1} ({:+.1}%)",
-                base.sequential_rps,
-                cur.sequential_rps,
-                (cur.sequential_rps / base.sequential_rps - 1.0) * 100.0
-            );
-        }
-    }
-    let (failures, improved) = sim_diff(&baseline, &current, tolerance);
-    for f in &failures {
+    for f in &diff.failures {
         eprintln!("{f}");
     }
     eprintln!(
-        "sim diff: compared {} workloads at tolerance {:.0}%: {} regressions, \
-         {improved} improvements",
-        baseline.workloads.len(),
+        "perf diff: median HEAD/base wall_s over {} pairs {:.3} (band {:.0}%): {} failures",
+        diff.ratios.len(),
+        diff.median,
         tolerance * 100.0,
-        failures.len(),
+        diff.failures.len()
     );
-    if failures.is_empty() {
+    if diff.failures.is_empty() {
         ExitCode::SUCCESS
     } else {
-        eprintln!("throughput regressed beyond tolerance — failing");
+        eprintln!("HEAD is slower than the band allows or failed its checks — failing");
         ExitCode::from(1)
     }
 }
@@ -584,12 +546,12 @@ fn quality_diff(
 }
 
 const USAGE: &str = "usage: bench_diff BASELINE CURRENT [--tolerance T] [--stats]\n       \
-     bench_diff --sim BASELINE[,BASELINE...] CURRENT[,CURRENT...] [--tolerance T]";
+     bench_diff --perf BASE_1,...,BASE_N HEAD_1,...,HEAD_N [--tolerance T]";
 
 fn main() -> ExitCode {
     let mut tolerance: Option<f64> = None;
     let mut stats = false;
-    let mut sim = false;
+    let mut perf = false;
     let mut files: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -602,7 +564,7 @@ fn main() -> ExitCode {
                 }
             },
             "--stats" => stats = true,
-            "--sim" => sim = true,
+            "--perf" => perf = true,
             other if other.starts_with('-') => {
                 eprintln!("unknown option: {other}");
                 eprintln!("{USAGE}");
@@ -615,8 +577,8 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    if sim {
-        return run_sim_mode(baseline_path, current_path, tolerance.unwrap_or(0.15));
+    if perf {
+        return run_perf_mode(baseline_path, current_path, tolerance.unwrap_or(0.06));
     }
     let tolerance = tolerance.unwrap_or(0.05);
 
@@ -989,111 +951,85 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A miniature pretty-printed `sim_benchmark` report.
-    fn sim_report_text(seq: f64) -> String {
+    /// One run's standard output as `perfbench/run.py` prints it.
+    fn perf_text(nproc: u32, failed: u64, wall_s: f64) -> String {
         format!(
-            "{{\n  \"benchmark\": \"sim_throughput\",\n  \"protocol_rounds\": 16,\n  \
-             \"host_threads\": 1,\n  \"parallel_fields_overhead_only\": true,\n  \
-             \"workloads\": [\n    {{\n      \"name\": \"cycle_100k\",\n      \
-             \"nodes\": 100000,\n      \"rounds\": 16,\n      \
-             \"sequential_rounds_per_sec\": {seq:.1},\n      \
-             \"parallel1_rounds_per_sec\": 500.0\n    }}\n  ]\n}}\n"
+            "host {{\"workload\": \"batch_mixed\", \"seed\": 1, \"nproc\": {nproc}, \
+             \"cpu_model\": \"Intel(R) Xeon(R) Processor\", \"git_commit\": null}}\n\
+             {{\"correct\":{},\"attempted\":682,\"failed\":{failed},\"metrics\":{{\
+             \"setup_s\":{{\"value\":0.0015,\"unit\":\"s\"}},\
+             \"wall_s\":{{\"value\":{wall_s},\"unit\":\"s\"}},\
+             \"peak_rss_mb\":{{\"value\":48.9,\"unit\":\"MB\"}}}}}}\n",
+            failed == 0
         )
     }
 
-    fn parse_sim_text(text: &str, tag: &str) -> SimReport {
-        let path = std::env::temp_dir().join(format!("bench_diff_test_sim_{tag}.json"));
-        std::fs::write(&path, text).unwrap();
-        let report = parse_sim_report(path.to_str().unwrap()).unwrap();
-        std::fs::remove_file(&path).ok();
-        report
+    fn perf_runs(walls: &[f64]) -> Vec<PerfRun> {
+        walls
+            .iter()
+            .map(|&w| parse_perf_run(&perf_text(2, 0, w)).unwrap())
+            .collect()
     }
 
     #[test]
-    fn sim_report_parses_pretty_printed_fields() {
-        let report = parse_sim_text(&sim_report_text(550.0), "parse");
-        assert_eq!(report.benchmark, "sim_throughput");
-        assert_eq!(report.protocol_rounds, 16);
-        assert_eq!(report.host_threads, 1);
-        assert_eq!(report.workloads.len(), 1);
-        let (name, w) = &report.workloads[0];
-        assert_eq!(name, "cycle_100k");
-        assert_eq!(w.sequential_rps, 550.0);
+    fn perf_gate_takes_the_median_of_per_pair_ratios() {
+        // Odd N: the middle ratio. One noisy pair does not move it.
+        let base = perf_runs(&[4.0, 4.0, 4.0]);
+        let diff = perf_diff(&base, &perf_runs(&[4.2, 6.0, 3.8]), 0.06).unwrap();
+        assert_eq!(diff.ratios, [1.05, 1.5, 0.95]);
+        assert_eq!(diff.median, 1.05);
+        assert!(diff.failures.is_empty(), "{:?}", diff.failures);
+        // Even N: the mean of the middle pair, here (1.05 + 1.1) / 2.
+        let base = perf_runs(&[4.0, 5.0, 4.0, 5.0]);
+        let diff = perf_diff(&base, &perf_runs(&[4.0, 5.25, 4.4, 6.0]), 0.06).unwrap();
+        assert!((diff.median - 1.075).abs() < 1e-12, "{}", diff.median);
+        assert_eq!(diff.failures.len(), 1, "{:?}", diff.failures);
     }
 
     #[test]
-    fn sim_diff_gates_drops_and_tolerates_noise() {
-        let base = parse_sim_text(&sim_report_text(550.0), "base");
-        // Within 15%: no failure.
-        let ok = parse_sim_text(&sim_report_text(500.0), "ok");
-        let (failures, improved) = sim_diff(&base, &ok, 0.15);
-        assert!(failures.is_empty(), "{failures:?}");
-        assert_eq!(improved, 0);
-        // A >15% gain counts as improvement.
-        let fast = parse_sim_text(&sim_report_text(700.0), "fast");
-        let (failures, improved) = sim_diff(&base, &fast, 0.15);
-        assert!(failures.is_empty(), "{failures:?}");
-        assert_eq!(improved, 1);
-        // A >15% sequential drop fails.
-        let slow = parse_sim_text(&sim_report_text(400.0), "slow");
-        let (failures, _) = sim_diff(&base, &slow, 0.15);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("sequential_rounds_per_sec"));
-        // A workload missing from the current report is skipped, not
-        // failed: the CI gate runs the --reduced subset against the
-        // full committed baseline.
-        let mut dropped = slow.clone();
-        dropped.workloads.clear();
-        dropped
-            .workloads
-            .push(("other".to_owned(), SimWorkload::default()));
-        let (failures, _) = sim_diff(&base, &dropped, 0.15);
-        assert!(failures.is_empty(), "{failures:?}");
-    }
-
-    #[test]
-    fn sim_sides_gate_on_each_workloads_best_run() {
-        let runs = |values: &[f64], tag: &str| {
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| parse_sim_text(&sim_report_text(v), &format!("{tag}{i}")))
-                .collect::<Vec<_>>()
-        };
-        let base = best_of(runs(&[520.0, 600.0, 480.0], "base")).unwrap();
-        assert_eq!(base.workloads.len(), 1);
-        assert_eq!(base.workloads[0].1.sequential_rps, 600.0);
-        // One noisy slow run on the current side does not fail the gate
-        // while its best run keeps up.
-        let noisy = best_of(runs(&[400.0, 590.0, 560.0], "noisy")).unwrap();
-        assert!(sim_diff(&base, &noisy, 0.15).0.is_empty());
-        // A build whose best run is 25% slower fails.
-        let slow = best_of(runs(&[450.0, 440.0, 430.0], "slow")).unwrap();
-        assert_eq!(sim_diff(&base, &slow, 0.15).0.len(), 1);
-    }
-
-    #[test]
-    fn sim_reports_from_different_worlds_are_not_comparable() {
-        let one = parse_sim_text(&sim_report_text(550.0), "world1");
-        let other_host = parse_sim_text(
-            &sim_report_text(550.0).replace("\"host_threads\": 1", "\"host_threads\": 4"),
-            "world4",
+    fn perf_gate_fails_a_slower_or_failing_head() {
+        let base = perf_runs(&[4.0, 4.4, 4.2]);
+        let slower = perf_runs(&[4.5, 5.0, 4.8]);
+        let diff = perf_diff(&base, &slower, 0.06).unwrap();
+        assert!(
+            diff.failures[0].starts_with("SLOWER"),
+            "{:?}",
+            diff.failures
         );
-        let other_rounds = parse_sim_text(
-            &sim_report_text(550.0).replace("\"protocol_rounds\": 16", "\"protocol_rounds\": 8"),
-            "world8",
-        );
-        assert_eq!(other_host.host_threads, 4);
-        assert_eq!(other_rounds.protocol_rounds, 8);
-        assert!(comparable(&one, &one).is_ok());
-        let err = comparable(&one, &other_host).unwrap_err();
-        assert!(err.contains("host_threads"), "{err}");
-        let err = comparable(&one, &other_rounds).unwrap_err();
-        assert!(err.contains("protocol_rounds"), "{err}");
-        // Within one side too: a side mixing hosts is rejected.
-        let err = best_of(vec![one.clone(), other_host]).unwrap_err();
-        assert!(err.contains("host_threads"), "{err}");
-        assert!(best_of(Vec::new()).is_err());
+        // The same runs pass a wider band.
+        assert!(perf_diff(&base, &slower, 0.2).unwrap().failures.is_empty());
+        // A HEAD run that failed a check fails the gate even when HEAD
+        // is as fast as the base.
+        let mut failing = base.clone();
+        failing[1] = parse_perf_run(&perf_text(2, 2, 4.4)).unwrap();
+        let diff = perf_diff(&base, &failing, 0.06).unwrap();
+        assert_eq!(diff.median, 1.0);
+        assert_eq!(diff.failures, ["FAILED   HEAD run 2: 2 failed checks"]);
+    }
+
+    #[test]
+    fn perf_runs_that_cannot_be_compared_are_rejected() {
+        let base = perf_runs(&[4.0, 4.0]);
+        // A base run that failed its checks gives no reference.
+        let mut failed_base = base.clone();
+        failed_base[0] = parse_perf_run(&perf_text(2, 1, 4.0)).unwrap();
+        let err = perf_diff(&failed_base, &base, 0.06).unwrap_err();
+        assert!(err.contains("base run 1"), "{err}");
+        // A host mismatch, on either side.
+        let mut other_host = base.clone();
+        other_host[1] = parse_perf_run(&perf_text(4, 0, 4.0)).unwrap();
+        let err = perf_diff(&base, &other_host, 0.06).unwrap_err();
+        assert!(err.contains("host mismatch"), "{err}");
+        let mut other_cpu = base.clone();
+        other_cpu[1].host.1 = "AMD EPYC".to_owned();
+        assert!(perf_diff(&other_cpu, &base, 0.06).is_err());
+        // Lists of unequal length do not form pairs.
+        let err = perf_diff(&base, &perf_runs(&[4.0]), 0.06).unwrap_err();
+        assert!(err.contains("in pairs"), "{err}");
+        // A run cut short before its result line cannot be judged.
+        let host_only = perf_text(2, 0, 4.0).lines().next().unwrap().to_owned();
+        let err = parse_perf_run(&host_only).unwrap_err();
+        assert!(err.contains("cut short"), "{err}");
     }
 
     #[test]

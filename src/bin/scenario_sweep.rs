@@ -1,11 +1,11 @@
 //! `scenario_sweep`: run every protocol across the scenario registry and
-//! stream a JSON-lines quality report (`BENCH_scenarios.json`), the
-//! quality counterpart of the `sim_benchmark` throughput report.
+//! stream a JSON-lines quality report (`BENCH_scenarios.json`), which
+//! `bench_diff` gates against the committed baseline.
 //!
 //! Usage:
 //!
 //! ```text
-//! scenario_sweep [--smoke | --churn | --churn-scale [N] | --scale [N]]
+//! scenario_sweep [--smoke | --churn | --churn-scale [N]]
 //!                [--out PATH] [--threads N] [--sequential]
 //!                [--simulator-threads N] [--bounds exact|lp|mm] [--stats]
 //! ```
@@ -25,10 +25,6 @@
 //!   re-stabilisation rung — on the streamed tier, local witness repair
 //!   is the contract, not a fast path (the CI `churn-scale-smoke`
 //!   contract);
-//! * `--scale [N]` sweeps the 10M-100M streamed families
-//!   ([`Registry::scale`], default `N` = 100,000,000 nodes) on the
-//!   generic sequential engine. Budget multiple GB of RAM at the full
-//!   size; a reduced `N` makes a quick smoke run;
 //! * `--out PATH` overrides the output path (default
 //!   `BENCH_scenarios.json` in the current directory);
 //! * `--threads N` sets the shard count (default: all cores);
@@ -113,7 +109,6 @@ fn main() -> ExitCode {
     let mut smoke = false;
     let mut churn = false;
     let mut churn_scale: Option<usize> = None;
-    let mut scale: Option<usize> = None;
     let mut stats = false;
     let mut out = "BENCH_scenarios.json".to_owned();
     let mut threads: Option<usize> = None;
@@ -135,16 +130,6 @@ fn main() -> ExitCode {
                     args.next();
                 }
                 churn_scale = Some(n.unwrap_or(1_000_000));
-            }
-            "--scale" => {
-                // The node count is optional: `--scale 1000000` shrinks
-                // the 100M streamed tier for smoke runs; bare `--scale`
-                // runs the full hundred million.
-                let n = args.peek().and_then(|v| v.parse::<usize>().ok());
-                if n.is_some() {
-                    args.next();
-                }
-                scale = Some(n.unwrap_or(100_000_000));
             }
             "--stats" => stats = true,
             "--sequential" => threads = Some(1),
@@ -191,7 +176,7 @@ fn main() -> ExitCode {
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: scenario_sweep [--smoke | --churn | --churn-scale [N] | --scale [N]] \
+                    "usage: scenario_sweep [--smoke | --churn | --churn-scale [N]] \
                      [--out PATH] [--threads N] [--sequential] [--simulator-threads N] \
                      [--bounds exact|lp|mm] [--stats]"
                 );
@@ -199,22 +184,14 @@ fn main() -> ExitCode {
             }
         }
     }
-    if usize::from(smoke)
-        + usize::from(churn)
-        + usize::from(churn_scale.is_some())
-        + usize::from(scale.is_some())
-        > 1
-    {
+    if usize::from(smoke) + usize::from(churn) + usize::from(churn_scale.is_some()) > 1 {
         eprintln!(
-            "--smoke, --churn, --churn-scale and --scale select different registries; \
-             pass at most one"
+            "--smoke, --churn and --churn-scale select different registries; pass at most one"
         );
         return ExitCode::from(2);
     }
 
-    let (registry, label) = if let Some(n) = scale {
-        (Registry::scale(n), "scale")
-    } else if let Some(n) = churn_scale {
+    let (registry, label) = if let Some(n) = churn_scale {
         (Registry::churn_scale(n), "churn-scale")
     } else if churn {
         (Registry::churn(), "churn")

@@ -8,6 +8,11 @@
 //! A second check keeps `cargo --locked` steps runnable: `--locked`
 //! fails in a fresh checkout unless the manifest's `Cargo.lock` is
 //! committed, so no root `.gitignore` rule may ignore that lock file.
+//!
+//! A third check keeps every step pointed at code that exists: each
+//! `--bin NAME` and `./target/release/NAME` names a binary of some
+//! manifest in the repository, and each script a step runs
+//! (`python3 perfbench/run.py`, `./path`) is a file of the repository.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -109,11 +114,9 @@ fn yaml_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The manifest directory (relative to the repository root, `""` for
-/// the root) of every `cargo` command passing `--locked` in `source`,
-/// with its 1-based line number. Backslash-continued lines are joined;
-/// comment lines are skipped.
-fn locked_manifest_dirs(source: &str) -> Vec<(usize, String)> {
+/// Every command line of `source` with the 1-based number of its first
+/// line: backslash-continued lines are joined and comment lines skipped.
+fn command_lines(source: &str) -> Vec<(usize, String)> {
     let mut found = Vec::new();
     let mut command = String::new();
     let mut start = 0;
@@ -128,10 +131,22 @@ fn locked_manifest_dirs(source: &str) -> Vec<(usize, String)> {
             Some(head) => {
                 command.push_str(head);
                 command.push(' ');
-                continue;
             }
-            None => command.push_str(line),
+            None => {
+                command.push_str(line);
+                found.push((start, std::mem::take(&mut command)));
+            }
         }
+    }
+    found
+}
+
+/// The manifest directory (relative to the repository root, `""` for
+/// the root) of every `cargo` command passing `--locked` in `source`,
+/// with its 1-based line number.
+fn locked_manifest_dirs(source: &str) -> Vec<(usize, String)> {
+    let mut found = Vec::new();
+    for (start, command) in command_lines(source) {
         let words: Vec<&str> = command.split_whitespace().collect();
         if let Some(cargo) = words.iter().position(|&w| w == "cargo") {
             let args = &words[cargo..];
@@ -149,9 +164,85 @@ fn locked_manifest_dirs(source: &str) -> Vec<(usize, String)> {
                 found.push((start, dir.to_owned()));
             }
         }
-        command.clear();
     }
     found
+}
+
+/// What a step needs the repository to provide.
+#[derive(Debug, PartialEq)]
+enum Needs {
+    /// From `--bin NAME` or `./target/release/NAME`.
+    Binary(String),
+    /// A script run by `python3`/`python`/`bash`/`sh`, or a `./PATH`.
+    Path(String),
+}
+
+/// Every binary and repository path the commands of `source` name, with
+/// 1-based line numbers.
+fn step_needs(source: &str) -> Vec<(usize, Needs)> {
+    let mut found = Vec::new();
+    for (line, command) in command_lines(source) {
+        let words: Vec<&str> = command
+            .split_whitespace()
+            .map(|w| w.trim_matches(|c| matches!(c, '"' | '\'' | '(' | ')' | ';')))
+            .collect();
+        for (i, &word) in words.iter().enumerate() {
+            let next = words.get(i + 1).copied().unwrap_or("");
+            let need = if let Some(name) = word.strip_prefix("./target/release/") {
+                Needs::Binary(name.to_owned())
+            } else if word == "--bin" && !next.is_empty() {
+                Needs::Binary(next.to_owned())
+            } else if let Some(path) = word.strip_prefix("./") {
+                Needs::Path(path.to_owned())
+            } else if matches!(word, "python3" | "python" | "bash" | "sh")
+                && !next.is_empty()
+                && !next.starts_with(['-', '/', '$', '~', '<', '>'])
+                && !next.starts_with("./")
+            {
+                Needs::Path(next.to_owned())
+            } else {
+                continue;
+            };
+            found.push((line, need));
+        }
+    }
+    found
+}
+
+/// Adds every binary some manifest under `dir` builds: its `[[bin]]`
+/// names, each `src/bin/NAME.rs`, and the package name when there is a
+/// `src/main.rs`. Build output (`target`) and hidden directories are
+/// skipped.
+fn binaries_under(dir: &Path, names: &mut HashSet<String>) {
+    if let Ok(toml) = std::fs::read_to_string(dir.join("Cargo.toml")) {
+        let has_main = dir.join("src/main.rs").is_file();
+        let mut table = "";
+        for line in toml.lines().map(str::trim) {
+            if line.starts_with('[') {
+                table = line;
+            } else if let Some(("name", value)) = line.split_once('=').map(|(k, v)| (k.trim(), v)) {
+                if table == "[[bin]]" || table == "[package]" && has_main {
+                    names.insert(value.trim().trim_matches('"').to_owned());
+                }
+            }
+        }
+        for entry in std::fs::read_dir(dir.join("src/bin"))
+            .into_iter()
+            .flatten()
+            .flatten()
+        {
+            if let Some(stem) = entry.file_name().to_string_lossy().strip_suffix(".rs") {
+                names.insert(stem.to_owned());
+            }
+        }
+    }
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if entry.path().is_dir() && name != "target" && !name.starts_with('.') {
+            binaries_under(&entry.path(), names);
+        }
+    }
 }
 
 /// `*` and `?` wildcard matching that never crosses a `/`.
@@ -336,4 +427,56 @@ jobs:
 
     let top_level = "name: CI\non:\n  push:\nname: again\n";
     assert_eq!(duplicate_keys(top_level), vec![(4, "name".to_owned())]);
+}
+
+#[test]
+fn ci_steps_name_binaries_and_paths_that_exist() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut binaries = HashSet::new();
+    binaries_under(repo, &mut binaries);
+    // A `[[bin]]` entry, a `src/bin/NAME.rs` and a `src/main.rs`.
+    for expected in ["bench_diff", "table1", "perfbench"] {
+        assert!(binaries.contains(expected), "binary {expected} not found");
+    }
+    let mut files = Vec::new();
+    yaml_files(&repo.join(".github"), &mut files);
+    let mut needs = 0;
+    let mut problems = Vec::new();
+    for file in &files {
+        let source = std::fs::read_to_string(file).expect("readable YAML file");
+        for (line, need) in step_needs(&source) {
+            needs += 1;
+            let exists = match &need {
+                Needs::Binary(name) => binaries.contains(name),
+                Needs::Path(path) => repo.join(path).exists(),
+            };
+            if !exists {
+                problems.push(format!("{}:{line}: no such {need:?}", file.display()));
+            }
+        }
+    }
+    assert!(needs > 0, "no binaries or scripts found in the workflows");
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+#[test]
+fn the_step_reader_finds_binaries_and_scripts() {
+    let workflow = "\
+      - uses: ./.github/actions/rust-setup
+      # cargo run --bin in_a_comment
+      - run: |
+          cargo build --release \\
+            -p eds-bench --bin table1
+          ./target/release/eds-serve < /tmp/requests.jsonl
+          (cd \"$1\" && python3 perfbench/run.py --seed 1) > /tmp/out
+";
+    assert_eq!(
+        step_needs(workflow),
+        vec![
+            (1, Needs::Path(".github/actions/rust-setup".to_owned())),
+            (4, Needs::Binary("table1".to_owned())),
+            (6, Needs::Binary("eds-serve".to_owned())),
+            (7, Needs::Path("perfbench/run.py".to_owned())),
+        ]
+    );
 }
