@@ -322,10 +322,6 @@ impl NodeAlgorithm for IdMatchingNode {
             *f = (next() & 1 == 0).then(|| (next() % self.degree as u64) as u32);
         }
     }
-
-    fn reset(&mut self) {
-        *self = IdMatchingNode::new(self.delta, self.degree, self.id);
-    }
 }
 
 /// Runs the identifier-model maximal matching on `g` with the given
@@ -521,10 +517,6 @@ mod reference {
             self.pending = (next() & 1 == 0).then(|| (next() % self.degree as u64) as usize);
             self.incoming = (0..self.degree).filter(|_| next() & 1 == 0).collect();
         }
-
-        fn reset(&mut self) {
-            *self = VectorNode::new(self.delta, self.degree, self.id);
-        }
     }
 }
 
@@ -624,13 +616,11 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_then_reset_restores_the_initial_state() {
+    fn corruption_changes_the_state() {
         let mut node = IdMatchingNode::new(4, 3, 42);
         let fresh = format!("{node:?}");
         node.corrupt(0xfeed_cafe);
         assert_ne!(format!("{node:?}"), fresh, "corruption must change state");
-        node.reset();
-        assert_eq!(format!("{node:?}"), fresh, "reset must restore it");
     }
 
     #[test]

@@ -59,9 +59,6 @@ pub enum RandMmMsg {
 #[derive(Clone, Debug)]
 pub struct RandMatchingNode {
     degree: usize,
-    /// The construction-time seed, retained so `reset` can re-derive the
-    /// whole initial state.
-    seed: u64,
     rng: u64,
     phases: usize,
     matched: bool,
@@ -81,7 +78,6 @@ impl RandMatchingNode {
     pub fn new(degree: usize, seed: u64, phases: usize) -> Self {
         RandMatchingNode {
             degree,
-            seed,
             rng: seed ^ 0x9e37_79b9_7f4a_7c15,
             phases,
             matched: false,
@@ -207,8 +203,8 @@ impl NodeAlgorithm for RandMatchingNode {
     fn corrupt(&mut self, entropy: u64) {
         // Everything soft is garbleable: the xorshift state accepts any
         // word (`next_rand` guards against 0), the matching bookkeeping
-        // is bits, and port references stay < degree. `degree`, `seed`,
-        // and `phases` define the schedule and the reset state.
+        // is bits, and port references stay < degree. `degree` and
+        // `phases` define the schedule.
         if self.degree == 0 {
             return;
         }
@@ -222,10 +218,6 @@ impl NodeAlgorithm for RandMatchingNode {
         }
         self.pending = (next() & 1 == 0).then(|| (next() % self.degree as u64) as usize);
         self.incoming = (0..self.degree).filter(|_| next() & 1 == 0).collect();
-    }
-
-    fn reset(&mut self) {
-        *self = RandMatchingNode::new(self.degree, self.seed, self.phases);
     }
 }
 
@@ -269,7 +261,6 @@ mod reference {
     #[derive(Clone, Debug)]
     pub(super) struct FixedBudgetNode {
         degree: usize,
-        seed: u64,
         rng: u64,
         phases: usize,
         matched: bool,
@@ -284,7 +275,6 @@ mod reference {
         pub(super) fn new(degree: usize, seed: u64, phases: usize) -> Self {
             FixedBudgetNode {
                 degree,
-                seed,
                 rng: seed ^ 0x9e37_79b9_7f4a_7c15,
                 phases,
                 matched: false,
@@ -405,10 +395,6 @@ mod reference {
             }
             self.pending = (next() & 1 == 0).then(|| (next() % self.degree as u64) as usize);
             self.incoming = (0..self.degree).filter(|_| next() & 1 == 0).collect();
-        }
-
-        fn reset(&mut self) {
-            *self = FixedBudgetNode::new(self.degree, self.seed, self.phases);
         }
     }
 }
@@ -577,10 +563,6 @@ mod tests {
                     let epoch = churn.stabilize().unwrap();
                     let epoch_reference = churn_reference.stabilize().unwrap();
                     assert_eq!(epoch.outputs, epoch_reference.outputs, "corrupted {what}");
-                    assert_eq!(
-                        epoch.reset_recovery, epoch_reference.reset_recovery,
-                        "corrupted {what}"
-                    );
                     assert!(epoch.rounds <= epoch_reference.rounds, "corrupted {what}");
                     assert!(
                         epoch.messages <= epoch_reference.messages,
@@ -609,13 +591,11 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_then_reset_restores_the_initial_state() {
+    fn corruption_changes_the_state() {
         let mut node = RandMatchingNode::new(3, 99, 7);
         let fresh = format!("{node:?}");
         node.corrupt(0xdead_beef);
         assert_ne!(format!("{node:?}"), fresh, "corruption must change state");
-        node.reset();
-        assert_eq!(format!("{node:?}"), fresh, "reset must restore it");
     }
 
     #[test]

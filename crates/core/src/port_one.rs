@@ -76,8 +76,8 @@ impl NodeAlgorithm for PortOneNode {
         }
     }
 
-    // `corrupt`/`reset` keep the trait's no-op defaults: the node's only
-    // field is its degree, which is structural — a stateless one-round
+    // `corrupt` keeps the trait's no-op default: the node's only field
+    // is its degree, which is structural — a stateless one-round
     // protocol is trivially self-stabilizing.
 
     fn receive(&mut self, _round: usize, inbox: &[Option<Self::Message>]) -> Option<Self::Output> {

@@ -27,14 +27,14 @@
 //! edge event the frontier has constant size, so repair takes `O(1)` rounds
 //! — the bound the `churn_sweep` smoke gate asserts.
 //!
-//! The escalation policy — when repair alone is trusted, when the protocol
-//! re-runs on a k-hop ball around the frontier ([`khop_ball`] +
-//! [`splice_edge_witness`]), and when a full re-stabilisation is the last
-//! resort — is captured by [`RecoveryPolicy`] and consumed by the churn
-//! runner in `eds-scenarios`.
+//! Each rule restores feasibility whenever its `touched` frontier holds
+//! every event endpoint and every partner freed by an external removal
+//! (`tests/repair_property.rs` checks this), so a repair pass handed such
+//! a frontier leaves no residual damage. [`RecoveryPolicy`] decides when
+//! repair alone is trusted and when a full re-stabilisation runs instead;
+//! the churn runner in `eds-scenarios` consumes it.
 
-use std::collections::BTreeSet;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use pn_graph::{DynamicTopology, NodeId, SimpleGraph};
 
@@ -156,8 +156,8 @@ pub struct RepairOutcome {
     pub transient_violations: usize,
 }
 
-/// The rungs of the churn-recovery escalation ladder, cheapest first.
-/// Ordered: a later rung strictly dominates an earlier one in cost.
+/// The rungs of the churn-recovery ladder, cheapest first. Ordered: a
+/// later rung strictly dominates an earlier one in cost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RecoveryTier {
     /// No recovery ran (an empty schedule).
@@ -165,21 +165,20 @@ pub enum RecoveryTier {
     None,
     /// Local witness repair only — no protocol epoch.
     Repair,
-    /// Protocol re-run confined to the k-hop ball around the frontier,
-    /// outputs spliced back into the witness.
-    BallRerun,
     /// Full re-stabilisation on the whole topology (the last resort).
     Full,
 }
 
 impl RecoveryTier {
-    /// The rung as a small integer for records (`0` = none … `3` = full).
+    /// The rung as a small integer for records: `0` none, `1` repair,
+    /// `3` full. Full keeps the `3` it had when a ball re-run rung sat
+    /// at `2`, so new records compare with existing reports and
+    /// baselines.
     #[must_use]
     pub fn index(self) -> usize {
         match self {
             RecoveryTier::None => 0,
             RecoveryTier::Repair => 1,
-            RecoveryTier::BallRerun => 2,
             RecoveryTier::Full => 3,
         }
     }
@@ -187,24 +186,16 @@ impl RecoveryTier {
 
 /// Knobs of the repair-first recovery ladder.
 ///
-/// Rung 1 (repair-only) applies while the damage frontier stays below
-/// `repair_frontier_fraction` of the node count; rung 2 re-runs the
-/// protocol on the `ball_radius`-hop ball around the frontier when repair
-/// reports residual infeasibility; rung 3 is a full re-stabilisation with
-/// up to `max_reset_retries` clean retry epochs when corruption garbles
-/// the quiescent output. A seeded fraction `audit_fraction` of epochs
-/// additionally runs the full re-stabilisation as a trust-but-verify
-/// audit of the repaired witness.
+/// Repair alone is trusted while the damage frontier stays below
+/// `repair_frontier_fraction` of the node count; a larger frontier goes
+/// straight to a full re-stabilisation. A seeded fraction
+/// `audit_fraction` of epochs additionally runs the full
+/// re-stabilisation as a trust-but-verify audit of the repaired witness.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RecoveryPolicy {
     /// Largest damage frontier (as a fraction of the node count) that
     /// rung 1 — repair without any protocol epoch — is trusted with.
     pub repair_frontier_fraction: f64,
-    /// Radius of the ball re-run rung, in hops from the frontier.
-    pub ball_radius: usize,
-    /// Clean retry epochs the full-re-stabilisation rung may spend when
-    /// a corrupted epoch yields a garbled quiescent output.
-    pub max_reset_retries: usize,
     /// Fraction of epochs audited against a full re-stabilisation
     /// (seeded, deterministic). `0.0` disables audits; `1.0` audits
     /// every epoch.
@@ -215,8 +206,6 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
             repair_frontier_fraction: 0.25,
-            ball_radius: 2,
-            max_reset_retries: 1,
             audit_fraction: 0.25,
         }
     }
@@ -230,15 +219,7 @@ impl RecoveryPolicy {
         RecoveryPolicy {
             repair_frontier_fraction: 1.0,
             audit_fraction: 1.0,
-            ..RecoveryPolicy::default()
         }
-    }
-
-    /// Returns `self` with the audit fraction replaced.
-    #[must_use]
-    pub fn with_audit_fraction(mut self, fraction: f64) -> Self {
-        self.audit_fraction = fraction;
-        self
     }
 
     /// Whether rung 1 is trusted with a frontier of `frontier_nodes` on a
@@ -256,111 +237,6 @@ impl RecoveryPolicy {
     pub fn audits_epoch(&self, draw: u64) -> bool {
         ((draw >> 11) as f64) < self.audit_fraction * (1u64 << 53) as f64
     }
-}
-
-/// A k-hop ball around a damage frontier, extracted by [`khop_ball`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Ball {
-    /// Every node within `radius` hops of the frontier, ascending.
-    pub nodes: Vec<usize>,
-    /// The nodes at exactly `radius` hops — the frozen boundary: they
-    /// participate in a ball re-run as virtual inputs, but their outputs
-    /// are never spliced back.
-    pub boundary: NodeWitness,
-}
-
-impl Ball {
-    /// The interior (ball minus boundary) — the nodes whose re-run
-    /// outputs replace the witness entries.
-    #[must_use]
-    pub fn interior(&self) -> NodeWitness {
-        self.nodes
-            .iter()
-            .copied()
-            .filter(|v| !self.boundary.contains(v))
-            .collect()
-    }
-}
-
-/// Extracts the `radius`-hop ball around `frontier` by sparse BFS: only
-/// the visited neighbourhoods are touched, so the cost is proportional to
-/// the ball, not the graph. Frontier entries beyond the view's node range
-/// are ignored.
-pub fn khop_ball<V: AdjacencyView + ?Sized>(g: &V, frontier: &NodeWitness, radius: usize) -> Ball {
-    let n = g.node_count();
-    let mut dist: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for &v in frontier {
-        if v < n {
-            dist.insert(v, 0);
-            queue.push_back(v);
-        }
-    }
-    while let Some(v) = queue.pop_front() {
-        let d = dist[&v];
-        if d == radius {
-            continue;
-        }
-        let mut fresh = Vec::new();
-        g.for_each_neighbor(v, &mut |u| {
-            if !dist.contains_key(&u) && !fresh.contains(&u) {
-                fresh.push(u);
-            }
-        });
-        for u in fresh {
-            dist.insert(u, d + 1);
-            queue.push_back(u);
-        }
-    }
-    let nodes: Vec<usize> = dist.keys().copied().collect();
-    let boundary = dist
-        .iter()
-        .filter(|&(_, &d)| d == radius)
-        .map(|(&v, _)| v)
-        .collect();
-    Ball { nodes, boundary }
-}
-
-/// Splices a ball re-run's edge output back into a witness: every entry
-/// with *both* endpoints in `interior` is replaced by the `replacement`
-/// entries that lie fully inside the interior. Boundary-crossing entries
-/// of both sets are left alone — the seam is re-legalised by a follow-up
-/// repair pass over the ball. Returns `(removed, added)` entry counts.
-pub fn splice_edge_witness(
-    witness: &mut EdgeWitness,
-    interior: &NodeWitness,
-    replacement: &EdgeWitness,
-) -> (usize, usize) {
-    let before = witness.len();
-    witness.retain(|&(u, v)| !(interior.contains(&u) && interior.contains(&v)));
-    let removed = before - witness.len();
-    let mut added = 0;
-    for &(u, v) in replacement {
-        if interior.contains(&u) && interior.contains(&v) && witness.insert(edge_key(u, v)) {
-            added += 1;
-        }
-    }
-    (removed, added)
-}
-
-/// The node-witness sibling of [`splice_edge_witness`]: interior cover
-/// membership is replaced wholesale by the replacement's interior part.
-/// Returns `(removed, added)` entry counts.
-pub fn splice_node_witness(
-    cover: &mut NodeWitness,
-    interior: &NodeWitness,
-    replacement: &NodeWitness,
-) -> (usize, usize) {
-    let before = cover.len();
-    cover.retain(|v| !interior.contains(v));
-    let removed = before - cover.len();
-    let mut added = 0;
-    for &v in replacement {
-        if interior.contains(&v) && cover.insert(v) {
-            added += 1;
-        }
-    }
-    (removed, added)
 }
 
 /// Repairs `witness` into a maximal matching of `g`.
@@ -782,55 +658,22 @@ mod tests {
     }
 
     #[test]
-    fn khop_ball_is_sparse_and_bounded() {
-        let g = generators::cycle(64).unwrap();
-        let frontier: NodeWitness = [0].into_iter().collect();
-        let ball = khop_ball(&g, &frontier, 2);
-        // On a cycle, the 2-ball around one node is five nodes.
-        assert_eq!(ball.nodes, vec![0, 1, 2, 62, 63]);
-        assert_eq!(ball.boundary, [2, 62].into_iter().collect::<NodeWitness>());
-        assert_eq!(
-            ball.interior(),
-            [0, 1, 63].into_iter().collect::<NodeWitness>()
-        );
-        // Radius 0 is all boundary, no interior.
-        let degenerate = khop_ball(&g, &frontier, 0);
-        assert_eq!(degenerate.nodes, vec![0]);
-        assert!(degenerate.interior().is_empty());
-    }
-
-    #[test]
-    fn splice_replaces_interior_entries_only() {
-        let mut w: EdgeWitness = [(0, 1), (2, 3), (4, 5)].into_iter().collect();
-        let interior: NodeWitness = [0, 1, 2].into_iter().collect();
-        // (0,1) is fully interior → replaced; (2,3) crosses the seam →
-        // kept; the replacement's seam-crossing (2,9) is not spliced in.
-        let replacement: EdgeWitness = [(0, 2), (2, 9)].into_iter().collect();
-        let (removed, added) = splice_edge_witness(&mut w, &interior, &replacement);
-        assert_eq!((removed, added), (1, 1));
-        assert_eq!(w, [(0, 2), (2, 3), (4, 5)].into_iter().collect());
-
-        let mut c: NodeWitness = [0, 1, 5].into_iter().collect();
-        let (removed, added) =
-            splice_node_witness(&mut c, &interior, &[2, 7].into_iter().collect());
-        assert_eq!((removed, added), (2, 1));
-        assert_eq!(c, [2, 5].into_iter().collect());
-    }
-
-    #[test]
     fn recovery_policy_gates_are_deterministic() {
         let policy = RecoveryPolicy::default();
         assert!(policy.repair_applies(2, 10));
         assert!(!policy.repair_applies(5, 10));
         assert!(RecoveryPolicy::repair_first().repair_applies(10, 10));
         // Fraction 1.0 audits every draw, 0.0 none.
-        let always = RecoveryPolicy::default().with_audit_fraction(1.0);
-        let never = RecoveryPolicy::default().with_audit_fraction(0.0);
+        let always = RecoveryPolicy::repair_first();
+        let never = RecoveryPolicy {
+            audit_fraction: 0.0,
+            ..RecoveryPolicy::default()
+        };
         for draw in [0u64, 1, u64::MAX / 2, u64::MAX] {
             assert!(always.audits_epoch(draw));
             assert!(!never.audits_epoch(draw));
         }
         assert!(RecoveryTier::Repair < RecoveryTier::Full);
-        assert_eq!(RecoveryTier::BallRerun.index(), 2);
+        assert_eq!(RecoveryTier::Full.index(), 3);
     }
 }

@@ -52,19 +52,14 @@ pub trait NodeAlgorithm {
     /// configuration (degree, `Δ`, round schedule), and the corrupted
     /// state must never make `send_into`/`receive` panic or index out of
     /// bounds — a corrupted node may output garbage, but the execution
-    /// must stay well-defined so recovery can be measured. The default
-    /// is a no-op: a stateless algorithm has nothing to corrupt.
+    /// must stay well-defined so recovery can be measured. A corrupted
+    /// epoch that still fails (say, a node that never halts) returns its
+    /// error, and the caller decides whether to re-run the epoch from
+    /// factory-fresh states. The default is a no-op: a stateless
+    /// algorithm has nothing to corrupt.
     fn corrupt(&mut self, entropy: u64) {
         let _ = entropy;
     }
-
-    /// Restores the node to its initial state (as constructed, before
-    /// any round ran) — the self-stabilizing restart the churn harness
-    /// applies when a corrupted epoch fails to converge. Implementations
-    /// rebuild all soft state from the construction-time parameters they
-    /// retain. The default is a no-op, correct exactly for algorithms
-    /// whose `corrupt` is also the no-op.
-    fn reset(&mut self) {}
 }
 
 /// A deterministic stream of scramble words for

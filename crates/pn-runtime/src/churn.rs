@@ -34,13 +34,13 @@
 //! for the next epoch through [`crate::NodeAlgorithm::corrupt`] — the
 //! adversarial wake-up of self-stabilization: the node starts the epoch
 //! from an arbitrary (deterministically seeded) state instead of its
-//! constructed one. If the corrupted epoch fails outright (a runtime
-//! error from scrambled bookkeeping), the simulator runs one **recovery
-//! epoch**: the corrupted states are rebuilt, scrambled identically,
-//! then restored via [`crate::NodeAlgorithm::reset`] — the
-//! self-stabilizing restart — and the epoch re-runs from clean initial
-//! states. [`Epoch::reset_recovery`] records that the fallback fired;
-//! its rounds count toward recovery like any others.
+//! constructed one. [`ChurnSimulator::stabilize`] runs each epoch once
+//! and consumes the queued corruption whether the run succeeds or
+//! fails.
+//! A corrupted epoch that fails outright (a runtime error from scrambled
+//! bookkeeping) returns its error, and the caller decides whether to
+//! retry: the next `stabilize` on the same topology is a clean run from
+//! factory-fresh states.
 
 use pn_graph::{DynamicTopology, GraphError, NodeId, PortNumberedGraph};
 
@@ -135,8 +135,7 @@ pub enum ChurnError {
     /// A topology event was structurally invalid (unknown node, missing
     /// edge, duplicate edge, ...).
     Graph(GraphError),
-    /// A protocol epoch failed (and, for corrupted epochs, so did the
-    /// reset-recovery re-run).
+    /// A protocol epoch failed.
     Runtime(RuntimeError),
 }
 
@@ -177,9 +176,6 @@ pub struct Epoch<O> {
     pub messages: usize,
     /// How many nodes started this epoch from corrupted state.
     pub corrupted: usize,
-    /// Whether the corrupted run failed and the epoch was recovered by
-    /// rebuilding the states through [`crate::NodeAlgorithm::reset`].
-    pub reset_recovery: bool,
 }
 
 /// Runs a node algorithm across churn epochs over a mutable topology.
@@ -238,8 +234,7 @@ where
     /// Polls `token` at every epoch barrier and once per round inside
     /// each epoch. A deadline firing mid-epoch aborts the run at the
     /// next round boundary with a structured
-    /// [`RuntimeError::Cancelled`]; the reset-recovery fallback is never
-    /// attempted for a cancelled epoch.
+    /// [`RuntimeError::Cancelled`].
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -248,6 +243,12 @@ where
     /// The current (mutable) topology.
     pub fn topology(&self) -> &DynamicTopology<'g> {
         &self.topo
+    }
+
+    /// How many corrupt events the next [`ChurnSimulator::stabilize`]
+    /// will apply.
+    pub fn pending_corruption(&self) -> usize {
+        self.pending_corrupt.len()
     }
 
     /// Drops any queued corruption without running an epoch, returning
@@ -304,27 +305,15 @@ where
         Ok(burst.len())
     }
 
-    /// Builds the epoch's initial states: factory-fresh, with queued
-    /// corruption applied (and, on the recovery path, reset again).
-    fn build_states(&self, g: &PortNumberedGraph, reset: bool) -> Vec<A> {
-        let mut states: Vec<A> = g.nodes().map(|v| (self.factory)(v, g.degree(v))).collect();
-        for &(v, entropy) in &self.pending_corrupt {
-            states[v.index()].corrupt(entropy);
-            if reset {
-                states[v.index()].reset();
-            }
-        }
-        states
-    }
-
-    /// Runs the protocol to quiescence on the current topology,
-    /// consuming any queued corruption. See the [module docs](self) for
-    /// the corruption/recovery semantics.
+    /// Runs the protocol to quiescence on the current topology from
+    /// factory-fresh states, consuming any queued corruption. See the
+    /// [module docs](self) for the corruption semantics.
     ///
     /// # Errors
     ///
-    /// [`ChurnError::Runtime`] if the epoch fails — for corrupted
-    /// epochs, only after the reset-recovery re-run also failed.
+    /// [`ChurnError::Runtime`] if the epoch fails. A run that started
+    /// consumed the queued corruption all the same; a token that fired
+    /// at the barrier runs nothing and leaves the queue as it was.
     pub fn stabilize(&mut self) -> Result<Epoch<A::Output>, ChurnError> {
         crate::metrics::metrics().churn_epochs.inc();
         if let Some(token) = &self.cancel {
@@ -338,24 +327,16 @@ where
             }
         }
         let g = self.topo.freeze()?;
+        let mut states: Vec<A> = g.nodes().map(|v| (self.factory)(v, g.degree(v))).collect();
         let corrupted = self.pending_corrupt.len();
+        for (v, entropy) in self.pending_corrupt.drain(..) {
+            states[v.index()].corrupt(entropy);
+        }
         let mut sim = Simulator::with_options(&g, self.options);
         if let Some(token) = &self.cancel {
             sim = sim.cancel_token(token.clone());
         }
-        let (run, reset_recovery) = match sim.run_states(self.build_states(&g, false)) {
-            Ok(run) => (run, false),
-            // A cancelled epoch is a timeout, not scrambled bookkeeping —
-            // retrying from reset would just burn the rest of the budget.
-            Err(e @ RuntimeError::Cancelled { .. }) => return Err(e.into()),
-            Err(_) if corrupted > 0 => {
-                // Self-stabilizing restart: rebuild, scramble identically,
-                // reset back to initial states, and re-run clean.
-                (sim.run_states(self.build_states(&g, true))?, true)
-            }
-            Err(e) => return Err(e.into()),
-        };
-        self.pending_corrupt.clear();
+        let run = sim.run_states(states)?;
         drop(sim);
         Ok(Epoch {
             graph: g,
@@ -363,7 +344,6 @@ where
             rounds: run.rounds,
             messages: run.messages,
             corrupted,
-            reset_recovery,
         })
     }
 
@@ -392,10 +372,9 @@ mod tests {
 
     /// A one-round echo protocol with corruptible soft state: nodes
     /// exchange a token and output `base + smallest neighbour token`.
-    /// `corrupt` garbles the token, `reset` restores it — and a node
-    /// holding the token `u64::MAX` never halts, so under a small
-    /// `max_rounds` a corrupted epoch fails outright and exercises reset
-    /// recovery.
+    /// `corrupt` garbles the token — and a node holding the token
+    /// `u64::MAX` never halts, so under a small `max_rounds` a corrupted
+    /// epoch fails outright.
     #[derive(Clone, Debug)]
     struct Echo {
         token: u64,
@@ -416,10 +395,6 @@ mod tests {
 
         fn corrupt(&mut self, entropy: u64) {
             self.token = entropy;
-        }
-
-        fn reset(&mut self) {
-            self.token = 1;
         }
     }
 
@@ -519,7 +494,6 @@ mod tests {
         .unwrap();
         let corrupted = s.stabilize().unwrap();
         assert_eq!(corrupted.corrupted, 1);
-        assert!(!corrupted.reset_recovery);
         // Node 0 started from token 41: its neighbours see it.
         assert_eq!(corrupted.outputs[1], 1 + 1); // unaffected min
         assert_eq!(corrupted.outputs[0], 41 + 1);
@@ -530,10 +504,11 @@ mod tests {
     }
 
     #[test]
-    fn failed_corrupted_epoch_recovers_through_reset() {
+    fn failed_corrupted_epoch_returns_its_error() {
         let g = cycle6();
-        // Both engines: the pool's round-limit abort must reach reset
-        // recovery exactly like the sequential one.
+        let clean = sim(&g).stabilize().unwrap();
+        // Both engines: the pool's round-limit abort must surface exactly
+        // like the sequential one.
         for threads in [1, 2] {
             let mut s = sim(&g).options(limited(threads));
             s.apply_burst(&[ChurnEvent::Corrupt {
@@ -541,12 +516,20 @@ mod tests {
                 entropy: u64::MAX, // the node never halts: the epoch fails
             }])
             .unwrap();
-            let epoch = s.stabilize().unwrap();
-            assert!(epoch.reset_recovery, "threads={threads}");
-            assert_eq!(epoch.corrupted, 1);
-            // After reset the epoch is indistinguishable from a clean one.
-            let clean = sim(&g).stabilize().unwrap();
-            assert_eq!(epoch.outputs, clean.outputs, "threads={threads}");
+            assert!(
+                matches!(
+                    s.stabilize(),
+                    Err(ChurnError::Runtime(RuntimeError::RoundLimitExceeded { .. }))
+                ),
+                "threads={threads}"
+            );
+            // The failed epoch consumed its corruption: the next one is
+            // indistinguishable from a clean run.
+            let next = s.stabilize().unwrap();
+            assert_eq!(next.corrupted, 0, "threads={threads}");
+            assert_eq!(next.outputs, clean.outputs, "threads={threads}");
+            assert_eq!(next.rounds, clean.rounds, "threads={threads}");
+            assert_eq!(next.messages, clean.messages, "threads={threads}");
         }
     }
 
@@ -578,25 +561,6 @@ mod tests {
             }
             other => panic!("expected a cancelled epoch, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn cancelled_corrupted_epoch_skips_reset_recovery() {
-        let g = cycle6();
-        // Corruption is queued AND the token is already cancelled: the
-        // epoch must report the timeout, not attempt the reset re-run.
-        let token = CancelToken::new();
-        token.cancel();
-        let mut s = sim(&g).options(limited(1)).cancel_token(token);
-        s.apply_burst(&[ChurnEvent::Corrupt {
-            v: NodeId::new(0),
-            entropy: u64::MAX,
-        }])
-        .unwrap();
-        assert!(matches!(
-            s.stabilize(),
-            Err(ChurnError::Runtime(RuntimeError::Cancelled { .. }))
-        ));
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! cheap *witness* — the maintained matching / dominating set / cover —
 //! is repaired locally with the [`eds_core::repair`] rules instead of
 //! being recomputed. Feasibility is re-checked with `eds-verify` at
-//! every quiescence point; corruption that garbles a quiescent output
-//! triggers one clean recovery epoch, whose rounds are charged to
-//! [`ChurnStats::recovery_rounds`].
+//! every quiescence point; corruption that garbles a quiescent output,
+//! or makes its epoch fail, triggers one clean re-run of the epoch,
+//! whose rounds are charged to [`ChurnStats::recovery_rounds`].
 //!
 //! Everything is deterministic: the schedule is materialised from the
 //! scenario seed with the same SplitMix64 stream the runtime exposes
@@ -26,16 +26,14 @@ use eds_core::distributed::BoundedDegreeNode;
 use eds_core::port_one::PortOneNode;
 use eds_core::repair::{
     self, edge_key, is_cover_witness, is_dominating_witness, is_matching_witness,
-    is_maximal_witness, khop_ball, splice_edge_witness, splice_node_witness, AdjacencyView,
-    EdgeWitness, NodeWitness, RecoveryPolicy, RecoveryTier, RepairOutcome,
+    is_maximal_witness, AdjacencyView, EdgeWitness, NodeWitness, RecoveryPolicy, RecoveryTier,
+    RepairOutcome,
 };
 use eds_core::vertex_cover::VertexCoverNode;
-use eds_verify::{check_edge_dominating_set, check_maximal_matching};
-use pn_graph::ports::canonical_ports;
 use pn_graph::{DynamicTopology, GraphError, NodeId, PortNumberedGraph, SimpleGraph};
 use pn_runtime::{
     edge_set_from_outputs, entropy_stream, CancelToken, ChurnError, ChurnEvent, ChurnSimulator,
-    EventSchedule, NodeAlgorithm, PortSet, RunOptions, RuntimeError, Simulator,
+    EventSchedule, NodeAlgorithm, PortSet, RunOptions, RuntimeError,
 };
 
 use crate::metrics::repair_metrics;
@@ -359,31 +357,6 @@ impl Witness {
     }
 }
 
-/// `eds-verify` feasibility of a quiescent output on the epoch's graph.
-fn solution_violation(simple: &SimpleGraph, kind: WitnessKind, s: &Solution) -> Option<String> {
-    match (kind, s) {
-        (WitnessKind::Matching, Solution::Edges(edges)) => check_maximal_matching(simple, edges)
-            .err()
-            .map(|v| v.to_string()),
-        (WitnessKind::Dominating, Solution::Edges(edges)) => {
-            check_edge_dominating_set(simple, edges)
-                .err()
-                .map(|v| v.to_string())
-        }
-        (WitnessKind::Cover, Solution::Nodes(cover)) => {
-            let mut in_cover = vec![false; simple.node_count()];
-            for &v in cover {
-                in_cover[v.index()] = true;
-            }
-            simple
-                .edges()
-                .find(|&(_, u, v)| !in_cover[u.index()] && !in_cover[v.index()])
-                .map(|(e, u, v)| format!("edge {e} = {{{u}, {v}}} has no endpoint in the cover"))
-        }
-        _ => Some("solution shape does not match the protocol's witness kind".to_owned()),
-    }
-}
-
 /// The outcome of one protocol surviving one churn schedule.
 pub struct ChurnRun {
     /// The final quiescent solution (on [`ChurnRun::final_graph`]).
@@ -403,9 +376,6 @@ pub struct ChurnRun {
     pub final_simple: SimpleGraph,
     /// The `Δ` claim the parametrised protocols actually ran with.
     pub claimed_delta: usize,
-    /// Size of the incrementally maintained witness after the last
-    /// repair (compare against `solution.len()` from re-stabilisation).
-    pub witness_size: usize,
 }
 
 fn churn_err(e: ChurnError) -> SweepError {
@@ -415,34 +385,13 @@ fn churn_err(e: ChurnError) -> SweepError {
     }
 }
 
-/// Runs `protocol` through the scenario's churn schedule with the
-/// default [`RecoveryPolicy`] and no cancellation — see
-/// [`run_churn_with`].
-///
-/// # Errors
-///
-/// Returns [`SweepError`] for non-churn scenarios, inapplicable
-/// protocols, and propagated simulator errors.
-///
-/// # Panics
-///
-/// Does not panic on any [`crate::Registry::churn`] workload.
-pub fn run_churn(
-    scenario: &Scenario,
-    protocol: Protocol,
-    exec: &ExecOptions,
-) -> Result<ChurnRun, SweepError> {
-    run_churn_with(scenario, protocol, exec, &RecoveryPolicy::default(), None)
-}
-
-/// Runs `protocol` through the scenario's churn schedule under an
-/// explicit recovery policy: initial stabilisation, then per burst the
-/// escalation ladder — (1) local witness repair when the damage frontier
-/// is small, (2) a protocol re-run confined to the k-hop ball around the
-/// frontier when repair leaves residual infeasibility, (3) full
-/// re-stabilisation as the last resort, with a capped retry-from-reset
-/// budget. A seeded fraction of epochs is *audited*: the full
-/// re-stabilisation runs anyway and the repaired witness must be
+/// Runs `protocol` through the scenario's churn schedule under a
+/// recovery policy: initial stabilisation, then per burst the recovery
+/// ladder — local witness repair when the damage frontier is small and
+/// the repaired witness is feasible, otherwise a full re-stabilisation,
+/// which re-runs a corrupted epoch clean once when its run, extraction
+/// or verification fails. A seeded fraction of epochs is *audited*: the
+/// full re-stabilisation runs anyway and the repaired witness must be
 /// feasible, port-consistent, and within the protocol's paper bound of
 /// the fresh output — any divergence fails the run with a structured
 /// report.
@@ -477,7 +426,6 @@ pub fn run_churn_with(
     let delta = exec.delta.unwrap_or(0).max(mat.degree_cap);
     let threads = exec.simulator_threads;
     let seed = scenario.spec.seed;
-    let kind = WitnessKind::of(protocol);
     let ctx = |bound: Option<(u64, u64)>| RecoveryCtx {
         policy,
         cancel,
@@ -495,7 +443,7 @@ pub fn run_churn_with(
             |_, d| PortOneNode::new(d),
             threads,
             delta,
-            kind,
+            protocol,
             &ctx(None),
             edges_of,
         ),
@@ -505,7 +453,7 @@ pub fn run_churn_with(
             |_, d| BoundedDegreeNode::new(delta, d),
             threads,
             delta,
-            kind,
+            protocol,
             &ctx(Some(eds_core::bounded_degree::bounded_degree_ratio(delta))),
             edges_of,
         ),
@@ -515,7 +463,7 @@ pub fn run_churn_with(
             |_, d| VertexCoverNode::new(delta, d),
             threads,
             delta,
-            kind,
+            protocol,
             &ctx(Some((3, 1))),
             |g: &PortNumberedGraph, outputs: &[bool]| {
                 Ok(Solution::Nodes(
@@ -531,7 +479,7 @@ pub fn run_churn_with(
                 move |v: NodeId, d| IdMatchingNode::new(delta, d, ids[v.index()]),
                 threads,
                 delta,
-                kind,
+                protocol,
                 &ctx(Some((2, 1))),
                 edges_of,
             )
@@ -548,7 +496,7 @@ pub fn run_churn_with(
                 move |v: NodeId, d| RandMatchingNode::new(d, seeds[v.index()], phases),
                 threads,
                 delta,
-                kind,
+                protocol,
                 &ctx(Some((2, 1))),
                 edges_of,
             )
@@ -573,25 +521,33 @@ struct RecoveryCtx<'a> {
     seed: u64,
 }
 
-/// One verified full epoch: stabilise, extract and feasibility-check the
-/// quiescent output, and — when corruption garbled it — retry with clean
-/// reset epochs up to `max_retries` times.
+/// One verified full epoch: the frozen graph, its quiescent solution and
+/// verdict, and the cost of the runs it took.
 struct VerifiedEpoch {
     graph: PortNumberedGraph,
     simple: SimpleGraph,
     solution: Solution,
     violation: Option<String>,
+    /// Rounds across the epoch's runs (a run that failed reports none);
+    /// on a full re-stabilisation all of them count as recovery.
     rounds: usize,
     messages: usize,
-    recovery_rounds: usize,
+    /// `1` when a corrupted epoch was re-run clean, else `0`.
     transients: usize,
 }
 
+/// Stabilises the current topology, then extracts and feasibility-checks
+/// the quiescent output. A corrupted node can halt with garbage or never
+/// halt, so a corrupted epoch's run, extraction or verification may
+/// fail; that is an observable transient, and the epoch is re-run once
+/// from factory-fresh states (the run consumed the corruption). A
+/// cancelled epoch is never re-run, and an uncorrupted one is never
+/// re-run either: the protocols are deterministic, so a second run
+/// would only repeat the first.
 fn stabilize_verified<A, F, S>(
     sim: &mut ChurnSimulator<'_, A, F>,
     to_solution: &S,
-    kind: WitnessKind,
-    max_retries: usize,
+    protocol: Protocol,
 ) -> Result<VerifiedEpoch, SweepError>
 where
     A: NodeAlgorithm + Send,
@@ -600,159 +556,50 @@ where
     F: Fn(NodeId, usize) -> A,
     S: Fn(&PortNumberedGraph, &[A::Output]) -> Result<Solution, RuntimeError>,
 {
-    let epoch = sim.stabilize().map_err(churn_err)?;
-    let mut rounds = epoch.rounds;
-    let mut messages = epoch.messages;
-    let mut recovery_rounds = epoch.rounds;
-    let mut transients = 0;
-    let corrupted = epoch.corrupted;
-    let simple = epoch.graph.to_simple()?;
-    // A corrupted node can halt with garbage, so on corrupted epochs even
-    // extracting the output may fail the runtime's port consistency check
-    // — that too is an observable transient.
-    let (mut solution, mut violation) = match to_solution(&epoch.graph, &epoch.outputs) {
-        Ok(s) => {
-            let v = solution_violation(&simple, kind, &s);
-            (Some(s), v)
+    let corrupted = sim.pending_corruption() > 0;
+    // The cost of a garbled first run, charged to the re-run.
+    let (rounds, messages) = match sim.stabilize() {
+        Ok(epoch) => {
+            let simple = epoch.graph.to_simple()?;
+            match to_solution(&epoch.graph, &epoch.outputs) {
+                Ok(solution) => {
+                    let violation = protocol.violation(&simple, &solution);
+                    if violation.is_none() || !corrupted {
+                        return Ok(VerifiedEpoch {
+                            graph: epoch.graph,
+                            simple,
+                            solution,
+                            violation,
+                            rounds: epoch.rounds,
+                            messages: epoch.messages,
+                            transients: 0,
+                        });
+                    }
+                }
+                Err(e) if !corrupted => return Err(SweepError::Runtime(e)),
+                Err(_) => {}
+            }
+            (epoch.rounds, epoch.messages)
         }
-        Err(e) if corrupted > 0 => (None, Some(e.to_string())),
-        Err(e) => return Err(SweepError::Runtime(e)),
+        Err(ChurnError::Runtime(e))
+            if corrupted && !matches!(e, RuntimeError::Cancelled { .. }) =>
+        {
+            (0, 0)
+        }
+        Err(e) => return Err(churn_err(e)),
     };
-    let mut retries = 0;
-    while violation.is_some() && corrupted > 0 && retries < max_retries {
-        // Corruption garbled the quiescent output: the transient is
-        // observable, and a clean epoch (the injected state has drained)
-        // restores feasibility — self-stabilisation, within the policy's
-        // retry budget.
-        retries += 1;
-        transients += 1;
-        let recovery = sim.stabilize().map_err(churn_err)?;
-        rounds += recovery.rounds;
-        messages += recovery.messages;
-        recovery_rounds += recovery.rounds;
-        let recovered =
-            to_solution(&recovery.graph, &recovery.outputs).map_err(SweepError::Runtime)?;
-        violation = solution_violation(&simple, kind, &recovered);
-        solution = Some(recovered);
-    }
+    let epoch = sim.stabilize().map_err(churn_err)?;
+    let simple = epoch.graph.to_simple()?;
+    let solution = to_solution(&epoch.graph, &epoch.outputs).map_err(SweepError::Runtime)?;
     Ok(VerifiedEpoch {
+        violation: protocol.violation(&simple, &solution),
         graph: epoch.graph,
         simple,
-        solution: solution.unwrap_or(Solution::Edges(Vec::new())),
-        violation,
-        rounds,
-        messages,
-        recovery_rounds,
-        transients,
+        solution,
+        rounds: rounds + epoch.rounds,
+        messages: messages + epoch.messages,
+        transients: 1,
     })
-}
-
-/// The cost of an accepted ball re-run: the confined epoch itself plus
-/// the seam-repair pass that re-legalises the splice.
-struct BallCost {
-    rounds: usize,
-    messages: usize,
-    repair: RepairOutcome,
-}
-
-/// Rung 2 of the ladder: re-run the protocol on the `radius`-hop ball
-/// around the damage frontier only. The ball's rim (nodes at exactly
-/// `radius` hops, including crashed boundary nodes) participates as
-/// frozen virtual inputs — rim outputs are never spliced back. Interior
-/// outputs replace the witness's interior entries
-/// ([`splice_edge_witness`]/[`splice_node_witness`]), and one local
-/// repair pass settles the seam.
-///
-/// `Ok(None)` means the rung produced no usable re-run (empty interior,
-/// or the confined epoch failed) — the caller escalates to a full
-/// re-stabilisation. Only cancellation propagates as an error.
-#[allow(clippy::too_many_arguments)]
-fn ball_rerun<V, A, F, S>(
-    view: &V,
-    witness: &mut Witness,
-    touched: &BTreeSet<usize>,
-    kind: WitnessKind,
-    radius: usize,
-    factory: &F,
-    to_solution: &S,
-    cancel: Option<&CancelToken>,
-) -> Result<Option<BallCost>, SweepError>
-where
-    V: AdjacencyView + ?Sized,
-    A: NodeAlgorithm + Send,
-    A::Message: Send,
-    A::Output: Send,
-    F: Fn(NodeId, usize) -> A,
-    S: Fn(&PortNumberedGraph, &[A::Output]) -> Result<Solution, RuntimeError>,
-{
-    let ball = khop_ball(view, touched, radius.max(1));
-    let interior = ball.interior();
-    if interior.is_empty() {
-        return Ok(None);
-    }
-    // The induced subgraph on the ball, global ids -> dense local ids.
-    let index: std::collections::BTreeMap<usize, usize> = ball
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, i))
-        .collect();
-    let mut local = SimpleGraph::new(ball.nodes.len());
-    for (i, &v) in ball.nodes.iter().enumerate() {
-        let mut wired = true;
-        view.for_each_neighbor(v, &mut |u| {
-            if let Some(&j) = index.get(&u) {
-                if i < j && local.add_edge_ids(i, j).is_err() {
-                    wired = false;
-                }
-            }
-        });
-        if !wired {
-            return Ok(None);
-        }
-    }
-    let Ok(ports) = canonical_ports(&local) else {
-        return Ok(None);
-    };
-    let mut ball_sim = Simulator::new(&ports);
-    if let Some(token) = cancel {
-        ball_sim = ball_sim.cancel_token(token.clone());
-    }
-    let run = match ball_sim.run(|v, d| factory(NodeId::new(ball.nodes[v.index()]), d)) {
-        Ok(run) => run,
-        Err(e @ RuntimeError::Cancelled { .. }) => return Err(SweepError::Runtime(e)),
-        Err(_) => return Ok(None),
-    };
-    let Ok(local_solution) = to_solution(&ports, &run.outputs) else {
-        return Ok(None);
-    };
-    match (&mut *witness, &local_solution) {
-        (Witness::Edges(w), Solution::Edges(edges)) => {
-            let replacement: EdgeWitness = edges
-                .iter()
-                .map(|&e| {
-                    let (u, v) = ports.edge(e).nodes();
-                    edge_key(ball.nodes[u.index()], ball.nodes[v.index()])
-                })
-                .collect();
-            splice_edge_witness(w, &interior, &replacement);
-        }
-        (Witness::Cover(c), Solution::Nodes(nodes)) => {
-            let replacement: NodeWitness = nodes.iter().map(|v| ball.nodes[v.index()]).collect();
-            splice_node_witness(c, &interior, &replacement);
-        }
-        _ => return Ok(None),
-    }
-    // Re-legalise the seam: spliced interior entries may conflict with
-    // kept boundary-crossing ones; one local pass over the ball settles
-    // it (or reports residual damage, and the caller escalates).
-    let ball_set: BTreeSet<usize> = ball.nodes.iter().copied().collect();
-    let seam = witness.repair(view, &ball_set, kind);
-    Ok(Some(BallCost {
-        rounds: run.rounds,
-        messages: run.messages,
-        repair: seam,
-    }))
 }
 
 /// The generic epoch loop shared by every protocol: the recovery ladder
@@ -764,7 +611,7 @@ fn drive<A, F, S>(
     factory: F,
     threads: usize,
     claimed_delta: usize,
-    kind: WitnessKind,
+    protocol: Protocol,
     ctx: &RecoveryCtx<'_>,
     to_solution: S,
 ) -> Result<ChurnRun, SweepError>
@@ -775,7 +622,8 @@ where
     F: Fn(NodeId, usize) -> A,
     S: Fn(&PortNumberedGraph, &[A::Output]) -> Result<Solution, RuntimeError>,
 {
-    let mut sim = ChurnSimulator::new(graph, &factory)?.options(RunOptions {
+    let kind = WitnessKind::of(protocol);
+    let mut sim = ChurnSimulator::new(graph, factory)?.options(RunOptions {
         threads,
         ..RunOptions::default()
     });
@@ -793,7 +641,7 @@ where
     let mut audit_next = entropy_stream(ctx.seed ^ AUDIT_SALT);
 
     // Epoch 0: the churn-free baseline (always a full stabilisation).
-    let initial = stabilize_verified(&mut sim, &to_solution, kind, 0)?;
+    let initial = stabilize_verified(&mut sim, &to_solution, protocol)?;
     rounds += initial.rounds;
     messages += initial.messages;
     let mut violation = initial.violation.map(|v| format!("epoch 0: {v}"));
@@ -836,49 +684,27 @@ where
             .observe(outcome.rounds as u64);
         let mut burst_violations = outcome.transient_violations;
         let mut burst_recovery = outcome.rounds;
-        let mut witness_ok = witness.feasible(sim.topology(), kind);
 
-        let mut tier = if ctx.policy.repair_applies(frontier_nodes, n_now) {
-            if witness_ok {
-                RecoveryTier::Repair
-            } else {
-                RecoveryTier::BallRerun
-            }
+        // Repair restores feasibility whenever the frontier holds every
+        // event endpoint and freed partner, which `materialize` and
+        // `scramble_at` guarantee; residual damage would escalate
+        // straight to a full re-stabilisation.
+        let tier = if ctx.policy.repair_applies(frontier_nodes, n_now)
+            && witness.feasible(sim.topology(), kind)
+        {
+            RecoveryTier::Repair
         } else {
             RecoveryTier::Full
         };
 
-        if tier == RecoveryTier::BallRerun {
-            // Rung 2: a protocol epoch confined to the k-hop ball.
-            if let Some(cost) = ball_rerun(
-                sim.topology(),
-                &mut witness,
-                &touched,
-                kind,
-                ctx.policy.ball_radius,
-                &factory,
-                &to_solution,
-                ctx.cancel,
-            )? {
-                rounds += cost.rounds;
-                messages += cost.messages;
-                burst_recovery += cost.rounds + cost.repair.rounds;
-                burst_violations += cost.repair.transient_violations;
-                stats.repair_messages += cost.repair.messages;
-                witness_ok = witness.feasible(sim.topology(), kind);
-            }
-            if !witness_ok {
-                tier = RecoveryTier::Full;
-            }
-        }
-
         if tier == RecoveryTier::Full {
-            // Rung 3: full re-stabilisation, the last resort.
-            let ep =
-                stabilize_verified(&mut sim, &to_solution, kind, ctx.policy.max_reset_retries)?;
+            // Full re-stabilisation, the last resort.
+            let ep = stabilize_verified(&mut sim, &to_solution, protocol)?;
+            stats.escalations += 1;
+            repair_metrics().escalations.inc();
             rounds += ep.rounds;
             messages += ep.messages;
-            burst_recovery += ep.recovery_rounds;
+            burst_recovery += ep.rounds;
             burst_violations += ep.transients;
             if violation.is_none() {
                 violation = ep.violation.map(|v| format!("burst {b}: {v}"));
@@ -897,8 +723,7 @@ where
             // counts toward run totals but never toward recovery rounds —
             // it is instrumentation, not recovery.
             repair_metrics().audits.inc();
-            let ep =
-                stabilize_verified(&mut sim, &to_solution, kind, ctx.policy.max_reset_retries)?;
+            let ep = stabilize_verified(&mut sim, &to_solution, protocol)?;
             rounds += ep.rounds;
             messages += ep.messages;
             burst_violations += ep.transients;
@@ -928,18 +753,14 @@ where
             solution = ep.solution;
             solution_current = true;
         } else {
-            // Repair-only (or ball) epoch accepted: the protocol never
-            // re-ran on the full topology. Corruption damage was healed
-            // in the witness, so drop the queued corrupt events — a
-            // later full epoch must not replay the fault.
+            // Repair-only epoch accepted: the protocol never re-ran on
+            // the full topology. Corruption damage was healed in the
+            // witness, so drop the queued corrupt events — a later full
+            // epoch must not replay the fault.
             sim.clear_corruption();
             solution_current = false;
         }
 
-        if tier >= RecoveryTier::BallRerun {
-            stats.escalations += 1;
-            repair_metrics().escalations.inc();
-        }
         stats.recovery_tier = stats.recovery_tier.max(tier.index());
         stats.frontier_nodes = stats.frontier_nodes.max(frontier_nodes);
         stats.recovery_rounds = stats.recovery_rounds.max(burst_recovery);
@@ -954,12 +775,12 @@ where
         solution = witness.to_solution(&final_graph);
     }
     if violation.is_none() {
-        violation =
-            solution_violation(&final_simple, kind, &solution).map(|v| format!("final: {v}"));
+        violation = protocol
+            .violation(&final_simple, &solution)
+            .map(|v| format!("final: {v}"));
     }
 
     Ok(ChurnRun {
-        witness_size: witness.len(),
         final_simple,
         solution,
         rounds,
@@ -975,6 +796,15 @@ where
 mod tests {
     use super::*;
     use crate::scenario::{PortPolicy, ScenarioSpec};
+
+    /// [`run_churn_with`] under the default policy, uncancelled.
+    fn default_churn(
+        scenario: &Scenario,
+        protocol: Protocol,
+        exec: &ExecOptions,
+    ) -> Result<ChurnRun, SweepError> {
+        run_churn_with(scenario, protocol, exec, &RecoveryPolicy::default(), None)
+    }
 
     fn churn_spec(base: Family, plan: ChurnPlan, seed: u64) -> ScenarioSpec {
         ScenarioSpec::new(
@@ -998,7 +828,8 @@ mod tests {
         assert_eq!(a.touched, b.touched);
         assert!(a.schedule.event_count() > 0);
         assert_eq!(a.schedule.len(), 4);
-        let run = run_churn(&scenario, Protocol::BoundedDegree, &ExecOptions::default()).unwrap();
+        let run =
+            default_churn(&scenario, Protocol::BoundedDegree, &ExecOptions::default()).unwrap();
         assert!(run.final_graph.max_degree() <= a.degree_cap);
         assert!(a.max_nodes >= 10);
     }
@@ -1028,7 +859,8 @@ mod tests {
     fn empty_plan_is_the_static_run() {
         let spec = churn_spec(Family::Petersen, ChurnPlan::new(0, 0, 0), 1);
         let scenario = spec.build().unwrap();
-        let run = run_churn(&scenario, Protocol::BoundedDegree, &ExecOptions::default()).unwrap();
+        let run =
+            default_churn(&scenario, Protocol::BoundedDegree, &ExecOptions::default()).unwrap();
         let static_run = Protocol::BoundedDegree.execute(&scenario).unwrap();
         assert_eq!(run.solution, static_run.solution);
         assert_eq!(run.rounds, static_run.rounds);
@@ -1044,13 +876,13 @@ mod tests {
             .build()
             .unwrap();
         for protocol in [Protocol::BoundedDegree, Protocol::IdMatching] {
-            let baseline = run_churn(&scenario, protocol, &ExecOptions::default()).unwrap();
+            let baseline = default_churn(&scenario, protocol, &ExecOptions::default()).unwrap();
             for threads in [2usize, 4] {
                 let opts = ExecOptions {
                     simulator_threads: threads,
                     ..ExecOptions::default()
                 };
-                let run = run_churn(&scenario, protocol, &opts).unwrap();
+                let run = default_churn(&scenario, protocol, &opts).unwrap();
                 assert_eq!(run.solution, baseline.solution, "threads = {threads}");
                 assert_eq!(run.rounds, baseline.rounds, "threads = {threads}");
                 assert_eq!(run.messages, baseline.messages, "threads = {threads}");
@@ -1083,7 +915,7 @@ mod tests {
                 Protocol::IdMatching,
                 Protocol::RandMatching,
             ] {
-                let run = run_churn(&scenario, protocol, &ExecOptions::default())
+                let run = default_churn(&scenario, protocol, &ExecOptions::default())
                     .unwrap_or_else(|e| panic!("{}: {e}", protocol.name()));
                 assert_eq!(run.violation, None, "{}", protocol.name());
                 assert!(run.stats.events_applied > 0);
@@ -1097,7 +929,6 @@ mod tests {
                     protocol.name()
                 );
                 assert!(!run.solution.is_empty(), "{}", protocol.name());
-                assert!(run.witness_size > 0, "{}", protocol.name());
             }
         }
     }
@@ -1107,7 +938,7 @@ mod tests {
         let scenario = churn_spec(Family::Petersen, ChurnPlan::new(2, 0, 3), 9)
             .build()
             .unwrap();
-        let run = run_churn(&scenario, Protocol::VertexCover, &ExecOptions::default()).unwrap();
+        let run = default_churn(&scenario, Protocol::VertexCover, &ExecOptions::default()).unwrap();
         assert_eq!(run.final_graph, scenario.graph);
         assert_eq!(run.violation, None);
         assert_eq!(run.stats.events_applied, 6);
@@ -1118,6 +949,95 @@ mod tests {
         let spec = churn_spec(Family::Petersen, ChurnPlan::new(1, 1, 0), 0);
         let scenario = spec.build().unwrap();
         assert!(!Protocol::RegularOdd.applicable(&scenario));
-        assert!(run_churn(&scenario, Protocol::RegularOdd, &ExecOptions::default()).is_err());
+        assert!(default_churn(&scenario, Protocol::RegularOdd, &ExecOptions::default()).is_err());
+    }
+
+    /// Port-one with one corruptible bit: a corrupted node never halts,
+    /// and cancels `token`, when it has one, from inside the run.
+    struct Stuck {
+        port_one: PortOneNode,
+        stuck: bool,
+        token: Option<CancelToken>,
+    }
+
+    impl NodeAlgorithm for Stuck {
+        type Message = <PortOneNode as NodeAlgorithm>::Message;
+        type Output = PortSet;
+
+        fn send_into(&mut self, round: usize, outbox: &mut [Option<Self::Message>]) {
+            self.port_one.send_into(round, outbox);
+        }
+
+        fn receive(&mut self, round: usize, inbox: &[Option<Self::Message>]) -> Option<PortSet> {
+            let output = self.port_one.receive(round, inbox);
+            if !self.stuck {
+                return output;
+            }
+            if let Some(token) = &self.token {
+                token.cancel();
+            }
+            None
+        }
+
+        fn corrupt(&mut self, _entropy: u64) {
+            self.stuck = true;
+        }
+    }
+
+    #[test]
+    fn failed_corrupted_epoch_is_rerun_clean_once() {
+        let g = pn_graph::ports::canonical_ports(&pn_graph::generators::petersen()).unwrap();
+        let to_solution = |g: &PortNumberedGraph, outputs: &[PortSet]| {
+            edge_set_from_outputs(g, outputs).map(Solution::Edges)
+        };
+        let sim = |threads: usize, token: Option<CancelToken>| {
+            let node_token = token.clone();
+            let mut sim = ChurnSimulator::new(&g, move |_, d| Stuck {
+                port_one: PortOneNode::new(d),
+                stuck: false,
+                token: node_token.clone(),
+            })
+            .unwrap()
+            .options(RunOptions {
+                max_rounds: 4,
+                threads,
+                ..RunOptions::default()
+            });
+            if let Some(token) = token {
+                sim = sim.cancel_token(token);
+            }
+            sim
+        };
+        let corrupt = [ChurnEvent::Corrupt {
+            v: NodeId::new(3),
+            entropy: 0,
+        }];
+        let clean = stabilize_verified(&mut sim(1, None), &to_solution, Protocol::PortOne).unwrap();
+        assert_eq!((clean.transients, clean.violation), (0, None));
+        for threads in [1, 2] {
+            // The corrupted run fails at the round limit; one clean re-run
+            // recovers the epoch, and only the re-run's cost is charged.
+            let mut s = sim(threads, None);
+            s.apply_burst(&corrupt).unwrap();
+            let ep = stabilize_verified(&mut s, &to_solution, Protocol::PortOne).unwrap();
+            assert_eq!(ep.transients, 1, "threads={threads}");
+            assert_eq!(ep.solution, clean.solution, "threads={threads}");
+            assert_eq!(ep.violation, None, "threads={threads}");
+            assert_eq!((ep.rounds, ep.messages), (clean.rounds, clean.messages));
+
+            // A run cancelled from inside is not re-run: the error is the
+            // run's own, not the barrier timeout a second attempt returns.
+            let mut s = sim(threads, Some(CancelToken::new()));
+            s.apply_burst(&corrupt).unwrap();
+            let err = stabilize_verified(&mut s, &to_solution, Protocol::PortOne).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(SweepError::Runtime(RuntimeError::Cancelled { after_rounds, .. }))
+                        if after_rounds > 0
+                ),
+                "threads={threads}: {err:?}"
+            );
+        }
     }
 }

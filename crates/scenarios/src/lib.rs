@@ -84,8 +84,7 @@ pub mod sweep;
 
 pub use bounds::{BoundsMode, LpBounds, MmBounds};
 pub use churn::{
-    materialize, materialize_streamed, run_churn, run_churn_with, ChurnPlan, ChurnRun,
-    MaterializedChurn,
+    materialize, materialize_streamed, run_churn_with, ChurnPlan, ChurnRun, MaterializedChurn,
 };
 pub use protocol::{
     recommended_simulator_threads, ExecOptions, Protocol, ProtocolRun, Solution, SweepError,

@@ -55,7 +55,7 @@ pub(crate) struct RepairMetrics {
     /// `eds_repair_rounds` — local repair passes per burst.
     pub repair_rounds: Arc<Histogram>,
     /// `eds_repair_escalations_total` — bursts escalated past the
-    /// repair-only rung (ball re-run or full re-stabilisation).
+    /// repair-only rung to a full re-stabilisation.
     pub escalations: Arc<Counter>,
     /// `eds_repair_audits_total` — sampled-epoch audits executed.
     pub audits: Arc<Counter>,

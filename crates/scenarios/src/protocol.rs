@@ -12,7 +12,8 @@ use eds_baselines::randomized_mm::{randomized_matching_phases, RandMatchingNode}
 use eds_core::distributed::{BoundedDegreeNode, RegularOddNode};
 use eds_core::port_one::PortOneNode;
 use eds_core::vertex_cover::VertexCoverNode;
-use pn_graph::{EdgeId, GraphError, NodeId};
+use eds_verify::{check_edge_dominating_set, check_maximal_matching};
+use pn_graph::{EdgeId, GraphError, NodeId, SimpleGraph};
 use pn_runtime::{
     edge_set_from_outputs, CancelToken, PortSet, Run, RunOptions, RuntimeError, Simulator,
 };
@@ -212,6 +213,35 @@ impl Protocol {
         match self {
             Protocol::RegularOdd => scenario.graph.regular_degree().is_some_and(|d| d % 2 == 1),
             _ => true,
+        }
+    }
+
+    /// The feasibility verdict on this protocol's `solution` over
+    /// `simple`: the first `eds-verify` violation, or `None`. The
+    /// matching baselines must output a maximal matching, the other edge
+    /// protocols an edge dominating set, and a node solution must cover
+    /// every edge.
+    pub(crate) fn violation(self, simple: &SimpleGraph, solution: &Solution) -> Option<String> {
+        match solution {
+            Solution::Edges(edges) => match self {
+                Protocol::IdMatching | Protocol::RandMatching => {
+                    check_maximal_matching(simple, edges).err()
+                }
+                _ => check_edge_dominating_set(simple, edges).err(),
+            }
+            .map(|v| v.to_string()),
+            Solution::Nodes(cover) => {
+                let mut in_cover = vec![false; simple.node_count()];
+                for &v in cover {
+                    in_cover[v.index()] = true;
+                }
+                simple
+                    .edges()
+                    .find(|&(_, u, v)| !in_cover[u.index()] && !in_cover[v.index()])
+                    .map(|(e, u, v)| {
+                        format!("edge {e} = {{{u}, {v}}} has no endpoint in the cover")
+                    })
+            }
         }
     }
 

@@ -54,9 +54,6 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use eds_baselines::exact;
 use eds_baselines::two_approx;
-use eds_verify::{check_edge_dominating_set, check_maximal_matching};
-use pn_graph::NodeId;
-
 use pn_runtime::CancelToken;
 
 use crate::churn::run_churn_with;
@@ -160,18 +157,6 @@ pub(crate) fn exact_min_vertex_cover(scenario: &Scenario) -> usize {
         .map(|mask| mask.count_ones() as usize)
         .min()
         .unwrap_or(0)
-}
-
-fn vertex_cover_violation(scenario: &Scenario, cover: &[NodeId]) -> Option<String> {
-    let mut in_cover = vec![false; scenario.simple.node_count()];
-    for &v in cover {
-        in_cover[v.index()] = true;
-    }
-    scenario
-        .simple
-        .edges()
-        .find(|&(_, u, v)| !in_cover[u.index()] && !in_cover[v.index()])
-        .map(|(e, u, v)| format!("edge {e} = {{{u}, {v}}} has no endpoint in the cover"))
 }
 
 /// One completed measurement: the record plus the raw solution (handed
@@ -625,20 +610,7 @@ impl Session {
             }
             _ => paper_bound(protocol, scenario),
         };
-
-        let violation = match &run.solution {
-            Solution::Edges(edges) => match protocol {
-                Protocol::IdMatching | Protocol::RandMatching => {
-                    check_maximal_matching(&scenario.simple, edges)
-                        .err()
-                        .map(|v| v.to_string())
-                }
-                _ => check_edge_dominating_set(&scenario.simple, edges)
-                    .err()
-                    .map(|v| v.to_string()),
-            },
-            Solution::Nodes(cover) => vertex_cover_violation(scenario, cover),
-        };
+        let violation = protocol.violation(&scenario.simple, &run.solution);
         Ok(self.score(scenario, bounds, protocol, bound, run, violation))
     }
 

@@ -108,8 +108,8 @@ pub struct ChurnStats {
     /// Total neighbourhood-scan messages spent on incremental repair.
     pub repair_messages: usize,
     /// Highest recovery rung any burst reached: 0 none, 1 repair-only,
-    /// 2 ball re-run, 3 full re-stabilisation
-    /// ([`eds_core::repair::RecoveryTier`] indices).
+    /// 3 full re-stabilisation ([`eds_core::repair::RecoveryTier`]
+    /// indices).
     pub recovery_tier: usize,
     /// Largest damage frontier (event-adjacent plus corruption-scrambled
     /// nodes) any single burst produced.

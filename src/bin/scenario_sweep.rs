@@ -21,9 +21,9 @@
 //!   ([`Registry::churn_scale`], default `N` = 1,000,000 nodes) under
 //!   the repair-first recovery policy with every epoch audited against a
 //!   full re-stabilisation. Beyond the violation gate, the run fails if
-//!   any burst escalated past repair-only recovery or reached the full
-//!   re-stabilisation rung — on the streamed tier, local witness repair
-//!   is the contract, not a fast path (the CI `churn-scale-smoke`
+//!   any burst escalated past repair-only recovery to a full
+//!   re-stabilisation — on the streamed tier, local witness repair is
+//!   the contract, not a fast path (the CI `churn-scale-smoke`
 //!   contract);
 //! * `--out PATH` overrides the output path (default
 //!   `BENCH_scenarios.json` in the current directory);
@@ -88,19 +88,18 @@ use edge_dominating_sets::scenarios::{
     AggregateSink, BoundsMode, JsonLinesSink, RecordSink, Registry, Session, SweepRecord, Tee,
 };
 
-/// Tracks the churn-recovery fields that gate `--churn-scale`: the
-/// streamed tier must recover by local repair alone.
+/// Counts the bursts that escalated to a full re-stabilisation, which
+/// gates `--churn-scale`: the streamed tier must recover by local repair
+/// alone.
 #[derive(Default)]
 struct ScaleGate {
     escalations: usize,
-    worst_tier: usize,
 }
 
 impl RecordSink for ScaleGate {
     fn record(&mut self, record: SweepRecord) {
         if let Some(c) = &record.churn {
             self.escalations += c.escalations;
-            self.worst_tier = self.worst_tier.max(c.recovery_tier);
         }
     }
 }
@@ -294,11 +293,11 @@ fn main() -> ExitCode {
     }
 
     let mut failed = false;
-    if churn_scale.is_some() && (gate.escalations > 0 || gate.worst_tier >= 3) {
+    if churn_scale.is_some() && gate.escalations > 0 {
         eprintln!(
             "streamed churn escalated past repair-only recovery \
-             ({} escalations, worst tier {}) — failing",
-            gate.escalations, gate.worst_tier
+             ({} escalations) — failing",
+            gate.escalations
         );
         failed = true;
     }

@@ -4,8 +4,8 @@
 //! bases through [`DynamicTopology`], which overlays the event schedule
 //! on the borrowed base graph instead of materialising a second full
 //! copy. Under the repair-first recovery policy every burst must
-//! recover by local witness repair — escalation to a ball re-run or a
-//! full re-stabilisation fails the gate — and every epoch is audited
+//! recover by local witness repair — escalation to a full
+//! re-stabilisation fails the gate — and every epoch is audited
 //! against a fresh full re-stabilisation with zero divergences.
 //!
 //! The debug-profile test keeps the tier at a CI-friendly size; the
