@@ -16,31 +16,122 @@
 //! [`crate::bounded_degree::bounded_degree_reference`]: identical outputs
 //! on every input.
 
+use std::fmt;
+use std::num::NonZeroU64;
+
 use pn_graph::{EdgeId, GraphError, Port, PortNumberedGraph};
 use pn_runtime::{NodeAlgorithm, PortSet, Simulator};
 
-use super::common::dn_port_index;
+use super::common::{dn_port_index, pack_word, word_flag, word_kind, word_payload};
 
-/// Messages of the `A(Δ)` protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BoundedMsg {
-    /// Round 0: own port number (1-based) and own degree.
-    Hello {
-        /// The sender's port this message leaves through.
-        port: u32,
-        /// The sender's degree.
-        degree: u32,
-    },
-    /// Round 1: "you are my distinguishable neighbour".
-    Claim(bool),
-    /// Cover-exchange rounds: "I am covered by `M`".
-    Cover(bool),
+const HELLO: u64 = 1;
+const CLAIM: u64 = 2;
+const COVER: u64 = 3;
+const PROPOSE: u64 = 4;
+const RESPONSE: u64 = 5;
+const NOTHING: u64 = 6;
+
+/// Bits of each of a hello's two fields.
+const HELLO_FIELD_BITS: u32 = 30;
+
+/// A message of the `A(Δ)` protocol, held in one word so that an
+/// `Option<BoundedMsg>` slot is 8 bytes.
+///
+/// The kind sits in the low three bits and the payload above them. A
+/// hello carries the sender's port number in the next 30 bits and its
+/// degree in the 30 above those, so both must be below 2³⁰; that
+/// excludes no runnable instance, since a `Δ` of 2³⁰ would take about
+/// 2⁶⁰ rounds. A claim, cover or response carries one bit. `Debug`
+/// prints `Hello { port, degree }`, `Claim(_)`, `Cover(_)`, `Propose`,
+/// `Response(_)` or `Nothing`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct BoundedMsg(NonZeroU64);
+
+impl BoundedMsg {
+    /// The largest port number or degree a hello carries: 2³⁰ − 1.
+    pub const HELLO_FIELD_MAX: u32 = (1 << HELLO_FIELD_BITS) - 1;
+
     /// A proposal (Phase II: black → white; Phase III: proposer role).
-    Propose,
-    /// Answer to a proposal received in the previous round.
-    Response(bool),
+    pub const PROPOSE: BoundedMsg = BoundedMsg(pack_word(PROPOSE, 0));
+
     /// Filler for ports with nothing to say this round.
-    Nothing,
+    pub const NOTHING: BoundedMsg = BoundedMsg(pack_word(NOTHING, 0));
+
+    /// Round 0: the sender's port this message leaves through (1-based)
+    /// and the sender's degree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either exceeds [`BoundedMsg::HELLO_FIELD_MAX`].
+    pub fn hello(port: u32, degree: u32) -> Self {
+        assert!(
+            port <= Self::HELLO_FIELD_MAX && degree <= Self::HELLO_FIELD_MAX,
+            "hello fields must be below 2^30: port {port}, degree {degree}"
+        );
+        BoundedMsg(pack_word(
+            HELLO,
+            u64::from(port) | u64::from(degree) << HELLO_FIELD_BITS,
+        ))
+    }
+
+    /// Round 1: "you are my distinguishable neighbour" (or not).
+    pub const fn claim(claim: bool) -> Self {
+        BoundedMsg(pack_word(CLAIM, claim as u64))
+    }
+
+    /// Cover-exchange rounds: "I am covered by `M`" (or not).
+    pub const fn cover(covered: bool) -> Self {
+        BoundedMsg(pack_word(COVER, covered as u64))
+    }
+
+    /// The answer to a proposal received in the previous round.
+    pub const fn response(accept: bool) -> Self {
+        BoundedMsg(pack_word(RESPONSE, accept as u64))
+    }
+
+    /// The port number and degree of a hello.
+    pub fn as_hello(self) -> Option<(u32, u32)> {
+        (word_kind(self.0) == HELLO).then(|| {
+            let payload = word_payload(self.0);
+            let port = payload & u64::from(Self::HELLO_FIELD_MAX);
+            (port as u32, (payload >> HELLO_FIELD_BITS) as u32)
+        })
+    }
+
+    /// The bit of a claim.
+    pub fn as_claim(self) -> Option<bool> {
+        word_flag(self.0, CLAIM)
+    }
+
+    /// The bit of a cover message.
+    pub fn as_cover(self) -> Option<bool> {
+        word_flag(self.0, COVER)
+    }
+
+    /// The bit of a response.
+    pub fn as_response(self) -> Option<bool> {
+        word_flag(self.0, RESPONSE)
+    }
+}
+
+impl fmt::Debug for BoundedMsg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let bit = word_payload(self.0) == 1;
+        match word_kind(self.0) {
+            HELLO => {
+                let (port, degree) = self.as_hello().expect("a hello word");
+                f.debug_struct("Hello")
+                    .field("port", &port)
+                    .field("degree", &degree)
+                    .finish()
+            }
+            CLAIM => f.debug_tuple("Claim").field(&bit).finish(),
+            COVER => f.debug_tuple("Cover").field(&bit).finish(),
+            PROPOSE => f.write_str("Propose"),
+            RESPONSE => f.debug_tuple("Response").field(&bit).finish(),
+            _ => f.write_str("Nothing"),
+        }
+    }
 }
 
 /// What the schedule prescribes for a given round.
@@ -110,27 +201,48 @@ fn step_at(delta: usize, round: usize) -> Step {
     }
 }
 
+/// What a node knows and has decided about one of its ports.
+#[derive(Clone, Copy, Debug, Default)]
+struct PortState {
+    /// The far end's port number (1-based), learned in round 0.
+    their_port: u32,
+    /// The far end's degree, learned in round 0.
+    their_degree: u32,
+    /// This node claims the far end as its distinguishable neighbour.
+    my_claim: bool,
+    /// The far end claimed this node.
+    their_claim: bool,
+    /// The edge is in the matching `M`.
+    in_m: bool,
+    /// The edge is in the 2-matching `P`.
+    in_p: bool,
+    /// The edge is eligible in the current proposal stage.
+    eligible: bool,
+    /// A proposal arrived on this port in the last propose round.
+    incoming: bool,
+}
+
+impl PortState {
+    /// Whether the edge through own port `own` (1-based) belongs to
+    /// `M(i, j)`.
+    fn in_mij(&self, own: u32, i: u32, j: u32) -> bool {
+        let far = self.their_port;
+        (self.my_claim && own == i && far == j) || (self.their_claim && far == i && own == j)
+    }
+}
+
 /// Node state machine for the distributed `A(Δ)` protocol.
 #[derive(Clone, Debug)]
 pub struct BoundedDegreeNode {
     delta: usize,
-    degree: usize,
-    their_port: Vec<u32>,
-    their_degree: Vec<u32>,
-    my_claim: Vec<bool>,
-    their_claim: Vec<bool>,
-    /// Per port: edge selected into the matching `M`.
-    in_m: Vec<bool>,
-    /// Per port: edge selected into the 2-matching `P`.
-    in_p: Vec<bool>,
+    /// One entry per port; the node's degree is its length.
+    ports: Vec<PortState>,
     covered_m: bool,
-    /// Eligible ports for the current proposal stage, ascending.
-    eligible: Vec<usize>,
+    /// The lowest port the current proposal stage may still propose
+    /// through; ports are tried in ascending order.
     cursor: usize,
     /// Port this node proposed through in the current propose round.
     pending: Option<usize>,
-    /// Ports on which proposals arrived in the last propose round.
-    incoming: Vec<usize>,
     /// Phase III: this node's offer has been accepted.
     proposer_done: bool,
     /// Phase III: this node has accepted an offer.
@@ -149,45 +261,37 @@ impl BoundedDegreeNode {
         assert!(degree <= delta, "node degree exceeds Δ");
         BoundedDegreeNode {
             delta,
-            degree,
-            their_port: vec![0; degree],
-            their_degree: vec![0; degree],
-            my_claim: vec![false; degree],
-            their_claim: vec![false; degree],
-            in_m: vec![false; degree],
-            in_p: vec![false; degree],
+            ports: vec![PortState::default(); degree],
             covered_m: false,
-            eligible: Vec::new(),
             cursor: 0,
             pending: None,
-            incoming: Vec::new(),
             proposer_done: false,
             acceptor_done: false,
         }
     }
 
-    fn edge_in_mij(&self, q: usize, i: u32, j: u32) -> bool {
-        let own = (q + 1) as u32;
-        let far = self.their_port[q];
-        (self.my_claim[q] && own == i && far == j) || (self.their_claim[q] && far == i && own == j)
-    }
-
     /// Writes the proposal messages for a propose round; the proposer is
-    /// active while `active` holds and its cursor has not run off the
-    /// eligible list.
+    /// active while `active` holds and an eligible port is left at or
+    /// above its cursor.
     fn propose_into(&mut self, active: bool, out: &mut [Option<BoundedMsg>]) {
-        out.fill(Some(BoundedMsg::Nothing));
+        out.fill(Some(BoundedMsg::NOTHING));
         self.pending = None;
-        if active && self.cursor < self.eligible.len() {
-            let q = self.eligible[self.cursor];
-            self.cursor += 1;
-            self.pending = Some(q);
-            out[q] = Some(BoundedMsg::Propose);
+        if active {
+            let d = self.ports.len();
+            match (self.cursor..d).find(|&q| self.ports[q].eligible) {
+                Some(q) => {
+                    self.cursor = q + 1;
+                    self.pending = Some(q);
+                    out[q] = Some(BoundedMsg::PROPOSE);
+                }
+                None => self.cursor = d,
+            }
         }
     }
 
-    /// Writes the response messages for a respond round. `may_accept`
-    /// gates acceptance; on acceptance the chosen port is recorded via
+    /// Writes the response messages for a respond round: a refusal on
+    /// every port a proposal arrived on, except that when `may_accept`
+    /// holds the lowest such port is accepted and recorded via
     /// `mark(self, port)`.
     fn respond_into(
         &mut self,
@@ -195,27 +299,25 @@ impl BoundedDegreeNode {
         mark: impl FnOnce(&mut Self, usize),
         out: &mut [Option<BoundedMsg>],
     ) {
-        out.fill(Some(BoundedMsg::Nothing));
-        let incoming = std::mem::take(&mut self.incoming);
-        if incoming.is_empty() {
-            return;
+        let mut lowest = None;
+        for (q, (p, slot)) in self.ports.iter_mut().zip(out.iter_mut()).enumerate() {
+            *slot = Some(if p.incoming {
+                lowest.get_or_insert(q);
+                BoundedMsg::response(false)
+            } else {
+                BoundedMsg::NOTHING
+            });
+            p.incoming = false;
         }
-        for &q in &incoming {
-            out[q] = Some(BoundedMsg::Response(false));
-        }
-        if may_accept {
-            let best = *incoming.iter().min().expect("non-empty");
-            out[best] = Some(BoundedMsg::Response(true));
+        if let (true, Some(best)) = (may_accept, lowest) {
+            out[best] = Some(BoundedMsg::response(true));
             mark(self, best);
         }
     }
 
     fn record_incoming_proposals(&mut self, inbox: &[Option<BoundedMsg>]) {
-        self.incoming.clear();
-        for (q, m) in inbox.iter().enumerate() {
-            if m == &Some(BoundedMsg::Propose) {
-                self.incoming.push(q);
-            }
+        for (p, m) in self.ports.iter_mut().zip(inbox) {
+            p.incoming = *m == Some(BoundedMsg::PROPOSE);
         }
     }
 
@@ -227,8 +329,30 @@ impl BoundedDegreeNode {
         mark: impl FnOnce(&mut Self, usize),
     ) {
         if let Some(q) = self.pending.take() {
-            if inbox[q] == Some(BoundedMsg::Response(true)) {
+            if inbox[q] == Some(BoundedMsg::response(true)) {
                 mark(self, q);
+            }
+        }
+    }
+
+    /// Starts a proposal stage: rewinds the cursor and, when `take`
+    /// holds, marks eligible the ports that `rule(port, far_covered)`
+    /// accepts; otherwise no port is eligible. The inbox is read only
+    /// when `take` holds.
+    fn freeze_eligible(
+        &mut self,
+        inbox: &[Option<BoundedMsg>],
+        take: bool,
+        rule: impl Fn(&PortState, bool) -> bool,
+    ) {
+        self.cursor = 0;
+        if take {
+            for (p, far) in self.ports.iter_mut().zip(Self::cover_bits(inbox)) {
+                p.eligible = rule(p, far);
+            }
+        } else {
+            for p in &mut self.ports {
+                p.eligible = false;
             }
         }
     }
@@ -236,16 +360,20 @@ impl BoundedDegreeNode {
     /// The far ends' cover bits, port by port, read straight off the
     /// inbox (no per-round allocation).
     fn cover_bits(inbox: &[Option<BoundedMsg>]) -> impl Iterator<Item = bool> + '_ {
-        inbox.iter().map(|m| match m {
-            Some(BoundedMsg::Cover(c)) => *c,
-            other => unreachable!("expected Cover, got {other:?}"),
-        })
+        inbox
+            .iter()
+            .map(|m| match m.and_then(BoundedMsg::as_cover) {
+                Some(c) => c,
+                None => unreachable!("expected Cover, got {m:?}"),
+            })
     }
 
     fn output(&self) -> PortSet {
-        (0..self.degree)
-            .filter(|&q| self.in_m[q] || self.in_p[q])
-            .map(Port::from_index)
+        self.ports
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.in_m || p.in_p)
+            .map(|(q, _)| Port::from_index(q))
             .collect()
     }
 }
@@ -255,23 +383,20 @@ impl NodeAlgorithm for BoundedDegreeNode {
     type Output = PortSet;
 
     fn send_into(&mut self, round: usize, outbox: &mut [Option<BoundedMsg>]) {
-        let d = self.degree;
+        let d = self.ports.len();
         match step_at(self.delta, round) {
             Step::Hello => {
                 for (q, slot) in outbox.iter_mut().enumerate() {
-                    *slot = Some(BoundedMsg::Hello {
-                        port: (q + 1) as u32,
-                        degree: d as u32,
-                    });
+                    *slot = Some(BoundedMsg::hello((q + 1) as u32, d as u32));
                 }
             }
             Step::Claim => {
-                for (q, slot) in outbox.iter_mut().enumerate() {
-                    *slot = Some(BoundedMsg::Claim(self.my_claim[q]));
+                for (p, slot) in self.ports.iter().zip(outbox.iter_mut()) {
+                    *slot = Some(BoundedMsg::claim(p.my_claim));
                 }
             }
             Step::Phase1(_) | Step::Phase2Start(_) | Step::Phase3Start => {
-                outbox.fill(Some(BoundedMsg::Cover(self.covered_m)));
+                outbox.fill(Some(BoundedMsg::cover(self.covered_m)));
             }
             Step::Phase2Propose(_) => {
                 let active = !self.covered_m;
@@ -282,7 +407,7 @@ impl NodeAlgorithm for BoundedDegreeNode {
                 self.respond_into(
                     may_accept,
                     |s, q| {
-                        s.in_m[q] = true;
+                        s.ports[q].in_m = true;
                         s.covered_m = true;
                     },
                     outbox,
@@ -297,7 +422,7 @@ impl NodeAlgorithm for BoundedDegreeNode {
                 self.respond_into(
                     may_accept,
                     |s, q| {
-                        s.in_p[q] = true;
+                        s.ports[q].in_p = true;
                         s.acceptor_done = true;
                     },
                     outbox,
@@ -307,32 +432,30 @@ impl NodeAlgorithm for BoundedDegreeNode {
     }
 
     fn receive(&mut self, round: usize, inbox: &[Option<BoundedMsg>]) -> Option<PortSet> {
-        if self.degree == 0 {
+        if self.ports.is_empty() {
             return Some(PortSet::new());
         }
         let delta = self.delta;
         match step_at(delta, round) {
             Step::Hello => {
-                for (q, m) in inbox.iter().enumerate() {
-                    match m {
-                        Some(BoundedMsg::Hello { port, degree }) => {
-                            self.their_port[q] = *port;
-                            self.their_degree[q] = *degree;
-                        }
-                        other => unreachable!("round 0 expects Hello, got {other:?}"),
-                    }
+                for (p, m) in self.ports.iter_mut().zip(inbox) {
+                    let Some((port, degree)) = m.and_then(BoundedMsg::as_hello) else {
+                        unreachable!("round 0 expects Hello, got {m:?}")
+                    };
+                    p.their_port = port;
+                    p.their_degree = degree;
                 }
-                if let Some(q) = dn_port_index(&self.their_port) {
-                    self.my_claim[q] = true;
+                if let Some(q) = dn_port_index(&self.ports, |p| p.their_port) {
+                    self.ports[q].my_claim = true;
                 }
                 None
             }
             Step::Claim => {
-                for (q, m) in inbox.iter().enumerate() {
-                    match m {
-                        Some(BoundedMsg::Claim(c)) => self.their_claim[q] = *c,
-                        other => unreachable!("round 1 expects Claim, got {other:?}"),
-                    }
+                for (p, m) in self.ports.iter_mut().zip(inbox) {
+                    let Some(c) = m.and_then(BoundedMsg::as_claim) else {
+                        unreachable!("round 1 expects Claim, got {m:?}")
+                    };
+                    p.their_claim = c;
                 }
                 None
             }
@@ -341,9 +464,14 @@ impl NodeAlgorithm for BoundedDegreeNode {
                 // A covered node adds nothing this round.
                 if !self.covered_m {
                     let mut added = false;
-                    for (q, far) in Self::cover_bits(inbox).enumerate() {
-                        if !far && self.edge_in_mij(q, i, j) {
-                            self.in_m[q] = true;
+                    for (q, (p, far)) in self
+                        .ports
+                        .iter_mut()
+                        .zip(Self::cover_bits(inbox))
+                        .enumerate()
+                    {
+                        if !far && p.in_mij((q + 1) as u32, i, j) {
+                            p.in_m = true;
                             added = true;
                         }
                     }
@@ -352,19 +480,10 @@ impl NodeAlgorithm for BoundedDegreeNode {
                 None
             }
             Step::Phase2Start(i) => {
-                // Freeze the eligible port list for this block: edges
-                // {u, v} with d(u) < d(v) = i and both ends uncovered.
-                self.eligible.clear();
-                self.cursor = 0;
-                let black = self.degree == i && !self.covered_m;
-                if black {
-                    for (q, far) in Self::cover_bits(inbox).enumerate() {
-                        let df = self.their_degree[q] as usize;
-                        if df < i && !far {
-                            self.eligible.push(q);
-                        }
-                    }
-                }
+                // Freeze the eligible ports for this block: edges {u, v}
+                // with d(u) < d(v) = i and both ends uncovered.
+                let black = self.ports.len() == i && !self.covered_m;
+                self.freeze_eligible(inbox, black, |p, far| (p.their_degree as usize) < i && !far);
                 None
             }
             Step::Phase2Propose(_) | Step::Phase3Propose => {
@@ -373,27 +492,20 @@ impl NodeAlgorithm for BoundedDegreeNode {
             }
             Step::Phase2Respond(_) => {
                 self.collect_acceptance(inbox, |s, q| {
-                    s.in_m[q] = true;
+                    s.ports[q].in_m = true;
                     s.covered_m = true;
                 });
                 None
             }
             Step::Phase3Start => {
                 // H: edges with both endpoints M-uncovered.
-                self.eligible.clear();
-                self.cursor = 0;
-                if !self.covered_m {
-                    for (q, far) in Self::cover_bits(inbox).enumerate() {
-                        if !far {
-                            self.eligible.push(q);
-                        }
-                    }
-                }
+                let uncovered = !self.covered_m;
+                self.freeze_eligible(inbox, uncovered, |_, far| !far);
                 None
             }
             Step::Phase3Respond(m) => {
                 self.collect_acceptance(inbox, |s, q| {
-                    s.in_p[q] = true;
+                    s.ports[q].in_p = true;
                     s.proposer_done = true;
                 });
                 if m + 1 == delta.max(1) {
@@ -408,27 +520,36 @@ impl NodeAlgorithm for BoundedDegreeNode {
     fn corrupt(&mut self, entropy: u64) {
         // Garble every soft field within its safe range: learned labels
         // (`their_port`/`their_degree`) are only compared, claims and
-        // membership bits are free flips, and every port reference
-        // (`eligible`, `pending`, `incoming`) stays < degree so the
-        // proposal machinery cannot index out of bounds. `delta` and
-        // `degree` define the `A(Δ)` schedule and stay intact.
-        if self.degree == 0 {
+        // membership bits are free flips, and `cursor` stays <= degree
+        // and `pending` < degree, so the proposal machinery cannot index
+        // out of bounds. Every proposal stage rewrites `eligible`,
+        // `cursor`, `pending` and `incoming` before reading them.
+        // `delta` and the degree define the `A(Δ)` schedule and stay
+        // intact. The draw order is fixed, so a corrupt event always
+        // garbles the same way and churn records stay reproducible.
+        let d = self.ports.len();
+        if d == 0 {
             return;
         }
         let mut next = pn_runtime::entropy_stream(entropy);
-        for q in 0..self.degree {
-            self.their_port[q] = (next() % (self.delta as u64 + 1)) as u32;
-            self.their_degree[q] = (next() % (self.delta as u64 + 1)) as u32;
-            self.my_claim[q] = next() & 1 == 0;
-            self.their_claim[q] = next() & 1 == 0;
-            self.in_m[q] = next() & 1 == 0;
-            self.in_p[q] = next() & 1 == 0;
+        let labels = self.delta as u64 + 1;
+        for p in &mut self.ports {
+            p.their_port = (next() % labels) as u32;
+            p.their_degree = (next() % labels) as u32;
+            p.my_claim = next() & 1 == 0;
+            p.their_claim = next() & 1 == 0;
+            p.in_m = next() & 1 == 0;
+            p.in_p = next() & 1 == 0;
         }
         self.covered_m = next() & 1 == 0;
-        self.eligible = (0..self.degree).filter(|_| next() & 1 == 0).collect();
-        self.cursor = (next() % (self.degree as u64 + 1)) as usize;
-        self.pending = (next() & 1 == 0).then(|| (next() % self.degree as u64) as usize);
-        self.incoming = (0..self.degree).filter(|_| next() & 1 == 0).collect();
+        for p in &mut self.ports {
+            p.eligible = next() & 1 == 0;
+        }
+        self.cursor = (next() % (d as u64 + 1)) as usize;
+        self.pending = (next() & 1 == 0).then(|| (next() % d as u64) as usize);
+        for p in &mut self.ports {
+            p.incoming = next() & 1 == 0;
+        }
         self.proposer_done = next() & 1 == 0;
         self.acceptor_done = next() & 1 == 0;
     }
@@ -563,6 +684,62 @@ mod tests {
                 other => panic!("last round is {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn messages_round_trip_at_their_field_limits() {
+        let max = BoundedMsg::HELLO_FIELD_MAX;
+        for (port, degree) in [(0, 0), (1, 1), (max, 1), (1, max), (max, max)] {
+            let m = BoundedMsg::hello(port, degree);
+            assert_eq!(m.as_hello(), Some((port, degree)));
+            assert_eq!(
+                (m.as_claim(), m.as_cover(), m.as_response()),
+                (None, None, None)
+            );
+            assert_eq!(
+                format!("{m:?}"),
+                format!("Hello {{ port: {port}, degree: {degree} }}")
+            );
+        }
+        for bit in [false, true] {
+            let (claim, cover, response) = (
+                BoundedMsg::claim(bit),
+                BoundedMsg::cover(bit),
+                BoundedMsg::response(bit),
+            );
+            assert_eq!(claim.as_claim(), Some(bit));
+            assert_eq!(cover.as_cover(), Some(bit));
+            assert_eq!(response.as_response(), Some(bit));
+            for m in [claim, cover, response] {
+                assert_eq!(m.as_hello(), None);
+            }
+            assert_eq!(
+                (claim.as_cover(), cover.as_response(), response.as_claim()),
+                (None, None, None)
+            );
+            assert_eq!(
+                format!("{claim:?} {cover:?} {response:?}"),
+                format!("Claim({bit}) Cover({bit}) Response({bit})")
+            );
+            assert_ne!(claim, BoundedMsg::claim(!bit));
+        }
+        for m in [BoundedMsg::PROPOSE, BoundedMsg::NOTHING] {
+            assert_eq!(
+                (m.as_hello(), m.as_claim(), m.as_cover(), m.as_response()),
+                (None, None, None, None)
+            );
+        }
+        assert_ne!(BoundedMsg::PROPOSE, BoundedMsg::NOTHING);
+        assert_eq!(
+            format!("{:?} {:?}", BoundedMsg::PROPOSE, BoundedMsg::NOTHING),
+            "Propose Nothing"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "hello fields must be below 2^30")]
+    fn out_of_range_hello_is_rejected() {
+        let _ = BoundedMsg::hello(1, BoundedMsg::HELLO_FIELD_MAX + 1);
     }
 
     #[test]

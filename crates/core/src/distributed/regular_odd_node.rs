@@ -12,22 +12,81 @@
 //!
 //! Every node halts after round `2 + 2d²` and outputs its selected ports.
 
+use std::fmt;
+use std::num::NonZeroU64;
+
 use pn_graph::{EdgeId, Port, PortNumberedGraph};
 use pn_runtime::{NodeAlgorithm, PortSet, RuntimeError, Simulator};
 
-use super::common::dn_port_index;
+use super::common::{dn_port_index, pack_word, word_flag, word_kind, word_payload};
 
-/// Messages of the Theorem 4 protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RegOddMsg {
-    /// Round 0: "this message leaves through my port `i`".
-    Port(u32),
+const PORT: u64 = 1;
+const CLAIM: u64 = 2;
+const COVER: u64 = 3;
+const DEG_TWO: u64 = 4;
+
+/// A message of the Theorem 4 protocol, held in one word so that an
+/// `Option<RegOddMsg>` slot is 8 bytes.
+///
+/// The kind sits in the low three bits and the payload above them: any
+/// `u32` port number, or one bit for a claim, cover or degree-two
+/// message. `Debug` prints `Port(_)`, `Claim(_)`, `Cover(_)` or
+/// `DegTwo(_)`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct RegOddMsg(NonZeroU64);
+
+impl RegOddMsg {
+    /// Round 0: "this message leaves through my port `port`".
+    pub const fn port(port: u32) -> Self {
+        RegOddMsg(pack_word(PORT, port as u64))
+    }
+
     /// Round 1: "you are my distinguishable neighbour" (or not).
-    Claim(bool),
-    /// Phase I rounds: "I am covered by `D`".
-    Cover(bool),
-    /// Phase II rounds: "I have at least two incident `D`-edges".
-    DegTwo(bool),
+    pub const fn claim(claim: bool) -> Self {
+        RegOddMsg(pack_word(CLAIM, claim as u64))
+    }
+
+    /// Phase I rounds: "I am covered by `D`" (or not).
+    pub const fn cover(covered: bool) -> Self {
+        RegOddMsg(pack_word(COVER, covered as u64))
+    }
+
+    /// Phase II rounds: "I have at least two incident `D`-edges" (or not).
+    pub const fn deg_two(deg_two: bool) -> Self {
+        RegOddMsg(pack_word(DEG_TWO, deg_two as u64))
+    }
+
+    /// The port number of a round-0 message.
+    pub fn as_port(self) -> Option<u32> {
+        (word_kind(self.0) == PORT).then(|| word_payload(self.0) as u32)
+    }
+
+    /// The bit of a claim.
+    pub fn as_claim(self) -> Option<bool> {
+        word_flag(self.0, CLAIM)
+    }
+
+    /// The bit of a cover message.
+    pub fn as_cover(self) -> Option<bool> {
+        word_flag(self.0, COVER)
+    }
+
+    /// The bit of a degree-two message.
+    pub fn as_deg_two(self) -> Option<bool> {
+        word_flag(self.0, DEG_TWO)
+    }
+}
+
+impl fmt::Debug for RegOddMsg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let bit = word_payload(self.0) == 1;
+        match word_kind(self.0) {
+            PORT => f.debug_tuple("Port").field(&word_payload(self.0)).finish(),
+            CLAIM => f.debug_tuple("Claim").field(&bit).finish(),
+            COVER => f.debug_tuple("Cover").field(&bit).finish(),
+            _ => f.debug_tuple("DegTwo").field(&bit).finish(),
+        }
+    }
 }
 
 /// Number of rounds the protocol takes on a `d`-regular graph.
@@ -39,19 +98,33 @@ pub fn regular_odd_rounds(d: usize) -> usize {
     }
 }
 
+/// What a node knows and has decided about one of its ports.
+#[derive(Clone, Copy, Debug, Default)]
+struct PortState {
+    /// The far end's port number (1-based), learned in round 0.
+    their_port: u32,
+    /// This node claims the far end as its distinguishable neighbour.
+    my_claim: bool,
+    /// The far end claimed this node.
+    their_claim: bool,
+    /// The edge is currently in `D`.
+    in_d: bool,
+}
+
+impl PortState {
+    /// Whether the edge through own port `own` (1-based) belongs to
+    /// `M_G(i, j)`.
+    fn in_mij(&self, own: u32, i: u32, j: u32) -> bool {
+        let far = self.their_port;
+        (self.my_claim && own == i && far == j) || (self.their_claim && far == i && own == j)
+    }
+}
+
 /// Node state machine for the distributed Theorem 4 algorithm.
 #[derive(Clone, Debug)]
 pub struct RegularOddNode {
-    degree: usize,
-    /// Counterpart port (1-based) per own port, learned in round 0.
-    their_port: Vec<u32>,
-    /// Whether this node claims the far end of port `q` as its
-    /// distinguishable neighbour.
-    my_claim: Vec<bool>,
-    /// Whether the far end of port `q` claimed this node.
-    their_claim: Vec<bool>,
-    /// Whether the edge through port `q` is currently in `D`.
-    in_d: Vec<bool>,
+    /// One entry per port; the node's degree is its length.
+    ports: Vec<PortState>,
     covered: bool,
 }
 
@@ -59,11 +132,7 @@ impl RegularOddNode {
     /// Creates the state machine for a node of degree `degree`.
     pub fn new(degree: usize) -> Self {
         RegularOddNode {
-            degree,
-            their_port: vec![0; degree],
-            my_claim: vec![false; degree],
-            their_claim: vec![false; degree],
-            in_d: vec![false; degree],
+            ports: vec![PortState::default(); degree],
             covered: false,
         }
     }
@@ -71,25 +140,20 @@ impl RegularOddNode {
     /// The (i, j) pair processed at step `t` of a phase, in lexicographic
     /// order; ports are 1-based.
     fn pair_at(&self, t: usize) -> (u32, u32) {
-        ((t / self.degree) as u32 + 1, (t % self.degree) as u32 + 1)
-    }
-
-    /// Whether the edge through own port `q` (0-based) belongs to
-    /// `M_G(i, j)`.
-    fn edge_in_mij(&self, q: usize, i: u32, j: u32) -> bool {
-        let own = (q + 1) as u32;
-        let far = self.their_port[q];
-        (self.my_claim[q] && own == i && far == j) || (self.their_claim[q] && far == i && own == j)
+        let d = self.ports.len();
+        ((t / d) as u32 + 1, (t % d) as u32 + 1)
     }
 
     fn d_degree(&self) -> usize {
-        self.in_d.iter().filter(|&&b| b).count()
+        self.ports.iter().filter(|p| p.in_d).count()
     }
 
     fn output(&self) -> PortSet {
-        (0..self.degree)
-            .filter(|&q| self.in_d[q])
-            .map(Port::from_index)
+        self.ports
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.in_d)
+            .map(|(q, _)| Port::from_index(q))
             .collect()
     }
 }
@@ -99,50 +163,50 @@ impl NodeAlgorithm for RegularOddNode {
     type Output = PortSet;
 
     fn send_into(&mut self, round: usize, outbox: &mut [Option<RegOddMsg>]) {
-        let d = self.degree;
+        let d = self.ports.len();
         if round == 0 {
             for (q, slot) in outbox.iter_mut().enumerate() {
-                *slot = Some(RegOddMsg::Port((q + 1) as u32));
+                *slot = Some(RegOddMsg::port((q + 1) as u32));
             }
             return;
         }
         if round == 1 {
-            for (q, slot) in outbox.iter_mut().enumerate() {
-                *slot = Some(RegOddMsg::Claim(self.my_claim[q]));
+            for (p, slot) in self.ports.iter().zip(outbox.iter_mut()) {
+                *slot = Some(RegOddMsg::claim(p.my_claim));
             }
             return;
         }
         let msg = if round - 2 < d * d {
-            RegOddMsg::Cover(self.covered)
+            RegOddMsg::cover(self.covered)
         } else {
-            RegOddMsg::DegTwo(self.d_degree() >= 2)
+            RegOddMsg::deg_two(self.d_degree() >= 2)
         };
         outbox.fill(Some(msg));
     }
 
     fn receive(&mut self, round: usize, inbox: &[Option<RegOddMsg>]) -> Option<PortSet> {
-        let d = self.degree;
+        let d = self.ports.len();
         if d == 0 {
             return Some(PortSet::new());
         }
         if round == 0 {
-            for (q, m) in inbox.iter().enumerate() {
-                match m {
-                    Some(RegOddMsg::Port(p)) => self.their_port[q] = *p,
-                    other => unreachable!("round 0 expects Port, got {other:?}"),
-                }
+            for (p, m) in self.ports.iter_mut().zip(inbox) {
+                let Some(port) = m.and_then(RegOddMsg::as_port) else {
+                    unreachable!("round 0 expects Port, got {m:?}")
+                };
+                p.their_port = port;
             }
-            if let Some(q) = dn_port_index(&self.their_port) {
-                self.my_claim[q] = true;
+            if let Some(q) = dn_port_index(&self.ports, |p| p.their_port) {
+                self.ports[q].my_claim = true;
             }
             return None;
         }
         if round == 1 {
-            for (q, m) in inbox.iter().enumerate() {
-                match m {
-                    Some(RegOddMsg::Claim(c)) => self.their_claim[q] = *c,
-                    other => unreachable!("round 1 expects Claim, got {other:?}"),
-                }
+            for (p, m) in self.ports.iter_mut().zip(inbox) {
+                let Some(c) = m.and_then(RegOddMsg::as_claim) else {
+                    unreachable!("round 1 expects Claim, got {m:?}")
+                };
+                p.their_claim = c;
             }
             return None;
         }
@@ -150,20 +214,20 @@ impl NodeAlgorithm for RegularOddNode {
         if t < d * d {
             // Phase I step for pair (i, j).
             let (i, j) = self.pair_at(t);
-            for (q, m) in inbox.iter().enumerate() {
-                if !self.edge_in_mij(q, i, j) {
+            let covered = self.covered;
+            for (q, (p, m)) in self.ports.iter_mut().zip(inbox).enumerate() {
+                if !p.in_mij((q + 1) as u32, i, j) {
                     continue;
                 }
-                let far_covered = match m {
-                    Some(RegOddMsg::Cover(c)) => *c,
-                    other => unreachable!("phase I expects Cover, got {other:?}"),
+                let Some(far_covered) = m.and_then(RegOddMsg::as_cover) else {
+                    unreachable!("phase I expects Cover, got {m:?}")
                 };
-                if !(self.covered && far_covered) {
-                    self.in_d[q] = true;
+                if !(covered && far_covered) {
+                    p.in_d = true;
                 }
             }
             // Coverage updates after the simultaneous decisions.
-            if self.in_d.iter().any(|&b| b) {
+            if !self.covered && self.ports.iter().any(|p| p.in_d) {
                 self.covered = true;
             }
             return None;
@@ -172,16 +236,15 @@ impl NodeAlgorithm for RegularOddNode {
         // Phase II step for pair (i, j).
         let (i, j) = self.pair_at(t2);
         let my_deg2 = self.d_degree() >= 2;
-        for (q, m) in inbox.iter().enumerate() {
-            if !self.in_d[q] || !self.edge_in_mij(q, i, j) {
+        for (q, (p, m)) in self.ports.iter_mut().zip(inbox).enumerate() {
+            if !p.in_d || !p.in_mij((q + 1) as u32, i, j) {
                 continue;
             }
-            let far_deg2 = match m {
-                Some(RegOddMsg::DegTwo(c)) => *c,
-                other => unreachable!("phase II expects DegTwo, got {other:?}"),
+            let Some(far_deg2) = m.and_then(RegOddMsg::as_deg_two) else {
+                unreachable!("phase II expects DegTwo, got {m:?}")
             };
             if my_deg2 && far_deg2 {
-                self.in_d[q] = false;
+                p.in_d = false;
             }
         }
         if t2 + 1 == d * d {
@@ -192,17 +255,20 @@ impl NodeAlgorithm for RegularOddNode {
 
     fn corrupt(&mut self, entropy: u64) {
         // All soft state is flippable: `their_port` values are only ever
-        // compared in `edge_in_mij`, claims and `in_d` are plain bits,
-        // and no receive path indexes by them. The schedule parameter
-        // `degree` stays intact.
+        // compared in `in_mij`, claims and `in_d` are plain bits, and no
+        // receive path indexes by them. The schedule parameter, the
+        // degree, stays intact. The words are drawn in a fixed order
+        // (every port's label first, then each port's three bits), so a
+        // corrupt event always garbles the same way.
         let mut next = pn_runtime::entropy_stream(entropy);
-        for p in &mut self.their_port {
-            *p = (next() % (self.degree as u64 + 1)) as u32;
+        let labels = self.ports.len() as u64 + 1;
+        for p in &mut self.ports {
+            p.their_port = (next() % labels) as u32;
         }
-        for q in 0..self.degree {
-            self.my_claim[q] = next() & 1 == 0;
-            self.their_claim[q] = next() & 1 == 0;
-            self.in_d[q] = next() & 1 == 0;
+        for p in &mut self.ports {
+            p.my_claim = next() & 1 == 0;
+            p.their_claim = next() & 1 == 0;
+            p.in_d = next() & 1 == 0;
         }
         self.covered = next() & 1 == 0;
     }
@@ -317,6 +383,41 @@ mod tests {
             .unwrap();
         assert_eq!(run.rounds, 1);
         assert!(run.outputs.iter().all(PortSet::is_empty));
+    }
+
+    #[test]
+    fn messages_round_trip_at_their_field_limits() {
+        for port in [0, 1, u32::MAX] {
+            let m = RegOddMsg::port(port);
+            assert_eq!(m.as_port(), Some(port));
+            assert_eq!(
+                (m.as_claim(), m.as_cover(), m.as_deg_two()),
+                (None, None, None)
+            );
+            assert_eq!(format!("{m:?}"), format!("Port({port})"));
+        }
+        for bit in [false, true] {
+            let (claim, cover, deg_two) = (
+                RegOddMsg::claim(bit),
+                RegOddMsg::cover(bit),
+                RegOddMsg::deg_two(bit),
+            );
+            assert_eq!(claim.as_claim(), Some(bit));
+            assert_eq!(cover.as_cover(), Some(bit));
+            assert_eq!(deg_two.as_deg_two(), Some(bit));
+            for m in [claim, cover, deg_two] {
+                assert_eq!(m.as_port(), None);
+            }
+            assert_eq!(
+                (claim.as_cover(), cover.as_deg_two(), deg_two.as_claim()),
+                (None, None, None)
+            );
+            assert_eq!(
+                format!("{claim:?} {cover:?} {deg_two:?}"),
+                format!("Claim({bit}) Cover({bit}) DegTwo({bit})")
+            );
+            assert_ne!(cover, RegOddMsg::cover(!bit));
+        }
     }
 
     #[test]

@@ -18,8 +18,12 @@
 //! The rules are generic over [`AdjacencyView`] — any structure that can
 //! enumerate a node's neighbours. That is what makes repair *streaming*:
 //! under churn the view is the [`DynamicTopology`] overlay on the
-//! immutable starting graph, and a repair pass touches only the damaged
-//! neighbourhoods, never a second full copy of the graph.
+//! immutable starting graph, and a repair pass never copies the graph.
+//! It scans the neighbourhoods of the damaged frontier, tests every
+//! witness entry for being a ghost, and marks nodes in one flag per node
+//! of the view, so it costs `O(n + |witness|)` plus the frontier's
+//! degrees. The `is_*_witness` checkers are whole-graph passes: they are
+//! the verdict that decides between repair and a full re-stabilisation.
 //!
 //! Accounting mirrors the message-passing model: each *round* is one
 //! synchronous pass of a local rule over the damaged frontier, and each
@@ -34,7 +38,7 @@
 //! repair alone is trusted and when a full re-stabilisation runs instead;
 //! the churn runner in `eds-scenarios` consumes it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use pn_graph::{DynamicTopology, NodeId, SimpleGraph};
 
@@ -141,6 +145,18 @@ fn all_edges<V: AdjacencyView + ?Sized>(g: &V, mut pred: impl FnMut(usize, usize
         }
     }
     true
+}
+
+/// One flag per node of an `n`-node view, set for every node of `nodes`
+/// below `n`: the dense membership array the checkers and rules read.
+fn marked(n: usize, nodes: impl IntoIterator<Item = usize>) -> Vec<bool> {
+    let mut flags = vec![false; n];
+    for v in nodes {
+        if v < n {
+            flags[v] = true;
+        }
+    }
+    flags
 }
 
 /// Cost and damage accounting for one repair invocation.
@@ -256,15 +272,15 @@ pub fn repair_maximal_matching<V: AdjacencyView + ?Sized>(
 ) -> RepairOutcome {
     let n = g.node_count();
     let mut outcome = RepairOutcome::default();
-    let mut mate: BTreeMap<usize, usize> = BTreeMap::new();
+    let mut matched = vec![false; n];
     let mut drops: Vec<(usize, usize)> = Vec::new();
     for &(u, v) in witness.iter() {
         let ghost = u >= n || v >= n || !g.has_edge_between(u, v);
-        if ghost || mate.contains_key(&u) || mate.contains_key(&v) {
+        if ghost || matched[u] || matched[v] {
             drops.push((u, v));
         } else {
-            mate.insert(u, v);
-            mate.insert(v, u);
+            matched[u] = true;
+            matched[v] = true;
         }
     }
     let mut frontier: BTreeSet<usize> = touched.iter().copied().filter(|&v| v < n).collect();
@@ -286,19 +302,19 @@ pub fn repair_maximal_matching<V: AdjacencyView + ?Sized>(
     outcome.rounds = 1;
     let mut matched_any = false;
     for &u in &frontier {
-        if mate.contains_key(&u) {
+        if matched[u] {
             continue;
         }
         outcome.messages += g.degree_of(u);
         let mut candidate: Option<usize> = None;
         g.for_each_neighbor(u, &mut |v| {
-            if !mate.contains_key(&v) && candidate.is_none_or(|c| v < c) {
+            if !matched[v] && candidate.is_none_or(|c| v < c) {
                 candidate = Some(v);
             }
         });
         if let Some(v) = candidate {
-            mate.insert(u, v);
-            mate.insert(v, u);
+            matched[u] = true;
+            matched[v] = true;
             witness.insert(edge_key(u, v));
             outcome.transient_violations += 1; // the edge {u, v} was uncovered
             matched_any = true;
@@ -346,22 +362,16 @@ pub fn repair_edge_dominating<V: AdjacencyView + ?Sized>(
     if frontier.is_empty() {
         return outcome;
     }
-    // Sparse cover map: only witness endpoints, never a full-n buffer, so
-    // the pass stays proportional to the witness and the frontier.
-    let mut covered: BTreeSet<usize> = BTreeSet::new();
-    for &(u, v) in witness.iter() {
-        covered.insert(u);
-        covered.insert(v);
-    }
+    let mut covered = marked(n, witness.iter().flat_map(|&(u, v)| [u, v]));
     outcome.rounds = 1;
     let mut added_any = false;
     for &u in &frontier {
         outcome.messages += g.degree_of(u);
         let mut additions: Vec<usize> = Vec::new();
         g.for_each_neighbor(u, &mut |v| {
-            if !covered.contains(&u) && !covered.contains(&v) {
-                covered.insert(u);
-                covered.insert(v);
+            if !covered[u] && !covered[v] {
+                covered[u] = true;
+                covered[v] = true;
                 additions.push(v);
             }
         });
@@ -436,16 +446,13 @@ pub fn repair_vertex_cover<V: AdjacencyView + ?Sized>(
 #[must_use]
 pub fn is_matching_witness<V: AdjacencyView + ?Sized>(g: &V, witness: &EdgeWitness) -> bool {
     let n = g.node_count();
-    let mut used: BTreeSet<usize> = BTreeSet::new();
+    let mut used = vec![false; n];
     for &(u, v) in witness.iter() {
-        if u >= n || v >= n || !g.has_edge_between(u, v) {
+        if u >= n || v >= n || !g.has_edge_between(u, v) || used[u] || used[v] {
             return false;
         }
-        if used.contains(&u) || used.contains(&v) {
-            return false;
-        }
-        used.insert(u);
-        used.insert(v);
+        used[u] = true;
+        used[v] = true;
     }
     true
 }
@@ -453,17 +460,8 @@ pub fn is_matching_witness<V: AdjacencyView + ?Sized>(g: &V, witness: &EdgeWitne
 /// Checks that `witness` is maximal: no edge of `g` has both endpoints free.
 #[must_use]
 pub fn is_maximal_witness<V: AdjacencyView + ?Sized>(g: &V, witness: &EdgeWitness) -> bool {
-    let n = g.node_count();
-    let mut used: BTreeSet<usize> = BTreeSet::new();
-    for &(u, v) in witness.iter() {
-        if u < n {
-            used.insert(u);
-        }
-        if v < n {
-            used.insert(v);
-        }
-    }
-    all_edges(g, |u, v| used.contains(&u) || used.contains(&v))
+    let used = marked(g.node_count(), witness.iter().flat_map(|&(u, v)| [u, v]));
+    all_edges(g, |u, v| used[u] || used[v])
 }
 
 /// Checks that `witness` dominates every edge of `g` and consists of edges
@@ -471,21 +469,193 @@ pub fn is_maximal_witness<V: AdjacencyView + ?Sized>(g: &V, witness: &EdgeWitnes
 #[must_use]
 pub fn is_dominating_witness<V: AdjacencyView + ?Sized>(g: &V, witness: &EdgeWitness) -> bool {
     let n = g.node_count();
-    let mut covered: BTreeSet<usize> = BTreeSet::new();
+    let mut covered = vec![false; n];
     for &(u, v) in witness.iter() {
         if u >= n || v >= n || !g.has_edge_between(u, v) {
             return false;
         }
-        covered.insert(u);
-        covered.insert(v);
+        covered[u] = true;
+        covered[v] = true;
     }
-    all_edges(g, |u, v| covered.contains(&u) || covered.contains(&v))
+    all_edges(g, |u, v| covered[u] || covered[v])
 }
 
 /// Checks that `cover` is a vertex cover of `g`.
 #[must_use]
 pub fn is_cover_witness<V: AdjacencyView + ?Sized>(g: &V, cover: &NodeWitness) -> bool {
-    all_edges(g, |u, v| cover.contains(&u) || cover.contains(&v))
+    let inside = marked(g.node_count(), cover.iter().copied());
+    all_edges(g, |u, v| inside[u] || inside[v])
+}
+
+/// Tree-set versions of the checkers and of the two edge repair rules:
+/// the oracle the dense versions are tested against.
+#[cfg(test)]
+mod tree_oracle {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use super::{all_edges, edge_key, AdjacencyView, EdgeWitness, NodeWitness, RepairOutcome};
+
+    pub fn repair_maximal_matching<V: AdjacencyView + ?Sized>(
+        g: &V,
+        witness: &mut EdgeWitness,
+        touched: &NodeWitness,
+    ) -> RepairOutcome {
+        let n = g.node_count();
+        let mut outcome = RepairOutcome::default();
+        let mut mate: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut drops: Vec<(usize, usize)> = Vec::new();
+        for &(u, v) in witness.iter() {
+            let ghost = u >= n || v >= n || !g.has_edge_between(u, v);
+            if ghost || mate.contains_key(&u) || mate.contains_key(&v) {
+                drops.push((u, v));
+            } else {
+                mate.insert(u, v);
+                mate.insert(v, u);
+            }
+        }
+        let mut frontier: BTreeSet<usize> = touched.iter().copied().filter(|&v| v < n).collect();
+        outcome.transient_violations += drops.len();
+        for (u, v) in drops {
+            witness.remove(&(u, v));
+            if u < n {
+                frontier.insert(u);
+            }
+            if v < n {
+                frontier.insert(v);
+            }
+        }
+        if frontier.is_empty() {
+            return outcome;
+        }
+        outcome.rounds = 1;
+        let mut matched_any = false;
+        for &u in &frontier {
+            if mate.contains_key(&u) {
+                continue;
+            }
+            outcome.messages += g.degree_of(u);
+            let mut candidate: Option<usize> = None;
+            g.for_each_neighbor(u, &mut |v| {
+                if !mate.contains_key(&v) && candidate.is_none_or(|c| v < c) {
+                    candidate = Some(v);
+                }
+            });
+            if let Some(v) = candidate {
+                mate.insert(u, v);
+                mate.insert(v, u);
+                witness.insert(edge_key(u, v));
+                outcome.transient_violations += 1;
+                matched_any = true;
+            }
+        }
+        if matched_any {
+            outcome.rounds += 1;
+        }
+        outcome
+    }
+
+    pub fn repair_edge_dominating<V: AdjacencyView + ?Sized>(
+        g: &V,
+        witness: &mut EdgeWitness,
+        touched: &NodeWitness,
+    ) -> RepairOutcome {
+        let n = g.node_count();
+        let mut outcome = RepairOutcome::default();
+        let mut drops: Vec<(usize, usize)> = Vec::new();
+        for &(u, v) in witness.iter() {
+            if u >= n || v >= n || !g.has_edge_between(u, v) {
+                drops.push((u, v));
+            }
+        }
+        let mut frontier: BTreeSet<usize> = touched.iter().copied().filter(|&v| v < n).collect();
+        outcome.transient_violations += drops.len();
+        for (u, v) in drops {
+            witness.remove(&(u, v));
+            if u < n {
+                frontier.insert(u);
+            }
+            if v < n {
+                frontier.insert(v);
+            }
+        }
+        if frontier.is_empty() {
+            return outcome;
+        }
+        let mut covered: BTreeSet<usize> = BTreeSet::new();
+        for &(u, v) in witness.iter() {
+            covered.insert(u);
+            covered.insert(v);
+        }
+        outcome.rounds = 1;
+        let mut added_any = false;
+        for &u in &frontier {
+            outcome.messages += g.degree_of(u);
+            let mut additions: Vec<usize> = Vec::new();
+            g.for_each_neighbor(u, &mut |v| {
+                if !covered.contains(&u) && !covered.contains(&v) {
+                    covered.insert(u);
+                    covered.insert(v);
+                    additions.push(v);
+                }
+            });
+            for v in additions {
+                witness.insert(edge_key(u, v));
+                outcome.transient_violations += 1;
+                added_any = true;
+            }
+        }
+        if added_any {
+            outcome.rounds += 1;
+        }
+        outcome
+    }
+
+    pub fn is_matching_witness<V: AdjacencyView + ?Sized>(g: &V, witness: &EdgeWitness) -> bool {
+        let n = g.node_count();
+        let mut used: BTreeSet<usize> = BTreeSet::new();
+        for &(u, v) in witness.iter() {
+            if u >= n || v >= n || !g.has_edge_between(u, v) {
+                return false;
+            }
+            if used.contains(&u) || used.contains(&v) {
+                return false;
+            }
+            used.insert(u);
+            used.insert(v);
+        }
+        true
+    }
+
+    pub fn is_maximal_witness<V: AdjacencyView + ?Sized>(g: &V, witness: &EdgeWitness) -> bool {
+        let n = g.node_count();
+        let mut used: BTreeSet<usize> = BTreeSet::new();
+        for &(u, v) in witness.iter() {
+            if u < n {
+                used.insert(u);
+            }
+            if v < n {
+                used.insert(v);
+            }
+        }
+        all_edges(g, |u, v| used.contains(&u) || used.contains(&v))
+    }
+
+    pub fn is_dominating_witness<V: AdjacencyView + ?Sized>(g: &V, witness: &EdgeWitness) -> bool {
+        let n = g.node_count();
+        let mut covered: BTreeSet<usize> = BTreeSet::new();
+        for &(u, v) in witness.iter() {
+            if u >= n || v >= n || !g.has_edge_between(u, v) {
+                return false;
+            }
+            covered.insert(u);
+            covered.insert(v);
+        }
+        all_edges(g, |u, v| covered.contains(&u) || covered.contains(&v))
+    }
+
+    pub fn is_cover_witness<V: AdjacencyView + ?Sized>(g: &V, cover: &NodeWitness) -> bool {
+        all_edges(g, |u, v| cover.contains(&u) || cover.contains(&v))
+    }
 }
 
 #[cfg(test)]
@@ -655,6 +825,104 @@ mod tests {
             (w, outcome)
         };
         assert_eq!(make(), make());
+    }
+
+    #[test]
+    fn dense_checks_and_rules_agree_with_the_tree_oracle() {
+        // Random graphs with witnesses built from a greedy maximal
+        // matching and a full cover, then damaged: entries dropped, real
+        // edges added (conflicts), in-range non-edges (ghosts) and
+        // out-of-range pairs added, cover nodes removed, and random
+        // frontiers that may also leave the graph.
+        let mut next = pn_runtime::entropy_stream(0x0dd5_eed5);
+        let mut verdicts = [[0usize; 2]; 4];
+        for trial in 0..3000u64 {
+            let n = 1 + (next() % 24) as usize;
+            let delta = 1 + (next() % 5) as usize;
+            let density = [0.3, 0.6, 0.9][(next() % 3) as usize];
+            let g = generators::random_bounded_degree(n, delta, density, trial).unwrap();
+            let edges: Vec<(usize, usize)> = g
+                .edges()
+                .map(|(_, u, v)| edge_key(u.index(), v.index()))
+                .collect();
+            let mut w = if next().is_multiple_of(2) {
+                matching_witness(&g)
+            } else {
+                EdgeWitness::new()
+            };
+            let mut cover: NodeWitness = (0..n).collect();
+            let damage = next() % 3;
+            for _ in 0..damage {
+                let wide = n as u64 + 3;
+                match next() % 5 {
+                    0 => {
+                        if let Some(&e) = w.iter().nth((next() % (w.len() as u64 + 1)) as usize) {
+                            w.remove(&e);
+                        }
+                    }
+                    1 if !edges.is_empty() => {
+                        w.insert(edges[(next() % edges.len() as u64) as usize]);
+                    }
+                    2 => {
+                        w.insert(edge_key(
+                            (next() % n as u64) as usize,
+                            (next() % n as u64) as usize,
+                        ));
+                    }
+                    3 => {
+                        w.insert(edge_key((next() % wide) as usize, (next() % wide) as usize));
+                    }
+                    _ => {
+                        cover.remove(&((next() % n as u64) as usize));
+                        cover.insert((next() % wide) as usize);
+                    }
+                }
+            }
+            let touched: NodeWitness = (0..n + 3).filter(|_| next().is_multiple_of(4)).collect();
+            let checks = [
+                (
+                    is_matching_witness(&g, &w),
+                    tree_oracle::is_matching_witness(&g, &w),
+                ),
+                (
+                    is_maximal_witness(&g, &w),
+                    tree_oracle::is_maximal_witness(&g, &w),
+                ),
+                (
+                    is_dominating_witness(&g, &w),
+                    tree_oracle::is_dominating_witness(&g, &w),
+                ),
+                (
+                    is_cover_witness(&g, &cover),
+                    tree_oracle::is_cover_witness(&g, &cover),
+                ),
+            ];
+            for (k, (dense, tree)) in checks.into_iter().enumerate() {
+                assert_eq!(
+                    dense, tree,
+                    "trial {trial}: check {k} disagrees on {w:?} / {cover:?}"
+                );
+                verdicts[k][usize::from(dense)] += 1;
+            }
+            let (mut dense, mut tree) = (w.clone(), w.clone());
+            assert_eq!(
+                repair_maximal_matching(&g, &mut dense, &touched),
+                tree_oracle::repair_maximal_matching(&g, &mut tree, &touched),
+                "trial {trial}: matching outcome"
+            );
+            assert_eq!(dense, tree, "trial {trial}: repaired matching");
+            let (mut dense, mut tree) = (w.clone(), w);
+            assert_eq!(
+                repair_edge_dominating(&g, &mut dense, &touched),
+                tree_oracle::repair_edge_dominating(&g, &mut tree, &touched),
+                "trial {trial}: dominating outcome"
+            );
+            assert_eq!(dense, tree, "trial {trial}: repaired dominating set");
+        }
+        // Every check returned both verdicts, so the agreement has teeth.
+        for (k, [no, yes]) in verdicts.into_iter().enumerate() {
+            assert!(no > 0 && yes > 0, "check {k}: {no} false, {yes} true");
+        }
     }
 
     #[test]

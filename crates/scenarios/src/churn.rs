@@ -398,8 +398,10 @@ fn churn_err(e: ChurnError) -> SweepError {
 ///
 /// Every family churns through a [`DynamicTopology`] overlay on the
 /// scenario graph, so no second full copy of the graph is ever
-/// materialised; repair-only epochs touch memory proportional to the
-/// damage frontier.
+/// materialised. A repair-only burst runs no protocol epoch, but it is
+/// not frontier-sized: the repair rules scan the whole witness, and the
+/// feasibility check that accepts the repair is a whole-graph pass over
+/// the overlay.
 ///
 /// `cancel` is polled at every epoch barrier and once per round inside
 /// full epochs; a deadline firing mid-run yields a structured
@@ -416,12 +418,36 @@ pub fn run_churn_with(
     policy: &RecoveryPolicy,
     cancel: Option<&CancelToken>,
 ) -> Result<ChurnRun, SweepError> {
+    let mat = materialize_scenario(scenario)?;
+    run_materialized(scenario, &mat, protocol, exec, policy, cancel)
+}
+
+/// Materialises a churn scenario's event schedule. It depends only on
+/// the spec, so one schedule serves every protocol of the scenario.
+///
+/// # Errors
+///
+/// Returns [`SweepError`] for non-churn scenarios and for a base graph
+/// that [`materialize`] rejects.
+pub(crate) fn materialize_scenario(scenario: &Scenario) -> Result<MaterializedChurn, SweepError> {
     let Family::Churn { plan, .. } = &scenario.spec.family else {
         return Err(SweepError::Graph(GraphError::InvalidParameter {
             detail: format!("{} is not a churn scenario", scenario.name()),
         }));
     };
-    let mat = materialize(&scenario.graph, plan, scenario.spec.seed)?;
+    Ok(materialize(&scenario.graph, plan, scenario.spec.seed)?)
+}
+
+/// [`run_churn_with`] on a schedule already drawn by
+/// [`materialize_scenario`] from the same scenario.
+pub(crate) fn run_materialized(
+    scenario: &Scenario,
+    mat: &MaterializedChurn,
+    protocol: Protocol,
+    exec: &ExecOptions,
+    policy: &RecoveryPolicy,
+    cancel: Option<&CancelToken>,
+) -> Result<ChurnRun, SweepError> {
     let graph = &scenario.graph;
     let delta = exec.delta.unwrap_or(0).max(mat.degree_cap);
     let threads = exec.simulator_threads;
@@ -607,7 +633,7 @@ where
 #[allow(clippy::too_many_arguments)]
 fn drive<A, F, S>(
     graph: &PortNumberedGraph,
-    mat: MaterializedChurn,
+    mat: &MaterializedChurn,
     factory: F,
     threads: usize,
     claimed_delta: usize,

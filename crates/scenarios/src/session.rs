@@ -56,7 +56,7 @@ use eds_baselines::exact;
 use eds_baselines::two_approx;
 use pn_runtime::CancelToken;
 
-use crate::churn::run_churn_with;
+use crate::churn::{materialize_scenario, run_materialized};
 use crate::metrics::session_metrics;
 use crate::protocol::{ExecOptions, Protocol, ProtocolRun, Solution, SweepError};
 use crate::registry::Registry;
@@ -543,17 +543,28 @@ impl Session {
 
     /// Measures a dynamic scenario: every applicable protocol survives
     /// the same materialised event schedule (it depends only on the spec,
-    /// not the protocol), and the final quiescent solution is scored on
-    /// the final topology exactly like a static record — plus the flat
-    /// churn accounting fields.
+    /// not the protocol, so it is drawn once), and the final quiescent
+    /// solution is scored on the final topology exactly like a static
+    /// record — plus the flat churn accounting fields.
     fn measure_churn(&self, scenario: &Scenario) -> Result<Vec<Measurement>, SweepError> {
         let exec = self.exec_for(scenario);
         let bounds = ScenarioBounds::new(self.bounds.as_ref());
+        let protocols: Vec<Protocol> = self
+            .protocols
+            .iter()
+            .copied()
+            .filter(|p| p.applicable(scenario))
+            .collect();
+        if protocols.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mat = materialize_scenario(scenario)?;
         let mut final_scenario: Option<Scenario> = None;
         let mut measurements = Vec::new();
-        for &protocol in self.protocols.iter().filter(|p| p.applicable(scenario)) {
-            let run = run_churn_with(
+        for protocol in protocols {
+            let run = run_materialized(
                 scenario,
+                &mat,
                 protocol,
                 &exec,
                 &self.recovery,
