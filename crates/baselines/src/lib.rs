@@ -14,7 +14,9 @@
 //!   minimum-weight EDS and a weight-aware greedy heuristic;
 //! * [`distributed_mm`] — a genuinely distributed identifier-model
 //!   maximal matching (Panconesi–Rizzi style: forest decomposition +
-//!   Cole–Vishkin colouring, `O(Δ + log* n)` rounds);
+//!   Cole–Vishkin colouring, `O(Δ + log* n)` rounds). Its
+//!   `1 + 12 + 12Δ`-round schedule is a cap: each node halts once it is
+//!   matched or all its neighbours have halted;
 //! * [`randomized_mm`] — a randomised distributed maximal matching
 //!   (Israeli–Itai style, `O(log n)` rounds w.h.p.): what the paper's
 //!   deterministic impossibilities cost relative to coin flips. Its

@@ -6,13 +6,17 @@
 //! * **with identifiers**, a maximal matching — hence a 2-approximate
 //!   EDS — is computable in `O(Δ + log* n)` rounds (Panconesi–Rizzi;
 //!   implemented as a real message-passing protocol in
-//!   `eds_baselines::distributed_mm`);
+//!   `eds_baselines::distributed_mm`, whose nodes halt once their output
+//!   is final, within the `1 + 12 + 12Δ`-round cap);
 //! * **anonymously**, nothing better than `4 - 2/d` (even `d`) is
 //!   possible at any speed, and the tight `A(Δ)` protocol needs `O(Δ²)`
 //!   rounds.
 //!
-//! This binary runs both protocols on the same graphs and reports rounds,
-//! messages and solution quality side by side.
+//! This binary runs the identifier-model, randomised and anonymous
+//! protocols on the same graphs and reports their measured rounds and
+//! solution sizes side by side. It asserts that each stays within its
+//! round budget: the identifier-model and randomised matchings within
+//! their caps, and `A(Δ)` at exactly its fixed schedule.
 //!
 //! Run with: `cargo run --release -p eds-bench --bin model_comparison`
 
@@ -87,7 +91,7 @@ fn main() {
         let rand_edges =
             pn_runtime::edge_set_from_outputs(&pg, &rand_run.outputs).expect("consistent");
 
-        assert_eq!(id_run.rounds, id_matching_rounds(delta));
+        assert!(id_run.rounds <= id_matching_rounds(delta));
         assert_eq!(anon_run.rounds, bounded_schedule_length(delta));
         assert!(rand_run.rounds <= randomized_matching_rounds(phases));
         table.row(vec![
@@ -105,9 +109,10 @@ fn main() {
     println!();
     println!(
         "three regimes, exactly as the theory places them: deterministic \
-         IDs give a maximal matching in O(Δ + log* n) rounds; random seeds \
-         give one in O(log n) rounds w.h.p. (measured: nodes halt well \
-         before the phase cap); \
+         IDs give a maximal matching in O(Δ + log* n) rounds (measured: \
+         nodes halt once matched or once every neighbour has, within the \
+         1 + 12 + 12Δ cap); random seeds give one in O(log n) rounds \
+         w.h.p. (measured: nodes halt well before the phase cap); \
          deterministic anonymity runs in O(Δ²) rounds but is capped at the \
          factor ~4 worst case the paper proves — on these benign inputs \
          all three qualities happen to be close"

@@ -752,18 +752,73 @@ mod tests {
 
     #[test]
     fn corrupted_epochs_stay_well_defined() {
-        use pn_runtime::{ChurnEvent, ChurnSimulator};
+        use pn_runtime::{ChurnEvent, ChurnSimulator, Epoch};
         let g = ports::shuffled_ports(&generators::petersen(), 9).unwrap();
         let mut sim = ChurnSimulator::new(&g, |_, d| BoundedDegreeNode::new(3, d)).unwrap();
-        let burst: Vec<_> = (0..10)
-            .map(|v| ChurnEvent::Corrupt {
-                v: pn_graph::NodeId::new(v),
-                entropy: v as u64 * 31 + 7,
-            })
-            .collect();
-        sim.apply_burst(&burst).unwrap();
+        let burst = |nodes: &[usize]| -> Vec<ChurnEvent> {
+            nodes
+                .iter()
+                .map(|&v| ChurnEvent::Corrupt {
+                    v: pn_graph::NodeId::new(v),
+                    entropy: v as u64 * 31 + 7,
+                })
+                .collect()
+        };
+        // No churn baseline records a corrupted epoch of this protocol:
+        // its outputs disagree across edges, and the scenario runner
+        // re-runs such an epoch clean. So two are pinned here. Their
+        // outputs follow from the garbled claims and memberships, so a
+        // change in what `corrupt` draws, or in what order, shows. Every
+        // node halts at the end of the 32-round schedule: 10 nodes times
+        // 3 ports times 32 rounds make 960 messages.
+        let ports_of = |epoch: &Epoch<PortSet>| -> Vec<Vec<u32>> {
+            epoch
+                .outputs
+                .iter()
+                .map(|x| x.iter().map(Port::get).collect())
+                .collect()
+        };
+        sim.apply_burst(&burst(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]))
+            .unwrap();
         let epoch = sim.stabilize().unwrap(); // must complete, never panic
         assert_eq!(epoch.corrupted, 10);
+        assert_eq!(
+            ports_of(&epoch),
+            [
+                vec![1, 2],
+                vec![1, 3],
+                vec![1, 2, 3],
+                vec![1, 2, 3],
+                vec![1, 2, 3],
+                vec![1, 2, 3],
+                vec![2, 3],
+                vec![1, 3],
+                vec![1, 2, 3],
+                vec![1, 3],
+            ]
+        );
+        assert_eq!((epoch.rounds, epoch.messages), (32, 960));
+        // With every third node corrupted, clean claims meet garbled
+        // ones: this epoch also pins the order of the two claim draws.
+        sim.apply_burst(&burst(&[0, 3, 6, 9])).unwrap();
+        let epoch = sim.stabilize().unwrap();
+        assert_eq!(epoch.corrupted, 4);
+        assert_eq!(
+            ports_of(&epoch),
+            [
+                vec![1, 2],
+                vec![1],
+                vec![2],
+                vec![1, 2, 3],
+                vec![1],
+                vec![1],
+                vec![2, 3],
+                vec![],
+                vec![],
+                vec![1, 3],
+            ]
+        );
+        assert_eq!((epoch.rounds, epoch.messages), (32, 960));
         // Once the corruption drains, the next epoch dominates again.
         let clean = sim.stabilize().unwrap();
         let edges = pn_runtime::edge_set_from_outputs(&g, &clean.outputs).unwrap();

@@ -11,8 +11,6 @@
 //! point of the involution. Multigraphs (the covering-map targets of the
 //! lower-bound proofs) are therefore represented natively.
 
-use std::collections::HashSet;
-
 use crate::{EdgeId, Endpoint, GraphError, NodeId, Port, SimpleGraph};
 
 /// The shape of one edge of a port-numbered graph.
@@ -354,17 +352,20 @@ impl PortNumberedGraph {
     }
 
     /// Returns `true` if the graph is simple: no loops of either kind and
-    /// no parallel links.
+    /// no parallel links. One pass over the port rows: a neighbour equal
+    /// to the node is a loop, and a neighbour the node's row already
+    /// listed is a parallel link.
     pub fn is_simple(&self) -> bool {
-        let mut seen = HashSet::new();
-        for e in &self.edges {
-            if e.is_loop() {
-                return false;
-            }
-            let (u, v) = e.nodes();
-            let key = if u < v { (u, v) } else { (v, u) };
-            if !seen.insert(key) {
-                return false;
+        // `seen_from[u]` is the last node whose row listed `u`.
+        let mut seen_from = vec![u32::MAX; self.node_count()];
+        for (v, (&start, &d)) in self.offsets.iter().zip(&self.degrees).enumerate() {
+            let v = v as u32;
+            for far in &self.conn[start..start + d as usize] {
+                let u = far.node.index();
+                if u == v as usize || seen_from[u] == v {
+                    return false;
+                }
+                seen_from[u] = v;
             }
         }
         true
@@ -680,6 +681,100 @@ mod tests {
                 EdgeShape::HalfLoop { at } => assert_eq!(m.edge_at(at), id),
             }
         }
+    }
+
+    /// The hashing check `is_simple` replaced, kept as its oracle: every
+    /// edge's unordered node pair goes into a set.
+    fn is_simple_by_hashing(g: &PortNumberedGraph) -> bool {
+        let mut seen = std::collections::HashSet::new();
+        for (_, e) in g.edges() {
+            if e.is_loop() {
+                return false;
+            }
+            let (u, v) = e.nodes();
+            let key = if u < v { (u, v) } else { (v, u) };
+            if !seen.insert(key) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// A port-numbered multigraph: 1–4 port stubs per node, paired at
+    /// random, each stub fixed as a half-loop with probability
+    /// `half_loops`. Random pairing also makes self-loops (two ports of
+    /// one node) and parallel links.
+    fn loopy_multigraph(n: usize, half_loops: f64, seed: u64) -> PortNumberedGraph {
+        use rand::seq::SliceRandom;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = PnGraphBuilder::new();
+        let mut stubs: Vec<Endpoint> = Vec::new();
+        for _ in 0..n {
+            let d = rng.gen_range(1usize..=4);
+            let node = b.add_node(d);
+            for p in 0..d {
+                stubs.push(Endpoint::new(node, Port::from_index(p)));
+            }
+        }
+        stubs.shuffle(&mut rng);
+        while stubs.len() >= 2 {
+            let a = stubs.pop().unwrap();
+            if rng.gen_bool(half_loops) {
+                b.fix_point(a).unwrap();
+                continue;
+            }
+            let c = stubs.pop().unwrap();
+            b.connect(a, c).unwrap();
+        }
+        if let Some(last) = stubs.pop() {
+            b.fix_point(last).unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn is_simple_agrees_with_the_hashing_oracle() {
+        // Simple graphs under both port numberings, then multigraphs.
+        for seed in 0..20 {
+            let g = crate::generators::gnp(30, 0.2, seed).unwrap();
+            for pg in [
+                crate::ports::canonical_ports(&g).unwrap(),
+                crate::ports::shuffled_ports(&g, seed).unwrap(),
+            ] {
+                assert!(is_simple_by_hashing(&pg));
+                assert!(pg.is_simple(), "seed {seed}");
+            }
+        }
+        // Verdicts on multigraphs by their worst defect: any half-loop,
+        // else any self-loop, else parallel links only, else simple.
+        let mut kinds = [0usize; 4];
+        for seed in 0..400 {
+            let n = [2, 5, 12, 40][seed as usize % 4];
+            let half_loops = [0.0, 0.02, 0.2][seed as usize % 3];
+            let pg = loopy_multigraph(n, half_loops, seed);
+            let simple = is_simple_by_hashing(&pg);
+            assert_eq!(pg.is_simple(), simple, "seed {seed}");
+            let shapes: Vec<EdgeShape> = pg.edges().map(|(_, e)| e).collect();
+            let kind = if shapes
+                .iter()
+                .any(|e| matches!(e, EdgeShape::HalfLoop { .. }))
+            {
+                0
+            } else if shapes.iter().any(EdgeShape::is_loop) {
+                1
+            } else if !simple {
+                2
+            } else {
+                3
+            };
+            kinds[kind] += 1;
+        }
+        assert!(
+            kinds.iter().all(|&k| k > 0),
+            "half-loop, self-loop, parallel, simple: {kinds:?}"
+        );
     }
 
     #[test]

@@ -424,7 +424,19 @@ impl ScenarioSpec {
     ///
     /// Propagates generator and port-assignment errors.
     pub fn build(&self) -> Result<Scenario, GraphError> {
-        let graph = match &self.family {
+        let graph = self.build_graph()?;
+        let simple = graph.to_simple()?;
+        Ok(Scenario {
+            spec: self.clone(),
+            graph,
+            simple,
+        })
+    }
+
+    /// The port-numbered graph of [`ScenarioSpec::build`], without the
+    /// simple projection.
+    fn build_graph(&self) -> Result<PortNumberedGraph, GraphError> {
+        Ok(match &self.family {
             Family::CyclicLift { base, layers } => {
                 let g = base.simple(self.seed)?;
                 let base_pg = self.policy.apply(&g, self.seed)?;
@@ -447,7 +459,7 @@ impl ScenarioSpec {
             }
             // A churn scenario builds exactly like its base; the spec's
             // Churn wrapper is what routes the session to the dynamic
-            // runner.
+            // runner. The base's graph is projected once, in `build`.
             Family::Churn { base, .. } => {
                 let inner = ScenarioSpec {
                     family: (**base).clone(),
@@ -455,18 +467,12 @@ impl ScenarioSpec {
                     policy: self.policy,
                     exec: self.exec,
                 };
-                inner.build()?.graph
+                inner.build_graph()?
             }
             f => {
                 let g = f.simple(self.seed)?;
                 self.policy.apply(&g, self.seed)?
             }
-        };
-        let simple = graph.to_simple()?;
-        Ok(Scenario {
-            spec: self.clone(),
-            graph,
-            simple,
         })
     }
 

@@ -3105,9 +3105,11 @@ mod tests {
     #[test]
     fn long_solves_are_cancelled_mid_run() {
         let server = Server::new(quick_config());
-        // id-matching needs many rounds on a long identifier-ordered
-        // cycle — far beyond the 25 ms budget — so the deadline fires
-        // mid-solve and the cooperative token aborts the simulator.
+        // id-matching on a 50,000-node cycle runs its 13 identifier and
+        // Cole–Vishkin rounds at every node before any node can halt,
+        // and the whole solve takes about 0.2 s in a release build — far
+        // beyond the 25 ms budget — so the deadline fires mid-solve and
+        // the cooperative token aborts the simulator.
         let lines = serve(
             &server,
             "{\"id\":1,\"spec\":\"cycle:50000\",\"protocols\":[\"id-matching\"],\"timeout_ms\":25}\n",
