@@ -15,8 +15,9 @@
 //! This binary runs the identifier-model, randomised and anonymous
 //! protocols on the same graphs and reports their measured rounds and
 //! solution sizes side by side. It asserts that each stays within its
-//! round budget: the identifier-model and randomised matchings within
-//! their caps, and `A(Δ)` at exactly its fixed schedule.
+//! round cap: all three protocols' nodes halt once their output is final,
+//! the matchings within `1 + 12 + 12Δ` and the phase cap, and `A(Δ)`
+//! within its `O(Δ²)` schedule.
 //!
 //! Run with: `cargo run --release -p eds-bench --bin model_comparison`
 
@@ -40,6 +41,7 @@ fn main() {
         "ID rounds",
         "rand rounds",
         "anon rounds",
+        "anon cap",
         "ID |D|",
         "rand |D|",
         "anon |D|",
@@ -92,7 +94,7 @@ fn main() {
             pn_runtime::edge_set_from_outputs(&pg, &rand_run.outputs).expect("consistent");
 
         assert!(id_run.rounds <= id_matching_rounds(delta));
-        assert_eq!(anon_run.rounds, bounded_schedule_length(delta));
+        assert!(anon_run.rounds <= bounded_schedule_length(delta));
         assert!(rand_run.rounds <= randomized_matching_rounds(phases));
         table.row(vec![
             name.to_owned(),
@@ -100,6 +102,7 @@ fn main() {
             id_run.rounds.to_string(),
             rand_run.rounds.to_string(),
             anon_run.rounds.to_string(),
+            bounded_schedule_length(delta).to_string(),
             id_edges.len().to_string(),
             rand_edges.len().to_string(),
             anon_edges.len().to_string(),
@@ -113,9 +116,10 @@ fn main() {
          nodes halt once matched or once every neighbour has, within the \
          1 + 12 + 12Δ cap); random seeds give one in O(log n) rounds \
          w.h.p. (measured: nodes halt well before the phase cap); \
-         deterministic anonymity runs in O(Δ²) rounds but is capped at the \
-         factor ~4 worst case the paper proves — on these benign inputs \
-         all three qualities happen to be close"
+         deterministic anonymity runs in O(Δ²) rounds (measured: nodes halt \
+         once their output is final, within the schedule's cap) but is \
+         capped at the factor ~4 worst case the paper proves — on these \
+         benign inputs all three qualities happen to be close"
     );
 }
 

@@ -4,7 +4,10 @@
 //! and `O(Δ²)` for Theorem 5 — independent of `n` (these are *local*
 //! algorithms). This binary measures actual round counts across `d`, `Δ`
 //! and `n`, confirming both the quadratic growth in the degree bound and
-//! the complete independence from the network size.
+//! that no round count grows with the network size. Theorems 3 and 4 run
+//! their fixed schedules; `A(Δ)` nodes halt once their output is final,
+//! so its measured rounds sit at or below the `O(Δ²)` cap
+//! [`bounded_schedule_length`].
 //!
 //! Run with: `cargo run --release -p eds-bench --bin round_complexity`
 
@@ -57,13 +60,13 @@ fn main() {
         let run = Simulator::new(&pg)
             .run(|_, deg| BoundedDegreeNode::new(delta, deg))
             .expect("runs");
-        assert_eq!(run.rounds, bounded_schedule_length(delta));
+        assert!(run.rounds <= bounded_schedule_length(delta));
         table.row(vec![
             "A(Δ) (Thm 5)".to_owned(),
             format!("Δ={delta}"),
             pg.node_count().to_string(),
             run.rounds.to_string(),
-            format!("O(Δ²) = {}", bounded_schedule_length(delta)),
+            format!("≤ O(Δ²) cap = {}", bounded_schedule_length(delta)),
         ]);
     }
     print!("{table}");
@@ -71,7 +74,8 @@ fn main() {
     // Independence from n.
     println!();
     println!("Round counts as n grows (d = 4 regular, A(5)): locality in action");
-    let mut table2 = Table::new(vec!["n", "Thm 3 rounds", "A(5) rounds"]);
+    let cap = bounded_schedule_length(5);
+    let mut table2 = Table::new(vec!["n", "Thm 3 rounds", "A(5) rounds", "A(5) cap"]);
     for n in [16usize, 64, 256, 1024] {
         let g = generators::random_regular(n, 4, n as u64).expect("graph");
         let pg = ports::shuffled_ports(&g, 4).expect("ports");
@@ -83,9 +87,19 @@ fn main() {
             .run(|_, deg| BoundedDegreeNode::new(5, deg))
             .expect("runs")
             .rounds;
-        table2.row(vec![n.to_string(), r1.to_string(), r2.to_string()]);
+        assert!(r2 <= cap);
+        table2.row(vec![
+            n.to_string(),
+            r1.to_string(),
+            r2.to_string(),
+            cap.to_string(),
+        ]);
     }
     print!("{table2}");
     println!();
-    println!("rounds are constant in n for every algorithm, as the paper proves");
+    println!(
+        "no algorithm's rounds grow with n, as the paper proves: Thm 3 runs \
+         its fixed round, and A(5) nodes halt once their output is final, \
+         within a cap that depends on Δ alone"
+    );
 }

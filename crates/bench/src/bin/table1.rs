@@ -19,7 +19,7 @@
 //! Run with: `cargo run -p eds-bench --bin table1 [max_d]`
 
 use eds_bench::{run_distributed, Table};
-use eds_core::distributed::{bounded_degree_distributed, regular_odd_distributed};
+use eds_core::distributed::{BoundedDegreeNode, RegularOddNode};
 use eds_core::port_one::PortOneNode;
 use eds_lower_bounds::bound::Ratio;
 use eds_lower_bounds::{even, odd};
@@ -62,10 +62,7 @@ fn main() {
     // --- d-regular, odd d: Theorem 4 vs Theorem 2. ---
     for d in (1..=max_d).step_by(2) {
         let inst = odd::build(d).expect("odd construction");
-        let edges = regular_odd_distributed(&inst.graph).expect("protocol runs");
-        let run = pn_runtime::Simulator::new(&inst.graph)
-            .run(|_, d| eds_core::distributed::RegularOddNode::new(d))
-            .expect("protocol runs");
+        let (edges, rounds, _) = run_distributed(&inst.graph, |_, d| RegularOddNode::new(d));
         let measured = Ratio::of_sizes(edges.len(), inst.optimal_size());
         let theory = Ratio::from(inst.ratio());
         let status = if measured.eq_exact(theory) {
@@ -81,7 +78,7 @@ fn main() {
             format!("{:.4}", measured.as_f64()),
             edges.len().to_string(),
             inst.optimal_size().to_string(),
-            run.rounds.to_string(),
+            rounds.to_string(),
             status.to_owned(),
         ]);
     }
@@ -102,10 +99,8 @@ fn main() {
         let k = delta / 2;
         let d = 2 * k;
         let inst = even::build(d).expect("even construction");
-        let edges = bounded_degree_distributed(&inst.graph, delta).expect("protocol runs");
-        let run = pn_runtime::Simulator::new(&inst.graph)
-            .run(|_, deg| eds_core::distributed::BoundedDegreeNode::new(delta, deg))
-            .expect("protocol runs");
+        let (edges, rounds, _) =
+            run_distributed(&inst.graph, |_, deg| BoundedDegreeNode::new(delta, deg));
         let measured = Ratio::of_sizes(edges.len(), inst.optimal_size());
         let theory = eds_lower_bounds::bound::corollary1_bound(delta);
         let label = if delta % 2 == 1 {
@@ -129,7 +124,7 @@ fn main() {
             format!("{:.4}", measured.as_f64()),
             edges.len().to_string(),
             inst.optimal_size().to_string(),
-            run.rounds.to_string(),
+            rounds.to_string(),
             status.to_owned(),
         ]);
     }

@@ -12,6 +12,36 @@
 //! | `2+Δ² + (i-2)·B ..` | Phase II block for `i = 2..Δ`: one cover-exchange round, then `Δ` propose/respond pairs building the maximal matching `M_i` on `B_i` |
 //! | final `2 + 2Δ` | Phase III: one cover-exchange round, then `Δ` propose/respond pairs building the 2-matching `P` on the remainder `H` |
 //!
+//! # Halting
+//!
+//! The schedule's [`bounded_schedule_length`] rounds are a cap, the
+//! paper's `O(Δ²)` bound. Every node runs the hello and claim rounds;
+//! from round 2 on it halts, with the output it would give at the cap,
+//! at the end of any round
+//!
+//! * **(a)** in which it is covered by `M`;
+//! * **(b)** that exchanges cover bits (Phase I, the first round of a
+//!   Phase II block, the first round of Phase III) and in which every
+//!   port read "covered";
+//! * **(c)** of Phase III after which it has no eligible port, or both
+//!   its offer and its acceptance are spent.
+//!
+//! In every cover exchange a halted neighbour's `None` reads as
+//! "covered". The edge sets are the ones the full schedule computes, on
+//! every input, corrupted epochs included:
+//!
+//! * a covered node never adds an `M` edge and is never black, and no
+//!   one proposes to it, since an eligible port needs the far end's cover
+//!   bit to be false; so it sends "covered", no proposal and no
+//!   acceptance, which is how its `None` reads;
+//! * nodes still running after round 2 are uncovered, so an uncovered
+//!   node that reads "covered" on every port has no running neighbour
+//!   and no edge left to gain;
+//! * a Phase III node with no eligible port is proposed to by no one,
+//!   and one whose offer and acceptance are spent neither proposes nor
+//!   accepts, which is how its `None` reads in propose and respond
+//!   rounds.
+//!
 //! The protocol is differentially tested against
 //! [`crate::bounded_degree::bounded_degree_reference`]: identical outputs
 //! on every input.
@@ -155,7 +185,9 @@ enum Step {
     Phase3Respond(usize),
 }
 
-/// Total number of rounds of the `A(Δ)` protocol.
+/// Length of the `A(Δ)` schedule: the round by which every node has
+/// halted, the paper's `O(Δ²)` bound. Nodes halt earlier once their
+/// output is final (see the module docs), so a run may take fewer rounds.
 pub fn bounded_schedule_length(delta: usize) -> usize {
     let d = delta;
     let block = 1 + 2 * d;
@@ -337,35 +369,40 @@ impl BoundedDegreeNode {
 
     /// Starts a proposal stage: rewinds the cursor and, when `take`
     /// holds, marks eligible the ports that `rule(port, far_covered)`
-    /// accepts; otherwise no port is eligible. The inbox is read only
-    /// when `take` holds.
+    /// accepts; otherwise no port is eligible. Returns whether every
+    /// port read "covered".
     fn freeze_eligible(
         &mut self,
         inbox: &[Option<BoundedMsg>],
         take: bool,
         rule: impl Fn(&PortState, bool) -> bool,
-    ) {
+    ) -> bool {
         self.cursor = 0;
-        if take {
-            for (p, far) in self.ports.iter_mut().zip(Self::cover_bits(inbox)) {
-                p.eligible = rule(p, far);
-            }
-        } else {
-            for p in &mut self.ports {
-                p.eligible = false;
-            }
+        let mut all_covered = true;
+        for (p, far) in self.ports.iter_mut().zip(Self::cover_bits(inbox)) {
+            p.eligible = take && rule(p, far);
+            all_covered &= far;
         }
+        all_covered
+    }
+
+    /// Phase III rule (c): no eligible port, or both the offer and the
+    /// acceptance are spent, so the node's `P` edges are final.
+    fn phase3_done(&self) -> bool {
+        (self.proposer_done && self.acceptor_done) || !self.ports.iter().any(|p| p.eligible)
     }
 
     /// The far ends' cover bits, port by port, read straight off the
-    /// inbox (no per-round allocation).
+    /// inbox (no per-round allocation). A halted neighbour's `None` reads
+    /// as "covered" (see the module docs).
     fn cover_bits(inbox: &[Option<BoundedMsg>]) -> impl Iterator<Item = bool> + '_ {
-        inbox
-            .iter()
-            .map(|m| match m.and_then(BoundedMsg::as_cover) {
+        inbox.iter().map(|m| match m {
+            None => true,
+            Some(msg) => match msg.as_cover() {
                 Some(c) => c,
-                None => unreachable!("expected Cover, got {m:?}"),
-            })
+                None => unreachable!("expected Cover, got {msg:?}"),
+            },
+        })
     }
 
     fn output(&self) -> PortSet {
@@ -436,7 +473,9 @@ impl NodeAlgorithm for BoundedDegreeNode {
             return Some(PortSet::new());
         }
         let delta = self.delta;
-        match step_at(delta, round) {
+        // Whether the output is final by rule (b), (c) or the cap; rule
+        // (a) is checked below, after every round from round 2 on.
+        let done = match step_at(delta, round) {
             Step::Hello => {
                 for (p, m) in self.ports.iter_mut().zip(inbox) {
                     let Some((port, degree)) = m.and_then(BoundedMsg::as_hello) else {
@@ -448,7 +487,7 @@ impl NodeAlgorithm for BoundedDegreeNode {
                 if let Some(q) = dn_port_index(&self.ports, |p| p.their_port) {
                     self.ports[q].my_claim = true;
                 }
-                None
+                return None;
             }
             Step::Claim => {
                 for (p, m) in self.ports.iter_mut().zip(inbox) {
@@ -457,11 +496,12 @@ impl NodeAlgorithm for BoundedDegreeNode {
                     };
                     p.their_claim = c;
                 }
-                None
+                return None;
             }
             Step::Phase1(t) => {
                 let (i, j) = ((t / delta) as u32 + 1, (t % delta) as u32 + 1);
                 // A covered node adds nothing this round.
+                let mut all_covered = true;
                 if !self.covered_m {
                     let mut added = false;
                     for (q, (p, far)) in self
@@ -470,6 +510,7 @@ impl NodeAlgorithm for BoundedDegreeNode {
                         .zip(Self::cover_bits(inbox))
                         .enumerate()
                     {
+                        all_covered &= far;
                         if !far && p.in_mij((q + 1) as u32, i, j) {
                             p.in_m = true;
                             added = true;
@@ -477,44 +518,43 @@ impl NodeAlgorithm for BoundedDegreeNode {
                     }
                     self.covered_m = added;
                 }
-                None
+                all_covered
             }
             Step::Phase2Start(i) => {
                 // Freeze the eligible ports for this block: edges {u, v}
                 // with d(u) < d(v) = i and both ends uncovered.
                 let black = self.ports.len() == i && !self.covered_m;
-                self.freeze_eligible(inbox, black, |p, far| (p.their_degree as usize) < i && !far);
-                None
+                self.freeze_eligible(inbox, black, |p, far| (p.their_degree as usize) < i && !far)
             }
-            Step::Phase2Propose(_) | Step::Phase3Propose => {
+            Step::Phase2Propose(_) => {
                 self.record_incoming_proposals(inbox);
-                None
+                false
             }
             Step::Phase2Respond(_) => {
                 self.collect_acceptance(inbox, |s, q| {
                     s.ports[q].in_m = true;
                     s.covered_m = true;
                 });
-                None
+                false
             }
             Step::Phase3Start => {
                 // H: edges with both endpoints M-uncovered.
                 let uncovered = !self.covered_m;
-                self.freeze_eligible(inbox, uncovered, |_, far| !far);
-                None
+                self.freeze_eligible(inbox, uncovered, |_, far| !far) || self.phase3_done()
+            }
+            Step::Phase3Propose => {
+                self.record_incoming_proposals(inbox);
+                self.phase3_done()
             }
             Step::Phase3Respond(m) => {
                 self.collect_acceptance(inbox, |s, q| {
                     s.ports[q].in_p = true;
                     s.proposer_done = true;
                 });
-                if m + 1 == delta.max(1) {
-                    Some(self.output())
-                } else {
-                    None
-                }
+                m + 1 == delta.max(1) || self.phase3_done()
             }
-        }
+        };
+        (done || self.covered_m).then(|| self.output())
     }
 
     fn corrupt(&mut self, entropy: u64) {
@@ -639,15 +679,214 @@ mod tests {
         }
     }
 
+    /// The fixed schedule, as an oracle: calls the node's `send_into` and
+    /// `receive` in every round of `bounded_schedule_length(Δ)` and
+    /// answers only at the last one. The halting rules only return early
+    /// and never change state, so this is the protocol as it ran before
+    /// its nodes halted early.
+    struct FullSchedule {
+        node: BoundedDegreeNode,
+        len: usize,
+        /// The rounds run when the node first answered, and its answer.
+        first: Option<(usize, PortSet)>,
+    }
+
+    impl FullSchedule {
+        fn new(delta: usize, degree: usize) -> Self {
+            FullSchedule {
+                node: BoundedDegreeNode::new(delta, degree),
+                len: bounded_schedule_length(delta),
+                first: None,
+            }
+        }
+    }
+
+    /// The oracle's answer at the cap.
+    #[derive(Clone, Debug)]
+    struct Answer {
+        output: PortSet,
+        first_halt: usize,
+        output_at_first_halt: PortSet,
+    }
+
+    impl NodeAlgorithm for FullSchedule {
+        type Message = BoundedMsg;
+        type Output = Answer;
+
+        fn send_into(&mut self, round: usize, outbox: &mut [Option<BoundedMsg>]) {
+            self.node.send_into(round, outbox);
+        }
+
+        fn receive(&mut self, round: usize, inbox: &[Option<BoundedMsg>]) -> Option<Answer> {
+            let out = self.node.receive(round, inbox);
+            if self.first.is_none() {
+                self.first = out.clone().map(|o| (round + 1, o));
+            }
+            (round + 1 == self.len).then(|| {
+                let (first_halt, output_at_first_halt) =
+                    self.first.take().expect("the node answers by the cap");
+                Answer {
+                    output: out.expect("every node answers at the cap"),
+                    first_halt,
+                    output_at_first_halt,
+                }
+            })
+        }
+
+        fn corrupt(&mut self, entropy: u64) {
+            self.node.corrupt(entropy);
+        }
+    }
+
+    /// Checks a halting run, or churn epoch, against the oracle's from the
+    /// same initial states, each given as (outputs, rounds, messages):
+    /// equal outputs; each node's output at its first answer in the oracle
+    /// equal to its oracle output, and that answer within the schedule;
+    /// the halting side's rounds and messages those of nodes that each ran
+    /// until that answer, sending on every port; and the oracle taking the
+    /// whole schedule. Returns the round count at each node's first answer.
+    fn assert_matches_oracle(
+        g: &PortNumberedGraph,
+        delta: usize,
+        (outputs, rounds, messages): (&[PortSet], usize, usize),
+        (oracle, oracle_rounds, oracle_messages): (&[Answer], usize, usize),
+        what: &str,
+    ) -> Vec<usize> {
+        let len = bounded_schedule_length(delta);
+        let degree = |v: usize| g.degree(pn_graph::NodeId::new(v));
+        let ports: usize = (0..g.node_count()).map(degree).sum();
+        assert_eq!(
+            (oracle_rounds, oracle_messages),
+            (len, ports * len),
+            "{what}"
+        );
+        let mut expected_messages = 0;
+        for (v, answer) in oracle.iter().enumerate() {
+            assert_eq!(outputs[v], answer.output, "{what}: node {v}");
+            assert_eq!(
+                answer.output_at_first_halt, answer.output,
+                "{what}: node {v}"
+            );
+            assert!(answer.first_halt <= len, "{what}: node {v}");
+            expected_messages += degree(v) * answer.first_halt;
+        }
+        let first_halts: Vec<usize> = oracle.iter().map(|a| a.first_halt).collect();
+        let last = first_halts.iter().copied().max().unwrap_or(0);
+        assert_eq!((rounds, messages), (last, expected_messages), "{what}");
+        first_halts
+    }
+
+    /// Runs the halting node and the oracle from fresh states, then on one
+    /// churn epoch in which every third node starts corrupted, and checks
+    /// each pair with [`assert_matches_oracle`]; on the static run every
+    /// node halts in the round of its first answer in the oracle. Returns
+    /// the messages of the halting runs and of the oracle's.
+    fn check_against_oracle(
+        g: &PortNumberedGraph,
+        delta: usize,
+        salt: u64,
+        what: &str,
+    ) -> (usize, usize) {
+        use pn_runtime::{ChurnEvent, ChurnSimulator};
+        let run = Simulator::new(g)
+            .run(|_, d| BoundedDegreeNode::new(delta, d))
+            .unwrap();
+        let oracle = Simulator::new(g)
+            .run(|_, d| FullSchedule::new(delta, d))
+            .unwrap();
+        let first_halts = assert_matches_oracle(
+            g,
+            delta,
+            (&run.outputs, run.rounds, run.messages),
+            (&oracle.outputs, oracle.rounds, oracle.messages),
+            &format!("{what} static"),
+        );
+        assert_eq!(run.halted_at, first_halts, "{what} static");
+        let burst: Vec<ChurnEvent> = (0..g.node_count())
+            .filter(|v| (*v as u64 + salt).is_multiple_of(3))
+            .map(|v| ChurnEvent::Corrupt {
+                v: pn_graph::NodeId::new(v),
+                entropy: salt.wrapping_mul(0x9e37_79b9) ^ v as u64,
+            })
+            .collect();
+        let mut halting = ChurnSimulator::new(g, |_, d| BoundedDegreeNode::new(delta, d)).unwrap();
+        let mut full = ChurnSimulator::new(g, |_, d| FullSchedule::new(delta, d)).unwrap();
+        halting.apply_burst(&burst).unwrap();
+        full.apply_burst(&burst).unwrap();
+        let epoch = halting.stabilize().unwrap();
+        let oracle_epoch = full.stabilize().unwrap();
+        assert_eq!(epoch.corrupted, burst.len(), "{what}");
+        assert_matches_oracle(
+            &epoch.graph,
+            delta,
+            (&epoch.outputs, epoch.rounds, epoch.messages),
+            (
+                &oracle_epoch.outputs,
+                oracle_epoch.rounds,
+                oracle_epoch.messages,
+            ),
+            &format!("{what} corrupted"),
+        );
+        (
+            run.messages + epoch.messages,
+            oracle.messages + oracle_epoch.messages,
+        )
+    }
+
+    #[test]
+    fn halting_run_matches_the_fixed_schedule() {
+        let mut instances = 0;
+        let (mut messages, mut oracle_messages) = (0, 0);
+        let mut check = |g: &PortNumberedGraph, delta: usize, salt: u64, what: String| {
+            let (m, o) = check_against_oracle(g, delta, salt, &what);
+            messages += m;
+            oracle_messages += o;
+            instances += 1;
+        };
+        for salt in 0..72u64 {
+            for (w, h) in [(4, 4), (3, 5)] {
+                let pg = ports::shuffled_ports(&generators::grid(w, h).unwrap(), salt).unwrap();
+                check(&pg, 4, salt, format!("grid {w}x{h} salt {salt}"));
+            }
+            for delta in 2..=6usize {
+                let g =
+                    generators::random_bounded_degree(18, delta, 0.75, salt * 11 + delta as u64)
+                        .unwrap();
+                let pg = ports::shuffled_ports(&g, salt).unwrap();
+                check(&pg, delta, salt, format!("bounded Δ={delta} salt {salt}"));
+            }
+            for (n, d) in [(10usize, 3usize), (12, 4), (12, 5)] {
+                let g = generators::random_regular(n, d, salt + 500).unwrap();
+                let pg = ports::shuffled_ports(&g, salt).unwrap();
+                check(&pg, d, salt, format!("regular n={n} d={d} salt {salt}"));
+            }
+            let pg = ports::shuffled_ports(&generators::petersen(), salt).unwrap();
+            for delta in 3..=6 {
+                check(&pg, delta, salt, format!("petersen Δ={delta} salt {salt}"));
+            }
+        }
+        assert_eq!(instances, 72 * 14);
+        // Halting once the output is final saves most of the schedule.
+        assert!(
+            2 * messages < oracle_messages,
+            "halting saved too little: {messages} of {oracle_messages}"
+        );
+    }
+
     #[test]
     fn schedule_length_is_respected() {
         let g = generators::grid(3, 3).unwrap();
         let pg = ports::shuffled_ports(&g, 2).unwrap();
         let delta = 4;
+        let oracle = Simulator::new(&pg)
+            .run(|_, d| FullSchedule::new(delta, d))
+            .unwrap();
+        assert_eq!(oracle.rounds, bounded_schedule_length(delta));
+        // Every node's output is final long before the 54-round cap.
         let run = Simulator::new(&pg)
             .run(|_, d| BoundedDegreeNode::new(delta, d))
             .unwrap();
-        assert_eq!(run.rounds, bounded_schedule_length(delta));
+        assert_eq!(run.rounds, 5);
     }
 
     #[test]
@@ -768,9 +1007,9 @@ mod tests {
         // its outputs disagree across edges, and the scenario runner
         // re-runs such an epoch clean. So two are pinned here. Their
         // outputs follow from the garbled claims and memberships, so a
-        // change in what `corrupt` draws, or in what order, shows. Every
-        // node halts at the end of the 32-round schedule: 10 nodes times
-        // 3 ports times 32 rounds make 960 messages.
+        // change in what `corrupt` draws, or in what order, shows. The
+        // round and message counts pin when the nodes halt; the
+        // schedule's cap is 32 rounds, or 960 messages on 30 ports.
         let ports_of = |epoch: &Epoch<PortSet>| -> Vec<Vec<u32>> {
             epoch
                 .outputs
@@ -797,7 +1036,9 @@ mod tests {
                 vec![1, 3],
             ]
         );
-        assert_eq!((epoch.rounds, epoch.messages), (32, 960));
+        // Every node is covered, or reads "covered" on every port, in
+        // round 2, and halts at its end: 30 ports times 3 rounds.
+        assert_eq!((epoch.rounds, epoch.messages), (3, 90));
         // With every third node corrupted, clean claims meet garbled
         // ones: this epoch also pins the order of the two claim draws.
         sim.apply_burst(&burst(&[0, 3, 6, 9])).unwrap();
@@ -818,7 +1059,7 @@ mod tests {
                 vec![1, 3],
             ]
         );
-        assert_eq!((epoch.rounds, epoch.messages), (32, 960));
+        assert_eq!((epoch.rounds, epoch.messages), (32, 264));
         // Once the corruption drains, the next epoch dominates again.
         let clean = sim.stabilize().unwrap();
         let edges = pn_runtime::edge_set_from_outputs(&g, &clean.outputs).unwrap();

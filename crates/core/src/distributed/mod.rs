@@ -4,17 +4,17 @@
 //! Every algorithm here is a genuine port-numbering-model protocol: node
 //! state is initialised from the degree (plus the family parameter `Δ`
 //! where applicable), all information travels through messages, and the
-//! round schedule is a function of `d`/`Δ` only — never of `n`. The
-//! implementations are *differentially tested* against the centralised
-//! references in [`crate::port_one`], [`crate::regular_odd`] and
-//! [`crate::bounded_degree`]: they must produce identical edge sets on
-//! every input.
+//! round schedule, or for `A(Δ)` its cap, is a function of `d`/`Δ` only —
+//! never of `n`. The implementations are *differentially tested* against
+//! the centralised references in [`crate::port_one`],
+//! [`crate::regular_odd`] and [`crate::bounded_degree`]: they must
+//! produce identical edge sets on every input.
 //!
 //! | Protocol | Paper | Rounds |
 //! |---|---|---|
 //! | [`crate::port_one::PortOneNode`] | Theorem 3 | `1` |
 //! | [`RegularOddNode`] | Theorem 4 | `2 + 2d²` |
-//! | [`BoundedDegreeNode`] | Theorem 5 | `O(Δ²)` (see [`bounded_schedule_length`]) |
+//! | [`BoundedDegreeNode`] | Theorem 5 | at most `O(Δ²)`: nodes halt once their output is final, within [`bounded_schedule_length`] |
 
 mod bounded_node;
 mod common;

@@ -14,9 +14,18 @@
 //! wrong number of messages, and the round loop allocates nothing. A
 //! slot left `None` delivers nothing on that port. Messages from
 //! already-halted neighbours arrive as `None` too, so a protocol whose
-//! nodes halt at different rounds must give `None` a meaning: the
-//! randomised matching baseline, whose nodes halt once they are matched,
-//! reads it as "not free".
+//! nodes halt at different rounds must give `None` a meaning, the one a
+//! halted node's message would have had:
+//!
+//! * the randomised matching baseline reads it as "not free";
+//! * the identifier-model matching reads it as "no proposal" in a
+//!   propose round and as "not accepted" in a respond round;
+//! * `A(Δ)` reads it as "covered" in a cover exchange, as "no proposal"
+//!   in a propose round and as "refused" in a respond round.
+//!
+//! The port-one, Theorem 4 and vertex-cover protocols halt every node
+//! that has a port in the same round, so they never receive a halted
+//! neighbour's `None`.
 
 /// The state machine run by every node.
 ///

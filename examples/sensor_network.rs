@@ -18,9 +18,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("wireless sensor network, max radio degree Δ = {delta}");
     println!();
     println!(
-        "{:>6} {:>7} {:>9} {:>8} {:>9} {:>10}",
-        "nodes", "links", "monitors", "rounds", "messages", "2-approx"
+        "{:>6} {:>7} {:>9} {:>8} {:>5} {:>9} {:>10}",
+        "nodes", "links", "monitors", "rounds", "cap", "messages", "2-approx"
     );
+    let cap = bounded_schedule_length(delta);
 
     for n in [50usize, 200, 800] {
         // Random geometric placement, truncated to the degree bound.
@@ -41,22 +42,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let greedy = edge_dominating_sets::baselines::two_approx::two_approximation(&simple);
         println!(
-            "{:>6} {:>7} {:>9} {:>8} {:>9} {:>10}",
+            "{:>6} {:>7} {:>9} {:>8} {:>5} {:>9} {:>10}",
             n,
             network.edge_count(),
             monitors.len(),
             run.rounds,
+            cap,
             run.messages,
             greedy.len(),
         );
-        assert_eq!(run.rounds, bounded_schedule_length(delta));
+        assert!(run.rounds <= cap);
     }
 
     println!();
     println!(
-        "the protocol finishes in exactly {} rounds at every scale — a local \
-         algorithm: its horizon is O(Δ²), independent of n",
-        bounded_schedule_length(delta)
+        "the protocol finishes within {cap} rounds at every scale — a local \
+         algorithm: nodes halt once their output is final, and its horizon \
+         is O(Δ²), independent of n"
     );
     Ok(())
 }

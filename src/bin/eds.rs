@@ -36,7 +36,7 @@
 //! $ printf '0 1\n1 2\n2 0\n2 3\n' | cargo run --bin eds -- --algorithm thm4
 //! ```
 
-use std::io::Read as _;
+use std::io::{ErrorKind, Read as _, Write as _};
 use std::process::ExitCode;
 
 use edge_dominating_sets::baselines::{exact, two_approx};
@@ -398,8 +398,20 @@ fn main() -> ExitCode {
     };
     match run(&options, &input) {
         Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
+            let mut stdout = std::io::stdout().lock();
+            match stdout
+                .write_all(out.as_bytes())
+                .and_then(|()| stdout.flush())
+            {
+                Ok(()) => ExitCode::SUCCESS,
+                // The reader has gone (`eds ... | head`): nobody is left
+                // to tell, so the run still counts as done.
+                Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("cannot write stdout: {e}");
+                    ExitCode::FAILURE
+                }
+            }
         }
         Err(msg) => {
             eprintln!("{msg}");

@@ -163,7 +163,12 @@ fn distributed_protocols_on_classic_workloads() {
 #[test]
 fn message_complexity_is_linear_in_edges_per_round() {
     // The simulator counts messages: every running node sends exactly one
-    // message per port per round, so messages = Σ_r 2|E| while all run.
+    // message per port per round. Port-one runs one round everywhere, so
+    // messages = 2|E|; A(Δ) nodes halt at different rounds, so messages
+    // = Σ_v deg(v)·halted_at[v], within the schedule's cap.
+    use edge_dominating_sets::algorithms::distributed::{
+        bounded_schedule_length, BoundedDegreeNode,
+    };
     let g = ports::canonical_ports(&generators::torus(4, 4).unwrap()).unwrap();
     let run = edge_dominating_sets::runtime::Simulator::new(&g)
         .run(|_, d| edge_dominating_sets::algorithms::port_one::PortOneNode::new(d))
@@ -171,7 +176,12 @@ fn message_complexity_is_linear_in_edges_per_round() {
     assert_eq!(run.messages, 2 * g.edge_count());
     let delta = 4;
     let run = edge_dominating_sets::runtime::Simulator::new(&g)
-        .run(|_, d| edge_dominating_sets::algorithms::distributed::BoundedDegreeNode::new(delta, d))
+        .run(|_, d| BoundedDegreeNode::new(delta, d))
         .unwrap();
-    assert_eq!(run.messages, run.rounds * 2 * g.edge_count());
+    let sent: usize = g
+        .nodes()
+        .map(|v| g.degree(v) * run.halted_at[v.index()])
+        .sum();
+    assert_eq!(run.messages, sent);
+    assert!(run.rounds <= bounded_schedule_length(delta));
 }
