@@ -51,24 +51,22 @@
 //! rounds a node halts as soon as its output is final:
 //!
 //! * a **matched** node at the end of any respond round in which it is
-//!   matched: it accepted a proposal in that round, read an acceptance,
-//!   or its epoch started corrupted into `matched`. It outputs its
-//!   matched port;
+//!   matched: it accepted a proposal in that round or read an
+//!   acceptance. It outputs its matched port;
 //! * an **unmatched** node at the end of any matching round, propose or
 //!   respond, in which no port delivered a message. Running nodes send
 //!   on every port in these rounds, so every neighbour has halted and
 //!   the node can never be matched. It outputs what it would output at
-//!   the cap: the port set of its matched port, which a corrupted epoch
-//!   may have garbled.
+//!   the cap: the empty port set.
 //!
 //! Every node still running at the cap halts there. The matching is the
-//! one the full schedule computes, on every input, corrupted epochs
-//! included. A halted neighbour's `None` reads as "no proposal" in a
-//! propose round and as "not accepted" in a respond round, exactly as a
-//! matched node's [`IdMmMsg::Nothing`] and `Response(false)` read; a
-//! matched node never proposes, never accepts and never rewrites its
-//! matched port; and an unmatched node halts only once all its
-//! neighbours have, so no running node sees it go.
+//! one the full schedule computes, on every input. A halted neighbour's
+//! `None` reads as "no proposal" in a propose round and as "not
+//! accepted" in a respond round, exactly as a matched node's
+//! [`IdMmMsg::Nothing`] and `Response(false)` read; a matched node never
+//! proposes, never accepts and never rewrites its matched port; and an
+//! unmatched node halts only once all its neighbours have, so no running
+//! node sees it go.
 
 use pn_graph::{EdgeId, Port, PortNumberedGraph};
 use pn_runtime::{NodeAlgorithm, PortSet, RuntimeError, Simulator};
@@ -369,46 +367,6 @@ impl NodeAlgorithm for IdMatchingNode {
             }
         }
     }
-
-    fn corrupt(&mut self, entropy: u64) {
-        // Garble the matching bookkeeping and the learned labels; round 0
-        // re-derives the identifiers and out-edges, the handshake
-        // `child_forest`, and every propose round `incoming` and
-        // `pending`, from the real exchanges before anything reads them.
-        // Two fields stay intact by contract: `id` (global uniqueness is
-        // what makes the forest orientation acyclic) and the colours
-        // (the Cole–Vishkin step requires a proper colouring along
-        // forest edges — an invariant no single node can re-satisfy
-        // locally, so scrambling it would break `cv_step`'s precondition
-        // rather than model a recoverable fault). The words are drawn in
-        // a fixed order, `child_forest` last, so an entropy garbles every
-        // other field exactly as it garbles the colour-vector reference
-        // node's.
-        let d = self.slots.len();
-        if d == 0 {
-            return;
-        }
-        let mut next = pn_runtime::entropy_stream(entropy);
-        for port in &mut self.slots {
-            port.their_id = next();
-        }
-        self.out_degree = 0;
-        for q in 0..d {
-            if next() & 1 == 0 {
-                self.slots[self.out_degree].parent = q as u32;
-                self.out_degree += 1;
-            }
-        }
-        self.matched = next() & 1 == 0;
-        self.matched_port = (next() & 1 == 0).then(|| (next() % d as u64) as usize);
-        self.pending = (next() & 1 == 0).then(|| (next() % d as u64) as usize);
-        for port in &mut self.slots {
-            port.incoming = next() & 1 == 0;
-        }
-        for port in &mut self.slots {
-            port.child_forest = (next() & 1 == 0).then(|| (next() % d as u64) as u32);
-        }
-    }
 }
 
 /// Runs the identifier-model maximal matching on `g` with the given
@@ -590,21 +548,6 @@ mod reference {
                 }
             }
         }
-
-        fn corrupt(&mut self, entropy: u64) {
-            if self.degree == 0 {
-                return;
-            }
-            let mut next = pn_runtime::entropy_stream(entropy);
-            for x in &mut self.their_id {
-                *x = next();
-            }
-            self.out_ports = (0..self.degree).filter(|_| next() & 1 == 0).collect();
-            self.matched = next() & 1 == 0;
-            self.matched_port = (next() & 1 == 0).then(|| (next() % self.degree as u64) as usize);
-            self.pending = (next() & 1 == 0).then(|| (next() % self.degree as u64) as usize);
-            self.incoming = (0..self.degree).filter(|_| next() & 1 == 0).collect();
-        }
     }
 }
 
@@ -732,37 +675,6 @@ mod tests {
         let _ = id_matching_distributed(&g, 2, &[1, 1, 2]);
     }
 
-    #[test]
-    fn corruption_changes_the_state() {
-        let mut node = IdMatchingNode::new(4, 3, 42);
-        let fresh = format!("{node:?}");
-        node.corrupt(0xfeed_cafe);
-        assert_ne!(format!("{node:?}"), fresh, "corruption must change state");
-    }
-
-    #[test]
-    fn corrupted_epochs_stay_well_defined() {
-        use pn_runtime::{ChurnEvent, ChurnSimulator};
-        let g = ports::shuffled_ports(&generators::petersen(), 4).unwrap();
-        let mut sim = ChurnSimulator::new(&g, |v, d| {
-            IdMatchingNode::new(3, d, v.index() as u64 * 7 + 3)
-        })
-        .unwrap();
-        let burst: Vec<_> = (0..10)
-            .map(|v| ChurnEvent::Corrupt {
-                v: pn_graph::NodeId::new(v),
-                entropy: 0x9e37 ^ (v as u64) << 3,
-            })
-            .collect();
-        sim.apply_burst(&burst).unwrap();
-        let epoch = sim.stabilize().unwrap(); // must complete, never panic
-        assert_eq!(epoch.corrupted, 10);
-        // After the corruption drains, the next epoch converges cleanly.
-        let clean = sim.stabilize().unwrap();
-        let edges = pn_runtime::edge_set_from_outputs(&g, &clean.outputs).unwrap();
-        assert!(is_maximal_matching(&g.to_simple().unwrap(), &edges));
-    }
-
     /// A port-numbered multigraph with parallel edges, self-loops and
     /// half-loops: 1–4 port stubs per node, paired at random, a fifth of
     /// them fixed as half-loops.
@@ -814,31 +726,6 @@ mod tests {
         ]
     }
 
-    /// One run from the initial states of an epoch — factory-fresh, with
-    /// every third node corrupted when `corrupted` is set, as the churn
-    /// simulator builds them. Built here, not through `ChurnSimulator`,
-    /// so multigraphs run too and `halted_at` is kept.
-    fn epoch<A>(
-        pg: &PortNumberedGraph,
-        corrupted: bool,
-        salt: u64,
-        build: impl Fn(usize, usize) -> A,
-    ) -> pn_runtime::Run<PortSet>
-    where
-        A: NodeAlgorithm<Output = PortSet> + Send,
-        A::Message: Send,
-    {
-        Simulator::new(pg)
-            .run(|v, d| {
-                let mut node = build(v.index(), d);
-                if corrupted && v.index() % 3 == 0 {
-                    node.corrupt(salt.wrapping_mul(0x9e37_79b9) ^ v.index() as u64);
-                }
-                node
-            })
-            .unwrap()
-    }
-
     /// Message and round counts summed over a suite of runs, for the
     /// halting node and for the full-budget reference.
     #[derive(Debug, Default)]
@@ -850,38 +737,35 @@ mod tests {
     }
 
     /// The word-sized, halting node against the colour-vector reference,
-    /// which runs every node for the whole budget, on a static run and on
-    /// one epoch with a third of the nodes corrupted: equal outputs, and
-    /// no node halting later, no more rounds and no more messages than in
-    /// the reference. Both sides' counts are added to `totals`.
+    /// which runs every node for the whole budget, from the same fresh
+    /// states: equal outputs, and no node halting later, no more rounds
+    /// and no more messages than in the reference. Both sides' counts are
+    /// added to `totals`.
     fn assert_matches_reference(
         pg: &PortNumberedGraph,
         delta: usize,
         ids: &[u64],
-        salt: u64,
         what: &str,
         totals: &mut Totals,
     ) {
         use super::reference::VectorNode;
-        for corrupted in [false, true] {
-            let run = epoch(pg, corrupted, salt, |v, d| {
-                IdMatchingNode::new(delta, d, ids[v])
-            });
-            let reference = epoch(pg, corrupted, salt, |v, d| {
-                VectorNode::new(delta, d, ids[v])
-            });
-            let what = format!("{what} Δ={delta} corrupted={corrupted}");
-            assert_eq!(run.outputs, reference.outputs, "{what}");
-            for (v, (at, cap)) in run.halted_at.iter().zip(&reference.halted_at).enumerate() {
-                assert!(at <= cap, "{what}: node {v} halted at {at}, after {cap}");
-            }
-            assert!(run.rounds <= reference.rounds, "{what}");
-            assert!(run.messages <= reference.messages, "{what}");
-            totals.messages += run.messages;
-            totals.reference_messages += reference.messages;
-            totals.rounds += run.rounds;
-            totals.reference_rounds += reference.rounds;
+        let run = Simulator::new(pg)
+            .run(|v, d| IdMatchingNode::new(delta, d, ids[v.index()]))
+            .unwrap();
+        let reference = Simulator::new(pg)
+            .run(|v, d| VectorNode::new(delta, d, ids[v.index()]))
+            .unwrap();
+        let what = format!("{what} Δ={delta}");
+        assert_eq!(run.outputs, reference.outputs, "{what}");
+        for (v, (at, cap)) in run.halted_at.iter().zip(&reference.halted_at).enumerate() {
+            assert!(at <= cap, "{what}: node {v} halted at {at}, after {cap}");
         }
+        assert!(run.rounds <= reference.rounds, "{what}");
+        assert!(run.messages <= reference.messages, "{what}");
+        totals.messages += run.messages;
+        totals.reference_messages += reference.messages;
+        totals.rounds += run.rounds;
+        totals.reference_rounds += reference.rounds;
     }
 
     #[test]
@@ -918,7 +802,7 @@ mod tests {
                     for delta in [max, max + 1 + salt as usize % 3] {
                         for (i, ids) in identifier_sets(pg.node_count(), salt).iter().enumerate() {
                             let what = format!("{name} shuffled={shuffled} salt={salt} ids#{i}");
-                            assert_matches_reference(&pg, delta, ids, salt, &what, &mut totals);
+                            assert_matches_reference(&pg, delta, ids, &what, &mut totals);
                             instances += 1;
                         }
                     }
@@ -930,7 +814,7 @@ mod tests {
                 for delta in [max, max + 2] {
                     for (i, ids) in identifier_sets(n, salt).iter().enumerate() {
                         let what = format!("loopy-multigraph-{n} salt={salt} ids#{i}");
-                        assert_matches_reference(&pg, delta, ids, salt, &what, &mut totals);
+                        assert_matches_reference(&pg, delta, ids, &what, &mut totals);
                         instances += 1;
                     }
                 }
@@ -940,7 +824,7 @@ mod tests {
         let pg = ports::canonical_ports(&generators::cycle(8).unwrap()).unwrap();
         for (i, ids) in adversarial_cycle_ids().iter().enumerate() {
             let what = format!("cycle-8 adversarial #{i}");
-            assert_matches_reference(&pg, 2, ids, 0, &what, &mut totals);
+            assert_matches_reference(&pg, 2, ids, &what, &mut totals);
             instances += 1;
         }
         assert_eq!(instances, 8 * (6 * 2 * 2 * 4 + 4 * 2 * 4) + 3);

@@ -17,8 +17,7 @@
 //! schedule. A node halts with its current output as soon as it is done:
 //!
 //! * once it is matched — checked at the respond round where it matches
-//!   and at every status round, which also covers an epoch that starts
-//!   corrupted into the matched state;
+//!   and at every status round;
 //! * once a status round shows it no free neighbour.
 //!
 //! A halted node sends nothing, and its neighbours read the `None` it
@@ -199,26 +198,6 @@ impl NodeAlgorithm for RandMatchingNode {
             x
         })
     }
-
-    fn corrupt(&mut self, entropy: u64) {
-        // Everything soft is garbleable: the xorshift state accepts any
-        // word (`next_rand` guards against 0), the matching bookkeeping
-        // is bits, and port references stay < degree. `degree` and
-        // `phases` define the schedule.
-        if self.degree == 0 {
-            return;
-        }
-        let mut next = pn_runtime::entropy_stream(entropy);
-        self.rng = next();
-        self.matched = next() & 1 == 0;
-        self.matched_port = (next() & 1 == 0).then(|| (next() % self.degree as u64) as usize);
-        self.proposer_role = next() & 1 == 0;
-        for b in &mut self.neighbor_free {
-            *b = next() & 1 == 0;
-        }
-        self.pending = (next() & 1 == 0).then(|| (next() % self.degree as u64) as usize);
-        self.incoming = (0..self.degree).filter(|_| next() & 1 == 0).collect();
-    }
 }
 
 /// Runs the randomised matching on `g` with per-node `seeds`, capped at
@@ -380,22 +359,6 @@ mod reference {
                 }
             }
         }
-
-        fn corrupt(&mut self, entropy: u64) {
-            if self.degree == 0 {
-                return;
-            }
-            let mut next = pn_runtime::entropy_stream(entropy);
-            self.rng = next();
-            self.matched = next() & 1 == 0;
-            self.matched_port = (next() & 1 == 0).then(|| (next() % self.degree as u64) as usize);
-            self.proposer_role = next() & 1 == 0;
-            for b in &mut self.neighbor_free {
-                *b = next() & 1 == 0;
-            }
-            self.pending = (next() & 1 == 0).then(|| (next() % self.degree as u64) as usize);
-            self.incoming = (0..self.degree).filter(|_| next() & 1 == 0).collect();
-        }
     }
 }
 
@@ -483,13 +446,11 @@ mod tests {
 
     /// The halting node against the fixed-budget reference: the same
     /// output at every node, within the round cap and never more
-    /// messages, on static runs and on one epoch with a third of the
-    /// nodes corrupted.
+    /// messages.
     #[test]
     fn halting_matches_the_fixed_budget_reference() {
         use super::reference::FixedBudgetNode;
-        use pn_graph::{NodeId, SimpleGraph};
-        use pn_runtime::{ChurnEvent, ChurnSimulator};
+        use pn_graph::SimpleGraph;
 
         let families = |salt: u64| -> Vec<(&'static str, SimpleGraph)> {
             vec![
@@ -542,32 +503,6 @@ mod tests {
                     assert!(run.messages <= reference.messages, "{what}");
                     halting_messages += run.messages;
                     budget_messages += reference.messages;
-
-                    let burst: Vec<_> = (0..n)
-                        .step_by(3)
-                        .map(|v| ChurnEvent::Corrupt {
-                            v: NodeId::new(v),
-                            entropy: salt.wrapping_mul(0x9e37_79b9) ^ v as u64,
-                        })
-                        .collect();
-                    let mut churn = ChurnSimulator::new(&pg, |v, d| {
-                        RandMatchingNode::new(d, s[v.index()], phases)
-                    })
-                    .unwrap();
-                    let mut churn_reference = ChurnSimulator::new(&pg, |v, d| {
-                        FixedBudgetNode::new(d, s[v.index()], phases)
-                    })
-                    .unwrap();
-                    churn.apply_burst(&burst).unwrap();
-                    churn_reference.apply_burst(&burst).unwrap();
-                    let epoch = churn.stabilize().unwrap();
-                    let epoch_reference = churn_reference.stabilize().unwrap();
-                    assert_eq!(epoch.outputs, epoch_reference.outputs, "corrupted {what}");
-                    assert!(epoch.rounds <= epoch_reference.rounds, "corrupted {what}");
-                    assert!(
-                        epoch.messages <= epoch_reference.messages,
-                        "corrupted {what}"
-                    );
                     instances += 1;
                 }
             }
@@ -588,37 +523,5 @@ mod tests {
         let large = randomized_matching_phases(16 * 1024);
         // 10 extra doublings -> 80 extra phases.
         assert_eq!(large - small, 8 * 10);
-    }
-
-    #[test]
-    fn corruption_changes_the_state() {
-        let mut node = RandMatchingNode::new(3, 99, 7);
-        let fresh = format!("{node:?}");
-        node.corrupt(0xdead_beef);
-        assert_ne!(format!("{node:?}"), fresh, "corruption must change state");
-    }
-
-    #[test]
-    fn corrupted_epochs_stay_well_defined() {
-        use pn_runtime::{ChurnEvent, ChurnSimulator};
-        let g = ports::shuffled_ports(&generators::petersen(), 2).unwrap();
-        let phases = randomized_matching_phases(10);
-        let s = seeds(10, 11);
-        let mut sim =
-            ChurnSimulator::new(&g, |v, d| RandMatchingNode::new(d, s[v.index()], phases)).unwrap();
-        let burst: Vec<_> = (0..10)
-            .map(|v| ChurnEvent::Corrupt {
-                v: pn_graph::NodeId::new(v),
-                entropy: v as u64 * 77 + 5,
-            })
-            .collect();
-        sim.apply_burst(&burst).unwrap();
-        let epoch = sim.stabilize().unwrap(); // must complete, never panic
-        assert_eq!(epoch.corrupted, 10);
-        // The queue drains: the next epoch is the clean baseline again.
-        let clean = sim.stabilize().unwrap();
-        assert_eq!(clean.corrupted, 0);
-        let edges = pn_runtime::edge_set_from_outputs(&g, &clean.outputs).unwrap();
-        assert!(is_maximal_matching(&g.to_simple().unwrap(), &edges));
     }
 }

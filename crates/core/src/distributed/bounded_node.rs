@@ -28,7 +28,7 @@
 //!
 //! In every cover exchange a halted neighbour's `None` reads as
 //! "covered". The edge sets are the ones the full schedule computes, on
-//! every input, corrupted epochs included:
+//! every input:
 //!
 //! * a covered node never adds an `M` edge and is never black, and no
 //!   one proposes to it, since an eligible port needs the far end's cover
@@ -556,43 +556,6 @@ impl NodeAlgorithm for BoundedDegreeNode {
         };
         (done || self.covered_m).then(|| self.output())
     }
-
-    fn corrupt(&mut self, entropy: u64) {
-        // Garble every soft field within its safe range: learned labels
-        // (`their_port`/`their_degree`) are only compared, claims and
-        // membership bits are free flips, and `cursor` stays <= degree
-        // and `pending` < degree, so the proposal machinery cannot index
-        // out of bounds. Every proposal stage rewrites `eligible`,
-        // `cursor`, `pending` and `incoming` before reading them.
-        // `delta` and the degree define the `A(Δ)` schedule and stay
-        // intact. The draw order is fixed, so a corrupt event always
-        // garbles the same way and churn records stay reproducible.
-        let d = self.ports.len();
-        if d == 0 {
-            return;
-        }
-        let mut next = pn_runtime::entropy_stream(entropy);
-        let labels = self.delta as u64 + 1;
-        for p in &mut self.ports {
-            p.their_port = (next() % labels) as u32;
-            p.their_degree = (next() % labels) as u32;
-            p.my_claim = next() & 1 == 0;
-            p.their_claim = next() & 1 == 0;
-            p.in_m = next() & 1 == 0;
-            p.in_p = next() & 1 == 0;
-        }
-        self.covered_m = next() & 1 == 0;
-        for p in &mut self.ports {
-            p.eligible = next() & 1 == 0;
-        }
-        self.cursor = (next() % (d as u64 + 1)) as usize;
-        self.pending = (next() & 1 == 0).then(|| (next() % d as u64) as usize);
-        for p in &mut self.ports {
-            p.incoming = next() & 1 == 0;
-        }
-        self.proposer_done = next() & 1 == 0;
-        self.acceptor_done = next() & 1 == 0;
-    }
 }
 
 /// Runs the distributed `A(Δ)` protocol on `g` and returns the edge
@@ -732,37 +695,34 @@ mod tests {
                 }
             })
         }
-
-        fn corrupt(&mut self, entropy: u64) {
-            self.node.corrupt(entropy);
-        }
     }
 
-    /// Checks a halting run, or churn epoch, against the oracle's from the
-    /// same initial states, each given as (outputs, rounds, messages):
-    /// equal outputs; each node's output at its first answer in the oracle
-    /// equal to its oracle output, and that answer within the schedule;
-    /// the halting side's rounds and messages those of nodes that each ran
-    /// until that answer, sending on every port; and the oracle taking the
-    /// whole schedule. Returns the round count at each node's first answer.
-    fn assert_matches_oracle(
-        g: &PortNumberedGraph,
-        delta: usize,
-        (outputs, rounds, messages): (&[PortSet], usize, usize),
-        (oracle, oracle_rounds, oracle_messages): (&[Answer], usize, usize),
-        what: &str,
-    ) -> Vec<usize> {
+    /// Runs the halting node and the oracle from the same fresh states
+    /// and checks: equal outputs; each node's output at its first answer
+    /// in the oracle equal to its oracle output, and that answer within
+    /// the schedule; every node halting in the round of that answer, so
+    /// the halting side's rounds and messages are those of nodes that
+    /// each ran until that answer, sending on every port; and the oracle
+    /// taking the whole schedule. Returns the messages of the halting run
+    /// and of the oracle's.
+    fn check_against_oracle(g: &PortNumberedGraph, delta: usize, what: &str) -> (usize, usize) {
+        let run = Simulator::new(g)
+            .run(|_, d| BoundedDegreeNode::new(delta, d))
+            .unwrap();
+        let oracle = Simulator::new(g)
+            .run(|_, d| FullSchedule::new(delta, d))
+            .unwrap();
         let len = bounded_schedule_length(delta);
         let degree = |v: usize| g.degree(pn_graph::NodeId::new(v));
         let ports: usize = (0..g.node_count()).map(degree).sum();
         assert_eq!(
-            (oracle_rounds, oracle_messages),
+            (oracle.rounds, oracle.messages),
             (len, ports * len),
             "{what}"
         );
         let mut expected_messages = 0;
-        for (v, answer) in oracle.iter().enumerate() {
-            assert_eq!(outputs[v], answer.output, "{what}: node {v}");
+        for (v, answer) in oracle.outputs.iter().enumerate() {
+            assert_eq!(run.outputs[v], answer.output, "{what}: node {v}");
             assert_eq!(
                 answer.output_at_first_halt, answer.output,
                 "{what}: node {v}"
@@ -770,75 +730,23 @@ mod tests {
             assert!(answer.first_halt <= len, "{what}: node {v}");
             expected_messages += degree(v) * answer.first_halt;
         }
-        let first_halts: Vec<usize> = oracle.iter().map(|a| a.first_halt).collect();
+        let first_halts: Vec<usize> = oracle.outputs.iter().map(|a| a.first_halt).collect();
         let last = first_halts.iter().copied().max().unwrap_or(0);
-        assert_eq!((rounds, messages), (last, expected_messages), "{what}");
-        first_halts
-    }
-
-    /// Runs the halting node and the oracle from fresh states, then on one
-    /// churn epoch in which every third node starts corrupted, and checks
-    /// each pair with [`assert_matches_oracle`]; on the static run every
-    /// node halts in the round of its first answer in the oracle. Returns
-    /// the messages of the halting runs and of the oracle's.
-    fn check_against_oracle(
-        g: &PortNumberedGraph,
-        delta: usize,
-        salt: u64,
-        what: &str,
-    ) -> (usize, usize) {
-        use pn_runtime::{ChurnEvent, ChurnSimulator};
-        let run = Simulator::new(g)
-            .run(|_, d| BoundedDegreeNode::new(delta, d))
-            .unwrap();
-        let oracle = Simulator::new(g)
-            .run(|_, d| FullSchedule::new(delta, d))
-            .unwrap();
-        let first_halts = assert_matches_oracle(
-            g,
-            delta,
-            (&run.outputs, run.rounds, run.messages),
-            (&oracle.outputs, oracle.rounds, oracle.messages),
-            &format!("{what} static"),
+        assert_eq!(
+            (run.rounds, run.messages),
+            (last, expected_messages),
+            "{what}"
         );
-        assert_eq!(run.halted_at, first_halts, "{what} static");
-        let burst: Vec<ChurnEvent> = (0..g.node_count())
-            .filter(|v| (*v as u64 + salt).is_multiple_of(3))
-            .map(|v| ChurnEvent::Corrupt {
-                v: pn_graph::NodeId::new(v),
-                entropy: salt.wrapping_mul(0x9e37_79b9) ^ v as u64,
-            })
-            .collect();
-        let mut halting = ChurnSimulator::new(g, |_, d| BoundedDegreeNode::new(delta, d)).unwrap();
-        let mut full = ChurnSimulator::new(g, |_, d| FullSchedule::new(delta, d)).unwrap();
-        halting.apply_burst(&burst).unwrap();
-        full.apply_burst(&burst).unwrap();
-        let epoch = halting.stabilize().unwrap();
-        let oracle_epoch = full.stabilize().unwrap();
-        assert_eq!(epoch.corrupted, burst.len(), "{what}");
-        assert_matches_oracle(
-            &epoch.graph,
-            delta,
-            (&epoch.outputs, epoch.rounds, epoch.messages),
-            (
-                &oracle_epoch.outputs,
-                oracle_epoch.rounds,
-                oracle_epoch.messages,
-            ),
-            &format!("{what} corrupted"),
-        );
-        (
-            run.messages + epoch.messages,
-            oracle.messages + oracle_epoch.messages,
-        )
+        assert_eq!(run.halted_at, first_halts, "{what}");
+        (run.messages, oracle.messages)
     }
 
     #[test]
     fn halting_run_matches_the_fixed_schedule() {
         let mut instances = 0;
         let (mut messages, mut oracle_messages) = (0, 0);
-        let mut check = |g: &PortNumberedGraph, delta: usize, salt: u64, what: String| {
-            let (m, o) = check_against_oracle(g, delta, salt, &what);
+        let mut check = |g: &PortNumberedGraph, delta: usize, what: String| {
+            let (m, o) = check_against_oracle(g, delta, &what);
             messages += m;
             oracle_messages += o;
             instances += 1;
@@ -846,23 +754,23 @@ mod tests {
         for salt in 0..72u64 {
             for (w, h) in [(4, 4), (3, 5)] {
                 let pg = ports::shuffled_ports(&generators::grid(w, h).unwrap(), salt).unwrap();
-                check(&pg, 4, salt, format!("grid {w}x{h} salt {salt}"));
+                check(&pg, 4, format!("grid {w}x{h} salt {salt}"));
             }
             for delta in 2..=6usize {
                 let g =
                     generators::random_bounded_degree(18, delta, 0.75, salt * 11 + delta as u64)
                         .unwrap();
                 let pg = ports::shuffled_ports(&g, salt).unwrap();
-                check(&pg, delta, salt, format!("bounded Δ={delta} salt {salt}"));
+                check(&pg, delta, format!("bounded Δ={delta} salt {salt}"));
             }
             for (n, d) in [(10usize, 3usize), (12, 4), (12, 5)] {
                 let g = generators::random_regular(n, d, salt + 500).unwrap();
                 let pg = ports::shuffled_ports(&g, salt).unwrap();
-                check(&pg, d, salt, format!("regular n={n} d={d} salt {salt}"));
+                check(&pg, d, format!("regular n={n} d={d} salt {salt}"));
             }
             let pg = ports::shuffled_ports(&generators::petersen(), salt).unwrap();
             for delta in 3..=6 {
-                check(&pg, delta, salt, format!("petersen Δ={delta} salt {salt}"));
+                check(&pg, delta, format!("petersen Δ={delta} salt {salt}"));
             }
         }
         assert_eq!(instances, 72 * 14);
@@ -979,90 +887,5 @@ mod tests {
     #[should_panic(expected = "hello fields must be below 2^30")]
     fn out_of_range_hello_is_rejected() {
         let _ = BoundedMsg::hello(1, BoundedMsg::HELLO_FIELD_MAX + 1);
-    }
-
-    #[test]
-    fn corruption_changes_the_state() {
-        let mut node = BoundedDegreeNode::new(5, 4);
-        let fresh = format!("{node:?}");
-        node.corrupt(0x5eed_1e55);
-        assert_ne!(format!("{node:?}"), fresh, "corruption must change state");
-    }
-
-    #[test]
-    fn corrupted_epochs_stay_well_defined() {
-        use pn_runtime::{ChurnEvent, ChurnSimulator, Epoch};
-        let g = ports::shuffled_ports(&generators::petersen(), 9).unwrap();
-        let mut sim = ChurnSimulator::new(&g, |_, d| BoundedDegreeNode::new(3, d)).unwrap();
-        let burst = |nodes: &[usize]| -> Vec<ChurnEvent> {
-            nodes
-                .iter()
-                .map(|&v| ChurnEvent::Corrupt {
-                    v: pn_graph::NodeId::new(v),
-                    entropy: v as u64 * 31 + 7,
-                })
-                .collect()
-        };
-        // No churn baseline records a corrupted epoch of this protocol:
-        // its outputs disagree across edges, and the scenario runner
-        // re-runs such an epoch clean. So two are pinned here. Their
-        // outputs follow from the garbled claims and memberships, so a
-        // change in what `corrupt` draws, or in what order, shows. The
-        // round and message counts pin when the nodes halt; the
-        // schedule's cap is 32 rounds, or 960 messages on 30 ports.
-        let ports_of = |epoch: &Epoch<PortSet>| -> Vec<Vec<u32>> {
-            epoch
-                .outputs
-                .iter()
-                .map(|x| x.iter().map(Port::get).collect())
-                .collect()
-        };
-        sim.apply_burst(&burst(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]))
-            .unwrap();
-        let epoch = sim.stabilize().unwrap(); // must complete, never panic
-        assert_eq!(epoch.corrupted, 10);
-        assert_eq!(
-            ports_of(&epoch),
-            [
-                vec![1, 2],
-                vec![1, 3],
-                vec![1, 2, 3],
-                vec![1, 2, 3],
-                vec![1, 2, 3],
-                vec![1, 2, 3],
-                vec![2, 3],
-                vec![1, 3],
-                vec![1, 2, 3],
-                vec![1, 3],
-            ]
-        );
-        // Every node is covered, or reads "covered" on every port, in
-        // round 2, and halts at its end: 30 ports times 3 rounds.
-        assert_eq!((epoch.rounds, epoch.messages), (3, 90));
-        // With every third node corrupted, clean claims meet garbled
-        // ones: this epoch also pins the order of the two claim draws.
-        sim.apply_burst(&burst(&[0, 3, 6, 9])).unwrap();
-        let epoch = sim.stabilize().unwrap();
-        assert_eq!(epoch.corrupted, 4);
-        assert_eq!(
-            ports_of(&epoch),
-            [
-                vec![1, 2],
-                vec![1],
-                vec![2],
-                vec![1, 2, 3],
-                vec![1],
-                vec![1],
-                vec![2, 3],
-                vec![],
-                vec![],
-                vec![1, 3],
-            ]
-        );
-        assert_eq!((epoch.rounds, epoch.messages), (32, 264));
-        // Once the corruption drains, the next epoch dominates again.
-        let clean = sim.stabilize().unwrap();
-        let edges = pn_runtime::edge_set_from_outputs(&g, &clean.outputs).unwrap();
-        assert!(crate::bounded_degree::dominates_all_edges(&g, &edges));
     }
 }

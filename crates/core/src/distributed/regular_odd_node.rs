@@ -252,26 +252,6 @@ impl NodeAlgorithm for RegularOddNode {
         }
         None
     }
-
-    fn corrupt(&mut self, entropy: u64) {
-        // All soft state is flippable: `their_port` values are only ever
-        // compared in `in_mij`, claims and `in_d` are plain bits, and no
-        // receive path indexes by them. The schedule parameter, the
-        // degree, stays intact. The words are drawn in a fixed order
-        // (every port's label first, then each port's three bits), so a
-        // corrupt event always garbles the same way.
-        let mut next = pn_runtime::entropy_stream(entropy);
-        let labels = self.ports.len() as u64 + 1;
-        for p in &mut self.ports {
-            p.their_port = (next() % labels) as u32;
-        }
-        for p in &mut self.ports {
-            p.my_claim = next() & 1 == 0;
-            p.their_claim = next() & 1 == 0;
-            p.in_d = next() & 1 == 0;
-        }
-        self.covered = next() & 1 == 0;
-    }
 }
 
 /// Runs the distributed Theorem 4 protocol on `g` and returns the edge
@@ -418,29 +398,5 @@ mod tests {
             );
             assert_ne!(cover, RegOddMsg::cover(!bit));
         }
-    }
-
-    #[test]
-    fn corruption_changes_the_state() {
-        let mut node = RegularOddNode::new(3);
-        let fresh = format!("{node:?}");
-        node.corrupt(0xabad_1dea);
-        assert_ne!(format!("{node:?}"), fresh, "corruption must change state");
-    }
-
-    #[test]
-    fn corrupted_epochs_stay_well_defined() {
-        use pn_runtime::{ChurnEvent, ChurnSimulator};
-        let g = ports::shuffled_ports(&generators::petersen(), 5).unwrap();
-        let mut sim = ChurnSimulator::new(&g, |_, d| RegularOddNode::new(d)).unwrap();
-        let burst: Vec<_> = (0..10)
-            .map(|v| ChurnEvent::Corrupt {
-                v: pn_graph::NodeId::new(v),
-                entropy: v as u64 * 53 + 29,
-            })
-            .collect();
-        sim.apply_burst(&burst).unwrap();
-        let epoch = sim.stabilize().unwrap(); // must complete, never panic
-        assert_eq!(epoch.corrupted, 10);
     }
 }

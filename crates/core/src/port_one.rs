@@ -76,10 +76,6 @@ impl NodeAlgorithm for PortOneNode {
         }
     }
 
-    // `corrupt` keeps the trait's no-op default: the node's only field
-    // is its degree, which is structural — a stateless one-round
-    // protocol is trivially self-stabilizing.
-
     fn receive(&mut self, _round: usize, inbox: &[Option<Self::Message>]) -> Option<Self::Output> {
         let mut x = PortSet::new();
         if self.degree >= 1 {

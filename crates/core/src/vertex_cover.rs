@@ -157,24 +157,6 @@ impl NodeAlgorithm for VertexCoverNode {
             }
         }
     }
-
-    fn corrupt(&mut self, entropy: u64) {
-        // Garble every soft field within its safe range (port references
-        // stay < degree — see the trait contract); `delta`/`degree`
-        // define the round schedule and stay intact.
-        if self.degree == 0 {
-            return;
-        }
-        let mut next = pn_runtime::entropy_stream(entropy);
-        self.cursor = (next() % (self.degree as u64 + 1)) as usize;
-        self.pending = (next() & 1 == 0).then(|| (next() % self.degree as u64) as usize);
-        self.incoming = (0..self.degree).filter(|_| next() & 1 == 0).collect();
-        self.proposer_done = next() & 1 == 0;
-        self.acceptor_done = next() & 1 == 0;
-        for b in &mut self.in_p {
-            *b = next() & 1 == 0;
-        }
-    }
 }
 
 /// Runs the distributed protocol and returns the cover.
@@ -278,33 +260,5 @@ mod tests {
         let g = ports::canonical_ports(&pn_graph::SimpleGraph::new(4)).unwrap();
         assert!(vertex_cover_reference(&g).is_empty());
         assert!(vertex_cover_distributed(&g, 3).unwrap().is_empty());
-    }
-
-    #[test]
-    fn corruption_changes_the_state() {
-        let mut node = VertexCoverNode::new(4, 3);
-        let fresh = format!("{node:?}");
-        node.corrupt(0xbad_c0de);
-        assert_ne!(format!("{node:?}"), fresh, "corruption must change state");
-    }
-
-    #[test]
-    fn corrupted_epochs_stay_well_defined() {
-        use pn_runtime::{ChurnEvent, ChurnSimulator};
-        let g = ports::shuffled_ports(&generators::petersen(), 7).unwrap();
-        let mut sim = ChurnSimulator::new(&g, |_, d| VertexCoverNode::new(3, d)).unwrap();
-        let burst: Vec<_> = (0..10)
-            .map(|v| ChurnEvent::Corrupt {
-                v: NodeId::new(v),
-                entropy: v as u64 * 101 + 13,
-            })
-            .collect();
-        sim.apply_burst(&burst).unwrap();
-        let epoch = sim.stabilize().unwrap(); // must complete, never panic
-        assert_eq!(epoch.corrupted, 10);
-        // Once the corruption drains, the next epoch is a valid cover.
-        let clean = sim.stabilize().unwrap();
-        let cover: Vec<NodeId> = g.nodes().filter(|v| clean.outputs[v.index()]).collect();
-        assert!(is_vertex_cover(&g, &cover));
     }
 }

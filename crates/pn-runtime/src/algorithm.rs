@@ -50,32 +50,12 @@ pub trait NodeAlgorithm {
     /// Consumes the incoming messages for this round (index 0 = port 1;
     /// `None` marks a halted neighbour). Returns `Some(output)` to halt.
     fn receive(&mut self, round: usize, inbox: &[Option<Self::Message>]) -> Option<Self::Output>;
-
-    /// Adversarially scrambles the node's *soft* state — the fault model
-    /// of the churn harness ([`crate::ChurnSimulator`]). `entropy` is a
-    /// deterministic seed; implementations derive every flipped bit from
-    /// it so corrupted runs stay reproducible.
-    ///
-    /// Contract: only protocol **values** may be garbled (claims,
-    /// cursors, pending proposals, learned labels), never the structural
-    /// configuration (degree, `Δ`, round schedule), and the corrupted
-    /// state must never make `send_into`/`receive` panic or index out of
-    /// bounds — a corrupted node may output garbage, but the execution
-    /// must stay well-defined so recovery can be measured. A corrupted
-    /// epoch that still fails (say, a node that never halts) returns its
-    /// error, and the caller decides whether to re-run the epoch from
-    /// factory-fresh states. The default is a no-op: a stateless
-    /// algorithm has nothing to corrupt.
-    fn corrupt(&mut self, entropy: u64) {
-        let _ = entropy;
-    }
 }
 
-/// A deterministic stream of scramble words for
-/// [`NodeAlgorithm::corrupt`] implementations: a SplitMix64 sequence
-/// seeded with the event's entropy. Protocols draw one word per state
-/// field they garble, so the same `Corrupt` event always produces the
-/// same corrupted state — churn runs stay bit-reproducible.
+/// A deterministic stream of 64-bit words: a SplitMix64 sequence seeded
+/// with `entropy`. The churn runner draws its event schedules and audit
+/// decisions from it, so the same seed always yields the same schedule
+/// and churn runs stay bit-reproducible.
 pub fn entropy_stream(entropy: u64) -> impl FnMut() -> u64 {
     let mut x = entropy;
     move || {

@@ -1,24 +1,24 @@
 //! Fault injection for dynamic-graph runs: event schedules, epochs, and
-//! the self-stabilizing churn simulator.
+//! the churn simulator.
 //!
 //! The static [`crate::Simulator`] runs one protocol to quiescence on a
 //! frozen graph. This module adds the adversary: an [`EventSchedule`] of
-//! **bursts** — edge insertions/deletions, node crashes and joins, and
-//! state corruption — that the [`ChurnSimulator`] applies between
-//! protocol **epochs**.
+//! **bursts** — edge insertions/deletions, node crashes and joins — that
+//! the [`ChurnSimulator`] applies between protocol **epochs**.
 //!
 //! # Epoch semantics
 //!
 //! Events are applied only at *quiescence barriers*: every node has
 //! halted, the burst mutates the topology (a [`pn_graph::DynamicTopology`]
-//! overlay on the starting graph) and/or queues state corruption, and the
-//! protocol then re-runs to quiescence on the frozen snapshot. Events are
-//! never interleaved with the send/route/receive phases of a round — the
-//! paper's protocols are driven by rigid round schedules derived from `Δ`
-//! and the port numbering, both of which a topology change invalidates,
-//! so the honest dynamic model is *re-stabilization*: a churn event
-//! restarts the affected protocol from its initial states on the new
-//! topology, and recovery is measured in the rounds of that re-run.
+//! overlay on the starting graph), and the protocol then re-runs to
+//! quiescence on the frozen snapshot. Events are never interleaved with
+//! the send/route/receive phases of a round — the paper's protocols are
+//! driven by rigid round schedules derived from `Δ` and the port
+//! numbering, both of which a topology change invalidates, so the honest
+//! dynamic model is *re-stabilization*: a churn event restarts the
+//! affected protocol from its initial states on the new topology, and
+//! recovery is measured in the rounds of that re-run. Every epoch starts
+//! from factory-fresh states.
 //!
 //! Within an epoch the engine is the unmodified static one — the
 //! sequential core, or the persistent worker pool when the
@@ -27,20 +27,6 @@
 //! the per-epoch engine is bit-identical across thread counts, so a
 //! whole churn run is reproducible at any thread count, and a run with
 //! an **empty** schedule is exactly one static run.
-//!
-//! # Corruption and recovery
-//!
-//! A [`ChurnEvent::Corrupt`] event scrambles one node's initial state
-//! for the next epoch through [`crate::NodeAlgorithm::corrupt`] — the
-//! adversarial wake-up of self-stabilization: the node starts the epoch
-//! from an arbitrary (deterministically seeded) state instead of its
-//! constructed one. [`ChurnSimulator::stabilize`] runs each epoch once
-//! and consumes the queued corruption whether the run succeeds or
-//! fails.
-//! A corrupted epoch that fails outright (a runtime error from scrambled
-//! bookkeeping) returns its error, and the caller decides whether to
-//! retry: the next `stabilize` on the same topology is a clean run from
-//! factory-fresh states.
 
 use pn_graph::{DynamicTopology, GraphError, NodeId, PortNumberedGraph};
 
@@ -77,14 +63,6 @@ pub enum ChurnEvent {
     Join {
         /// Nodes the newcomer attaches to (distinct, non-crashed).
         attach: Vec<NodeId>,
-    },
-    /// Scramble `v`'s protocol state for the next epoch via
-    /// [`crate::NodeAlgorithm::corrupt`] with the given entropy.
-    Corrupt {
-        /// The corrupted node.
-        v: NodeId,
-        /// Deterministic seed for the scrambling.
-        entropy: u64,
     },
 }
 
@@ -174,8 +152,6 @@ pub struct Epoch<O> {
     pub rounds: usize,
     /// Messages delivered during the epoch.
     pub messages: usize,
-    /// How many nodes started this epoch from corrupted state.
-    pub corrupted: usize,
 }
 
 /// Runs a node algorithm across churn epochs over a mutable topology.
@@ -195,7 +171,6 @@ where
     topo: DynamicTopology<'g>,
     factory: F,
     options: RunOptions,
-    pending_corrupt: Vec<(NodeId, u64)>,
     cancel: Option<CancelToken>,
 }
 
@@ -218,7 +193,6 @@ where
             topo: DynamicTopology::new(g)?,
             factory,
             options: RunOptions::default(),
-            pending_corrupt: Vec::new(),
             cancel: None,
         })
     }
@@ -245,27 +219,8 @@ where
         &self.topo
     }
 
-    /// How many corrupt events the next [`ChurnSimulator::stabilize`]
-    /// will apply.
-    pub fn pending_corruption(&self) -> usize {
-        self.pending_corrupt.len()
-    }
-
-    /// Drops any queued corruption without running an epoch, returning
-    /// how many corrupt events were discarded. The repair-only recovery
-    /// rung uses this: corruption damage is healed in the *witness* (the
-    /// scrambled node outputs are re-legalised locally), so carrying the
-    /// queue into a later full epoch would double-apply the fault.
-    pub fn clear_corruption(&mut self) -> usize {
-        let n = self.pending_corrupt.len();
-        self.pending_corrupt.clear();
-        n
-    }
-
-    /// Applies one burst of events at the current epoch barrier.
-    /// Topology events mutate immediately; corruption is queued for the
-    /// next [`ChurnSimulator::stabilize`]. Returns the number of events
-    /// applied.
+    /// Applies one burst of events to the topology at the current epoch
+    /// barrier. Returns the number of events applied.
     ///
     /// # Errors
     ///
@@ -290,30 +245,18 @@ where
                         self.topo.insert_edge(newcomer, u)?;
                     }
                 }
-                ChurnEvent::Corrupt { v, entropy } => {
-                    if v.index() >= self.topo.node_count() {
-                        return Err(GraphError::NodeOutOfRange {
-                            node: *v,
-                            nodes: self.topo.node_count(),
-                        }
-                        .into());
-                    }
-                    self.pending_corrupt.push((*v, *entropy));
-                }
             }
         }
         Ok(burst.len())
     }
 
     /// Runs the protocol to quiescence on the current topology from
-    /// factory-fresh states, consuming any queued corruption. See the
-    /// [module docs](self) for the corruption semantics.
+    /// factory-fresh states.
     ///
     /// # Errors
     ///
-    /// [`ChurnError::Runtime`] if the epoch fails. A run that started
-    /// consumed the queued corruption all the same; a token that fired
-    /// at the barrier runs nothing and leaves the queue as it was.
+    /// [`ChurnError::Runtime`] if the epoch fails; a token that fired at
+    /// the barrier runs nothing.
     pub fn stabilize(&mut self) -> Result<Epoch<A::Output>, ChurnError> {
         crate::metrics::metrics().churn_epochs.inc();
         if let Some(token) = &self.cancel {
@@ -327,41 +270,18 @@ where
             }
         }
         let g = self.topo.freeze()?;
-        let mut states: Vec<A> = g.nodes().map(|v| (self.factory)(v, g.degree(v))).collect();
-        let corrupted = self.pending_corrupt.len();
-        for (v, entropy) in self.pending_corrupt.drain(..) {
-            states[v.index()].corrupt(entropy);
-        }
         let mut sim = Simulator::with_options(&g, self.options);
         if let Some(token) = &self.cancel {
             sim = sim.cancel_token(token.clone());
         }
-        let run = sim.run_states(states)?;
+        let run = sim.run(&self.factory)?;
         drop(sim);
         Ok(Epoch {
             graph: g,
             outputs: run.outputs,
             rounds: run.rounds,
             messages: run.messages,
-            corrupted,
         })
-    }
-
-    /// Runs a whole schedule: an initial epoch on the starting topology,
-    /// then one epoch per burst. Returns every epoch in order (the first
-    /// entry is the churn-free baseline).
-    ///
-    /// # Errors
-    ///
-    /// The first [`ChurnError`] encountered; earlier epochs are lost.
-    pub fn run(&mut self, schedule: &EventSchedule) -> Result<Vec<Epoch<A::Output>>, ChurnError> {
-        let mut epochs = Vec::with_capacity(schedule.len() + 1);
-        epochs.push(self.stabilize()?);
-        for burst in schedule.bursts() {
-            self.apply_burst(burst)?;
-            epochs.push(self.stabilize()?);
-        }
-        Ok(epochs)
     }
 }
 
@@ -370,11 +290,10 @@ mod tests {
     use super::*;
     use pn_graph::{generators, ports, Endpoint, Port};
 
-    /// A one-round echo protocol with corruptible soft state: nodes
-    /// exchange a token and output `base + smallest neighbour token`.
-    /// `corrupt` garbles the token — and a node holding the token
-    /// `u64::MAX` never halts, so under a small `max_rounds` a corrupted
-    /// epoch fails outright.
+    /// A one-round echo protocol: nodes exchange a token and output
+    /// `token + smallest neighbour token`. A node holding the token
+    /// `u64::MAX` never halts, so under a small `max_rounds` its epoch
+    /// fails outright.
     #[derive(Clone, Debug)]
     struct Echo {
         token: u64,
@@ -392,10 +311,6 @@ mod tests {
             let min = inbox.iter().flatten().min().copied().unwrap_or(0);
             (self.token != u64::MAX).then(|| self.token.saturating_add(min))
         }
-
-        fn corrupt(&mut self, entropy: u64) {
-            self.token = entropy;
-        }
     }
 
     fn cycle6() -> PortNumberedGraph {
@@ -406,20 +321,28 @@ mod tests {
         ChurnSimulator::new(g, |_, _| Echo { token: 1 }).unwrap()
     }
 
-    /// Run options that fail a never-halting epoch after a few rounds.
-    fn limited(threads: usize) -> RunOptions {
-        RunOptions {
-            max_rounds: 4,
-            threads,
-            ..RunOptions::default()
+    /// Runs a whole schedule the way the scenario runner drives it: an
+    /// initial epoch on the starting topology, then one epoch per burst.
+    fn run_schedule<F>(
+        mut s: ChurnSimulator<'_, Echo, F>,
+        schedule: &EventSchedule,
+    ) -> Vec<Epoch<u64>>
+    where
+        F: Fn(NodeId, usize) -> Echo,
+    {
+        let mut epochs = vec![s.stabilize().unwrap()];
+        for burst in schedule.bursts() {
+            s.apply_burst(burst).unwrap();
+            epochs.push(s.stabilize().unwrap());
         }
+        epochs
     }
 
     #[test]
     fn empty_schedule_is_one_static_run() {
         let g = cycle6();
         let baseline = Simulator::new(&g).run(|_, _| Echo { token: 1 }).unwrap();
-        let epochs = sim(&g).run(&EventSchedule::new()).unwrap();
+        let epochs = run_schedule(sim(&g), &EventSchedule::new());
         assert_eq!(epochs.len(), 1);
         assert_eq!(epochs[0].outputs, baseline.outputs);
         assert_eq!(epochs[0].rounds, baseline.rounds);
@@ -448,15 +371,13 @@ mod tests {
                     attach: vec![NodeId::new(4), NodeId::new(5)],
                 },
             ]);
-        let baseline = sim(&g).run(&schedule).unwrap();
+        let baseline = run_schedule(sim(&g), &schedule);
         for threads in [2, 4] {
-            let parallel = sim(&g)
-                .options(RunOptions {
-                    threads,
-                    ..RunOptions::default()
-                })
-                .run(&schedule)
-                .unwrap();
+            let options = RunOptions {
+                threads,
+                ..RunOptions::default()
+            };
+            let parallel = run_schedule(sim(&g).options(options), &schedule);
             assert_eq!(parallel.len(), baseline.len());
             for (p, b) in parallel.iter().zip(&baseline) {
                 assert_eq!(p.graph, b.graph, "threads={threads}");
@@ -484,38 +405,18 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_consumed_and_counted() {
-        let g = cycle6();
-        let mut s = sim(&g);
-        s.apply_burst(&[ChurnEvent::Corrupt {
-            v: NodeId::new(0),
-            entropy: 41,
-        }])
-        .unwrap();
-        let corrupted = s.stabilize().unwrap();
-        assert_eq!(corrupted.corrupted, 1);
-        // Node 0 started from token 41: its neighbours see it.
-        assert_eq!(corrupted.outputs[1], 1 + 1); // unaffected min
-        assert_eq!(corrupted.outputs[0], 41 + 1);
-        // The queue is consumed: the next epoch is clean.
-        let clean = s.stabilize().unwrap();
-        assert_eq!(clean.corrupted, 0);
-        assert_eq!(clean.outputs[0], 2);
-    }
-
-    #[test]
-    fn failed_corrupted_epoch_returns_its_error() {
-        let g = cycle6();
-        let clean = sim(&g).stabilize().unwrap();
+    fn uncorrupted_failure_propagates() {
+        let g = ports::canonical_ports(&generators::cycle(4).unwrap()).unwrap();
         // Both engines: the pool's round-limit abort must surface exactly
         // like the sequential one.
         for threads in [1, 2] {
-            let mut s = sim(&g).options(limited(threads));
-            s.apply_burst(&[ChurnEvent::Corrupt {
-                v: NodeId::new(3),
-                entropy: u64::MAX, // the node never halts: the epoch fails
-            }])
-            .unwrap();
+            let mut s = ChurnSimulator::new(&g, |_, _| Echo { token: u64::MAX })
+                .unwrap()
+                .options(RunOptions {
+                    max_rounds: 4,
+                    threads,
+                    ..RunOptions::default()
+                });
             assert!(
                 matches!(
                     s.stabilize(),
@@ -523,26 +424,7 @@ mod tests {
                 ),
                 "threads={threads}"
             );
-            // The failed epoch consumed its corruption: the next one is
-            // indistinguishable from a clean run.
-            let next = s.stabilize().unwrap();
-            assert_eq!(next.corrupted, 0, "threads={threads}");
-            assert_eq!(next.outputs, clean.outputs, "threads={threads}");
-            assert_eq!(next.rounds, clean.rounds, "threads={threads}");
-            assert_eq!(next.messages, clean.messages, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn uncorrupted_failure_propagates() {
-        let g = ports::canonical_ports(&generators::cycle(4).unwrap()).unwrap();
-        let mut s = ChurnSimulator::new(&g, |_, _| Echo { token: u64::MAX })
-            .unwrap()
-            .options(limited(1));
-        assert!(matches!(
-            s.stabilize(),
-            Err(ChurnError::Runtime(RuntimeError::RoundLimitExceeded { .. }))
-        ));
     }
 
     #[test]
@@ -561,21 +443,6 @@ mod tests {
             }
             other => panic!("expected a cancelled epoch, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn clear_corruption_discards_the_queue() {
-        let g = cycle6();
-        let mut s = sim(&g);
-        s.apply_burst(&[ChurnEvent::Corrupt {
-            v: NodeId::new(0),
-            entropy: 41,
-        }])
-        .unwrap();
-        assert_eq!(s.clear_corruption(), 1);
-        let epoch = s.stabilize().unwrap();
-        assert_eq!(epoch.corrupted, 0);
-        assert_eq!(epoch.outputs[0], 2, "the fault never reached the run");
     }
 
     #[test]
@@ -605,10 +472,7 @@ mod tests {
             Err(ChurnError::Graph(GraphError::InvalidParameter { .. }))
         ));
         assert!(matches!(
-            s.apply_burst(&[ChurnEvent::Corrupt {
-                v: NodeId::new(99),
-                entropy: 0,
-            }]),
+            s.apply_burst(&[ChurnEvent::Crash { v: NodeId::new(99) }]),
             Err(ChurnError::Graph(GraphError::NodeOutOfRange { .. }))
         ));
     }

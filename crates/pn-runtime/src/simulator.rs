@@ -187,21 +187,9 @@ impl<'g> Simulator<'g> {
         F: Fn(NodeId, usize) -> A,
     {
         let g = self.graph;
-        self.run_states(g.nodes().map(|v| factory(v, g.degree(v))).collect())
-    }
-
-    /// Runs prebuilt node states on the engine [`RunOptions::threads`]
-    /// picks (a traced run always takes the sequential one).
-    pub(crate) fn run_states<A>(&self, states: Vec<A>) -> Result<Run<A::Output>, RuntimeError>
-    where
-        A: NodeAlgorithm + Send,
-        A::Message: Send,
-        A::Output: Send,
-    {
-        let workers = self
-            .options
-            .threads
-            .clamp(1, self.graph.node_count().max(1));
+        let states = g.nodes().map(|v| factory(v, g.degree(v))).collect();
+        let workers = self.options.threads.clamp(1, g.node_count().max(1));
+        // A traced run always takes the sequential engine.
         if workers > 1 && !self.options.record_trace {
             self.run_pool(states, workers)
         } else {

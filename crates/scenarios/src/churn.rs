@@ -2,15 +2,15 @@
 //! re-stabilisation, and incremental witness repair.
 //!
 //! A [`crate::Family::Churn`] workload evolves its base topology through
-//! a seeded [`EventSchedule`] (edge inserts/deletes, crashes, joins,
-//! adversarial state corruption). Between bursts the protocol re-runs to
-//! quiescence on the [`pn_runtime::ChurnSimulator`], and in parallel a
-//! cheap *witness* — the maintained matching / dominating set / cover —
-//! is repaired locally with the [`eds_core::repair`] rules instead of
-//! being recomputed. Feasibility is re-checked with `eds-verify` at
-//! every quiescence point; corruption that garbles a quiescent output,
-//! or makes its epoch fail, triggers one clean re-run of the epoch,
-//! whose rounds are charged to [`ChurnStats::recovery_rounds`].
+//! a seeded [`EventSchedule`] (edge inserts/deletes, crashes, joins) and
+//! corrupts a few nodes per burst. A corruption wipes the witness
+//! entries stored at its node and nothing else: every protocol epoch
+//! starts from factory-fresh states. Between bursts a cheap *witness* —
+//! the maintained matching / dominating set / cover — is repaired
+//! locally with the [`eds_core::repair`] rules instead of being
+//! recomputed; when repair does not apply, or an epoch is audited, the
+//! protocol re-runs to quiescence on the [`pn_runtime::ChurnSimulator`].
+//! Feasibility is re-checked at every quiescence point.
 //!
 //! Everything is deterministic: the schedule is materialised from the
 //! scenario seed with the same SplitMix64 stream the runtime exposes
@@ -57,14 +57,17 @@ const EVENT_TRIES: usize = 16;
 
 /// A deterministic fault-injection plan: `bursts` quiescence-separated
 /// event bursts, each with up to `edge_events` topology events and
-/// `corruptions` state corruptions.
+/// `corruptions` witness corruptions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChurnPlan {
     /// Number of event bursts (each followed by re-stabilisation).
     pub bursts: usize,
     /// Topology events (insert/delete/crash/join) attempted per burst.
     pub edge_events: usize,
-    /// State corruptions injected per burst.
+    /// Nodes corrupted per burst. A corruption wipes the node's entries
+    /// from the maintained witness, which local repair then heals; it
+    /// never reaches protocol state, and it counts toward
+    /// [`ChurnStats::events_applied`].
     pub corruptions: usize,
 }
 
@@ -93,7 +96,8 @@ pub struct MaterializedChurn {
     /// (endpoints of inserted/deleted edges, crashed nodes plus their
     /// ex-neighbours, joined nodes plus their attachment targets).
     pub touched: Vec<BTreeSet<usize>>,
-    /// Per burst: the corrupted nodes.
+    /// Per burst: the corrupted nodes, whose witness entries the burst
+    /// wipes. They are not events of [`MaterializedChurn::schedule`].
     pub corrupted: Vec<Vec<usize>>,
     /// The largest degree any node reaches at any point of the schedule;
     /// the `Δ`-parametrised protocols are instantiated with (at least)
@@ -213,11 +217,12 @@ pub fn materialize(
             }
         }
         for _ in 0..plan.corruptions {
-            let v = NodeId::new((next() % topo.node_count() as u64) as usize);
-            let entropy = next();
-            touched.insert(v.index());
-            corrupted.push(v.index());
-            burst.push(ChurnEvent::Corrupt { v, entropy });
+            let v = (next() % topo.node_count() as u64) as usize;
+            // A second word is drawn and dropped: the schedules behind
+            // the committed churn baselines depend on the draw order.
+            next();
+            touched.insert(v);
+            corrupted.push(v);
         }
         schedule.push_burst(burst);
         touched_per_burst.push(touched);
@@ -387,14 +392,13 @@ fn churn_err(e: ChurnError) -> SweepError {
 
 /// Runs `protocol` through the scenario's churn schedule under a
 /// recovery policy: initial stabilisation, then per burst the recovery
-/// ladder — local witness repair when the damage frontier is small and
-/// the repaired witness is feasible, otherwise a full re-stabilisation,
-/// which re-runs a corrupted epoch clean once when its run, extraction
-/// or verification fails. A seeded fraction of epochs is *audited*: the
-/// full re-stabilisation runs anyway and the repaired witness must be
-/// feasible, port-consistent, and within the protocol's paper bound of
-/// the fresh output — any divergence fails the run with a structured
-/// report.
+/// ladder — local witness repair of the events and the corruptions when
+/// the damage frontier is small and the repaired witness is feasible,
+/// otherwise a full re-stabilisation from factory-fresh states. A
+/// seeded fraction of epochs is *audited*: the full re-stabilisation
+/// runs anyway and the repaired witness must be feasible,
+/// port-consistent, and within the protocol's paper bound of the fresh
+/// output — any divergence fails the run with a structured report.
 ///
 /// Every family churns through a [`DynamicTopology`] overlay on the
 /// scenario graph, so no second full copy of the graph is ever
@@ -548,28 +552,18 @@ struct RecoveryCtx<'a> {
 }
 
 /// One verified full epoch: the frozen graph, its quiescent solution and
-/// verdict, and the cost of the runs it took.
+/// verdict, and the cost of its run.
 struct VerifiedEpoch {
     graph: PortNumberedGraph,
     simple: SimpleGraph,
     solution: Solution,
     violation: Option<String>,
-    /// Rounds across the epoch's runs (a run that failed reports none);
-    /// on a full re-stabilisation all of them count as recovery.
     rounds: usize,
     messages: usize,
-    /// `1` when a corrupted epoch was re-run clean, else `0`.
-    transients: usize,
 }
 
-/// Stabilises the current topology, then extracts and feasibility-checks
-/// the quiescent output. A corrupted node can halt with garbage or never
-/// halt, so a corrupted epoch's run, extraction or verification may
-/// fail; that is an observable transient, and the epoch is re-run once
-/// from factory-fresh states (the run consumed the corruption). A
-/// cancelled epoch is never re-run, and an uncorrupted one is never
-/// re-run either: the protocols are deterministic, so a second run
-/// would only repeat the first.
+/// Stabilises the current topology from factory-fresh states, then
+/// extracts and feasibility-checks the quiescent output.
 fn stabilize_verified<A, F, S>(
     sim: &mut ChurnSimulator<'_, A, F>,
     to_solution: &S,
@@ -582,38 +576,6 @@ where
     F: Fn(NodeId, usize) -> A,
     S: Fn(&PortNumberedGraph, &[A::Output]) -> Result<Solution, RuntimeError>,
 {
-    let corrupted = sim.pending_corruption() > 0;
-    // The cost of a garbled first run, charged to the re-run.
-    let (rounds, messages) = match sim.stabilize() {
-        Ok(epoch) => {
-            let simple = epoch.graph.to_simple()?;
-            match to_solution(&epoch.graph, &epoch.outputs) {
-                Ok(solution) => {
-                    let violation = protocol.violation(&simple, &solution);
-                    if violation.is_none() || !corrupted {
-                        return Ok(VerifiedEpoch {
-                            graph: epoch.graph,
-                            simple,
-                            solution,
-                            violation,
-                            rounds: epoch.rounds,
-                            messages: epoch.messages,
-                            transients: 0,
-                        });
-                    }
-                }
-                Err(e) if !corrupted => return Err(SweepError::Runtime(e)),
-                Err(_) => {}
-            }
-            (epoch.rounds, epoch.messages)
-        }
-        Err(ChurnError::Runtime(e))
-            if corrupted && !matches!(e, RuntimeError::Cancelled { .. }) =>
-        {
-            (0, 0)
-        }
-        Err(e) => return Err(churn_err(e)),
-    };
     let epoch = sim.stabilize().map_err(churn_err)?;
     let simple = epoch.graph.to_simple()?;
     let solution = to_solution(&epoch.graph, &epoch.outputs).map_err(SweepError::Runtime)?;
@@ -622,9 +584,8 @@ where
         graph: epoch.graph,
         simple,
         solution,
-        rounds: rounds + epoch.rounds,
-        messages: messages + epoch.messages,
-        transients: 1,
+        rounds: epoch.rounds,
+        messages: epoch.messages,
     })
 }
 
@@ -658,8 +619,9 @@ where
     }
     let mut rounds = 0;
     let mut messages = 0;
+    let corruptions: usize = mat.corrupted.iter().map(Vec::len).sum();
     let mut stats = ChurnStats {
-        events_applied: mat.schedule.event_count(),
+        events_applied: mat.schedule.event_count() + corruptions,
         ..ChurnStats::default()
     };
     // The audit stream advances once per burst regardless of outcome, so
@@ -731,7 +693,6 @@ where
             rounds += ep.rounds;
             messages += ep.messages;
             burst_recovery += ep.rounds;
-            burst_violations += ep.transients;
             if violation.is_none() {
                 violation = ep.violation.map(|v| format!("burst {b}: {v}"));
             }
@@ -752,7 +713,6 @@ where
             let ep = stabilize_verified(&mut sim, &to_solution, protocol)?;
             rounds += ep.rounds;
             messages += ep.messages;
-            burst_violations += ep.transients;
             if violation.is_none() {
                 violation = ep.violation.map(|v| format!("burst {b}: {v}"));
             }
@@ -780,10 +740,7 @@ where
             solution_current = true;
         } else {
             // Repair-only epoch accepted: the protocol never re-ran on
-            // the full topology. Corruption damage was healed in the
-            // witness, so drop the queued corrupt events — a later full
-            // epoch must not replay the fault.
-            sim.clear_corruption();
+            // the full topology.
             solution_current = false;
         }
 
@@ -946,8 +903,7 @@ mod tests {
                 assert_eq!(run.violation, None, "{}", protocol.name());
                 assert!(run.stats.events_applied > 0);
                 // Incremental repair is local: at most two passes per
-                // burst, plus at most one full clean epoch when
-                // corruption garbled the output.
+                // burst, plus one full epoch when the burst escalates.
                 let epoch_bound = run.rounds; // recovery is never more than the whole run
                 assert!(
                     run.stats.recovery_rounds <= epoch_bound,
@@ -978,15 +934,55 @@ mod tests {
         assert!(default_churn(&scenario, Protocol::RegularOdd, &ExecOptions::default()).is_err());
     }
 
-    /// Port-one with one corruptible bit: a corrupted node never halts,
-    /// and cancels `token`, when it has one, from inside the run.
-    struct Stuck {
-        port_one: PortOneNode,
-        stuck: bool,
-        token: Option<CancelToken>,
+    #[test]
+    fn a_corrupt_event_never_reaches_node_state() {
+        // `repair_first` audits every burst with a full epoch, so a
+        // corruption-only run is three fresh runs on the static graph.
+        for (base, seed) in [
+            (Family::Petersen, 9u64),
+            (Family::Grid(3, 4), 1),
+            (Family::RandomRegular { n: 40, d: 3 }, 3),
+        ] {
+            let scenario = churn_spec(base, ChurnPlan::new(2, 0, 3), seed)
+                .build()
+                .unwrap();
+            for protocol in [
+                Protocol::PortOne,
+                Protocol::BoundedDegree,
+                Protocol::VertexCover,
+                Protocol::IdMatching,
+                Protocol::RandMatching,
+            ] {
+                let what = format!("{} on {}", protocol.name(), scenario.name());
+                let run = run_churn_with(
+                    &scenario,
+                    protocol,
+                    &ExecOptions::default(),
+                    &RecoveryPolicy::repair_first(),
+                    None,
+                )
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+                let fresh = protocol.execute(&scenario).unwrap();
+                assert_eq!(
+                    (run.rounds, run.messages),
+                    (3 * fresh.rounds, 3 * fresh.messages),
+                    "{what}"
+                );
+                assert_eq!(run.solution, fresh.solution, "{what}");
+                assert_eq!(run.stats.events_applied, 6, "{what}");
+                assert_eq!(run.stats.escalations, 0, "{what}");
+            }
+        }
     }
 
-    impl NodeAlgorithm for Stuck {
+    /// Port-one that cancels `token` inside its first `receive` and stays
+    /// running, so the deadline fires inside the epoch.
+    struct CancelsMidEpoch {
+        port_one: PortOneNode,
+        token: CancelToken,
+    }
+
+    impl NodeAlgorithm for CancelsMidEpoch {
         type Message = <PortOneNode as NodeAlgorithm>::Message;
         type Output = PortSet;
 
@@ -995,67 +991,34 @@ mod tests {
         }
 
         fn receive(&mut self, round: usize, inbox: &[Option<Self::Message>]) -> Option<PortSet> {
-            let output = self.port_one.receive(round, inbox);
-            if !self.stuck {
-                return output;
+            if round == 0 {
+                self.token.cancel();
+                return None;
             }
-            if let Some(token) = &self.token {
-                token.cancel();
-            }
-            None
-        }
-
-        fn corrupt(&mut self, _entropy: u64) {
-            self.stuck = true;
+            self.port_one.receive(round, inbox)
         }
     }
 
     #[test]
-    fn failed_corrupted_epoch_is_rerun_clean_once() {
+    fn a_deadline_inside_an_epoch_cancels_it() {
         let g = pn_graph::ports::canonical_ports(&pn_graph::generators::petersen()).unwrap();
         let to_solution = |g: &PortNumberedGraph, outputs: &[PortSet]| {
             edge_set_from_outputs(g, outputs).map(Solution::Edges)
         };
-        let sim = |threads: usize, token: Option<CancelToken>| {
+        for threads in [1, 2] {
+            let token = CancelToken::new();
             let node_token = token.clone();
-            let mut sim = ChurnSimulator::new(&g, move |_, d| Stuck {
+            let mut sim = ChurnSimulator::new(&g, move |_, d| CancelsMidEpoch {
                 port_one: PortOneNode::new(d),
-                stuck: false,
                 token: node_token.clone(),
             })
             .unwrap()
             .options(RunOptions {
-                max_rounds: 4,
                 threads,
                 ..RunOptions::default()
-            });
-            if let Some(token) = token {
-                sim = sim.cancel_token(token);
-            }
-            sim
-        };
-        let corrupt = [ChurnEvent::Corrupt {
-            v: NodeId::new(3),
-            entropy: 0,
-        }];
-        let clean = stabilize_verified(&mut sim(1, None), &to_solution, Protocol::PortOne).unwrap();
-        assert_eq!((clean.transients, clean.violation), (0, None));
-        for threads in [1, 2] {
-            // The corrupted run fails at the round limit; one clean re-run
-            // recovers the epoch, and only the re-run's cost is charged.
-            let mut s = sim(threads, None);
-            s.apply_burst(&corrupt).unwrap();
-            let ep = stabilize_verified(&mut s, &to_solution, Protocol::PortOne).unwrap();
-            assert_eq!(ep.transients, 1, "threads={threads}");
-            assert_eq!(ep.solution, clean.solution, "threads={threads}");
-            assert_eq!(ep.violation, None, "threads={threads}");
-            assert_eq!((ep.rounds, ep.messages), (clean.rounds, clean.messages));
-
-            // A run cancelled from inside is not re-run: the error is the
-            // run's own, not the barrier timeout a second attempt returns.
-            let mut s = sim(threads, Some(CancelToken::new()));
-            s.apply_burst(&corrupt).unwrap();
-            let err = stabilize_verified(&mut s, &to_solution, Protocol::PortOne).err();
+            })
+            .cancel_token(token);
+            let err = stabilize_verified(&mut sim, &to_solution, Protocol::PortOne).err();
             assert!(
                 matches!(
                     err,

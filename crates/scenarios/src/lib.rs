@@ -20,8 +20,8 @@
 //!   `pn-runtime` engine (sequential or parallel, bit-identically);
 //! * [`churn`] — dynamic scenarios: deterministic fault injection
 //!   ([`ChurnPlan`]), epoch-barrier re-stabilisation on the runtime's
-//!   churn simulator, and incremental witness repair with
-//!   self-stabilisation accounting ([`ChurnStats`]);
+//!   churn simulator, and incremental witness repair with recovery
+//!   accounting ([`ChurnStats`]);
 //! * [`session`] — the solver service: a builder-style [`Session`]
 //!   wiring scenario source × protocol portfolio × exact-solver budgets
 //!   × pluggable [`BoundProvider`], sharded across threads by default

@@ -13,9 +13,9 @@
 //!   branch-and-bound optimum is cheap, used by the integration test
 //!   suite (`tests/quality_matrix.rs`, `tests/cross_validation.rs`);
 //! * [`Registry::churn`] — dynamic workloads: deterministic fault
-//!   injection (edge churn, crashes, joins, state corruption) with
-//!   epoch re-stabilisation, used by the `scenario_sweep --churn`
-//!   smoke gate.
+//!   injection (edge churn, crashes, joins, witness corruption) with
+//!   local repair and epoch re-stabilisation, used by the
+//!   `scenario_sweep --churn` smoke gate.
 //!
 //! To add a family: add a [`Family`] variant (and its builder) in
 //! [`crate::scenario`], then list specs for it here — every consumer
@@ -211,8 +211,9 @@ impl Registry {
     }
 
     /// The dynamic-scenario gate: every protocol survives edge churn,
-    /// crashes, joins and adversarial state corruption, re-converging to
-    /// a feasible solution at every quiescence point. Consumed by
+    /// crashes, joins and corruptions that wipe witness entries,
+    /// re-converging to a feasible solution at every quiescence point.
+    /// Consumed by
     /// `scenario_sweep --churn` (the `churn-smoke` CI job) and the churn
     /// integration tests.
     pub fn churn() -> Self {

@@ -154,7 +154,7 @@ pub enum Family {
     },
     /// A dynamic workload: the `base` family under a deterministic,
     /// seeded fault-injection schedule ([`crate::churn::ChurnPlan`] —
-    /// edge inserts/deletes, crashes, joins, state corruption). The spec
+    /// edge inserts/deletes, crashes, joins, witness corruption). The spec
     /// builds the *initial* graph; the [`crate::churn`] runner evolves
     /// it burst by burst, re-stabilising and incrementally repairing the
     /// solution witness at every quiescence point.

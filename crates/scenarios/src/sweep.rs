@@ -98,12 +98,13 @@ pub struct ChurnStats {
     /// Total events applied across all bursts.
     pub events_applied: usize,
     /// Worst-case recovery cost of a single burst: incremental-repair
-    /// passes plus the rounds of any clean re-stabilisation epoch that
-    /// corruption forced.
+    /// passes plus, when the burst escalated, the rounds of its full
+    /// re-stabilisation epoch.
     pub recovery_rounds: usize,
     /// Largest number of violations observed at any quiescence point
     /// *before* repair (ghost/conflicting witness entries, uncovered
-    /// edges, infeasible corrupted outputs).
+    /// edges), plus one when an escalated burst re-seeded a witness the
+    /// re-stabilised graph found infeasible.
     pub max_transient_violation: usize,
     /// Total neighbourhood-scan messages spent on incremental repair.
     pub repair_messages: usize,

@@ -12,8 +12,8 @@
 //!
 //! * `--smoke` sweeps the fast CI registry instead of the full matrix;
 //! * `--churn` sweeps the dynamic-scenario gate ([`Registry::churn`]):
-//!   every protocol survives edge churn, crashes, joins and adversarial
-//!   state corruption, and the run fails if any record carries a
+//!   every protocol survives edge churn, crashes, joins and corruptions
+//!   that wipe witness entries, and the run fails if any record carries a
 //!   violation — i.e. if any protocol failed to re-converge to a
 //!   feasible solution at some quiescence point (the CI `churn-smoke`
 //!   contract);

@@ -1,4 +1,4 @@
-//! Integration test: the self-stabilisation gate for dynamic scenarios.
+//! Integration test: the recovery gate for dynamic scenarios.
 //!
 //! The churn harness promises three things, asserted here end to end
 //! through the solver service:
@@ -7,7 +7,7 @@
 //!    every protocol re-converges to a feasible solution at every
 //!    quiescence point (no record carries a violation, none falls
 //!    outside its bound), despite edge churn, crashes, joins and
-//!    adversarial state corruption.
+//!    corruptions that wipe the maintained witness at a node.
 //! 2. **Bounded recovery** — recovery work is local: the worst-burst
 //!    recovery rounds never exceed the full run, and incremental repair
 //!    touches only the damage frontier (message counts stay far below
