@@ -146,7 +146,6 @@ pub struct IdMatchingNode {
     /// identifier and folds against a pseudo-parent that differs in the
     /// lowest bit, so one value serves them all.
     root_color: u64,
-    matched: bool,
     matched_port: Option<usize>,
     pending: Option<usize>,
 }
@@ -170,7 +169,6 @@ impl IdMatchingNode {
             slots: vec![slot; degree],
             out_degree: 0,
             root_color: id,
-            matched: false,
             matched_port: None,
             pending: None,
         }
@@ -271,7 +269,9 @@ impl NodeAlgorithm for IdMatchingNode {
             Phase::Propose { forest, color } => {
                 outbox.fill(Some(IdMmMsg::Nothing));
                 self.pending = None;
-                if !self.matched && forest < self.out_degree && self.slots[forest].color == color {
+                // A node matches only in the respond round in which it
+                // halts, so every running node is unmatched.
+                if forest < self.out_degree && self.slots[forest].color == color {
                     let port = self.slots[forest].parent as usize;
                     self.pending = Some(port);
                     outbox[port] = Some(IdMmMsg::Propose);
@@ -287,12 +287,9 @@ impl NodeAlgorithm for IdMatchingNode {
                         IdMmMsg::Nothing
                     });
                 }
-                if !self.matched {
-                    if let Some(best) = best {
-                        outbox[best] = Some(IdMmMsg::Response(true));
-                        self.matched = true;
-                        self.matched_port = Some(best);
-                    }
+                if let Some(best) = best {
+                    outbox[best] = Some(IdMmMsg::Response(true));
+                    self.matched_port = Some(best);
                 }
             }
         }
@@ -356,11 +353,10 @@ impl NodeAlgorithm for IdMatchingNode {
             Phase::Respond => {
                 if let Some(q) = self.pending.take() {
                     if inbox[q] == Some(IdMmMsg::Response(true)) {
-                        self.matched = true;
                         self.matched_port = Some(q);
                     }
                 }
-                let done = self.matched
+                let done = self.matched_port.is_some()
                     || inbox.iter().all(Option::is_none)
                     || round + 1 == id_matching_rounds(self.delta);
                 done.then(|| self.output())

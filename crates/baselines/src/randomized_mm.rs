@@ -16,8 +16,8 @@
 //! The phase count ([`randomized_matching_phases`]) is a cap, not a
 //! schedule. A node halts with its current output as soon as it is done:
 //!
-//! * once it is matched — checked at the respond round where it matches
-//!   and at every status round;
+//! * once it is matched, at the end of the respond round where it
+//!   matches;
 //! * once a status round shows it no free neighbour.
 //!
 //! A halted node sends nothing, and its neighbours read the `None` it
@@ -60,7 +60,6 @@ pub struct RandMatchingNode {
     degree: usize,
     rng: u64,
     phases: usize,
-    matched: bool,
     matched_port: Option<usize>,
     /// This phase's coin flip: `true` = proposer, `false` = acceptor.
     proposer_role: bool,
@@ -79,7 +78,6 @@ impl RandMatchingNode {
             degree,
             rng: seed ^ 0x9e37_79b9_7f4a_7c15,
             phases,
-            matched: false,
             matched_port: None,
             proposer_role: false,
             neighbor_free: vec![true; degree],
@@ -121,13 +119,15 @@ impl NodeAlgorithm for RandMatchingNode {
             0 => {
                 // New phase: flip the proposer/acceptor coin.
                 self.proposer_role = self.next_rand() & 1 == 1;
-                outbox.fill(Some(RandMmMsg::Free(!self.matched)));
+                // A node matches only in the respond round in which it
+                // halts, so every running node is free.
+                outbox.fill(Some(RandMmMsg::Free(true)));
             }
             1 => {
                 // Proposers offer to a uniformly random free neighbour.
                 outbox.fill(Some(RandMmMsg::Nothing));
                 self.pending = None;
-                if !self.matched && self.proposer_role {
+                if self.proposer_role {
                     let free_count = self.neighbor_free.iter().filter(|&&f| f).count();
                     if free_count > 0 {
                         let pick = (self.next_rand() % free_count as u64) as usize;
@@ -148,10 +148,9 @@ impl NodeAlgorithm for RandMatchingNode {
                 }
                 // Only acceptors take an offer; proposers reject all, so
                 // no node can end the phase on two new edges.
-                if !self.matched && !self.proposer_role && !incoming.is_empty() {
+                if !self.proposer_role && !incoming.is_empty() {
                     let q = incoming[(self.next_rand() % incoming.len() as u64) as usize];
                     outbox[q] = Some(RandMmMsg::Response(true));
-                    self.matched = true;
                     self.matched_port = Some(q);
                 }
             }
@@ -169,7 +168,7 @@ impl NodeAlgorithm for RandMatchingNode {
                 for (free, m) in self.neighbor_free.iter_mut().zip(inbox) {
                     *free = *m == Some(RandMmMsg::Free(true));
                 }
-                self.matched || !self.neighbor_free.contains(&true)
+                !self.neighbor_free.contains(&true)
             }
             1 => {
                 self.incoming.clear();
@@ -183,11 +182,10 @@ impl NodeAlgorithm for RandMatchingNode {
             _ => {
                 if let Some(q) = self.pending.take() {
                     if inbox[q] == Some(RandMmMsg::Response(true)) {
-                        self.matched = true;
                         self.matched_port = Some(q);
                     }
                 }
-                self.matched || round + 1 >= randomized_matching_rounds(self.phases)
+                self.matched_port.is_some() || round + 1 >= randomized_matching_rounds(self.phases)
             }
         };
         done.then(|| {

@@ -9,6 +9,8 @@
 //! * [`PortNumberedGraph`] — nodes with degrees and an **involution** over
 //!   ports, the input representation for algorithms in the port-numbering
 //!   model;
+//! * [`EdgeView`] — the edge list both graph types share, so checkers
+//!   read a port-numbered graph without projecting it;
 //! * [`ports`] — strategies for assigning port numbers to a simple graph,
 //!   including the adversarial 2-factorised numbering of the paper's lower
 //!   bounds;
@@ -60,6 +62,7 @@ mod pn;
 pub mod ports;
 mod simple;
 pub mod transform;
+mod view;
 
 pub use covering::CoveringMap;
 pub use dynamic::DynamicTopology;
@@ -68,3 +71,4 @@ pub use ids::{EdgeId, Endpoint, NodeId, Port};
 pub use multi::MultiGraph;
 pub use pn::{EdgeShape, PnGraphBuilder, PortNumberedGraph};
 pub use simple::SimpleGraph;
+pub use view::EdgeView;

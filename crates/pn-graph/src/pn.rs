@@ -160,12 +160,11 @@ impl PortNumberedGraph {
     ///
     /// Graphs built through the safe constructors already hold these
     /// invariants, so this is a defense-in-depth check for graphs that
-    /// crossed a trust boundary — external ingestion
-    /// (`eds_scenarios::Scenario::external`) and the churn harness's
-    /// [`crate::DynamicTopology::freeze`] both call it so a malformed
-    /// port map surfaces as a structured error at ingestion time instead
-    /// of as a debug-assert (or silent misrouting in release builds)
-    /// deep inside the simulator.
+    /// crossed a trust boundary: external ingestion
+    /// (`eds_scenarios::Scenario::external`) calls it so a malformed port
+    /// map surfaces as a structured error at ingestion time instead of as
+    /// a debug-assert (or silent misrouting in release builds) deep
+    /// inside the simulator.
     ///
     /// # Errors
     ///

@@ -87,7 +87,9 @@ pub fn ports_from_orders(
             ),
         });
     }
-    // port_of[slot in edge] -> port of each endpoint.
+    // port_of[slot in edge] -> port of each endpoint. Only `v` writes its
+    // own side of an edge, so a side already set means `v` listed the
+    // edge twice.
     let mut port_of_u: Vec<Option<Port>> = vec![None; g.edge_count()];
     let mut port_of_v: Vec<Option<Port>> = vec![None; g.edge_count()];
     for v in g.nodes() {
@@ -101,19 +103,23 @@ pub fn ports_from_orders(
                 ),
             });
         }
-        let mut seen = vec![false; g.edge_count()];
+        let not_a_permutation = || GraphError::InvalidParameter {
+            detail: format!("order of node {v} is not a permutation of its incident edges"),
+        };
         for (i, &e) in order.iter().enumerate() {
-            let (a, b) = g.endpoints(e);
-            if (a != v && b != v) || seen[e.index()] {
-                return Err(GraphError::InvalidParameter {
-                    detail: format!("order of node {v} is not a permutation of its incident edges"),
-                });
+            if e.index() >= g.edge_count() {
+                return Err(not_a_permutation());
             }
-            seen[e.index()] = true;
-            if a == v {
-                port_of_u[e.index()] = Some(Port::from_index(i));
+            let (a, b) = g.endpoints(e);
+            let side = if a == v {
+                &mut port_of_u[e.index()]
+            } else if b == v {
+                &mut port_of_v[e.index()]
             } else {
-                port_of_v[e.index()] = Some(Port::from_index(i));
+                return Err(not_a_permutation());
+            };
+            if side.replace(Port::from_index(i)).is_some() {
+                return Err(not_a_permutation());
             }
         }
     }
@@ -308,6 +314,22 @@ mod tests {
         let e1 = g2.add_edge_ids(1, 2).unwrap();
         let bad2 = vec![vec![e1], vec![e0, e1], vec![e1]];
         assert!(ports_from_orders(&g2, &bad2).is_err()); // e1 not incident to node 0
+
+        // A repeated edge, at either endpoint side, and an out-of-range
+        // id (an error, not a panic) are caught in node 1's own order.
+        let not_a_permutation = |orders: &[Vec<EdgeId>]| match ports_from_orders(&g2, orders) {
+            Err(GraphError::InvalidParameter { detail }) => {
+                detail == "order of node 1 is not a permutation of its incident edges"
+            }
+            _ => false,
+        };
+        assert!(not_a_permutation(&[vec![e0], vec![e1, e1], vec![e1]]));
+        assert!(not_a_permutation(&[vec![e0], vec![e0, e0], vec![e1]]));
+        assert!(not_a_permutation(&[
+            vec![e0],
+            vec![e0, EdgeId::new(7)],
+            vec![e1]
+        ]));
     }
 
     #[test]

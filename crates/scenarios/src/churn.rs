@@ -377,10 +377,26 @@ pub struct ChurnRun {
     pub violation: Option<String>,
     /// The topology after the last burst.
     pub final_graph: PortNumberedGraph,
-    /// Its simple projection.
+    /// Its simple projection. Only [`run_churn_with`] fills it, once per
+    /// call; a [`crate::Session`] projects each churn scenario's final
+    /// graph once for all its protocols instead.
     pub final_simple: SimpleGraph,
     /// The `Δ` claim the parametrised protocols actually ran with.
     pub claimed_delta: usize,
+}
+
+/// A [`ChurnRun`] before its final graph is projected: what
+/// [`run_materialized`] returns. The final graph depends only on the
+/// schedule, so a session projects it once per scenario, not once per
+/// protocol.
+pub(crate) struct DrivenRun {
+    pub(crate) solution: Solution,
+    pub(crate) rounds: usize,
+    pub(crate) messages: usize,
+    pub(crate) stats: ChurnStats,
+    pub(crate) violation: Option<String>,
+    pub(crate) final_graph: PortNumberedGraph,
+    pub(crate) claimed_delta: usize,
 }
 
 fn churn_err(e: ChurnError) -> SweepError {
@@ -401,9 +417,12 @@ fn churn_err(e: ChurnError) -> SweepError {
 /// output — any divergence fails the run with a structured report.
 ///
 /// Every family churns through a [`DynamicTopology`] overlay on the
-/// scenario graph, so no second full copy of the graph is ever
-/// materialised. A repair-only burst runs no protocol epoch, but it is
-/// not frontier-sized: the repair rules scan the whole witness, and the
+/// scenario graph. Each full epoch freezes one port-numbered copy of the
+/// current topology, which the protocol runs on and which is verified in
+/// place, never projected to a [`SimpleGraph`]; only the final graph is
+/// projected, once, into [`ChurnRun::final_simple`]. A repair-only burst
+/// runs no protocol epoch and freezes nothing, but it is not
+/// frontier-sized: the repair rules scan the whole witness, and the
 /// feasibility check that accepts the repair is a whole-graph pass over
 /// the overlay.
 ///
@@ -423,7 +442,17 @@ pub fn run_churn_with(
     cancel: Option<&CancelToken>,
 ) -> Result<ChurnRun, SweepError> {
     let mat = materialize_scenario(scenario)?;
-    run_materialized(scenario, &mat, protocol, exec, policy, cancel)
+    let run = run_materialized(scenario, &mat, protocol, exec, policy, cancel)?;
+    Ok(ChurnRun {
+        final_simple: run.final_graph.to_simple()?,
+        solution: run.solution,
+        rounds: run.rounds,
+        messages: run.messages,
+        stats: run.stats,
+        violation: run.violation,
+        final_graph: run.final_graph,
+        claimed_delta: run.claimed_delta,
+    })
 }
 
 /// Materialises a churn scenario's event schedule. It depends only on
@@ -443,7 +472,8 @@ pub(crate) fn materialize_scenario(scenario: &Scenario) -> Result<MaterializedCh
 }
 
 /// [`run_churn_with`] on a schedule already drawn by
-/// [`materialize_scenario`] from the same scenario.
+/// [`materialize_scenario`] from the same scenario, without projecting
+/// the final graph.
 pub(crate) fn run_materialized(
     scenario: &Scenario,
     mat: &MaterializedChurn,
@@ -451,7 +481,7 @@ pub(crate) fn run_materialized(
     exec: &ExecOptions,
     policy: &RecoveryPolicy,
     cancel: Option<&CancelToken>,
-) -> Result<ChurnRun, SweepError> {
+) -> Result<DrivenRun, SweepError> {
     let graph = &scenario.graph;
     let delta = exec.delta.unwrap_or(0).max(mat.degree_cap);
     let threads = exec.simulator_threads;
@@ -555,7 +585,6 @@ struct RecoveryCtx<'a> {
 /// verdict, and the cost of its run.
 struct VerifiedEpoch {
     graph: PortNumberedGraph,
-    simple: SimpleGraph,
     solution: Solution,
     violation: Option<String>,
     rounds: usize,
@@ -563,7 +592,8 @@ struct VerifiedEpoch {
 }
 
 /// Stabilises the current topology from factory-fresh states, then
-/// extracts and feasibility-checks the quiescent output.
+/// extracts the quiescent output and checks its feasibility on the frozen
+/// graph the epoch ran on, which is never projected to a [`SimpleGraph`].
 fn stabilize_verified<A, F, S>(
     sim: &mut ChurnSimulator<'_, A, F>,
     to_solution: &S,
@@ -577,12 +607,17 @@ where
     S: Fn(&PortNumberedGraph, &[A::Output]) -> Result<Solution, RuntimeError>,
 {
     let epoch = sim.stabilize().map_err(churn_err)?;
-    let simple = epoch.graph.to_simple()?;
+    // `DynamicTopology` keeps every mutation simple; this re-checks it
+    // on what the epoch actually ran on.
+    if !epoch.graph.is_simple() {
+        return Err(SweepError::Graph(GraphError::NotSimple {
+            detail: "a churn epoch froze a loop or a parallel link".to_owned(),
+        }));
+    }
     let solution = to_solution(&epoch.graph, &epoch.outputs).map_err(SweepError::Runtime)?;
     Ok(VerifiedEpoch {
-        violation: protocol.violation(&simple, &solution),
+        violation: protocol.violation(&epoch.graph, &solution),
         graph: epoch.graph,
-        simple,
         solution,
         rounds: epoch.rounds,
         messages: epoch.messages,
@@ -601,7 +636,7 @@ fn drive<A, F, S>(
     protocol: Protocol,
     ctx: &RecoveryCtx<'_>,
     to_solution: S,
-) -> Result<ChurnRun, SweepError>
+) -> Result<DrivenRun, SweepError>
 where
     A: NodeAlgorithm + Send,
     A::Message: Send,
@@ -696,7 +731,7 @@ where
             if violation.is_none() {
                 violation = ep.violation.map(|v| format!("burst {b}: {v}"));
             }
-            if !witness.feasible(&ep.simple, kind) {
+            if !witness.feasible(sim.topology(), kind) {
                 // The incremental witness is beyond local repair: re-seed
                 // it from the fresh quiescent output.
                 burst_violations += 1;
@@ -716,7 +751,7 @@ where
             if violation.is_none() {
                 violation = ep.violation.map(|v| format!("burst {b}: {v}"));
             }
-            let divergence = if !witness.feasible(&ep.simple, kind) {
+            let divergence = if !witness.feasible(sim.topology(), kind) {
                 Some("repaired witness infeasible on the frozen epoch graph".to_owned())
             } else if let Some((num, den)) = ctx.bound {
                 let w = witness.len() as u64;
@@ -751,7 +786,6 @@ where
     }
 
     let final_graph = sim.topology().freeze()?;
-    let final_simple = final_graph.to_simple()?;
     if !solution_current {
         // The last burst recovered without re-stabilising: the witness
         // *is* the live artifact; project it back onto the final graph.
@@ -759,12 +793,11 @@ where
     }
     if violation.is_none() {
         violation = protocol
-            .violation(&final_simple, &solution)
+            .violation(&final_graph, &solution)
             .map(|v| format!("final: {v}"));
     }
 
-    Ok(ChurnRun {
-        final_simple,
+    Ok(DrivenRun {
         solution,
         rounds,
         messages,

@@ -13,7 +13,7 @@ use eds_core::distributed::{BoundedDegreeNode, RegularOddNode};
 use eds_core::port_one::PortOneNode;
 use eds_core::vertex_cover::VertexCoverNode;
 use eds_verify::{check_edge_dominating_set, check_maximal_matching};
-use pn_graph::{EdgeId, GraphError, NodeId, SimpleGraph};
+use pn_graph::{EdgeId, EdgeView, GraphError, NodeId};
 use pn_runtime::{
     edge_set_from_outputs, CancelToken, PortSet, Run, RunOptions, RuntimeError, Simulator,
 };
@@ -216,27 +216,30 @@ impl Protocol {
         }
     }
 
-    /// The feasibility verdict on this protocol's `solution` over
-    /// `simple`: the first `eds-verify` violation, or `None`. The
-    /// matching baselines must output a maximal matching, the other edge
-    /// protocols an edge dominating set, and a node solution must cover
-    /// every edge.
-    pub(crate) fn violation(self, simple: &SimpleGraph, solution: &Solution) -> Option<String> {
+    /// The feasibility verdict on this protocol's `solution` over `g`,
+    /// a simple graph or a simple port-numbered graph read in place: the
+    /// first `eds-verify` violation, or `None`. The matching baselines
+    /// must output a maximal matching, the other edge protocols an edge
+    /// dominating set, and a node solution must cover every edge.
+    pub(crate) fn violation<G: EdgeView + ?Sized>(
+        self,
+        g: &G,
+        solution: &Solution,
+    ) -> Option<String> {
         match solution {
             Solution::Edges(edges) => match self {
                 Protocol::IdMatching | Protocol::RandMatching => {
-                    check_maximal_matching(simple, edges).err()
+                    check_maximal_matching(g, edges).err()
                 }
-                _ => check_edge_dominating_set(simple, edges).err(),
+                _ => check_edge_dominating_set(g, edges).err(),
             }
             .map(|v| v.to_string()),
             Solution::Nodes(cover) => {
-                let mut in_cover = vec![false; simple.node_count()];
+                let mut in_cover = vec![false; g.node_count()];
                 for &v in cover {
                     in_cover[v.index()] = true;
                 }
-                simple
-                    .edges()
+                g.endpoint_pairs()
                     .find(|&(_, u, v)| !in_cover[u.index()] && !in_cover[v.index()])
                     .map(|(e, u, v)| {
                         format!("edge {e} = {{{u}, {v}}} has no endpoint in the cover")
@@ -477,6 +480,60 @@ mod tests {
             )
             .unwrap();
         assert!(loose.rounds > tight.rounds);
+    }
+
+    /// `violation` reads a port-numbered graph in place exactly as it
+    /// reads the graph's `to_simple()` projection: the same verdict and
+    /// the same message, on every protocol's output and on that output
+    /// damaged.
+    #[test]
+    fn violation_reads_a_port_numbered_graph_like_its_projection() {
+        let mut next = pn_runtime::entropy_stream(0x7669_6577);
+        let (mut clean, mut damaged) = (0usize, 0usize);
+        for seed in 0..8u64 {
+            for family in [
+                Family::Gnp { n: 24, p: 0.15 },
+                Family::PowerLaw { n: 30, m: 2 },
+                Family::RandomRegular { n: 20, d: 3 },
+            ] {
+                let s = ScenarioSpec::new(family, seed, PortPolicy::Shuffled)
+                    .build()
+                    .unwrap();
+                let simple = s.graph.to_simple().unwrap();
+                let m = s.graph.edge_count();
+                for p in Protocol::ALL.into_iter().filter(|p| p.applicable(&s)) {
+                    let mut solutions = vec![p.execute(&s).unwrap().solution];
+                    solutions.push(match &solutions[0] {
+                        Solution::Edges(e) if !e.is_empty() => Solution::Edges(e[1..].to_vec()),
+                        Solution::Edges(_) => Solution::Edges(vec![EdgeId::new(0)]),
+                        Solution::Nodes(c) => Solution::Nodes(c[1..].to_vec()),
+                    });
+                    if let Solution::Edges(e) = &solutions[0] {
+                        let extra = EdgeId::new((next() % m as u64) as usize);
+                        solutions.push(Solution::Edges([&e[..], &[extra]].concat()));
+                        solutions.push(Solution::Edges(vec![EdgeId::new(m)]));
+                    }
+                    for solution in &solutions {
+                        let verdict = p.violation(&s.graph, solution);
+                        assert_eq!(
+                            verdict,
+                            p.violation(&simple, solution),
+                            "{} on {}",
+                            p.name(),
+                            s.name()
+                        );
+                        match verdict {
+                            Some(_) => damaged += 1,
+                            None => clean += 1,
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            clean >= 100 && damaged >= 100,
+            "{clean} clean, {damaged} damaged"
+        );
     }
 
     #[test]

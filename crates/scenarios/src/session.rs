@@ -571,13 +571,13 @@ impl Session {
                 self.cancel.as_ref(),
             )?;
             // The schedule is protocol-independent, so the final graph
-            // is too; build the scored scenario (and its exact/LP
-            // reference bounds) once.
+            // is too; build the scored scenario (its one projection and
+            // its exact/LP reference bounds) once.
             if final_scenario.is_none() {
                 final_scenario = Some(Scenario {
                     spec: scenario.spec.clone(),
-                    graph: run.final_graph.clone(),
-                    simple: run.final_simple.clone(),
+                    simple: run.final_graph.to_simple()?,
+                    graph: run.final_graph,
                 });
             }
             let fs = final_scenario.as_ref().expect("just inserted");

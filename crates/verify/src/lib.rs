@@ -4,6 +4,9 @@
 //! dominating set", "is an edge cover", "is a (maximal) matching", "is a
 //! `k`-matching", "is a star forest" — has an executable checker here
 //! returning either `Ok(())` or a [`Violation`] with a concrete witness.
+//! The checkers take any [`pn_graph::EdgeView`]: a `SimpleGraph`, or a
+//! simple `PortNumberedGraph` read in place with the verdicts its
+//! `to_simple()` projection would get.
 //!
 //! # Example
 //!

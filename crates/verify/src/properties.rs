@@ -2,11 +2,17 @@
 //!
 //! Each checker returns `Ok(())` or a [`Violation`] pinpointing the first
 //! counterexample — far more useful in test failures than a bare `false`.
+//!
+//! Every checker reads its graph through [`EdgeView`], so it runs on a
+//! [`pn_graph::SimpleGraph`] or in place on a simple
+//! [`pn_graph::PortNumberedGraph`]. Edge ids and endpoint pairs agree
+//! between a port-numbered graph and its `to_simple()` projection, so
+//! both give the same verdict and the same [`Violation`].
 
 use std::error::Error;
 use std::fmt;
 
-use pn_graph::{EdgeId, NodeId, SimpleGraph};
+use pn_graph::{EdgeId, EdgeView, NodeId};
 
 /// A failed property check, with the witness that breaks it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -91,7 +97,7 @@ impl fmt::Display for Violation {
 
 impl Error for Violation {}
 
-fn validate_ids(g: &SimpleGraph, edges: &[EdgeId]) -> Result<(), Violation> {
+fn validate_ids<G: EdgeView + ?Sized>(g: &G, edges: &[EdgeId]) -> Result<(), Violation> {
     let mut seen = vec![false; g.edge_count()];
     for &e in edges {
         if e.index() >= g.edge_count() {
@@ -105,7 +111,7 @@ fn validate_ids(g: &SimpleGraph, edges: &[EdgeId]) -> Result<(), Violation> {
     Ok(())
 }
 
-fn set_degrees(g: &SimpleGraph, edges: &[EdgeId]) -> Vec<usize> {
+fn set_degrees<G: EdgeView + ?Sized>(g: &G, edges: &[EdgeId]) -> Vec<usize> {
     let mut deg = vec![0usize; g.node_count()];
     for &e in edges {
         let (u, v) = g.endpoints(e);
@@ -117,10 +123,13 @@ fn set_degrees(g: &SimpleGraph, edges: &[EdgeId]) -> Vec<usize> {
 
 /// Checks that `edges` dominates every edge of `g` (paper Section 2:
 /// every edge is in the set or adjacent to a set edge).
-pub fn check_edge_dominating_set(g: &SimpleGraph, edges: &[EdgeId]) -> Result<(), Violation> {
+pub fn check_edge_dominating_set<G: EdgeView + ?Sized>(
+    g: &G,
+    edges: &[EdgeId],
+) -> Result<(), Violation> {
     validate_ids(g, edges)?;
     let deg = set_degrees(g, edges);
-    for (e, u, v) in g.edges() {
+    for (e, u, v) in g.endpoint_pairs() {
         if deg[u.index()] == 0 && deg[v.index()] == 0 {
             return Err(Violation::UndominatedEdge {
                 edge: e,
@@ -133,45 +142,55 @@ pub fn check_edge_dominating_set(g: &SimpleGraph, edges: &[EdgeId]) -> Result<()
 
 /// Checks that `edges` covers every node of `g` that has at least one
 /// incident edge (isolated nodes cannot be covered and are exempt).
-pub fn check_edge_cover(g: &SimpleGraph, edges: &[EdgeId]) -> Result<(), Violation> {
+pub fn check_edge_cover<G: EdgeView + ?Sized>(g: &G, edges: &[EdgeId]) -> Result<(), Violation> {
     validate_ids(g, edges)?;
     let deg = set_degrees(g, edges);
-    for v in g.nodes() {
-        if g.degree(v) > 0 && deg[v.index()] == 0 {
-            return Err(Violation::UncoveredNode { node: v });
-        }
+    let mut isolated = vec![true; g.node_count()];
+    for (_, u, v) in g.endpoint_pairs() {
+        isolated[u.index()] = false;
+        isolated[v.index()] = false;
     }
-    Ok(())
+    match (0..g.node_count()).find(|&v| !isolated[v] && deg[v] == 0) {
+        Some(v) => Err(Violation::UncoveredNode {
+            node: NodeId::new(v),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Checks that `edges` is a `k`-matching: every node has at most `k`
 /// incident set edges.
-pub fn check_k_matching(g: &SimpleGraph, edges: &[EdgeId], k: usize) -> Result<(), Violation> {
+pub fn check_k_matching<G: EdgeView + ?Sized>(
+    g: &G,
+    edges: &[EdgeId],
+    k: usize,
+) -> Result<(), Violation> {
     validate_ids(g, edges)?;
     let deg = set_degrees(g, edges);
-    for v in g.nodes() {
-        if deg[v.index()] > k {
-            return Err(Violation::DegreeExceeded {
-                node: v,
-                found: deg[v.index()],
-                allowed: k,
-            });
-        }
+    match deg.iter().position(|&d| d > k) {
+        Some(v) => Err(Violation::DegreeExceeded {
+            node: NodeId::new(v),
+            found: deg[v],
+            allowed: k,
+        }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Checks that `edges` is a matching (a 1-matching).
-pub fn check_matching(g: &SimpleGraph, edges: &[EdgeId]) -> Result<(), Violation> {
+pub fn check_matching<G: EdgeView + ?Sized>(g: &G, edges: &[EdgeId]) -> Result<(), Violation> {
     check_k_matching(g, edges, 1)
 }
 
 /// Checks that `edges` is a *maximal* matching: a matching to which no
 /// edge of `g` can be added.
-pub fn check_maximal_matching(g: &SimpleGraph, edges: &[EdgeId]) -> Result<(), Violation> {
+pub fn check_maximal_matching<G: EdgeView + ?Sized>(
+    g: &G,
+    edges: &[EdgeId],
+) -> Result<(), Violation> {
     check_matching(g, edges)?;
     let deg = set_degrees(g, edges);
-    for (e, u, v) in g.edges() {
+    for (e, u, v) in g.endpoint_pairs() {
         if deg[u.index()] == 0 && deg[v.index()] == 0 {
             return Err(Violation::NotMaximal { edge: e });
         }
@@ -180,7 +199,7 @@ pub fn check_maximal_matching(g: &SimpleGraph, edges: &[EdgeId]) -> Result<(), V
 }
 
 /// Checks that the subgraph induced by `edges` is a forest.
-pub fn check_forest(g: &SimpleGraph, edges: &[EdgeId]) -> Result<(), Violation> {
+pub fn check_forest<G: EdgeView + ?Sized>(g: &G, edges: &[EdgeId]) -> Result<(), Violation> {
     validate_ids(g, edges)?;
     // Union-find over endpoints.
     let mut parent: Vec<usize> = (0..g.node_count()).collect();
@@ -205,7 +224,7 @@ pub fn check_forest(g: &SimpleGraph, edges: &[EdgeId]) -> Result<(), Violation> 
 /// Checks that the subgraph induced by `edges` is a forest of
 /// node-disjoint stars (equivalently: no path of three edges; every edge
 /// has an endpoint of subgraph-degree 1).
-pub fn check_star_forest(g: &SimpleGraph, edges: &[EdgeId]) -> Result<(), Violation> {
+pub fn check_star_forest<G: EdgeView + ?Sized>(g: &G, edges: &[EdgeId]) -> Result<(), Violation> {
     check_forest(g, edges)?;
     let deg = set_degrees(g, edges);
     for &e in edges {
@@ -227,8 +246,8 @@ pub fn check_star_forest(g: &SimpleGraph, edges: &[EdgeId]) -> Result<(), Violat
 /// # Errors
 ///
 /// Returns a [`Violation`] if the set is not a 2-matching.
-pub fn check_paths_and_cycles(
-    g: &SimpleGraph,
+pub fn check_paths_and_cycles<G: EdgeView + ?Sized>(
+    g: &G,
     edges: &[EdgeId],
 ) -> Result<(usize, usize), Violation> {
     check_k_matching(g, edges, 2)?;
@@ -276,19 +295,21 @@ pub fn check_paths_and_cycles(
 
 /// Checks that two edge sets are node-disjoint (no node incident to edges
 /// of both).
-pub fn check_node_disjoint(g: &SimpleGraph, a: &[EdgeId], b: &[EdgeId]) -> Result<(), Violation> {
+pub fn check_node_disjoint<G: EdgeView + ?Sized>(
+    g: &G,
+    a: &[EdgeId],
+    b: &[EdgeId],
+) -> Result<(), Violation> {
     let da = set_degrees(g, a);
     let db = set_degrees(g, b);
-    for v in g.nodes() {
-        if da[v.index()] > 0 && db[v.index()] > 0 {
-            return Err(Violation::DegreeExceeded {
-                node: v,
-                found: da[v.index()] + db[v.index()],
-                allowed: 0,
-            });
-        }
+    match (0..g.node_count()).find(|&v| da[v] > 0 && db[v] > 0) {
+        Some(v) => Err(Violation::DegreeExceeded {
+            node: NodeId::new(v),
+            found: da[v] + db[v],
+            allowed: 0,
+        }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -402,6 +423,85 @@ mod tests {
             check_matching(&g, &ids(&[0, 0])),
             Err(Violation::DuplicateEdge { .. })
         ));
+    }
+
+    /// Every checker gives a port-numbered graph read in place the
+    /// verdict, and the message, it gives the graph's `to_simple()`
+    /// projection: on random graphs with shuffled ports, over feasible
+    /// sets and the same sets damaged.
+    #[test]
+    fn port_numbered_graphs_read_like_their_projections() {
+        use pn_graph::{matching, ports};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        /// Each checker's verdict: `Ok` carries what it returns.
+        fn verdicts<G: EdgeView + ?Sized>(
+            g: &G,
+            a: &[EdgeId],
+            b: &[EdgeId],
+        ) -> Vec<Result<String, Violation>> {
+            let unit = |r: Result<(), Violation>| r.map(|()| String::new());
+            let mut out = vec![
+                unit(check_edge_dominating_set(g, a)),
+                unit(check_edge_cover(g, a)),
+                unit(check_k_matching(g, a, 2)),
+                unit(check_matching(g, a)),
+                unit(check_maximal_matching(g, a)),
+                unit(check_forest(g, a)),
+                unit(check_star_forest(g, a)),
+                check_paths_and_cycles(g, a).map(|pc| format!("{pc:?}")),
+            ];
+            // The one checker that does not validate ids first.
+            if a.iter().chain(b).all(|e| e.index() < g.edge_count()) {
+                out.push(unit(check_node_disjoint(g, a, b)));
+            }
+            out
+        }
+
+        let mut kinds = std::collections::HashSet::new();
+        for seed in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2usize..30);
+            let g = generators::gnp(n, rng.gen_range(0.05..0.5), seed).unwrap();
+            let pg = ports::shuffled_ports(&g, seed).unwrap();
+            let simple = pg.to_simple().unwrap();
+            let m = simple.edge_count();
+            let maximal = matching::greedy_maximal_matching(&simple);
+            let all: Vec<EdgeId> = (0..m).map(EdgeId::new).collect();
+            let mut sets = vec![maximal.clone(), Vec::new(), all.clone()];
+            if let Some(&first) = maximal.first() {
+                let extra = EdgeId::new(rng.gen_range(0..m));
+                let random = all.iter().copied().filter(|_| rng.gen_bool(0.3)).collect();
+                sets.extend([
+                    maximal[1..].to_vec(),
+                    [&maximal[..], &[extra]].concat(),
+                    [&maximal[..], &[first]].concat(),
+                    random,
+                    vec![EdgeId::new(m)],
+                ]);
+            }
+            for a in &sets {
+                for b in &sets {
+                    let on_pn = verdicts(&pg, a, b);
+                    let on_simple = verdicts(&simple, a, b);
+                    assert_eq!(on_pn, on_simple, "seed {seed}: {a:?} / {b:?}");
+                    let shown = |vs: &[Result<String, Violation>]| -> Vec<String> {
+                        vs.iter()
+                            .map(|r| r.as_ref().map_or_else(ToString::to_string, Clone::clone))
+                            .collect()
+                    };
+                    assert_eq!(shown(&on_pn), shown(&on_simple), "seed {seed}");
+                    kinds.extend(
+                        on_pn
+                            .iter()
+                            .filter_map(|r| r.as_ref().err())
+                            .map(std::mem::discriminant),
+                    );
+                }
+            }
+        }
+        // The damaged sets reach all eight kinds of violation.
+        assert_eq!(kinds.len(), 8);
     }
 
     #[test]
