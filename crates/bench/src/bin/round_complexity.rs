@@ -4,10 +4,11 @@
 //! and `O(Δ²)` for Theorem 5 — independent of `n` (these are *local*
 //! algorithms). This binary measures actual round counts across `d`, `Δ`
 //! and `n`, confirming both the quadratic growth in the degree bound and
-//! that no round count grows with the network size. Theorems 3 and 4 run
-//! their fixed schedules; `A(Δ)` nodes halt once their output is final,
-//! so its measured rounds sit at or below the `O(Δ²)` cap
-//! [`bounded_schedule_length`].
+//! that no round count grows with the network size. Theorem 3 runs its
+//! one round; Theorem 4 and `A(Δ)` nodes halt once their output is
+//! final, so their measured rounds sit at or below the caps
+//! [`regular_odd_rounds`] (`2 + 2d²`) and [`bounded_schedule_length`]
+//! (`O(Δ²)`).
 //!
 //! Run with: `cargo run --release -p eds-bench --bin round_complexity`
 
@@ -45,13 +46,13 @@ fn main() {
         let run = Simulator::new(&pg)
             .run(|_, d| RegularOddNode::new(d))
             .expect("runs");
-        assert_eq!(run.rounds, regular_odd_rounds(d));
+        assert!(run.rounds <= regular_odd_rounds(d));
         table.row(vec![
             "Thm 4".to_owned(),
             format!("d={d}"),
             pg.node_count().to_string(),
             run.rounds.to_string(),
-            format!("2+2d² = {}", regular_odd_rounds(d)),
+            format!("≤ 2+2d² cap = {}", regular_odd_rounds(d)),
         ]);
     }
     for delta in [2usize, 3, 4, 5, 6] {

@@ -1,5 +1,5 @@
-//! The distributed Theorem 4 protocol: `4 - 6/(d+1)` in `2 + 2d²` rounds
-//! on `d`-regular graphs with odd `d`.
+//! The distributed Theorem 4 protocol: `4 - 6/(d+1)` within `2 + 2d²`
+//! rounds on `d`-regular graphs with odd `d`.
 //!
 //! Round schedule (known to every node from its own degree `d`):
 //!
@@ -7,10 +7,32 @@
 //! |---|---|
 //! | `0` | announce own port numbers (learn label pairs) |
 //! | `1` | announce distinguishable-neighbour claims |
-//! | `2 .. 2 + d²` | Phase I, one round per pair `(i, j)` in lexicographic order: exchange covered bits, add `e ∈ M(i,j)` unless both endpoints covered |
-//! | `2 + d² .. 2 + 2d²` | Phase II, one round per pair: exchange "`D`-degree ≥ 2" bits, remove `e ∈ D ∩ M(i,j)` if both hold |
+//! | `2 .. 2 + d²` | Phase I, one round per pair `(i, j)` in lexicographic order: exchange covered bits over `M(i,j)`, add `e ∈ M(i,j)` unless both endpoints covered |
+//! | `2 + d² .. 2 + 2d²` | Phase II, one round per pair: exchange "`D`-degree ≥ 2" bits over `D ∩ M(i,j)`, remove `e ∈ D ∩ M(i,j)` if both hold |
 //!
-//! Every node halts after round `2 + 2d²` and outputs its selected ports.
+//! # Halting
+//!
+//! An edge of `D_N` is decided only in the Phase I and Phase II rounds
+//! of its own label pairs, so the schedule's [`regular_odd_rounds`] are
+//! a cap. Rounds 0 and 1 go out on every port; after that a node sends
+//! only on the ports whose edge is in the current `M(i, j)` (in Phase II,
+//! in `D ∩ M(i, j)`), which are the only ones its neighbours read. It
+//! halts, with the output it would give at the cap, as soon as its
+//! `D`-edges are final:
+//!
+//! * after round 1 if it has no `D_N` edge: no round involves it;
+//! * after its last Phase I pair if its `D`-degree is at most 1: Phase I
+//!   adds only edges of the node's own pairs, and a Phase II removal
+//!   needs both endpoints at `D`-degree ≥ 2;
+//! * otherwise in Phase II, once its `D`-degree drops to at most 1 or
+//!   its last `D ∩ M(i, j)` pair has passed.
+//!
+//! No one reads a halted node in Phase I, since it has no pair left
+//! there. In Phase II a halted neighbour's `None` reads as
+//! `deg_two(false)`: a node halts in Phase II only at `D`-degree ≤ 1 or
+//! after its last pair, and one that halted earlier has `D`-degree ≤ 1.
+//! The edge sets are the ones the full schedule computes, on every
+//! input.
 
 use std::fmt;
 use std::num::NonZeroU64;
@@ -89,7 +111,9 @@ impl fmt::Debug for RegOddMsg {
     }
 }
 
-/// Number of rounds the protocol takes on a `d`-regular graph.
+/// Length of the schedule on a `d`-regular graph: the round by which
+/// every node has halted. Nodes halt once their `D`-edges are final (see
+/// the module docs), so a run may take fewer rounds.
 pub fn regular_odd_rounds(d: usize) -> usize {
     if d == 0 {
         1
@@ -125,7 +149,12 @@ impl PortState {
 pub struct RegularOddNode {
     /// One entry per port; the node's degree is its length.
     ports: Vec<PortState>,
-    covered: bool,
+    /// The number of ports whose edge is in `D`; the node is covered
+    /// once it is positive.
+    d_degree: usize,
+    /// The last step (pair index) of the current phase at which one of
+    /// this node's edges is in `M(i, j)` (in Phase II, `D ∩ M(i, j)`).
+    last: usize,
 }
 
 impl RegularOddNode {
@@ -133,7 +162,8 @@ impl RegularOddNode {
     pub fn new(degree: usize) -> Self {
         RegularOddNode {
             ports: vec![PortState::default(); degree],
-            covered: false,
+            d_degree: 0,
+            last: 0,
         }
     }
 
@@ -144,8 +174,37 @@ impl RegularOddNode {
         ((t / d) as u32 + 1, (t % d) as u32 + 1)
     }
 
-    fn d_degree(&self) -> usize {
-        self.ports.iter().filter(|p| p.in_d).count()
+    /// The ports (0-based) whose edge is in `M(i, j)` for the pair of
+    /// step `t`. Only ports `i` and `j` can qualify: an edge of `M(i, j)`
+    /// leaves the claiming end through port `i` and the claimed end
+    /// through port `j`.
+    fn mij_ports(&self, t: usize) -> [Option<usize>; 2] {
+        let (i, j) = self.pair_at(t);
+        let at = |own: u32| {
+            let q = own as usize - 1;
+            self.ports[q].in_mij(own, i, j).then_some(q)
+        };
+        [at(i), if j == i { None } else { at(j) }]
+    }
+
+    /// The last step at which a port accepted by `keep` has its edge in
+    /// some `M(i, j)`: the pair `(own, far)` if this node claims the far
+    /// end, and `(far, own)` if the far end claims this node.
+    fn last_step(&self, keep: impl Fn(&PortState) -> bool) -> Option<usize> {
+        let d = self.ports.len();
+        self.ports
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| keep(p))
+            .flat_map(|(q, p)| {
+                let far = p.their_port as usize - 1;
+                [
+                    p.my_claim.then_some(q * d + far),
+                    p.their_claim.then_some(far * d + q),
+                ]
+            })
+            .flatten()
+            .max()
     }
 
     fn output(&self) -> PortSet {
@@ -176,12 +235,19 @@ impl NodeAlgorithm for RegularOddNode {
             }
             return;
         }
-        let msg = if round - 2 < d * d {
-            RegOddMsg::cover(self.covered)
+        let t = round - 2;
+        if t < d * d {
+            for q in self.mij_ports(t).into_iter().flatten() {
+                outbox[q] = Some(RegOddMsg::cover(self.d_degree > 0));
+            }
         } else {
-            RegOddMsg::deg_two(self.d_degree() >= 2)
-        };
-        outbox.fill(Some(msg));
+            let deg_two = RegOddMsg::deg_two(self.d_degree >= 2);
+            for q in self.mij_ports(t - d * d).into_iter().flatten() {
+                if self.ports[q].in_d {
+                    outbox[q] = Some(deg_two);
+                }
+            }
+        }
     }
 
     fn receive(&mut self, round: usize, inbox: &[Option<RegOddMsg>]) -> Option<PortSet> {
@@ -208,49 +274,70 @@ impl NodeAlgorithm for RegularOddNode {
                 };
                 p.their_claim = c;
             }
-            return None;
+            // A node without a `D_N` edge takes part in no later round.
+            return match self.last_step(|_| true) {
+                Some(last) => {
+                    self.last = last;
+                    None
+                }
+                None => Some(PortSet::new()),
+            };
         }
         let t = round - 2;
         if t < d * d {
-            // Phase I step for pair (i, j).
-            let (i, j) = self.pair_at(t);
-            let covered = self.covered;
-            for (q, (p, m)) in self.ports.iter_mut().zip(inbox).enumerate() {
-                if !p.in_mij((q + 1) as u32, i, j) {
-                    continue;
-                }
+            // Phase I step for pair (i, j); coverage updates after the
+            // simultaneous decisions.
+            let covered = self.d_degree > 0;
+            for q in self.mij_ports(t).into_iter().flatten() {
+                let m = inbox[q];
                 let Some(far_covered) = m.and_then(RegOddMsg::as_cover) else {
                     unreachable!("phase I expects Cover, got {m:?}")
                 };
                 if !(covered && far_covered) {
-                    p.in_d = true;
+                    let p = &mut self.ports[q];
+                    if !p.in_d {
+                        p.in_d = true;
+                        self.d_degree += 1;
+                    }
                 }
             }
-            // Coverage updates after the simultaneous decisions.
-            if !self.covered && self.ports.iter().any(|p| p.in_d) {
-                self.covered = true;
+            if t < self.last {
+                return None;
             }
+            // Phase I is over for this node.
+            if self.d_degree <= 1 {
+                return Some(self.output());
+            }
+            self.last = self
+                .last_step(|p| p.in_d)
+                .expect("every D-edge is in some M(i, j)");
             return None;
         }
-        let t2 = t - d * d;
         // Phase II step for pair (i, j).
-        let (i, j) = self.pair_at(t2);
-        let my_deg2 = self.d_degree() >= 2;
-        for (q, (p, m)) in self.ports.iter_mut().zip(inbox).enumerate() {
-            if !p.in_d || !p.in_mij((q + 1) as u32, i, j) {
+        let t2 = t - d * d;
+        let my_deg2 = self.d_degree >= 2;
+        let mut removed = false;
+        for q in self.mij_ports(t2).into_iter().flatten() {
+            if !self.ports[q].in_d {
                 continue;
             }
-            let Some(far_deg2) = m.and_then(RegOddMsg::as_deg_two) else {
-                unreachable!("phase II expects DegTwo, got {m:?}")
-            };
+            // A halted neighbour has `D`-degree at most 1.
+            let far_deg2 = inbox[q].is_some_and(|m| match m.as_deg_two() {
+                Some(b) => b,
+                None => unreachable!("phase II expects DegTwo, got {m:?}"),
+            });
             if my_deg2 && far_deg2 {
-                p.in_d = false;
+                self.ports[q].in_d = false;
+                self.d_degree -= 1;
+                removed = true;
             }
         }
-        if t2 + 1 == d * d {
-            return Some(self.output());
+        if removed && self.d_degree >= 2 {
+            self.last = self
+                .last_step(|p| p.in_d)
+                .expect("every D-edge is in some M(i, j)");
         }
-        None
+        (self.d_degree <= 1 || t2 >= self.last).then(|| self.output())
     }
 }
 
@@ -288,6 +375,149 @@ fn wrap_runtime(e: RuntimeError) -> pn_graph::GraphError {
     }
 }
 
+/// The node before it halted early: every node runs the whole
+/// `2 + 2d²` schedule and sends on every port in every round. Kept
+/// verbatim as the oracle whose outputs the halting node must match run
+/// for run.
+#[cfg(test)]
+mod reference {
+    use super::{dn_port_index, PortState, RegOddMsg};
+    use pn_graph::Port;
+    use pn_runtime::{NodeAlgorithm, PortSet};
+
+    #[derive(Clone, Debug)]
+    pub(super) struct FixedNode {
+        /// One entry per port; the node's degree is its length.
+        ports: Vec<PortState>,
+        covered: bool,
+    }
+
+    impl FixedNode {
+        pub(super) fn new(degree: usize) -> Self {
+            FixedNode {
+                ports: vec![PortState::default(); degree],
+                covered: false,
+            }
+        }
+
+        /// The (i, j) pair processed at step `t` of a phase, in lexicographic
+        /// order; ports are 1-based.
+        fn pair_at(&self, t: usize) -> (u32, u32) {
+            let d = self.ports.len();
+            ((t / d) as u32 + 1, (t % d) as u32 + 1)
+        }
+
+        fn d_degree(&self) -> usize {
+            self.ports.iter().filter(|p| p.in_d).count()
+        }
+
+        fn output(&self) -> PortSet {
+            self.ports
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.in_d)
+                .map(|(q, _)| Port::from_index(q))
+                .collect()
+        }
+    }
+
+    impl NodeAlgorithm for FixedNode {
+        type Message = RegOddMsg;
+        type Output = PortSet;
+
+        fn send_into(&mut self, round: usize, outbox: &mut [Option<RegOddMsg>]) {
+            let d = self.ports.len();
+            if round == 0 {
+                for (q, slot) in outbox.iter_mut().enumerate() {
+                    *slot = Some(RegOddMsg::port((q + 1) as u32));
+                }
+                return;
+            }
+            if round == 1 {
+                for (p, slot) in self.ports.iter().zip(outbox.iter_mut()) {
+                    *slot = Some(RegOddMsg::claim(p.my_claim));
+                }
+                return;
+            }
+            let msg = if round - 2 < d * d {
+                RegOddMsg::cover(self.covered)
+            } else {
+                RegOddMsg::deg_two(self.d_degree() >= 2)
+            };
+            outbox.fill(Some(msg));
+        }
+
+        fn receive(&mut self, round: usize, inbox: &[Option<RegOddMsg>]) -> Option<PortSet> {
+            let d = self.ports.len();
+            if d == 0 {
+                return Some(PortSet::new());
+            }
+            if round == 0 {
+                for (p, m) in self.ports.iter_mut().zip(inbox) {
+                    let Some(port) = m.and_then(RegOddMsg::as_port) else {
+                        unreachable!("round 0 expects Port, got {m:?}")
+                    };
+                    p.their_port = port;
+                }
+                if let Some(q) = dn_port_index(&self.ports, |p| p.their_port) {
+                    self.ports[q].my_claim = true;
+                }
+                return None;
+            }
+            if round == 1 {
+                for (p, m) in self.ports.iter_mut().zip(inbox) {
+                    let Some(c) = m.and_then(RegOddMsg::as_claim) else {
+                        unreachable!("round 1 expects Claim, got {m:?}")
+                    };
+                    p.their_claim = c;
+                }
+                return None;
+            }
+            let t = round - 2;
+            if t < d * d {
+                // Phase I step for pair (i, j).
+                let (i, j) = self.pair_at(t);
+                let covered = self.covered;
+                for (q, (p, m)) in self.ports.iter_mut().zip(inbox).enumerate() {
+                    if !p.in_mij((q + 1) as u32, i, j) {
+                        continue;
+                    }
+                    let Some(far_covered) = m.and_then(RegOddMsg::as_cover) else {
+                        unreachable!("phase I expects Cover, got {m:?}")
+                    };
+                    if !(covered && far_covered) {
+                        p.in_d = true;
+                    }
+                }
+                // Coverage updates after the simultaneous decisions.
+                if !self.covered && self.ports.iter().any(|p| p.in_d) {
+                    self.covered = true;
+                }
+                return None;
+            }
+            let t2 = t - d * d;
+            // Phase II step for pair (i, j).
+            let (i, j) = self.pair_at(t2);
+            let my_deg2 = self.d_degree() >= 2;
+            for (q, (p, m)) in self.ports.iter_mut().zip(inbox).enumerate() {
+                if !p.in_d || !p.in_mij((q + 1) as u32, i, j) {
+                    continue;
+                }
+                let Some(far_deg2) = m.and_then(RegOddMsg::as_deg_two) else {
+                    unreachable!("phase II expects DegTwo, got {m:?}")
+                };
+                if my_deg2 && far_deg2 {
+                    p.in_d = false;
+                }
+            }
+            if t2 + 1 == d * d {
+                return Some(self.output());
+            }
+            None
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,15 +549,158 @@ mod tests {
 
     #[test]
     fn round_count_is_2_plus_2d_squared() {
+        let rounds = |pg: &PortNumberedGraph| {
+            Simulator::new(pg)
+                .run(|_, d| RegularOddNode::new(d))
+                .unwrap()
+                .rounds
+        };
         for d in [1usize, 3, 5] {
             let n = if d == 1 { 2 } else { 2 * d + 2 };
             let g = generators::random_regular(n, d, d as u64).unwrap();
             let pg = ports::shuffled_ports(&g, 1).unwrap();
-            let run = Simulator::new(&pg)
-                .run(|_, d| RegularOddNode::new(d))
-                .unwrap();
-            assert_eq!(run.rounds, regular_odd_rounds(d));
+            assert!(rounds(&pg) <= regular_odd_rounds(d), "d {d}");
         }
+        // Nodes halt once their D-edges are final; on this numbering of
+        // K4 one of them still removes an edge at the last pair (3, 3).
+        let k4 = generators::random_regular(4, 3, 37).unwrap();
+        let pg = ports::shuffled_ports(&k4, 37).unwrap();
+        assert_eq!(rounds(&pg), regular_odd_rounds(3));
+    }
+
+    /// A `d`-regular port-numbered multigraph: `n` nodes of `d` port
+    /// stubs each, paired at random, with about a fifth of the stubs
+    /// fixed as half-loops. Self-loops and parallel edges occur freely.
+    fn regular_multigraph(n: usize, d: usize, seed: u64) -> PortNumberedGraph {
+        use pn_graph::{Endpoint, PnGraphBuilder};
+        use rand::seq::SliceRandom;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = PnGraphBuilder::new();
+        let mut stubs: Vec<Endpoint> = Vec::new();
+        for _ in 0..n {
+            let node = b.add_node(d);
+            stubs.extend((0..d).map(|p| Endpoint::new(node, Port::from_index(p))));
+        }
+        stubs.shuffle(&mut rng);
+        while let Some(a) = stubs.pop() {
+            match stubs.pop() {
+                Some(c) if !rng.gen_bool(0.2) => b.connect(a, c).unwrap(),
+                other => {
+                    b.fix_point(a).unwrap();
+                    stubs.extend(other);
+                }
+            }
+        }
+        b.finish().unwrap()
+    }
+
+    /// Message and round counts summed over a suite of runs, for the
+    /// halting node and for the fixed schedule.
+    #[derive(Debug, Default)]
+    struct Totals {
+        instances: usize,
+        messages: usize,
+        fixed_messages: usize,
+    }
+
+    /// The halting node against the fixed schedule, from the same fresh
+    /// states: equal outputs, and no node halting later, no more rounds
+    /// and no more messages than in the fixed schedule. Both sides'
+    /// message counts are added to `totals`.
+    fn assert_matches_fixed_schedule(pg: &PortNumberedGraph, what: &str, totals: &mut Totals) {
+        use super::reference::FixedNode;
+        let run = Simulator::new(pg)
+            .run(|_, d| RegularOddNode::new(d))
+            .unwrap();
+        let fixed = Simulator::new(pg).run(|_, d| FixedNode::new(d)).unwrap();
+        assert_eq!(run.outputs, fixed.outputs, "{what}");
+        for (v, (at, cap)) in run.halted_at.iter().zip(&fixed.halted_at).enumerate() {
+            assert!(at <= cap, "{what}: node {v} halted at {at}, after {cap}");
+        }
+        assert!(run.rounds <= fixed.rounds, "{what}");
+        assert!(run.messages <= fixed.messages, "{what}");
+        totals.instances += 1;
+        totals.messages += run.messages;
+        totals.fixed_messages += fixed.messages;
+    }
+
+    #[test]
+    fn halting_run_matches_the_fixed_schedule_on_simple_graphs() {
+        let mut totals = Totals::default();
+        for d in 1..=9usize {
+            // n·d must be even; the smallest graph is the clique K_{d+1}.
+            let sizes = [d + 1, d + 3, 2 * d + 4];
+            for n in sizes {
+                for salt in 0..24u64 {
+                    let g = generators::random_regular(n, d, salt * 131 + d as u64).unwrap();
+                    for shuffled in [false, true] {
+                        let pg = if shuffled {
+                            ports::shuffled_ports(&g, salt).unwrap()
+                        } else {
+                            ports::canonical_ports(&g).unwrap()
+                        };
+                        let what = format!("d={d} n={n} salt={salt} shuffled={shuffled}");
+                        assert_matches_fixed_schedule(&pg, &what, &mut totals);
+                    }
+                }
+            }
+        }
+        // The Theorem 1 and 2 lower-bound graphs, as built and under
+        // shuffled numberings.
+        for d in 1..=9usize {
+            let g = if d % 2 == 1 {
+                eds_lower_bounds::odd::build(d).unwrap().graph
+            } else {
+                eds_lower_bounds::even::build(d).unwrap().graph
+            };
+            assert_matches_fixed_schedule(&g, &format!("lower bound d={d}"), &mut totals);
+            let simple = g.to_simple().unwrap();
+            for salt in 0..8 {
+                let pg = ports::shuffled_ports(&simple, salt).unwrap();
+                let what = format!("lower bound d={d} salt={salt}");
+                assert_matches_fixed_schedule(&pg, &what, &mut totals);
+            }
+        }
+        assert_eq!(totals.instances, 9 * 3 * 24 * 2 + 9 * 9);
+        // Rounds 0 and 1 go out on every port; later rounds carry only
+        // the `M(i, j)` traffic of nodes still deciding.
+        assert!(
+            20 * totals.messages < totals.fixed_messages,
+            "halting saved too little: {totals:?}"
+        );
+    }
+
+    #[test]
+    fn halting_run_matches_the_fixed_schedule_on_multigraphs() {
+        let mut totals = Totals::default();
+        // The lower-bound target multigraphs: one node with every port
+        // pair looped (Theorem 1), and d + 1 nodes with parallel links
+        // and loops (Theorem 2).
+        for d in 1..=9usize {
+            let target = if d % 2 == 1 {
+                eds_lower_bounds::odd::build(d).unwrap().target
+            } else {
+                eds_lower_bounds::even::build(d).unwrap().target
+            };
+            assert_matches_fixed_schedule(&target, &format!("target d={d}"), &mut totals);
+        }
+        // Random port involutions with fixed points.
+        for d in 1..=9usize {
+            for n in [1usize, 2, 3, 5, 8, 13] {
+                for salt in 0..20u64 {
+                    let pg = regular_multigraph(n, d, salt * 977 + (n * 10 + d) as u64);
+                    let what = format!("multigraph d={d} n={n} salt={salt}");
+                    assert_matches_fixed_schedule(&pg, &what, &mut totals);
+                }
+            }
+        }
+        assert_eq!(totals.instances, 9 + 9 * 6 * 20);
+        assert!(
+            20 * totals.messages < totals.fixed_messages,
+            "halting saved too little: {totals:?}"
+        );
     }
 
     #[test]

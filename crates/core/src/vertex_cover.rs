@@ -15,8 +15,8 @@
 //! the port-numbering model" that Section 1.4 contrasts with the
 //! edge-based problem.
 
-use pn_graph::{NodeId, PortNumberedGraph};
-use pn_runtime::{NodeAlgorithm, RuntimeError, Simulator};
+use pn_graph::{NodeId, Port, PortNumberedGraph};
+use pn_runtime::{NodeAlgorithm, PortSet, RuntimeError, Simulator};
 
 use crate::proposals::double_cover_two_matching;
 
@@ -59,22 +59,35 @@ pub enum VcMsg {
 }
 
 /// Distributed implementation: the standalone double-cover proposal
-/// protocol. Each node plays a proposer and an acceptor role; after
-/// `2·Δ` rounds it outputs whether it is covered by the 2-matching.
+/// protocol. Each node plays a proposer and an acceptor role, one
+/// propose/respond round pair per port; within `2·Δ` rounds it outputs
+/// whether it is covered by the 2-matching.
 ///
 /// The family is parametrised by `Δ` (an upper bound on the degrees)
 /// because anonymous nodes cannot otherwise know when all proposals have
-/// settled.
+/// settled; `2·Δ` is a cap. A node halts, with the output it would give
+/// at the cap, at the end of
+///
+/// * a respond round after which it has accepted an offer and its own
+///   proposing is over (its offer was accepted, or every port has been
+///   tried): it will neither propose nor accept again, so its `None`
+///   reads as "no proposal" in a propose round and as "not accepted" in
+///   a respond round, which is what it would send;
+/// * a round in which no port delivered a message: every running node
+///   sends on every port, so all its neighbours have halted, and no
+///   offer can reach it or be accepted by one of them.
 #[derive(Clone, Debug)]
 pub struct VertexCoverNode {
     delta: usize,
     degree: usize,
     cursor: usize,
     pending: Option<usize>,
-    incoming: Vec<usize>,
+    /// The ports a proposal arrived on in the last propose round.
+    incoming: PortSet,
     proposer_done: bool,
     acceptor_done: bool,
-    in_p: Vec<bool>,
+    /// The node is covered by the 2-matching.
+    covered: bool,
 }
 
 impl VertexCoverNode {
@@ -91,10 +104,10 @@ impl VertexCoverNode {
             degree,
             cursor: 0,
             pending: None,
-            incoming: Vec::new(),
+            incoming: PortSet::new(),
             proposer_done: false,
             acceptor_done: false,
-            in_p: vec![false; degree],
+            covered: false,
         }
     }
 }
@@ -118,14 +131,14 @@ impl NodeAlgorithm for VertexCoverNode {
         } else {
             // Respond round.
             let incoming = std::mem::take(&mut self.incoming);
-            for &q in &incoming {
-                outbox[q] = Some(VcMsg::Response(false));
+            for p in incoming.iter() {
+                outbox[p.index()] = Some(VcMsg::Response(false));
             }
             if !self.acceptor_done {
-                if let Some(&best) = incoming.iter().min() {
-                    outbox[best] = Some(VcMsg::Response(true));
+                if let Some(best) = incoming.iter().next() {
+                    outbox[best.index()] = Some(VcMsg::Response(true));
                     self.acceptor_done = true;
-                    self.in_p[best] = true;
+                    self.covered = true;
                 }
             }
         }
@@ -135,27 +148,26 @@ impl NodeAlgorithm for VertexCoverNode {
         if self.degree == 0 {
             return Some(false);
         }
-        if round.is_multiple_of(2) {
-            self.incoming.clear();
-            for (q, m) in inbox.iter().enumerate() {
-                if m == &Some(VcMsg::Propose) {
-                    self.incoming.push(q);
-                }
-            }
-            None
+        let silent = inbox.iter().all(Option::is_none);
+        let done = if round.is_multiple_of(2) {
+            self.incoming = inbox
+                .iter()
+                .enumerate()
+                .filter(|(_, m)| **m == Some(VcMsg::Propose))
+                .map(|(q, _)| Port::from_index(q))
+                .collect();
+            false
         } else {
             if let Some(q) = self.pending.take() {
                 if inbox[q] == Some(VcMsg::Response(true)) {
                     self.proposer_done = true;
-                    self.in_p[q] = true;
+                    self.covered = true;
                 }
             }
-            if round + 1 >= 2 * self.delta.max(1) {
-                Some(self.in_p.iter().any(|&b| b))
-            } else {
-                None
-            }
-        }
+            let proposing_over = self.proposer_done || self.cursor >= self.degree;
+            (self.acceptor_done && proposing_over) || round + 1 >= 2 * self.delta.max(1)
+        };
+        (done || silent).then_some(self.covered)
     }
 }
 
@@ -182,6 +194,102 @@ pub fn is_vertex_cover(g: &PortNumberedGraph, cover: &[NodeId]) -> bool {
         let (u, v) = shape.nodes();
         in_cover[u.index()] || in_cover[v.index()]
     })
+}
+
+/// The node before it halted early: every node runs the whole `2·Δ`
+/// schedule and keeps one flag per port. Kept verbatim as the oracle
+/// whose outputs the halting node must match run for run.
+#[cfg(test)]
+mod reference {
+    use super::VcMsg;
+    use pn_runtime::NodeAlgorithm;
+
+    #[derive(Clone, Debug)]
+    pub(super) struct FixedNode {
+        delta: usize,
+        degree: usize,
+        cursor: usize,
+        pending: Option<usize>,
+        incoming: Vec<usize>,
+        proposer_done: bool,
+        acceptor_done: bool,
+        in_p: Vec<bool>,
+    }
+
+    impl FixedNode {
+        pub(super) fn new(delta: usize, degree: usize) -> Self {
+            assert!(degree <= delta, "node degree exceeds Δ");
+            FixedNode {
+                delta,
+                degree,
+                cursor: 0,
+                pending: None,
+                incoming: Vec::new(),
+                proposer_done: false,
+                acceptor_done: false,
+                in_p: vec![false; degree],
+            }
+        }
+    }
+
+    impl NodeAlgorithm for FixedNode {
+        type Message = VcMsg;
+        type Output = bool;
+
+        fn send_into(&mut self, round: usize, outbox: &mut [Option<VcMsg>]) {
+            outbox.fill(Some(VcMsg::Nothing));
+            if round.is_multiple_of(2) {
+                // Propose round.
+                self.pending = None;
+                if !self.proposer_done && self.cursor < self.degree {
+                    let q = self.cursor;
+                    self.cursor += 1;
+                    self.pending = Some(q);
+                    outbox[q] = Some(VcMsg::Propose);
+                }
+            } else {
+                // Respond round.
+                let incoming = std::mem::take(&mut self.incoming);
+                for &q in &incoming {
+                    outbox[q] = Some(VcMsg::Response(false));
+                }
+                if !self.acceptor_done {
+                    if let Some(&best) = incoming.iter().min() {
+                        outbox[best] = Some(VcMsg::Response(true));
+                        self.acceptor_done = true;
+                        self.in_p[best] = true;
+                    }
+                }
+            }
+        }
+
+        fn receive(&mut self, round: usize, inbox: &[Option<VcMsg>]) -> Option<bool> {
+            if self.degree == 0 {
+                return Some(false);
+            }
+            if round.is_multiple_of(2) {
+                self.incoming.clear();
+                for (q, m) in inbox.iter().enumerate() {
+                    if m == &Some(VcMsg::Propose) {
+                        self.incoming.push(q);
+                    }
+                }
+                None
+            } else {
+                if let Some(q) = self.pending.take() {
+                    if inbox[q] == Some(VcMsg::Response(true)) {
+                        self.proposer_done = true;
+                        self.in_p[q] = true;
+                    }
+                }
+                if round + 1 >= 2 * self.delta.max(1) {
+                    Some(self.in_p.iter().any(|&b| b))
+                } else {
+                    None
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -242,7 +350,90 @@ mod tests {
         let run = Simulator::new(&pg)
             .run(|_, d| VertexCoverNode::new(4, d))
             .unwrap();
-        assert_eq!(run.rounds, 8);
+        assert!(run.rounds <= 8);
+        let fixed = Simulator::new(&pg)
+            .run(|_, d| reference::FixedNode::new(4, d))
+            .unwrap();
+        assert_eq!(fixed.rounds, 8);
+    }
+
+    /// Message counts summed over a suite of runs, for the halting node
+    /// and for the fixed schedule.
+    #[derive(Debug, Default)]
+    struct Totals {
+        instances: usize,
+        messages: usize,
+        fixed_messages: usize,
+    }
+
+    /// The halting node against the fixed schedule, from the same fresh
+    /// states: equal outputs, and no node halting later, no more rounds
+    /// and no more messages than in the fixed schedule.
+    fn assert_matches_fixed_schedule(
+        pg: &PortNumberedGraph,
+        delta: usize,
+        what: &str,
+        totals: &mut Totals,
+    ) {
+        let run = Simulator::new(pg)
+            .run(|_, d| VertexCoverNode::new(delta, d))
+            .unwrap();
+        let fixed = Simulator::new(pg)
+            .run(|_, d| reference::FixedNode::new(delta, d))
+            .unwrap();
+        let what = format!("{what} Δ={delta}");
+        assert_eq!(run.outputs, fixed.outputs, "{what}");
+        for (v, (at, cap)) in run.halted_at.iter().zip(&fixed.halted_at).enumerate() {
+            assert!(at <= cap, "{what}: node {v} halted at {at}, after {cap}");
+        }
+        assert!(run.rounds <= fixed.rounds, "{what}");
+        assert!(run.messages <= fixed.messages, "{what}");
+        totals.instances += 1;
+        totals.messages += run.messages;
+        totals.fixed_messages += fixed.messages;
+    }
+
+    #[test]
+    fn halting_run_matches_the_fixed_schedule() {
+        let mut totals = Totals::default();
+        for salt in 0..36u64 {
+            let families = [
+                ("gnp-24", generators::gnp(24, 0.2, salt).unwrap()),
+                (
+                    "bounded-degree-30-D5",
+                    generators::random_bounded_degree(30, 5, 0.8, salt).unwrap(),
+                ),
+                (
+                    "power-law-30",
+                    generators::preferential_attachment(30, 2, salt).unwrap(),
+                ),
+                ("tree-30", generators::random_tree(30, salt).unwrap()),
+                (
+                    "regular-20",
+                    generators::random_regular(20, 1 + salt as usize % 6, salt).unwrap(),
+                ),
+            ];
+            for (name, g) in families {
+                for shuffled in [false, true] {
+                    let pg = if shuffled {
+                        ports::shuffled_ports(&g, salt).unwrap()
+                    } else {
+                        ports::canonical_ports(&g).unwrap()
+                    };
+                    // The true maximum degree, and claims above it.
+                    let max = pg.max_degree();
+                    for delta in [max, max + 1, max + 2 + salt as usize % 5] {
+                        let what = format!("{name} salt={salt} shuffled={shuffled}");
+                        assert_matches_fixed_schedule(&pg, delta, &what, &mut totals);
+                    }
+                }
+            }
+        }
+        assert_eq!(totals.instances, 36 * 5 * 2 * 3);
+        assert!(
+            3 * totals.messages < totals.fixed_messages,
+            "halting saved too little: {totals:?}"
+        );
     }
 
     #[test]

@@ -21,11 +21,15 @@
 //! * the identifier-model matching reads it as "no proposal" in a
 //!   propose round and as "not accepted" in a respond round;
 //! * `A(Δ)` reads it as "covered" in a cover exchange, as "no proposal"
-//!   in a propose round and as "refused" in a respond round.
+//!   in a propose round and as "refused" in a respond round;
+//! * Theorem 4 reads it as "`D`-degree below 2" in Phase II, the only
+//!   phase in which a neighbour can have halted before a round that
+//!   involves it;
+//! * the vertex cover reads it as "no proposal" in a propose round and
+//!   as "not accepted" in a respond round.
 //!
-//! The port-one, Theorem 4 and vertex-cover protocols halt every node
-//! that has a port in the same round, so they never receive a halted
-//! neighbour's `None`.
+//! The port-one protocol halts every node in its one round, so it never
+//! receives a halted neighbour's `None`.
 
 /// The state machine run by every node.
 ///

@@ -14,7 +14,7 @@
 //!   convention for edge subsets, with the internal-consistency check;
 //! * [`fiber_agreement`] — executable covering-map indistinguishability.
 //!
-//! # The three-phase round engine
+//! # The two-pass round engine
 //!
 //! [`Simulator::run`] is the one entry point. It builds every node's
 //! state with a factory `Fn(NodeId, usize) -> A` (node id and degree;
@@ -22,25 +22,25 @@
 //! engines: the sequential engine, or a worker pool when
 //! [`RunOptions::threads`] is two or more. The sequential engine is the
 //! oracle: the pool is bit-identical to it at every thread count. Both
-//! execute the same zero-allocation
-//! round loop over two flat per-port message buffers (`outbox`, `inbox`),
-//! laid out in the graph's slot arena: node `v`'s ports occupy the
-//! contiguous window starting at
+//! execute the same zero-allocation round loop over one flat per-port
+//! inbox, laid out in the graph's slot arena: node `v`'s ports occupy
+//! the contiguous window starting at
 //! [`pn_graph::PortNumberedGraph::slot_offsets`]`()[v]`. Each round is
-//! three phases:
+//! two passes:
 //!
-//! 1. **Send** — every *active* node writes one message per port into its
-//!    outbox window via [`NodeAlgorithm::send_into`];
-//! 2. **Route** — a permuted buffer move: `inbox[route[s]] =
-//!    outbox[s].take()` for every occupied source slot `s`, where `route`
-//!    is the **routing table** precomputed at [`Simulator`] construction
+//! 1. **Send + route** — every *active* node writes one message per port
+//!    into a scratch window as long as the largest degree
+//!    ([`NodeAlgorithm::send_into`]), and each message is moved at once
+//!    to `inbox[route[s]]`, where `s` is its source slot and `route` is
+//!    the **routing table** precomputed at [`Simulator`] construction
 //!    (`route[slot(e)] = slot(p(e))`; it equals its own inverse because
 //!    the port map `p` is an involution — see
 //!    [`Simulator::routing_table`]). No `connection()` lookups or
-//!    `Endpoint` arithmetic happen per round, and draining the outbox
-//!    with `take` restores its all-`None` invariant without a full
-//!    buffer clear;
-//! 3. **Receive** — every active node consumes its inbox window through
+//!    `Endpoint` arithmetic happen per round, and draining the window
+//!    with `take` leaves it all-`None` for the next node. No node reads
+//!    its inbox before the second pass, so routing while others are
+//!    still sending changes nothing;
+//! 2. **Receive** — every active node consumes its inbox window through
 //!    [`NodeAlgorithm::receive`] and optionally halts with an output.
 //!
 //! Active nodes live on a **frontier** (a compact vector of still-running
@@ -58,13 +58,12 @@
 //! `parallel` module docs describe the full design (sharing discipline,
 //! quiescent chunks, barrier poisoning).
 //!
-//! Execution transcripts ([`RunOptions::record_trace`]) are captured by a
-//! separate traced route phase of the sequential engine, which a traced
-//! run always takes; with tracing off (the default) the hot loop
-//! contains no formatting and no per-message branching beyond the
-//! occupancy check.
+//! Execution transcripts ([`RunOptions::record_trace`]) are captured by
+//! the sequential engine as it routes, which a traced run always takes;
+//! with tracing off (the default) the hot loop formats nothing and
+//! tests one flag per node.
 //!
-//! A node sends by writing into its window of the outbox
+//! A node sends by writing into its scratch window
 //! ([`NodeAlgorithm::send_into`]), one slot per port, so the engine never
 //! allocates per node per round and a node cannot send the wrong number
 //! of messages. A slot left `None` delivers nothing on that port (the

@@ -8,12 +8,17 @@
 //! selected edge.
 
 use std::collections::BTreeSet;
+use std::fmt;
 
 use pn_graph::{EdgeId, Endpoint, NodeId, Port, PortNumberedGraph};
 
 use crate::RuntimeError;
 
 /// The output of one node: the set `X(v)` of selected port numbers.
+///
+/// Ports 1 to 64 live in one inline word, so a set of them never
+/// allocates; only a port above 64 spills into a heap-allocated ordered
+/// set. `Debug` prints `PortSet { ports: {p1, p3} }`, ascending.
 ///
 /// # Examples
 ///
@@ -25,10 +30,16 @@ use crate::RuntimeError;
 /// assert!(x.contains(Port::new(2)));
 /// assert!(!x.contains(Port::new(1)));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct PortSet {
-    ports: BTreeSet<Port>,
+    /// Bit `p - 1` is set when port `p ≤ 64` is selected.
+    low: u64,
+    /// The selected ports above 64; it allocates on the first insert.
+    high: BTreeSet<Port>,
 }
+
+/// The ports the inline word holds.
+const LOW_PORTS: u32 = u64::BITS;
 
 impl PortSet {
     /// Creates an empty port set.
@@ -38,41 +49,76 @@ impl PortSet {
 
     /// Inserts a port; returns `true` if it was not already present.
     pub fn insert(&mut self, p: Port) -> bool {
-        self.ports.insert(p)
+        if p.get() <= LOW_PORTS {
+            let bit = 1u64 << p.index();
+            let fresh = self.low & bit == 0;
+            self.low |= bit;
+            fresh
+        } else {
+            self.high.insert(p)
+        }
     }
 
     /// Returns `true` if the port is selected.
     pub fn contains(&self, p: Port) -> bool {
-        self.ports.contains(&p)
+        if p.get() <= LOW_PORTS {
+            self.low & 1u64 << p.index() != 0
+        } else {
+            self.high.contains(&p)
+        }
     }
 
     /// Number of selected ports.
     pub fn len(&self) -> usize {
-        self.ports.len()
+        self.low.count_ones() as usize + self.high.len()
     }
 
     /// Returns `true` if no port is selected.
     pub fn is_empty(&self) -> bool {
-        self.ports.is_empty()
+        self.low == 0 && self.high.is_empty()
     }
 
     /// Iterates over the selected ports in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = Port> + '_ {
-        self.ports.iter().copied()
+        let mut low = self.low;
+        std::iter::from_fn(move || {
+            (low != 0).then(|| {
+                let index = low.trailing_zeros() as usize;
+                low &= low - 1;
+                Port::from_index(index)
+            })
+        })
+        .chain(self.high.iter().copied())
+    }
+}
+
+impl fmt::Debug for PortSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Ports<'a>(&'a PortSet);
+        impl fmt::Debug for Ports<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_set().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("PortSet")
+            .field("ports", &Ports(self))
+            .finish()
     }
 }
 
 impl FromIterator<Port> for PortSet {
     fn from_iter<T: IntoIterator<Item = Port>>(iter: T) -> Self {
-        PortSet {
-            ports: iter.into_iter().collect(),
-        }
+        let mut set = PortSet::new();
+        set.extend(iter);
+        set
     }
 }
 
 impl Extend<Port> for PortSet {
     fn extend<T: IntoIterator<Item = Port>>(&mut self, iter: T) {
-        self.ports.extend(iter);
+        for p in iter {
+            self.insert(p);
+        }
     }
 }
 
@@ -214,5 +260,53 @@ mod tests {
         s.extend([Port::new(2)]);
         assert_eq!(s.len(), 3);
         assert!(!s.insert(Port::new(2)));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+        /// The same inserts applied to a `PortSet` and to a
+        /// `BTreeSet<Port>`, over ports 1 to 200 so that both the inline
+        /// word and the spill set are exercised, give the same answers.
+        #[test]
+        fn port_set_matches_a_btree_set(
+            numbers in proptest::collection::vec(1u32..=200, 0..48),
+            rotate in 0usize..48,
+        ) {
+            let mut set = PortSet::new();
+            let mut oracle = BTreeSet::new();
+            for &n in &numbers {
+                let p = Port::new(n);
+                proptest::prop_assert_eq!(set.insert(p), oracle.insert(p));
+                proptest::prop_assert_eq!(set.len(), oracle.len());
+            }
+            for n in 1..=201 {
+                let p = Port::new(n);
+                proptest::prop_assert_eq!(set.contains(p), oracle.contains(&p));
+            }
+            proptest::prop_assert_eq!(set.is_empty(), oracle.is_empty());
+            let listed: Vec<Port> = set.iter().collect();
+            let expected: Vec<Port> = oracle.iter().copied().collect();
+            proptest::prop_assert_eq!(&listed, &expected);
+            proptest::prop_assert_eq!(
+                format!("{set:?}"),
+                format!("PortSet {{ ports: {oracle:?} }}")
+            );
+            // Built in other orders, the set is equal, and so is a clone.
+            let mut reordered = numbers.clone();
+            reordered.reverse();
+            if !reordered.is_empty() {
+                let k = rotate % reordered.len();
+                reordered.rotate_left(k);
+            }
+            let rebuilt: PortSet = reordered.iter().map(|&n| Port::new(n)).collect();
+            proptest::prop_assert_eq!(&rebuilt, &set);
+            proptest::prop_assert_eq!(&set.clone(), &set);
+            if let Some(&extra) = (1..=200).find(|n| !oracle.contains(&Port::new(*n))).as_ref() {
+                let mut bigger = set.clone();
+                bigger.insert(Port::new(extra));
+                proptest::prop_assert_ne!(&bigger, &set);
+            }
+        }
     }
 }

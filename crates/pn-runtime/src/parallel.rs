@@ -8,24 +8,25 @@
 //! the remaining worker; `threads` is clamped to the node count) and
 //! moves the whole round loop inside that scope. Nodes are partitioned
 //! into one contiguous chunk per worker; each worker exclusively owns its
-//! chunk's algorithm states, outbox and inbox slot ranges, output/halt
-//! slots and an **active-node frontier** (compacted in place as its nodes
-//! halt, exactly like the sequential engine). Workers advance in lock step
+//! chunk's algorithm states, inbox slot range, output/halt slots, a
+//! degree-sized scratch window and an **active-node frontier**
+//! (compacted in place as its nodes halt, exactly like the sequential
+//! engine). Workers advance in lock step
 //! through a shared [`PoolBarrier`] — an epoch counter plus a poisoning
 //! flag — so the steady-state cost of a round is **two barrier waits**,
 //! not the `3 × threads` thread spawns of the previous scoped-spawn
 //! design:
 //!
-//! 1. **send + route (fused)** — the worker writes each frontier node's
-//!    outbox window ([`NodeAlgorithm::send_into`]) and immediately
+//! 1. **send + route (fused)** — the worker has each frontier node write
+//!    its scratch window ([`NodeAlgorithm::send_into`]) and immediately
 //!    gathers: every written slot is **moved** (`take()`) through the
 //!    precomputed routing table. A message staying inside the chunk
 //!    lands directly in the worker's own inbox range; a message crossing
 //!    chunks is moved into a per-(sender, receiver) **mailbox** handed
 //!    over wholesale (one lock per worker pair per round, buffers
 //!    swapped so capacity is reused). No message is ever cloned, and
-//!    draining the outbox restores its all-`None` invariant for free,
-//!    mirroring the sequential engine. The two sub-phases need no
+//!    draining the window restores its all-`None` invariant for free,
+//!    exactly as in the sequential engine. The two sub-phases need no
 //!    barrier between them because no worker reads another's inbox or
 //!    mailboxes until the next phase.
 //! 2. *barrier* — all routed messages become visible.
@@ -232,7 +233,9 @@ struct Seat<'a, A: NodeAlgorithm> {
     states: &'a mut [Option<A>],
     outputs: &'a mut [Option<A::Output>],
     halted_at: &'a mut [usize],
-    outbox: &'a mut [Option<A::Message>],
+    /// One node's sends, as long as the largest degree; all-`None`
+    /// between sends.
+    window: Vec<Option<A::Message>>,
     inbox: &'a mut [Option<A::Message>],
     frontier: Vec<u32>,
     /// Per-destination-chunk staging buffers for cross-chunk messages,
@@ -280,8 +283,8 @@ impl Simulator<'_> {
         let mut states: Vec<Option<A>> = states.into_iter().map(Some).collect();
         let mut outputs: Vec<Option<Out<A>>> = (0..n).map(|_| None).collect();
         let mut halted_at = vec![0usize; n];
-        let mut outbox: Vec<Option<Msg<A>>> = (0..total_ports).map(|_| None).collect();
         let mut inbox: Vec<Option<Msg<A>>> = (0..total_ports).map(|_| None).collect();
+        let max_degree = g.max_degree();
 
         let shared = SharedCtx::<A> {
             graph: g,
@@ -308,7 +311,6 @@ impl Simulator<'_> {
             let mut states_rest = states.as_mut_slice();
             let mut outputs_rest = outputs.as_mut_slice();
             let mut halted_rest = halted_at.as_mut_slice();
-            let mut outbox_rest = outbox.as_mut_slice();
             let mut inbox_rest = inbox.as_mut_slice();
             let mut node_consumed = 0usize;
             let mut slot_consumed = 0usize;
@@ -319,8 +321,6 @@ impl Simulator<'_> {
                 outputs_rest = next;
                 let (seat_halted, next) = halted_rest.split_at_mut(hi - node_consumed);
                 halted_rest = next;
-                let (seat_outbox, next) = outbox_rest.split_at_mut(slot_at(hi) - slot_consumed);
-                outbox_rest = next;
                 let (seat_inbox, next) = inbox_rest.split_at_mut(slot_at(hi) - slot_consumed);
                 inbox_rest = next;
                 node_consumed = hi;
@@ -333,7 +333,7 @@ impl Simulator<'_> {
                     states: seat_states,
                     outputs: seat_outputs,
                     halted_at: seat_halted,
-                    outbox: seat_outbox,
+                    window: (0..max_degree).map(|_| None).collect(),
                     inbox: seat_inbox,
                     frontier: (lo as u32..hi as u32).collect(),
                     outbound: (0..workers).map(|_| Vec::new()).collect(),
@@ -430,11 +430,10 @@ where
             let v = vu as usize;
             let base = sh.offsets[v];
             let d = g.degree(NodeId::new(v));
-            let local = base - slot_base;
             let state = seat.states[v - seat.lo]
                 .as_mut()
                 .expect("frontier nodes run");
-            let window = &mut seat.outbox[local..local + d];
+            let window = &mut seat.window[..d];
             state.send_into(rounds, window);
             for (off, slot) in window.iter_mut().enumerate() {
                 if let Some(m) = slot.take() {

@@ -1,10 +1,13 @@
-//! The synchronous executor: a zero-allocation three-phase round engine.
+//! The synchronous executor: a zero-allocation two-pass round engine.
 //!
-//! Per-round work is three passes over an **active-node frontier** —
-//! send, route, receive — against two flat per-port message buffers. All
-//! routing arithmetic is precomputed at [`Simulator`] construction into a
-//! flat slot permutation, so the steady-state round loop performs no
-//! allocation, no hashing, and no `Endpoint` arithmetic.
+//! Per-round work is two passes over an **active-node frontier**. The
+//! first fuses send and route: each node writes its messages into a
+//! degree-sized scratch window, and each one is moved straight to the
+//! flat per-port inbox slot it is routed to. The second delivers every
+//! node's inbox window. All routing arithmetic is precomputed at
+//! [`Simulator`] construction into a flat slot permutation, so the
+//! steady-state round loop performs no allocation, no hashing, and no
+//! `Endpoint` arithmetic.
 
 use pn_graph::{Endpoint, NodeId, Port, PortNumberedGraph};
 
@@ -62,8 +65,8 @@ pub struct Run<O> {
 /// Construction precomputes the **routing table**: a permutation of the
 /// flat port-slot arena mapping each source slot to the slot of the port
 /// it is wired to (`route[slot(e)] = slot(p(e))`). Because the port map
-/// `p` is an involution, the table is its own inverse; the per-round
-/// route phase is a single permuted buffer move.
+/// `p` is an involution, the table is its own inverse; routing a message
+/// is one table lookup.
 ///
 /// # Examples
 ///
@@ -216,14 +219,14 @@ impl<'g> Simulator<'g> {
         // into the global registry once on drop (any exit path).
         let mut stats = RunFlush::new(true);
 
-        // Flat per-port buffers, allocated once. Invariant at the top of
-        // every round: `outbox` is all-`None` (the route phase drains it)
-        // and the inbox windows of all *running* nodes are all-`None`
-        // (cleared in the receive phase). Halted nodes' windows may hold
-        // stale values; nothing reads them.
-        let total_ports = g.port_count();
-        let mut outbox: Vec<Option<A::Message>> = (0..total_ports).map(|_| None).collect();
-        let mut inbox: Vec<Option<A::Message>> = (0..total_ports).map(|_| None).collect();
+        // Buffers allocated once: a scratch window as long as the largest
+        // degree, drained after every send so it is all-`None` whenever a
+        // node writes into it, and one flat per-port inbox. Invariant at
+        // the top of every round: the inbox windows of all *running*
+        // nodes are all-`None` (cleared in the receive phase). Halted
+        // nodes' windows may hold stale values; nothing reads them.
+        let mut window: Vec<Option<A::Message>> = (0..g.max_degree()).map(|_| None).collect();
+        let mut inbox: Vec<Option<A::Message>> = (0..g.port_count()).map(|_| None).collect();
 
         // Active-node frontier, ascending; compacted in place as nodes
         // halt so a halted node costs nothing in later rounds.
@@ -246,48 +249,39 @@ impl<'g> Simulator<'g> {
             }
             stats.frontier.observe(frontier.len() as u64);
 
-            // ---- Send phase: every active node writes its window. ----
+            // ---- Send + route (fused): every active node writes the
+            // scratch window, and each message is moved through the
+            // routing table while the window is hot. No node reads its
+            // inbox before the receive phase, so routing early changes
+            // nothing. ----
             for &vu in &frontier {
                 let v = vu as usize;
                 let base = offsets[v];
-                let d = g.degree(NodeId::new(v));
+                let out = &mut window[..g.degree(NodeId::new(v))];
                 let state = states[v].as_mut().expect("frontier nodes are running");
-                state.send_into(rounds, &mut outbox[base..base + d]);
-            }
-
-            // ---- Route phase: permuted move through the routing table,
-            // draining the outbox (which restores its all-`None`
-            // invariant for free). ----
-            if let Some(t) = trace.as_mut() {
-                // Traced slow path: reconstruct endpoints and format
-                // messages. Only taken when a transcript was requested.
-                for &vu in &frontier {
-                    let v = vu as usize;
-                    let base = offsets[v];
-                    for i in 0..g.degree(NodeId::new(v)) {
-                        let s = base + i;
-                        if let Some(m) = outbox[s].take() {
-                            t.messages.push(crate::MessageEvent {
-                                round: rounds,
-                                from: Endpoint::new(NodeId::new(v), Port::from_index(i)),
-                                to: g.involution()[s],
-                                message: format!("{m:?}"),
-                            });
-                            inbox[route[s] as usize] = Some(m);
+                state.send_into(rounds, out);
+                // Untraced runs test the trace flag once per node, not
+                // once per message.
+                let Some(t) = trace.as_mut() else {
+                    for (slot, &to) in out.iter_mut().zip(&route[base..]) {
+                        if let Some(m) = slot.take() {
+                            inbox[to as usize] = Some(m);
                             messages += 1;
                         }
                     }
-                }
-            } else {
-                for &vu in &frontier {
-                    let v = vu as usize;
-                    let base = offsets[v];
-                    let d = g.degree(NodeId::new(v));
-                    for s in base..base + d {
-                        if let Some(m) = outbox[s].take() {
-                            inbox[route[s] as usize] = Some(m);
-                            messages += 1;
-                        }
+                    continue;
+                };
+                for (i, slot) in out.iter_mut().enumerate() {
+                    if let Some(m) = slot.take() {
+                        let s = base + i;
+                        t.messages.push(crate::MessageEvent {
+                            round: rounds,
+                            from: Endpoint::new(NodeId::new(v), Port::from_index(i)),
+                            to: g.involution()[s],
+                            message: format!("{m:?}"),
+                        });
+                        inbox[route[s] as usize] = Some(m);
+                        messages += 1;
                     }
                 }
             }

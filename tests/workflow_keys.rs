@@ -11,8 +11,10 @@
 //!
 //! A third check keeps every step pointed at code that exists: each
 //! `--bin NAME` and `./target/release/NAME` names a binary of some
-//! manifest in the repository, and each script a step runs
-//! (`python3 perfbench/run.py`, `./path`) is a file of the repository.
+//! manifest in the repository, each `--example NAME` a file under
+//! `examples/`, and each script a step runs (`python3 perfbench/run.py`,
+//! `./path`) a file of the repository. Every file under `examples/` must
+//! be run by some step.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -173,6 +175,8 @@ fn locked_manifest_dirs(source: &str) -> Vec<(usize, String)> {
 enum Needs {
     /// From `--bin NAME` or `./target/release/NAME`.
     Binary(String),
+    /// From `--example NAME`.
+    Example(String),
     /// A script run by `python3`/`python`/`bash`/`sh`, or a `./PATH`.
     Path(String),
 }
@@ -192,6 +196,8 @@ fn step_needs(source: &str) -> Vec<(usize, Needs)> {
                 Needs::Binary(name.to_owned())
             } else if word == "--bin" && !next.is_empty() {
                 Needs::Binary(next.to_owned())
+            } else if word == "--example" && !next.is_empty() {
+                Needs::Example(next.to_owned())
             } else if let Some(path) = word.strip_prefix("./") {
                 Needs::Path(path.to_owned())
             } else if matches!(word, "python3" | "python" | "bash" | "sh")
@@ -442,12 +448,19 @@ fn ci_steps_name_binaries_and_paths_that_exist() {
     yaml_files(&repo.join(".github"), &mut files);
     let mut needs = 0;
     let mut problems = Vec::new();
+    let mut examples_run = HashSet::new();
     for file in &files {
         let source = std::fs::read_to_string(file).expect("readable YAML file");
         for (line, need) in step_needs(&source) {
             needs += 1;
             let exists = match &need {
                 Needs::Binary(name) => binaries.contains(name),
+                Needs::Example(name) => {
+                    examples_run.insert(name.clone());
+                    let dir = repo.join("examples");
+                    dir.join(format!("{name}.rs")).is_file()
+                        || dir.join(name).join("main.rs").is_file()
+                }
                 Needs::Path(path) => repo.join(path).exists(),
             };
             if !exists {
@@ -456,6 +469,21 @@ fn ci_steps_name_binaries_and_paths_that_exist() {
         }
     }
     assert!(needs > 0, "no binaries or scripts found in the workflows");
+    for entry in std::fs::read_dir(repo.join("examples")).expect("an examples directory") {
+        let path = entry.expect("readable examples directory").path();
+        let name = match path.extension() {
+            Some(ext) if ext == "rs" => path.file_stem(),
+            None if path.join("main.rs").is_file() => path.file_name(),
+            _ => continue,
+        };
+        let name = name
+            .expect("a named example")
+            .to_string_lossy()
+            .into_owned();
+        if !examples_run.contains(&name) {
+            problems.push(format!("no workflow step runs --example {name}"));
+        }
+    }
     assert!(problems.is_empty(), "{}", problems.join("\n"));
 }
 
@@ -469,6 +497,7 @@ fn the_step_reader_finds_binaries_and_scripts() {
             -p eds-bench --bin table1
           ./target/release/eds-serve < /tmp/requests.jsonl
           (cd \"$1\" && python3 perfbench/run.py --seed 1) > /tmp/out
+          cargo run --release --example protocol_trace
 ";
     assert_eq!(
         step_needs(workflow),
@@ -477,6 +506,7 @@ fn the_step_reader_finds_binaries_and_scripts() {
             (4, Needs::Binary("table1".to_owned())),
             (6, Needs::Binary("eds-serve".to_owned())),
             (7, Needs::Path("perfbench/run.py".to_owned())),
+            (8, Needs::Example("protocol_trace".to_owned())),
         ]
     );
 }
