@@ -301,20 +301,16 @@ impl NodeAlgorithm for RegularOddNode {
                     }
                 }
             }
-            if t < self.last {
-                return None;
-            }
-            // Phase I is over for this node.
-            if self.d_degree <= 1 {
-                return Some(self.output());
-            }
-            self.last = self
-                .last_step(|p| p.in_d)
-                .expect("every D-edge is in some M(i, j)");
-            return None;
+            // After its last pair, Phase I is over for this node.
+            return (t == self.last && self.d_degree <= 1).then(|| self.output());
         }
         // Phase II step for pair (i, j).
         let t2 = t - d * d;
+        if t2 == 0 {
+            self.last = self
+                .last_step(|p| p.in_d)
+                .expect("every D-edge is in some M(i, j)");
+        }
         let my_deg2 = self.d_degree >= 2;
         let mut removed = false;
         for q in self.mij_ports(t2).into_iter().flatten() {

@@ -86,8 +86,6 @@ pub struct VertexCoverNode {
     incoming: PortSet,
     proposer_done: bool,
     acceptor_done: bool,
-    /// The node is covered by the 2-matching.
-    covered: bool,
 }
 
 impl VertexCoverNode {
@@ -107,8 +105,13 @@ impl VertexCoverNode {
             incoming: PortSet::new(),
             proposer_done: false,
             acceptor_done: false,
-            covered: false,
         }
+    }
+
+    /// The node is covered by the 2-matching: its offer was accepted, or
+    /// it accepted one.
+    fn covered(&self) -> bool {
+        self.proposer_done || self.acceptor_done
     }
 }
 
@@ -138,7 +141,6 @@ impl NodeAlgorithm for VertexCoverNode {
                 if let Some(best) = incoming.iter().next() {
                     outbox[best.index()] = Some(VcMsg::Response(true));
                     self.acceptor_done = true;
-                    self.covered = true;
                 }
             }
         }
@@ -161,13 +163,12 @@ impl NodeAlgorithm for VertexCoverNode {
             if let Some(q) = self.pending.take() {
                 if inbox[q] == Some(VcMsg::Response(true)) {
                     self.proposer_done = true;
-                    self.covered = true;
                 }
             }
             let proposing_over = self.proposer_done || self.cursor >= self.degree;
             (self.acceptor_done && proposing_over) || round + 1 >= 2 * self.delta.max(1)
         };
-        (done || silent).then_some(self.covered)
+        (done || silent).then(|| self.covered())
     }
 }
 
@@ -350,7 +351,12 @@ mod tests {
         let run = Simulator::new(&pg)
             .run(|_, d| VertexCoverNode::new(4, d))
             .unwrap();
-        assert!(run.rounds <= 8);
+        // Nodes 0 and 1 are adjacent, and each is covered by an offer
+        // accepted elsewhere but never receives a proposal: neither
+        // halting rule fires while each hears the other's fillers, so
+        // both run to the cap.
+        assert_eq!(run.rounds, 8);
+        assert_eq!((run.halted_at[0], run.halted_at[1]), (8, 8));
         let fixed = Simulator::new(&pg)
             .run(|_, d| reference::FixedNode::new(4, d))
             .unwrap();
