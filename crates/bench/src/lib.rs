@@ -6,7 +6,7 @@
 //! (Figures 4–7), `figure8`, `figure9`, and `render_figures` (the
 //! figures as Graphviz DOT). The extension experiments are
 //! `ablation_ports`, `adversary_search`, `model_comparison`,
-//! `random_ratio`, `round_complexity` and `scalability`. This library
+//! `random_ratio` and `round_complexity`. This library
 //! holds the shared pieces: running a distributed protocol to an edge
 //! set, and plain-text table rendering.
 
@@ -28,8 +28,7 @@ use pn_graph::{EdgeId, PortNumberedGraph};
 /// bugs, not data-dependent failures.
 pub fn run_distributed<A, F>(g: &PortNumberedGraph, factory: F) -> (Vec<EdgeId>, usize, usize)
 where
-    A: pn_runtime::NodeAlgorithm<Output = pn_runtime::PortSet> + Send,
-    A::Message: Send,
+    A: pn_runtime::NodeAlgorithm<Output = pn_runtime::PortSet>,
     F: Fn(pn_graph::NodeId, usize) -> A,
 {
     let run = pn_runtime::Simulator::new(g)

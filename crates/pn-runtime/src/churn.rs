@@ -20,13 +20,11 @@
 //! recovery is measured in the rounds of that re-run. Every epoch starts
 //! from factory-fresh states.
 //!
-//! Within an epoch the engine is the unmodified static one — the
-//! sequential core, or the persistent worker pool when the
-//! [`RunOptions::threads`] set through [`ChurnSimulator::options`] asks
-//! for it. Bursts apply at the same epoch barriers on either engine and
-//! the per-epoch engine is bit-identical across thread counts, so a
-//! whole churn run is reproducible at any thread count, and a run with
-//! an **empty** schedule is exactly one static run.
+//! Within an epoch the engine is the unmodified static
+//! [`crate::Simulator`], under the [`RunOptions`] set through
+//! [`ChurnSimulator::options`]. Bursts apply only at epoch barriers, so
+//! a whole churn run is deterministic, and a run with an **empty**
+//! schedule is exactly one static run.
 
 use pn_graph::{DynamicTopology, GraphError, NodeId, PortNumberedGraph};
 
@@ -176,13 +174,10 @@ where
 
 impl<'g, A, F> ChurnSimulator<'g, A, F>
 where
-    A: NodeAlgorithm + Send,
-    A::Message: Send,
-    A::Output: Send,
+    A: NodeAlgorithm,
     F: Fn(NodeId, usize) -> A,
 {
-    /// A churn simulator over the wiring of `g` with default options (so
-    /// the sequential per-epoch engine).
+    /// A churn simulator over the wiring of `g` with default options.
     ///
     /// # Errors
     ///
@@ -197,9 +192,7 @@ where
         })
     }
 
-    /// Overrides the per-epoch run options; [`RunOptions::threads`]
-    /// picks each epoch's engine, with bit-identical epochs at every
-    /// value.
+    /// Overrides the per-epoch run options.
     pub fn options(mut self, options: RunOptions) -> Self {
         self.options = options;
         self
@@ -351,44 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn epochs_are_bit_identical_across_thread_counts() {
-        let g = cycle6();
-        let mut schedule = EventSchedule::new();
-        schedule
-            .push_burst(vec![
-                ChurnEvent::DeleteEdge {
-                    u: NodeId::new(0),
-                    v: NodeId::new(1),
-                },
-                ChurnEvent::InsertEdge {
-                    u: NodeId::new(0),
-                    v: NodeId::new(3),
-                },
-            ])
-            .push_burst(vec![
-                ChurnEvent::Crash { v: NodeId::new(2) },
-                ChurnEvent::Join {
-                    attach: vec![NodeId::new(4), NodeId::new(5)],
-                },
-            ]);
-        let baseline = run_schedule(sim(&g), &schedule);
-        for threads in [2, 4] {
-            let options = RunOptions {
-                threads,
-                ..RunOptions::default()
-            };
-            let parallel = run_schedule(sim(&g).options(options), &schedule);
-            assert_eq!(parallel.len(), baseline.len());
-            for (p, b) in parallel.iter().zip(&baseline) {
-                assert_eq!(p.graph, b.graph, "threads={threads}");
-                assert_eq!(p.outputs, b.outputs, "threads={threads}");
-                assert_eq!(p.rounds, b.rounds);
-                assert_eq!(p.messages, b.messages);
-            }
-        }
-    }
-
-    #[test]
     fn crash_isolates_and_insert_revives() {
         let g = cycle6();
         let mut s = sim(&g);
@@ -407,24 +362,16 @@ mod tests {
     #[test]
     fn uncorrupted_failure_propagates() {
         let g = ports::canonical_ports(&generators::cycle(4).unwrap()).unwrap();
-        // Both engines: the pool's round-limit abort must surface exactly
-        // like the sequential one.
-        for threads in [1, 2] {
-            let mut s = ChurnSimulator::new(&g, |_, _| Echo { token: u64::MAX })
-                .unwrap()
-                .options(RunOptions {
-                    max_rounds: 4,
-                    threads,
-                    ..RunOptions::default()
-                });
-            assert!(
-                matches!(
-                    s.stabilize(),
-                    Err(ChurnError::Runtime(RuntimeError::RoundLimitExceeded { .. }))
-                ),
-                "threads={threads}"
-            );
-        }
+        let mut s = ChurnSimulator::new(&g, |_, _| Echo { token: u64::MAX })
+            .unwrap()
+            .options(RunOptions {
+                max_rounds: 4,
+                ..RunOptions::default()
+            });
+        assert!(matches!(
+            s.stabilize(),
+            Err(ChurnError::Runtime(RuntimeError::RoundLimitExceeded { .. }))
+        ));
     }
 
     #[test]

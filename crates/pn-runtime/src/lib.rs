@@ -18,12 +18,9 @@
 //!
 //! [`Simulator::run`] is the one entry point. It builds every node's
 //! state with a factory `Fn(NodeId, usize) -> A` (node id and degree;
-//! anonymous protocols ignore the id) and runs it on one of two private
-//! engines: the sequential engine, or a worker pool when
-//! [`RunOptions::threads`] is two or more. The sequential engine is the
-//! oracle: the pool is bit-identical to it at every thread count. Both
-//! execute the same zero-allocation round loop over one flat per-port
-//! inbox, laid out in the graph's slot arena: node `v`'s ports occupy
+//! anonymous protocols ignore the id) and executes a zero-allocation
+//! round loop on the calling thread over one flat per-port inbox, laid
+//! out in the graph's slot arena: node `v`'s ports occupy
 //! the contiguous window starting at
 //! [`pn_graph::PortNumberedGraph::slot_offsets`]`()[v]`. Each round is
 //! two passes:
@@ -49,19 +46,14 @@
 //! where a few high-degree nodes outlive everyone else run at the cost
 //! of the survivors, not of the graph.
 //!
-//! The pool executes the same loop on **persistent workers**: they are
-//! spawned once per run, own contiguous node
-//! chunks (states, slot ranges, per-chunk frontiers), and synchronise
-//! phases through an epoch barrier — two barrier waits per round,
-//! cross-chunk messages moved through per-pair mailboxes, results
-//! bit-identical to the sequential engine at every thread count. The
-//! `parallel` module docs describe the full design (sharing discipline,
-//! quiescent chunks, barrier poisoning).
+//! There is one engine and one parallelism axis: a run is sequential,
+//! and callers parallelise across independent runs. A sweep shards its
+//! (scenario, protocol) cells over threads, and a solver daemon hands
+//! whole requests to a [`WorkerPool`].
 //!
-//! Execution transcripts ([`RunOptions::record_trace`]) are captured by
-//! the sequential engine as it routes, which a traced run always takes;
-//! with tracing off (the default) the hot loop formats nothing and
-//! tests one flag per node.
+//! Execution transcripts ([`RunOptions::record_trace`]) are captured as
+//! the engine routes; with tracing off (the default) the hot loop
+//! formats nothing and tests one flag per node.
 //!
 //! A node sends by writing into its scratch window
 //! ([`NodeAlgorithm::send_into`]), one slot per port, so the engine never
@@ -117,7 +109,6 @@ mod churn;
 mod error;
 mod metrics;
 mod output;
-mod parallel;
 mod pool;
 mod simulator;
 mod trace;

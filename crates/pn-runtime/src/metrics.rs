@@ -22,9 +22,6 @@ pub(crate) struct RuntimeMetrics {
     /// `eds_runtime_frontier_nodes` — active-frontier size observed at
     /// the top of each round.
     pub frontier: Arc<Histogram>,
-    /// `eds_runtime_barrier_waits_total` — pool-barrier rendezvous
-    /// performed by parallel-engine workers (two per worker per round).
-    pub barrier_waits: Arc<Counter>,
     /// `eds_runtime_churn_epochs_total`.
     pub churn_epochs: Arc<Counter>,
 }
@@ -35,10 +32,7 @@ pub(crate) fn metrics() -> &'static RuntimeMetrics {
     METRICS.get_or_init(|| {
         let registry = eds_telemetry::global();
         RuntimeMetrics {
-            runs: registry.counter(
-                "eds_runtime_runs_total",
-                "Simulation runs started (any engine).",
-            ),
+            runs: registry.counter("eds_runtime_runs_total", "Simulation runs started."),
             rounds: registry.counter(
                 "eds_runtime_rounds_total",
                 "Communication rounds executed across all runs.",
@@ -51,10 +45,6 @@ pub(crate) fn metrics() -> &'static RuntimeMetrics {
                 "eds_runtime_frontier_nodes",
                 "Active-node frontier size at the top of each round.",
             ),
-            barrier_waits: registry.counter(
-                "eds_runtime_barrier_waits_total",
-                "Pool-barrier waits performed by parallel-engine workers.",
-            ),
             churn_epochs: registry.counter(
                 "eds_runtime_churn_epochs_total",
                 "Churn epochs stabilized by the dynamic-graph driver.",
@@ -66,24 +56,17 @@ pub(crate) fn metrics() -> &'static RuntimeMetrics {
 /// Per-run local aggregates, flushed to the global registry on drop —
 /// one atomic add per non-zero field per run, whatever the exit path.
 pub(crate) struct RunFlush {
-    /// 1 for the seat that owns the run (worker 0 / the sequential
-    /// engine), 0 for secondary pool workers.
-    pub runs: u64,
     pub rounds: u64,
     pub messages: u64,
-    pub barrier_waits: u64,
     pub frontier: LocalHistogram,
 }
 
 impl RunFlush {
-    /// A fresh aggregate; `owner` marks the seat that accounts for the
-    /// run itself (worker 0 or the sequential engine).
-    pub fn new(owner: bool) -> Self {
+    /// A fresh aggregate for one run.
+    pub fn new() -> Self {
         RunFlush {
-            runs: u64::from(owner),
             rounds: 0,
             messages: 0,
-            barrier_waits: 0,
             frontier: LocalHistogram::new(),
         }
     }
@@ -92,17 +75,12 @@ impl RunFlush {
 impl Drop for RunFlush {
     fn drop(&mut self) {
         let m = metrics();
-        if self.runs > 0 {
-            m.runs.add(self.runs);
-        }
+        m.runs.inc();
         if self.rounds > 0 {
             m.rounds.add(self.rounds);
         }
         if self.messages > 0 {
             m.messages.add(self.messages);
-        }
-        if self.barrier_waits > 0 {
-            m.barrier_waits.add(self.barrier_waits);
         }
         self.frontier.flush(&m.frontier);
     }

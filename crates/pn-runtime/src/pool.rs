@@ -1,11 +1,10 @@
 //! A persistent, bounded, batching worker pool for solver services.
 //!
-//! The simulator's own parallel engine ([`crate::Simulator::run`] with
-//! [`crate::RunOptions::threads`] `≥ 2`) spawns its workers per run and
-//! shards the *nodes of one graph*; this
-//! module is the complementary layer above it: a pool that outlives any
-//! single run and shards *independent jobs* (whole solve requests) across
-//! long-lived threads. `eds-serve` multiplexes every client connection
+//! Every simulator run executes on the thread that calls
+//! [`crate::Simulator::run`]; this module parallelises across runs: a
+//! pool that outlives any single run and shards *independent jobs*
+//! (whole solve requests) across long-lived threads. `eds-serve`
+//! multiplexes every client connection
 //! onto one such pool, so thread spawn cost is paid once per process, not
 //! once per request.
 //!

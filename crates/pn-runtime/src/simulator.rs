@@ -22,15 +22,8 @@ pub struct RunOptions {
     /// still running after this many rounds. Defaults to 1,000,000.
     pub max_rounds: usize,
     /// Record a full [`crate::Trace`] of message deliveries and halts
-    /// (costly; off by default). A traced run always takes the
-    /// sequential engine, whatever [`RunOptions::threads`] says: the pool
-    /// records no transcript, and the two engines are bit-identical, so
-    /// the trace is the one the pool's run would have produced.
+    /// (costly; off by default).
     pub record_trace: bool,
-    /// Worker threads for the run. `1` (the default) runs the sequential
-    /// engine; two or more run the persistent worker pool, clamped to the
-    /// node count. Results are bit-identical at every value.
-    pub threads: usize,
 }
 
 impl Default for RunOptions {
@@ -38,7 +31,6 @@ impl Default for RunOptions {
         RunOptions {
             max_rounds: 1_000_000,
             record_trace: false,
-            threads: 1,
         }
     }
 }
@@ -133,18 +125,13 @@ impl<'g> Simulator<'g> {
         }
     }
 
-    /// Installs a cooperative [`CancelToken`]: the round loops (both
-    /// engines) poll it between rounds and abort with
+    /// Installs a cooperative [`CancelToken`]: the round loop polls it
+    /// between rounds and aborts with
     /// [`RuntimeError::Cancelled`] once it fires, so a caller-side
     /// timeout stops a run mid-solve instead of merely gating entry.
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
-    }
-
-    /// The installed cancellation token, if any.
-    pub(crate) fn cancel(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
     }
 
     /// The graph this simulator executes on.
@@ -173,9 +160,10 @@ impl<'g> Simulator<'g> {
     /// identifier-model baselines use it to look up their per-node
     /// inputs, which deliberately breaks the symmetry the model is about.
     ///
-    /// [`RunOptions::threads`] picks the engine: the sequential round
-    /// loop, or the persistent worker pool (see the `parallel` module)
-    /// for two or more threads. Both return bit-identical [`Run`]s.
+    /// The run executes on the calling thread. Parallelism belongs one
+    /// level up, across independent runs: a sweep shards its (scenario,
+    /// protocol) cells over worker threads, each running its own
+    /// simulator.
     ///
     /// # Errors
     ///
@@ -184,32 +172,14 @@ impl<'g> Simulator<'g> {
     ///   fires.
     pub fn run<A, F>(&self, factory: F) -> Result<Run<A::Output>, RuntimeError>
     where
-        A: NodeAlgorithm + Send,
-        A::Message: Send,
-        A::Output: Send,
-        F: Fn(NodeId, usize) -> A,
-    {
-        let g = self.graph;
-        let states = g.nodes().map(|v| factory(v, g.degree(v))).collect();
-        let workers = self.options.threads.clamp(1, g.node_count().max(1));
-        // A traced run always takes the sequential engine.
-        if workers > 1 && !self.options.record_trace {
-            self.run_pool(states, workers)
-        } else {
-            self.run_sequential(states)
-        }
-    }
-
-    /// The sequential engine: the oracle the pool is bit-identical to.
-    fn run_sequential<A>(&self, states: Vec<A>) -> Result<Run<A::Output>, RuntimeError>
-    where
         A: NodeAlgorithm,
+        F: Fn(NodeId, usize) -> A,
     {
         let g = self.graph;
         let n = g.node_count();
         let offsets = g.slot_offsets();
         let route = &self.route;
-        let mut states: Vec<Option<A>> = states.into_iter().map(Some).collect();
+        let mut states: Vec<Option<A>> = g.nodes().map(|v| Some(factory(v, g.degree(v)))).collect();
         let mut outputs: Vec<Option<A::Output>> = (0..n).map(|_| None).collect();
         let mut halted_at = vec![0usize; n];
         let mut messages = 0usize;
@@ -217,7 +187,7 @@ impl<'g> Simulator<'g> {
         let mut trace = self.options.record_trace.then(crate::Trace::new);
         // Per-run telemetry aggregate: plain locals in the loop, folded
         // into the global registry once on drop (any exit path).
-        let mut stats = RunFlush::new(true);
+        let mut stats = RunFlush::new();
 
         // Buffers allocated once: a scratch window as long as the largest
         // degree, drained after every send so it is all-`None` whenever a
@@ -239,7 +209,7 @@ impl<'g> Simulator<'g> {
                     still_running: frontier.len(),
                 });
             }
-            if let Some(cancel) = self.cancel() {
+            if let Some(cancel) = &self.cancel {
                 if cancel.check() {
                     return Err(RuntimeError::Cancelled {
                         after_rounds: rounds,
@@ -384,6 +354,44 @@ mod tests {
         assert!(run.outputs.iter().all(|&v| v == 1));
         // 2 * |E| messages per round while everyone runs.
         assert_eq!(run.messages, 6 * 2 * 5);
+    }
+
+    #[test]
+    fn frontier_drops_halted_nodes() {
+        // A star: the hub (degree 12) outlives every leaf by many rounds;
+        // the frontier shrinks to a single node for most of the execution.
+        let g = ports::canonical_ports(&generators::star(12).unwrap()).unwrap();
+        let run = Simulator::new(&g)
+            .run(|_, d| MinFlood {
+                value: d as u64,
+                rounds_left: d + 2,
+            })
+            .unwrap();
+        // Leaves (degree 1) halt after round 3; the hub needs 14 rounds.
+        assert_eq!(run.rounds, 14);
+        assert_eq!(run.halted_at.iter().filter(|&&r| r == 3).count(), 12);
+        // Three rounds of 24 messages, then the hub alone sends 12 a
+        // round into its halted leaves for 11 more.
+        assert_eq!(run.messages, 3 * 24 + 11 * 12);
+    }
+
+    #[test]
+    fn isolated_nodes_keep_their_schedule() {
+        // A degree-0 node has an empty port window: it still runs its
+        // receive schedule, observing an empty inbox, and halts on time.
+        // Nodes 0-2 form a triangle, 4-5 an edge; 3 and 6 are isolated.
+        let mut g = pn_graph::SimpleGraph::new(7);
+        for (u, v) in [(0, 1), (1, 2), (2, 0), (4, 5)] {
+            g.add_edge_ids(u, v).unwrap();
+        }
+        let g = ports::canonical_ports(&g).unwrap();
+        let run = Simulator::new(&g)
+            .run(|_, d| MinFlood {
+                value: d as u64,
+                rounds_left: d + 2,
+            })
+            .unwrap();
+        assert_eq!(run.halted_at, vec![4, 4, 4, 2, 3, 3, 2]);
     }
 
     #[test]

@@ -158,27 +158,20 @@ fn pre_cancelled_token_aborts_before_the_first_round() {
 }
 
 #[test]
-fn expired_deadline_cancels_mid_run_on_both_engines() {
+fn expired_deadline_cancels_mid_run() {
     use std::time::{Duration, Instant};
 
     let g = ports::canonical_ports(&generators::cycle(8).unwrap()).unwrap();
-    for threads in [1usize, 3] {
-        let token =
-            pn_runtime::CancelToken::with_deadline(Instant::now() + Duration::from_millis(5));
-        let sim = Simulator::with_options(
-            &g,
-            RunOptions {
-                threads,
-                ..RunOptions::default()
-            },
-        )
-        .cancel_token(token);
-        match sim.run(|_, _| Chatter).unwrap_err() {
-            RuntimeError::Cancelled { still_running, .. } => {
-                assert_eq!(still_running, 8, "threads={threads}: nobody ever halts")
-            }
-            other => panic!("threads={threads}: expected Cancelled, got {other}"),
+    let token = pn_runtime::CancelToken::with_deadline(Instant::now() + Duration::from_millis(5));
+    match Simulator::new(&g)
+        .cancel_token(token)
+        .run(|_, _| Chatter)
+        .unwrap_err()
+    {
+        RuntimeError::Cancelled { still_running, .. } => {
+            assert_eq!(still_running, 8, "nobody ever halts")
         }
+        other => panic!("expected Cancelled, got {other}"),
     }
 }
 

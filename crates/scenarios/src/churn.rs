@@ -14,9 +14,8 @@
 //!
 //! Everything is deterministic: the schedule is materialised from the
 //! scenario seed with the same SplitMix64 stream the runtime exposes
-//! ([`pn_runtime::entropy_stream`]), and epochs are bit-identical across
-//! simulator thread counts, so churn records are reproducible bit for
-//! bit — the property the `churn_sweep` smoke gate asserts.
+//! ([`pn_runtime::entropy_stream`]), so churn records are reproducible
+//! bit for bit — the property the `churn-smoke` gate asserts.
 
 use std::collections::BTreeSet;
 
@@ -33,7 +32,7 @@ use eds_core::vertex_cover::VertexCoverNode;
 use pn_graph::{DynamicTopology, GraphError, NodeId, PortNumberedGraph, SimpleGraph};
 use pn_runtime::{
     edge_set_from_outputs, entropy_stream, CancelToken, ChurnError, ChurnEvent, ChurnSimulator,
-    EventSchedule, NodeAlgorithm, PortSet, RunOptions, RuntimeError,
+    EventSchedule, NodeAlgorithm, PortSet, RuntimeError,
 };
 
 use crate::metrics::repair_metrics;
@@ -484,7 +483,6 @@ pub(crate) fn run_materialized(
 ) -> Result<DrivenRun, SweepError> {
     let graph = &scenario.graph;
     let delta = exec.delta.unwrap_or(0).max(mat.degree_cap);
-    let threads = exec.simulator_threads;
     let seed = scenario.spec.seed;
     let ctx = |bound: Option<(u64, u64)>| RecoveryCtx {
         policy,
@@ -501,7 +499,6 @@ pub(crate) fn run_materialized(
             graph,
             mat,
             |_, d| PortOneNode::new(d),
-            threads,
             delta,
             protocol,
             &ctx(None),
@@ -511,7 +508,6 @@ pub(crate) fn run_materialized(
             graph,
             mat,
             |_, d| BoundedDegreeNode::new(delta, d),
-            threads,
             delta,
             protocol,
             &ctx(Some(eds_core::bounded_degree::bounded_degree_ratio(delta))),
@@ -521,7 +517,6 @@ pub(crate) fn run_materialized(
             graph,
             mat,
             |_, d| VertexCoverNode::new(delta, d),
-            threads,
             delta,
             protocol,
             &ctx(Some((3, 1))),
@@ -537,7 +532,6 @@ pub(crate) fn run_materialized(
                 graph,
                 mat,
                 move |v: NodeId, d| IdMatchingNode::new(delta, d, ids[v.index()]),
-                threads,
                 delta,
                 protocol,
                 &ctx(Some((2, 1))),
@@ -554,7 +548,6 @@ pub(crate) fn run_materialized(
                 graph,
                 mat,
                 move |v: NodeId, d| RandMatchingNode::new(d, seeds[v.index()], phases),
-                threads,
                 delta,
                 protocol,
                 &ctx(Some((2, 1))),
@@ -600,9 +593,7 @@ fn stabilize_verified<A, F, S>(
     protocol: Protocol,
 ) -> Result<VerifiedEpoch, SweepError>
 where
-    A: NodeAlgorithm + Send,
-    A::Message: Send,
-    A::Output: Send,
+    A: NodeAlgorithm,
     F: Fn(NodeId, usize) -> A,
     S: Fn(&PortNumberedGraph, &[A::Output]) -> Result<Solution, RuntimeError>,
 {
@@ -626,29 +617,22 @@ where
 
 /// The generic epoch loop shared by every protocol: the recovery ladder
 /// with sampled-epoch audits, over an overlay on `graph`.
-#[allow(clippy::too_many_arguments)]
 fn drive<A, F, S>(
     graph: &PortNumberedGraph,
     mat: &MaterializedChurn,
     factory: F,
-    threads: usize,
     claimed_delta: usize,
     protocol: Protocol,
     ctx: &RecoveryCtx<'_>,
     to_solution: S,
 ) -> Result<DrivenRun, SweepError>
 where
-    A: NodeAlgorithm + Send,
-    A::Message: Send,
-    A::Output: Send,
+    A: NodeAlgorithm,
     F: Fn(NodeId, usize) -> A,
     S: Fn(&PortNumberedGraph, &[A::Output]) -> Result<Solution, RuntimeError>,
 {
     let kind = WitnessKind::of(protocol);
-    let mut sim = ChurnSimulator::new(graph, factory)?.options(RunOptions {
-        threads,
-        ..RunOptions::default()
-    });
+    let mut sim = ChurnSimulator::new(graph, factory)?;
     if let Some(token) = ctx.cancel {
         sim = sim.cancel_token(token.clone());
     }
@@ -887,27 +871,6 @@ mod tests {
     }
 
     #[test]
-    fn churn_is_bit_identical_across_simulator_threads() {
-        let scenario = churn_spec(Family::Grid(3, 4), ChurnPlan::new(3, 3, 2), 5)
-            .build()
-            .unwrap();
-        for protocol in [Protocol::BoundedDegree, Protocol::IdMatching] {
-            let baseline = default_churn(&scenario, protocol, &ExecOptions::default()).unwrap();
-            for threads in [2usize, 4] {
-                let opts = ExecOptions {
-                    simulator_threads: threads,
-                    ..ExecOptions::default()
-                };
-                let run = default_churn(&scenario, protocol, &opts).unwrap();
-                assert_eq!(run.solution, baseline.solution, "threads = {threads}");
-                assert_eq!(run.rounds, baseline.rounds, "threads = {threads}");
-                assert_eq!(run.messages, baseline.messages, "threads = {threads}");
-                assert_eq!(run.stats, baseline.stats, "threads = {threads}");
-            }
-        }
-    }
-
-    #[test]
     fn every_quiescence_point_is_feasible_and_recovery_is_bounded() {
         for (base, seed) in [
             (Family::Petersen, 0u64),
@@ -1038,28 +1001,22 @@ mod tests {
         let to_solution = |g: &PortNumberedGraph, outputs: &[PortSet]| {
             edge_set_from_outputs(g, outputs).map(Solution::Edges)
         };
-        for threads in [1, 2] {
-            let token = CancelToken::new();
-            let node_token = token.clone();
-            let mut sim = ChurnSimulator::new(&g, move |_, d| CancelsMidEpoch {
-                port_one: PortOneNode::new(d),
-                token: node_token.clone(),
-            })
-            .unwrap()
-            .options(RunOptions {
-                threads,
-                ..RunOptions::default()
-            })
-            .cancel_token(token);
-            let err = stabilize_verified(&mut sim, &to_solution, Protocol::PortOne).err();
-            assert!(
-                matches!(
-                    err,
-                    Some(SweepError::Runtime(RuntimeError::Cancelled { after_rounds, .. }))
-                        if after_rounds > 0
-                ),
-                "threads={threads}: {err:?}"
-            );
-        }
+        let token = CancelToken::new();
+        let node_token = token.clone();
+        let mut sim = ChurnSimulator::new(&g, move |_, d| CancelsMidEpoch {
+            port_one: PortOneNode::new(d),
+            token: node_token.clone(),
+        })
+        .unwrap()
+        .cancel_token(token);
+        let err = stabilize_verified(&mut sim, &to_solution, Protocol::PortOne).err();
+        assert!(
+            matches!(
+                err,
+                Some(SweepError::Runtime(RuntimeError::Cancelled { after_rounds, .. }))
+                    if after_rounds > 0
+            ),
+            "{err:?}"
+        );
     }
 }

@@ -17,15 +17,16 @@
 //!   for the integration test matrix;
 //! * [`protocol`] — the six distributed protocols behind one interface
 //!   ([`Protocol::ALL`]), all executed through the zero-allocation
-//!   `pn-runtime` engine (sequential or parallel, bit-identically);
+//!   `pn-runtime` engine;
 //! * [`churn`] — dynamic scenarios: deterministic fault injection
 //!   ([`ChurnPlan`]), epoch-barrier re-stabilisation on the runtime's
 //!   churn simulator, and incremental witness repair with recovery
 //!   accounting ([`ChurnStats`]);
 //! * [`session`] — the solver service: a builder-style [`Session`]
 //!   wiring scenario source × protocol portfolio × exact-solver budgets
-//!   × pluggable [`BoundProvider`], sharded across threads by default
-//!   with a deterministic in-order merge;
+//!   × pluggable [`BoundProvider`], its (scenario, protocol) cells
+//!   sharded across threads by default with a deterministic in-order
+//!   merge;
 //! * [`bounds`] — the additional bound providers: [`LpBounds`]
 //!   (certified, independently checked LP-relaxation dual bounds from
 //!   `eds-lp`, never looser than the folklore matching bounds) and
@@ -86,9 +87,7 @@ pub use bounds::{BoundsMode, LpBounds, MmBounds};
 pub use churn::{
     materialize, materialize_streamed, run_churn_with, ChurnPlan, ChurnRun, MaterializedChurn,
 };
-pub use protocol::{
-    recommended_simulator_threads, ExecOptions, Protocol, ProtocolRun, Solution, SweepError,
-};
+pub use protocol::{ExecOptions, Protocol, ProtocolRun, Solution, SweepError};
 pub use registry::Registry;
 pub use scenario::{relabel_nodes, Family, PortPolicy, Scenario, ScenarioSpec};
 pub use serve::{canonical_form, CanonicalForm, ServeConfig, Server, StatsSnapshot};

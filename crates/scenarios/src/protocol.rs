@@ -14,9 +14,7 @@ use eds_core::port_one::PortOneNode;
 use eds_core::vertex_cover::VertexCoverNode;
 use eds_verify::{check_edge_dominating_set, check_maximal_matching};
 use pn_graph::{EdgeId, EdgeView, GraphError, NodeId};
-use pn_runtime::{
-    edge_set_from_outputs, CancelToken, PortSet, Run, RunOptions, RuntimeError, Simulator,
-};
+use pn_runtime::{edge_set_from_outputs, CancelToken, PortSet, Run, RuntimeError, Simulator};
 
 use crate::scenario::Scenario;
 
@@ -115,7 +113,7 @@ pub struct ProtocolRun {
 
 /// Execution knobs for a single protocol run; the defaults reproduce
 /// [`Protocol::execute`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Claimed degree bound handed to the `Δ`-parametrised protocols
     /// (`A(Δ)`, the vertex-cover sibling, the identifier matching);
@@ -123,54 +121,15 @@ pub struct ExecOptions {
     /// the claim to cover every node, so values below the instance
     /// maximum are raised to it.
     pub delta: Option<usize>,
-    /// Simulator threads, handed to the run as
-    /// [`RunOptions::threads`]: `> 1` runs the simulator's worker pool
-    /// (bit-identical results, useful for single huge instances), `1`
-    /// stays on the sequential engine.
-    pub simulator_threads: usize,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            delta: None,
-            simulator_threads: 1,
-        }
-    }
 }
 
 impl ExecOptions {
-    /// Execution defaults for single huge instances: the sequential
-    /// engine's knobs except that the simulator runs on
-    /// [`recommended_simulator_threads`] workers. The registry attaches
-    /// this to its million-node specs.
+    /// The same as [`ExecOptions::default`]. Every run executes on one
+    /// thread, so a huge instance needs no knobs of its own; the name is
+    /// kept because existing callers still use it.
     pub fn scaled() -> Self {
-        ExecOptions {
-            simulator_threads: recommended_simulator_threads(),
-            ..ExecOptions::default()
-        }
+        ExecOptions::default()
     }
-}
-
-/// A sensible simulator thread count for single huge instances: the
-/// host's available parallelism, capped at 8 (the pool's barrier
-/// synchronisation outgrows the gains beyond that for these workloads).
-/// It becomes the run's [`RunOptions::threads`]; on a single-core host
-/// it is 1, which keeps runs on the sequential engine — results are
-/// bit-identical either way.
-///
-/// Nested-parallelism guidance: a [`crate::Session`] shards *scenarios*
-/// across threads while the simulator shards *nodes* of one scenario —
-/// don't multiply both by default. Reserve simulator threads for
-/// workloads that dwarf the rest of the registry (the million-node
-/// families); the transient oversubscription while a sharded sweep
-/// crosses such a scenario is benign, but a dedicated huge-instance
-/// sweep should run with `Session::threads(1)` and let the simulator
-/// have the cores.
-pub fn recommended_simulator_threads() -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, std::num::NonZero::get)
-        .clamp(1, 8)
 }
 
 impl Protocol {
@@ -263,9 +222,8 @@ impl Protocol {
         self.execute_with(scenario, &ExecOptions::default())
     }
 
-    /// Executes the protocol with explicit execution knobs (claimed `Δ`,
-    /// simulator threads). Results are identical across thread counts —
-    /// the parallel engine is bit-compatible with the sequential one.
+    /// Executes the protocol with explicit execution knobs (the claimed
+    /// `Δ`).
     ///
     /// # Errors
     ///
@@ -293,13 +251,7 @@ impl Protocol {
         cancel: Option<&CancelToken>,
     ) -> Result<ProtocolRun, SweepError> {
         let g = &scenario.graph;
-        let mut sim = Simulator::with_options(
-            g,
-            RunOptions {
-                threads: opts.simulator_threads,
-                ..RunOptions::default()
-            },
-        );
+        let mut sim = Simulator::new(g);
         if let Some(token) = cancel {
             sim = sim.cancel_token(token.clone());
         }
@@ -442,27 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_execution_is_bit_identical() {
-        let s = ScenarioSpec::new(Family::PowerLaw { n: 30, m: 2 }, 2, PortPolicy::Shuffled)
-            .build()
-            .unwrap();
-        let parallel = ExecOptions {
-            simulator_threads: 4,
-            ..ExecOptions::default()
-        };
-        for p in Protocol::ALL {
-            if !p.applicable(&s) {
-                continue;
-            }
-            let a = p.execute(&s).unwrap();
-            let b = p.execute_with(&s, &parallel).unwrap();
-            assert_eq!(a.solution, b.solution, "{}", p.name());
-            assert_eq!(a.rounds, b.rounds, "{}", p.name());
-            assert_eq!(a.messages, b.messages, "{}", p.name());
-        }
-    }
-
-    #[test]
     fn delta_override_reaches_the_parametrised_protocols() {
         let s = ScenarioSpec::new(Family::Path(6), 0, PortPolicy::Canonical)
             .build()
@@ -471,13 +402,7 @@ mod tests {
         // changes the protocol's phase schedule (more rounds).
         let tight = Protocol::BoundedDegree.execute(&s).unwrap();
         let loose = Protocol::BoundedDegree
-            .execute_with(
-                &s,
-                &ExecOptions {
-                    delta: Some(5),
-                    ..ExecOptions::default()
-                },
-            )
+            .execute_with(&s, &ExecOptions { delta: Some(5) })
             .unwrap();
         assert!(loose.rounds > tight.rounds);
     }

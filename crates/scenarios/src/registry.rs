@@ -23,7 +23,6 @@
 //! registry without further changes.
 
 use crate::churn::ChurnPlan;
-use crate::protocol::ExecOptions;
 use crate::scenario::{Family, PortPolicy, Scenario, ScenarioSpec};
 use pn_graph::GraphError;
 
@@ -175,17 +174,13 @@ impl Registry {
         }
 
         // The million-node scale tier: streamed generation (flat
-        // involution, no intermediate structures) and per-spec execution
-        // defaults routing the runs through the parallel simulator
-        // engine — the workloads where the paper's O(Δ)-round bounds
-        // meet a host that actually needs to shard nodes.
+        // involution, no intermediate structures) — the workloads where
+        // the paper's O(Δ)-round bounds meet a million nodes.
         for family in [
             Family::MillionCycle { n: 1_000_000 },
             Family::MillionRegular { n: 1_000_000 },
         ] {
-            specs.push(
-                ScenarioSpec::new(family, 0, PortPolicy::Shuffled).with_exec(ExecOptions::scaled()),
-            );
+            specs.push(ScenarioSpec::new(family, 0, PortPolicy::Shuffled));
         }
 
         // Dynamic workloads: the full matrix carries a taste of churn so
@@ -278,8 +273,7 @@ impl Registry {
                     },
                     0,
                     PortPolicy::Canonical,
-                )
-                .with_exec(ExecOptions::scaled()),
+                ),
                 ScenarioSpec::new(
                     Family::Churn {
                         base: Box::new(Family::MillionRegular { n }),
@@ -287,8 +281,7 @@ impl Registry {
                     },
                     1,
                     PortPolicy::Canonical,
-                )
-                .with_exec(ExecOptions::scaled()),
+                ),
             ],
         }
     }
@@ -472,9 +465,7 @@ mod tests {
             .collect();
         assert_eq!(million.len(), 2, "one spec per streamed family");
         for spec in million {
-            let exec = spec.exec.expect("million tier carries exec defaults");
-            assert_eq!(exec, ExecOptions::scaled());
-            assert!(exec.simulator_threads >= 1);
+            assert_eq!(spec.exec, None, "the million tier needs no knobs");
             // Small clones of the same families build; the registry
             // instances themselves are exercised by the release sweep.
             let small = match spec.family {

@@ -378,12 +378,9 @@ pub struct ScenarioSpec {
     pub seed: u64,
     /// The port-numbering policy.
     pub policy: PortPolicy,
-    /// Execution defaults for this workload (claimed `Δ`, simulator
-    /// threads). `None` inherits the session's settings; the registry
-    /// sets this on workloads that *need* specific knobs — the
-    /// million-node families default to the parallel simulator engine.
-    /// Session-level overrides ([`crate::Session::simulator_threads`],
-    /// [`crate::Session::delta_hint`]) win over spec defaults.
+    /// Execution defaults for this workload (the claimed `Δ`). `None`
+    /// inherits the session's settings; a session-level
+    /// [`crate::Session::delta_hint`] wins over spec defaults.
     pub exec: Option<ExecOptions>,
 }
 
@@ -398,8 +395,8 @@ impl ScenarioSpec {
         }
     }
 
-    /// Attaches execution defaults (claimed `Δ`, simulator threads) to
-    /// the spec; see [`ScenarioSpec::exec`].
+    /// Attaches execution defaults (the claimed `Δ`) to the spec; see
+    /// [`ScenarioSpec::exec`].
     pub fn with_exec(mut self, exec: ExecOptions) -> Self {
         self.exec = Some(exec);
         self
@@ -756,14 +753,11 @@ mod tests {
     fn spec_exec_defaults_are_attached_and_compared() {
         let plain = ScenarioSpec::new(Family::MillionCycle { n: 12 }, 0, PortPolicy::Shuffled);
         assert_eq!(plain.exec, None);
-        let scaled = plain.clone().with_exec(ExecOptions {
-            simulator_threads: 4,
-            ..ExecOptions::default()
-        });
-        assert_eq!(scaled.exec.unwrap().simulator_threads, 4);
-        assert_ne!(plain, scaled);
+        let hinted = plain.clone().with_exec(ExecOptions { delta: Some(4) });
+        assert_eq!(hinted.exec.unwrap().delta, Some(4));
+        assert_ne!(plain, hinted);
         // The exec knobs are metadata: the built graphs are identical.
-        assert_eq!(plain.build().unwrap().graph, scaled.build().unwrap().graph);
+        assert_eq!(plain.build().unwrap().graph, hinted.build().unwrap().graph);
     }
 
     #[test]

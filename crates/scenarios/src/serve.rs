@@ -675,9 +675,6 @@ pub struct ServeConfig {
     /// `timeout_ms`). A job still queued past its deadline is answered
     /// with a `timeout` error frame instead of running.
     pub default_timeout: Duration,
-    /// Simulator threads per protocol run (1 = sequential engine; the
-    /// pool already parallelises across requests).
-    pub simulator_threads: usize,
     /// Read deadline on HTTP connections: a client that stalls
     /// mid-header or mid-body longer than this is disconnected, so a
     /// slow-loris peer cannot pin a connection slot.
@@ -700,7 +697,6 @@ impl Default for ServeConfig {
             max_frame_bytes: 1 << 24,
             canonical_limit: 4096,
             default_timeout: Duration::from_secs(10),
-            simulator_threads: 1,
             http_read_timeout: Duration::from_secs(30),
         }
     }
@@ -2045,7 +2041,6 @@ fn solve_group(core: &Arc<Core>, group: Vec<SolveJob>) {
 
     let mut session = Session::new()
         .sequential()
-        .simulator_threads(core.config.simulator_threads)
         .protocols(&requested)
         .scenarios(scenarios);
     if let Some(d) = delta {

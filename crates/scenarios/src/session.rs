@@ -11,19 +11,20 @@
 //! collected — so the memory footprint of a sweep is the sink's, not the
 //! session's.
 //!
-//! By default the session is **sharded**: the scenario iterator is
-//! partitioned across OS threads (the same scoped-thread infrastructure
-//! as [`pn_runtime`]'s worker-pool engine), each worker builds and
-//! measures its scenarios locally, and a deterministic in-order merge
-//! feeds the sink on the calling thread. The merge emits scenario
-//! results strictly in source order, so the sink observes **exactly**
-//! the sequential stream — the sharded and sequential paths are
-//! byte-identical, a property the test suite asserts on every registry.
-//! Back-pressure bounds the merge buffer: workers stall once they run
-//! more than a few scenarios ahead of the emitter. For single huge
-//! instances, [`Session::simulator_threads`] additionally sets each
-//! protocol run's `pn_runtime::RunOptions::threads`, which runs it on
-//! the simulator's worker pool.
+//! By default the session is **sharded**. Its unit of work is a
+//! (scenario, protocol) *cell*, one simulator run: scoped worker threads
+//! claim cells scenario by scenario, and the first worker to reach a
+//! scenario builds it for all its cells. The cells share the built
+//! graph, its reference bounds and, for churn, the drawn schedule and
+//! the projection of the final topology; the last cell to finish drops
+//! them. A deterministic in-order merge feeds the sink on the calling
+//! thread. It emits whole scenarios strictly in source order and each
+//! scenario's records in portfolio order, so the sink observes
+//! **exactly** the sequential stream — the sharded and sequential paths
+//! are byte-identical, a property the test suite asserts on every
+//! registry. Back-pressure bounds the merge buffer: workers stall once
+//! they reach a few scenarios ahead of the emitter. Each run itself is
+//! sequential; parallelism comes only from running cells side by side.
 //!
 //! # Bound providers
 //!
@@ -47,16 +48,16 @@
 //! # }
 //! ```
 
-use std::cell::OnceCell;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use eds_baselines::exact;
 use eds_baselines::two_approx;
 use pn_runtime::CancelToken;
 
-use crate::churn::{materialize_scenario, run_materialized};
+use crate::churn::{materialize_scenario, run_materialized, MaterializedChurn};
 use crate::metrics::session_metrics;
 use crate::protocol::{ExecOptions, Protocol, ProtocolRun, Solution, SweepError};
 use crate::registry::Registry;
@@ -170,18 +171,20 @@ struct Measurement {
 /// are protocol-independent, so a session queries its provider at most
 /// once per objective per scenario — not once per record — which
 /// matters when the provider runs an exact solver or the LP simplex.
+/// Cells on different workers share one instance; a cell that needs a
+/// bound another cell is computing waits for it.
 struct ScenarioBounds<'a> {
     provider: &'a dyn BoundProvider,
-    eds: OnceCell<Bounds>,
-    vc: OnceCell<Bounds>,
+    eds: OnceLock<Bounds>,
+    vc: OnceLock<Bounds>,
 }
 
 impl<'a> ScenarioBounds<'a> {
     fn new(provider: &'a dyn BoundProvider) -> Self {
         ScenarioBounds {
             provider,
-            eds: OnceCell::new(),
-            vc: OnceCell::new(),
+            eds: OnceLock::new(),
+            vc: OnceLock::new(),
         }
     }
 
@@ -210,9 +213,32 @@ impl<'a> ScenarioBounds<'a> {
     }
 }
 
+/// One scenario as its cells share it: built once, scored against one
+/// set of reference bounds and, for churn, driven through one drawn
+/// schedule and scored on one projection of the final topology.
+struct Prepared<'a> {
+    scenario: Cow<'a, Scenario>,
+    bounds: ScenarioBounds<'a>,
+    /// A churn scenario's event schedule, drawn by its first cell.
+    schedule: OnceLock<Result<MaterializedChurn, SweepError>>,
+    /// A churn scenario's final topology and its projection, built by
+    /// the first cell to finish its run. The schedule alone fixes the
+    /// final graph, so every cell would build the same one.
+    scored: OnceLock<Result<Scenario, SweepError>>,
+}
+
+/// A scenario's place in the sharded executor: its prepared state
+/// (or build error) once a cell reaches it, and the count of its cells
+/// still running or unclaimed.
+struct Slot<'a> {
+    prepared: Option<Result<Arc<Prepared<'a>>, SweepError>>,
+    pending: usize,
+}
+
 /// What a session enumerates.
 enum Source {
-    /// Cheap specs, materialised on the worker that measures them.
+    /// Cheap specs, each materialised by the first worker that claims
+    /// one of its cells.
     Specs(Vec<ScenarioSpec>),
     /// Pre-built scenarios (external instances, hand-crafted numberings).
     Built(Vec<Scenario>),
@@ -237,7 +263,6 @@ pub struct Session {
     /// own [`ScenarioSpec::exec`] defaults (and to [`ExecOptions::default`]
     /// beyond that); `Some` wins over both.
     delta: Option<usize>,
-    simulator_threads: Option<usize>,
     cancel: Option<CancelToken>,
     recovery: RecoveryPolicy,
 }
@@ -258,7 +283,6 @@ impl Session {
             bounds: Arc::new(ExactBounds::default()),
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
             delta: None,
-            simulator_threads: None,
             cancel: None,
             recovery: RecoveryPolicy::default(),
         }
@@ -309,8 +333,9 @@ impl Session {
         self
     }
 
-    /// Sets the shard count (default: all available cores). `1` runs
-    /// fully sequentially on the calling thread.
+    /// Sets the number of worker threads that run (scenario, protocol)
+    /// cells side by side (default: all available cores). `1` runs fully
+    /// sequentially on the calling thread.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -319,23 +344,6 @@ impl Session {
     /// Forces the sequential path — shorthand for `threads(1)`.
     pub fn sequential(self) -> Self {
         self.threads(1)
-    }
-
-    /// Runs every protocol run on this many simulator threads, handed to
-    /// the simulator as `pn_runtime::RunOptions::threads` (`1` forces the
-    /// sequential engine, two or more the worker pool). The
-    /// default defers to each spec's [`ScenarioSpec::exec`] defaults —
-    /// the registry's million-node workloads carry
-    /// [`ExecOptions::scaled`] — and runs everything else sequentially.
-    /// Results are bit-identical across all settings.
-    ///
-    /// Sessions shard *scenarios* across [`Session::threads`] while the
-    /// simulator shards *nodes* within one scenario; don't multiply both
-    /// by default (see
-    /// [`crate::protocol::recommended_simulator_threads`]).
-    pub fn simulator_threads(mut self, threads: usize) -> Self {
-        self.simulator_threads = Some(threads.max(1));
-        self
     }
 
     /// Overrides the claimed degree bound handed to the `Δ`-parametrised
@@ -373,7 +381,6 @@ impl Session {
         let spec = scenario.spec.exec.unwrap_or_default();
         ExecOptions {
             delta: self.delta.or(spec.delta),
-            simulator_threads: self.simulator_threads.unwrap_or(spec.simulator_threads),
         }
     }
 
@@ -403,21 +410,23 @@ impl Session {
     /// # Errors
     ///
     /// Propagates the first scenario build or execution error, in source
-    /// order (records of earlier scenarios are still delivered).
+    /// order (records of earlier scenarios are still delivered, none of
+    /// the failing scenario's).
     pub fn run<S: RecordSink + ?Sized>(&self, sink: &mut S) -> Result<(), SweepError> {
         let total = self.source.len();
-        if total == 0 {
-            return Ok(());
+        let workers = self.threads.min(total * self.protocols.len());
+        if workers > 1 {
+            return self.run_sharded(sink, total, workers);
         }
-        let workers = self.threads.min(total);
-        if workers <= 1 {
-            for index in 0..total {
-                let batch = self.measure_index(index)?;
-                emit(sink, batch);
+        for index in 0..total {
+            let prepared = self.prepare(index)?;
+            let mut batch = Vec::new();
+            for &protocol in &self.protocols {
+                batch.extend(self.measure_cell(&prepared, protocol)?);
             }
-            return Ok(());
+            emit(sink, batch);
         }
-        self.run_sharded(sink, total, workers)
+        Ok(())
     }
 
     /// Convenience wrapper: runs the session into a fresh
@@ -432,10 +441,24 @@ impl Session {
         Ok(sink.into_records())
     }
 
-    /// The sharded executor: workers claim scenario indices from an
-    /// atomic cursor, measure locally, and publish into an ordered merge
-    /// buffer; the calling thread drains the buffer strictly in order
-    /// and feeds the sink. Back-pressure (workers stall once they run
+    /// The order in which workers claim a scenario's cells, as positions
+    /// in the portfolio: the identifier-model matching first, then the
+    /// rest in portfolio order. On the million-node graphs it is the
+    /// longest run, about 2 s on the cycle and 4 s on the cubic graph;
+    /// claimed fifth, in portfolio order, it would start late and run on
+    /// alone while the other workers idle.
+    fn claim_order(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.protocols.len()).collect();
+        order.sort_by_key(|&i| self.protocols[i] != Protocol::IdMatching);
+        order
+    }
+
+    /// The sharded executor: workers claim (scenario, protocol) cells
+    /// from an atomic cursor, scenario by scenario and in
+    /// [`Session::claim_order`] within each, measure them, and publish
+    /// into an ordered merge buffer. The calling thread waits for every
+    /// cell of the next scenario and feeds the whole scenario to the sink
+    /// in portfolio order. Back-pressure (workers stall on a cell
     /// `2 × workers` scenarios ahead of the emitter) bounds the buffer.
     fn run_sharded<S: RecordSink + ?Sized>(
         &self,
@@ -443,11 +466,24 @@ impl Session {
         total: usize,
         workers: usize,
     ) -> Result<(), SweepError> {
+        type Cell = Result<Option<Measurement>, SweepError>;
         struct Merge {
-            done: BTreeMap<usize, Result<Vec<Measurement>, SweepError>>,
+            /// Finished cells of scenarios not yet emitted, by scenario,
+            /// each vector indexed by portfolio position.
+            done: BTreeMap<usize, Vec<Option<Cell>>>,
             emitted: usize,
             abort: bool,
         }
+        let width = self.protocols.len();
+        let claim = self.claim_order();
+        let slots: Vec<Mutex<Slot<'_>>> = (0..total)
+            .map(|_| {
+                Mutex::new(Slot {
+                    prepared: None,
+                    pending: width,
+                })
+            })
+            .collect();
         let cursor = AtomicUsize::new(0);
         let merge = Mutex::new(Merge {
             done: BTreeMap::new(),
@@ -461,10 +497,11 @@ impl Session {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= total {
+                    let claimed = cursor.fetch_add(1, Ordering::Relaxed);
+                    if claimed >= total * width {
                         return;
                     }
+                    let (index, position) = (claimed / width, claim[claimed % width]);
                     // Back-pressure: stay within the merge window.
                     {
                         let mut st = merge.lock().expect("merge lock");
@@ -475,10 +512,13 @@ impl Session {
                             return;
                         }
                     }
-                    let result = self.measure_index(index);
+                    let result = self.run_cell(&slots[index], index, self.protocols[position]);
                     let mut st = merge.lock().expect("merge lock");
                     let abort = st.abort;
-                    st.done.insert(index, result);
+                    st.done
+                        .entry(index)
+                        .or_insert_with(|| (0..width).map(|_| None).collect())[position] =
+                        Some(result);
                     drop(st);
                     ready.notify_all();
                     if abort {
@@ -489,18 +529,26 @@ impl Session {
 
             // The emitter: this thread owns the sink.
             for expected in 0..total {
-                let result = {
+                let cells = {
                     let mut st = merge.lock().expect("merge lock");
                     loop {
-                        if let Some(r) = st.done.remove(&expected) {
+                        let complete = st
+                            .done
+                            .get(&expected)
+                            .is_some_and(|cells| cells.iter().all(Option::is_some));
+                        if complete {
                             st.emitted = expected + 1;
-                            break r;
+                            break st.done.remove(&expected).expect("complete");
                         }
                         st = ready.wait(st).expect("merge lock");
                     }
                 };
                 ready.notify_all();
-                match result {
+                let batch: Result<Vec<Measurement>, SweepError> = cells
+                    .into_iter()
+                    .filter_map(|cell| cell.expect("complete").transpose())
+                    .collect();
+                match batch {
                     Ok(batch) => emit(sink, batch),
                     Err(e) => {
                         let mut st = merge.lock().expect("merge lock");
@@ -516,89 +564,126 @@ impl Session {
         outcome
     }
 
-    /// Builds (if needed) and measures the `index`-th scenario of the
-    /// source under every applicable protocol of the portfolio.
-    fn measure_index(&self, index: usize) -> Result<Vec<Measurement>, SweepError> {
-        match &self.source {
-            Source::Specs(specs) => {
-                let scenario = specs[index].build()?;
-                self.measure_scenario(&scenario)
-            }
-            Source::Built(scenarios) => self.measure_scenario(&scenarios[index]),
+    /// Measures one claimed cell. The first cell to reach the scenario
+    /// prepares it (or records its build error for every cell), and the
+    /// last one to finish drops it.
+    fn run_cell<'s>(
+        &'s self,
+        slot: &Mutex<Slot<'s>>,
+        index: usize,
+        protocol: Protocol,
+    ) -> Result<Option<Measurement>, SweepError> {
+        let prepared = slot
+            .lock()
+            .expect("slot lock")
+            .prepared
+            .get_or_insert_with(|| self.prepare(index).map(Arc::new))
+            .clone();
+        let result = prepared.and_then(|p| self.measure_cell(&p, protocol));
+        let mut slot = slot.lock().expect("slot lock");
+        slot.pending -= 1;
+        if slot.pending == 0 {
+            slot.prepared = None;
         }
+        result
     }
 
-    fn measure_scenario(&self, scenario: &Scenario) -> Result<Vec<Measurement>, SweepError> {
+    /// Builds (if needed) the `index`-th scenario of the source for its
+    /// cells to share.
+    fn prepare(&self, index: usize) -> Result<Prepared<'_>, SweepError> {
+        let scenario = match &self.source {
+            Source::Specs(specs) => Cow::Owned(specs[index].build()?),
+            Source::Built(scenarios) => Cow::Borrowed(&scenarios[index]),
+        };
         session_metrics().scenarios.inc();
-        if matches!(scenario.spec.family, Family::Churn { .. }) {
-            return self.measure_churn(scenario);
-        }
-        let bounds = ScenarioBounds::new(self.bounds.as_ref());
-        self.protocols
-            .iter()
-            .filter(|p| p.applicable(scenario))
-            .map(|&p| self.measure_one(scenario, p, &bounds))
-            .collect()
+        Ok(Prepared {
+            scenario,
+            bounds: ScenarioBounds::new(self.bounds.as_ref()),
+            schedule: OnceLock::new(),
+            scored: OnceLock::new(),
+        })
     }
 
-    /// Measures a dynamic scenario: every applicable protocol survives
-    /// the same materialised event schedule (it depends only on the spec,
-    /// not the protocol, so it is drawn once), and the final quiescent
-    /// solution is scored on the final topology exactly like a static
-    /// record — plus the flat churn accounting fields.
-    fn measure_churn(&self, scenario: &Scenario) -> Result<Vec<Measurement>, SweepError> {
-        let exec = self.exec_for(scenario);
-        let bounds = ScenarioBounds::new(self.bounds.as_ref());
-        let protocols: Vec<Protocol> = self
-            .protocols
-            .iter()
-            .copied()
-            .filter(|p| p.applicable(scenario))
-            .collect();
-        if protocols.is_empty() {
-            return Ok(Vec::new());
+    /// Measures one cell: `protocol` on a prepared scenario, or `None`
+    /// when the protocol does not apply to it.
+    fn measure_cell(
+        &self,
+        prepared: &Prepared<'_>,
+        protocol: Protocol,
+    ) -> Result<Option<Measurement>, SweepError> {
+        let scenario = prepared.scenario.as_ref();
+        if !protocol.applicable(scenario) {
+            return Ok(None);
         }
-        let mat = materialize_scenario(scenario)?;
-        let mut final_scenario: Option<Scenario> = None;
-        let mut measurements = Vec::new();
-        for protocol in protocols {
-            let run = run_materialized(
-                scenario,
-                &mat,
-                protocol,
-                &exec,
-                &self.recovery,
-                self.cancel.as_ref(),
-            )?;
-            // The schedule is protocol-independent, so the final graph
-            // is too; build the scored scenario (its one projection and
-            // its exact/LP reference bounds) once.
-            if final_scenario.is_none() {
-                final_scenario = Some(Scenario {
+        if matches!(scenario.spec.family, Family::Churn { .. }) {
+            return self.measure_churn(prepared, protocol).map(Some);
+        }
+        self.measure_one(scenario, protocol, &prepared.bounds)
+            .map(Some)
+    }
+
+    /// Measures a protocol on a dynamic scenario: it survives the
+    /// scenario's materialised event schedule (which depends only on the
+    /// spec, not the protocol, so it is drawn once for all cells), and
+    /// the final quiescent solution is scored on the final topology
+    /// exactly like a static record — plus the flat churn accounting
+    /// fields.
+    fn measure_churn(
+        &self,
+        prepared: &Prepared<'_>,
+        protocol: Protocol,
+    ) -> Result<Measurement, SweepError> {
+        let scenario = prepared.scenario.as_ref();
+        let mat = prepared
+            .schedule
+            .get_or_init(|| materialize_scenario(scenario))
+            .as_ref()
+            .map_err(Clone::clone)?;
+        let run = run_materialized(
+            scenario,
+            mat,
+            protocol,
+            &self.exec_for(scenario),
+            &self.recovery,
+            self.cancel.as_ref(),
+        )?;
+        // The schedule is protocol-independent, so the final graph is
+        // too; the first finished cell projects it, once.
+        let final_graph = run.final_graph;
+        let scored = prepared
+            .scored
+            .get_or_init(|| {
+                Ok(Scenario {
                     spec: scenario.spec.clone(),
-                    simple: run.final_graph.to_simple()?,
-                    graph: run.final_graph,
-                });
-            }
-            let fs = final_scenario.as_ref().expect("just inserted");
-            let bound = match protocol {
-                // The protocol was parametrised with the schedule's
-                // degree cap; A(Δ)'s theorem holds for that claim.
-                Protocol::BoundedDegree => Some(eds_core::bounded_degree::bounded_degree_ratio(
-                    run.claimed_delta,
-                )),
-                _ => paper_bound(protocol, fs),
-            };
-            let finished = ProtocolRun {
-                solution: run.solution,
-                rounds: run.rounds,
-                messages: run.messages,
-            };
-            let mut measurement = self.score(fs, &bounds, protocol, bound, finished, run.violation);
-            measurement.record.churn = Some(run.stats);
-            measurements.push(measurement);
-        }
-        Ok(measurements)
+                    simple: final_graph.to_simple()?,
+                    graph: final_graph,
+                })
+            })
+            .as_ref()
+            .map_err(Clone::clone)?;
+        let bound = match protocol {
+            // The protocol was parametrised with the schedule's degree
+            // cap; A(Δ)'s theorem holds for that claim.
+            Protocol::BoundedDegree => Some(eds_core::bounded_degree::bounded_degree_ratio(
+                run.claimed_delta,
+            )),
+            _ => paper_bound(protocol, scored),
+        };
+        let finished = ProtocolRun {
+            solution: run.solution,
+            rounds: run.rounds,
+            messages: run.messages,
+        };
+        let mut measurement = self.score(
+            scored,
+            &prepared.bounds,
+            protocol,
+            bound,
+            finished,
+            run.violation,
+        );
+        measurement.record.churn = Some(run.stats);
+        Ok(measurement)
     }
 
     fn measure_one(
@@ -811,7 +896,8 @@ mod tests {
     #[test]
     fn provider_is_queried_once_per_objective_per_scenario() {
         // Bounds are protocol-independent: however many protocols run
-        // on a scenario, the provider pays for each objective once.
+        // on a scenario, and on however many workers, the provider pays
+        // for each objective once.
         #[derive(Clone, Default)]
         struct Counting {
             eds: Arc<AtomicUsize>,
@@ -833,22 +919,32 @@ mod tests {
                 }
             }
         }
-        let counting = Counting::default();
-        let records = Session::new()
-            .specs(vec![ScenarioSpec::new(
-                Family::Petersen,
-                0,
-                PortPolicy::Canonical,
-            )])
-            .bounds(counting.clone())
-            .sequential()
-            .collect()
-            .unwrap();
-        // All six protocols ran (five edge objectives, one vertex cover)
-        // but each objective's bounds were computed exactly once.
-        assert_eq!(records.len(), 6);
-        assert_eq!(counting.eds.load(Ordering::Relaxed), 1);
-        assert_eq!(counting.vc.load(Ordering::Relaxed), 1);
+        for threads in [1usize, 2, 4] {
+            let counting = Counting::default();
+            let records = Session::new()
+                .specs(vec![ScenarioSpec::new(
+                    Family::Petersen,
+                    0,
+                    PortPolicy::Canonical,
+                )])
+                .bounds(counting.clone())
+                .threads(threads)
+                .collect()
+                .unwrap();
+            // All six protocols ran (five edge objectives, one vertex
+            // cover) but each objective's bounds were computed once.
+            assert_eq!(records.len(), 6, "threads = {threads}");
+            assert_eq!(
+                counting.eds.load(Ordering::Relaxed),
+                1,
+                "threads = {threads}"
+            );
+            assert_eq!(
+                counting.vc.load(Ordering::Relaxed),
+                1,
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]
@@ -893,18 +989,23 @@ mod tests {
             ScenarioSpec::new(Family::Petersen, 0, PortPolicy::TwoFactor),
             ScenarioSpec::new(Family::Cycle(7), 0, PortPolicy::Canonical),
         ];
-        for threads in [1usize, 4] {
+        // Every protocol: at two or more threads, several cells wait on
+        // the one failed build.
+        for threads in [1usize, 2, 4] {
             let mut sink = VecSink::new();
             let err = Session::new()
                 .specs(specs.clone())
-                .protocols(&[Protocol::PortOne])
                 .threads(threads)
                 .run(&mut sink)
                 .unwrap_err();
             assert!(matches!(err, SweepError::Graph(_)), "threads = {threads}");
-            // The scenario before the failure was still delivered.
-            assert_eq!(sink.records.len(), 1, "threads = {threads}");
-            assert_eq!(sink.records[0].family, "cycle");
+            // Every record of the scenario before the failure was still
+            // delivered, and none of the failed one's.
+            assert_eq!(sink.records.len(), 5, "threads = {threads}");
+            assert!(
+                sink.records.iter().all(|r| r.family == "cycle"),
+                "threads = {threads}"
+            );
         }
     }
 }

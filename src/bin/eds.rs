@@ -22,10 +22,6 @@
 //!                        provider scoring the run (default: exact;
 //!                        lp = certified LP dual bounds on instances
 //!                        beyond the exact budget)
-//!   --simulator-threads <n>
-//!                        run the distributed algorithms on n parallel
-//!                        simulator workers (default 1: sequential;
-//!                        results are bit-identical either way)
 //!   --quiet              print only the edge list
 //!   --help               this text
 //! ```
@@ -59,11 +55,6 @@ const USAGE: &str = "usage: eds [options] [FILE]
                        certifies tighter LP-relaxation dual bounds on
                        instances beyond the exact-solver budget, mm uses
                        the constant-cost matching bounds only
-  --simulator-threads <n>
-                       run the distributed algorithms on n parallel
-                       simulator workers (default 1: sequential engine;
-                       results are bit-identical either way — use for
-                       huge inputs on multi-core hosts)
   --quiet              print only the edge list
   --help               this text
 
@@ -78,7 +69,6 @@ struct Options {
     delta: Option<usize>,
     ports: String,
     bounds: BoundsMode,
-    simulator_threads: Option<usize>,
     quiet: bool,
     file: Option<String>,
 }
@@ -89,7 +79,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         delta: None,
         ports: "canonical".to_owned(),
         bounds: BoundsMode::Exact,
-        simulator_threads: None,
         quiet: false,
         file: None,
     };
@@ -114,13 +103,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         BoundsMode::NAMES.join(", ")
                     )
                 })?;
-            }
-            "--simulator-threads" => {
-                let v = it.next().ok_or("--simulator-threads needs a value")?;
-                options.simulator_threads = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --simulator-threads value {v:?}"))?,
-                );
             }
             "--quiet" => options.quiet = true,
             "--help" | "-h" => return Err(USAGE.to_owned()),
@@ -229,15 +211,11 @@ fn run_protocol(
         ));
     }
 
-    // One input graph, so the session itself stays sequential; node-level
-    // parallelism (if requested) belongs to the simulator engine.
+    // One input graph and one protocol: a single run on this thread.
     let session = Session::new().sequential().protocols(&[protocol]);
     let (mut session, _lp) = options.bounds.install(session);
     if let Some(delta) = options.delta {
         session = session.delta_hint(delta);
-    }
-    if let Some(threads) = options.simulator_threads {
-        session = session.simulator_threads(threads);
     }
     let graph = scenario.graph.clone();
     let mut capture = Capture::default();
@@ -517,24 +495,6 @@ mod tests {
         let input = "0 1\n1 2\n2 3\n";
         let o = opts(&["--algorithm", "adelta", "--delta", "4", "--quiet"]);
         assert!(!run(&o, input).unwrap().is_empty());
-    }
-
-    #[test]
-    fn simulator_threads_flag_is_bit_identical() {
-        // The parallel simulator engine must not change any output or
-        // statistic the CLI reports.
-        let input = "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n0 3\n1 4\n";
-        for algo in ["port1", "adelta", "vc3", "idmm", "randmm"] {
-            let seq = run(&opts(&["--algorithm", algo]), input).unwrap();
-            let par = run(
-                &opts(&["--algorithm", algo, "--simulator-threads", "4"]),
-                input,
-            )
-            .unwrap();
-            assert_eq!(seq, par, "{algo}");
-        }
-        let args = vec!["--simulator-threads".to_owned(), "zero".to_owned()];
-        assert!(parse_args(&args).is_err(), "non-numeric value rejected");
     }
 
     #[test]

@@ -42,7 +42,6 @@ OPTIONS:
     --max-nodes N          largest accepted instance, nodes (default 1048576)
     --max-edges N          largest accepted instance, edges (default 2097152)
     --timeout-ms N         default per-request timeout (default 10000)
-    --simulator-threads N  simulator threads per protocol run (default 1)
     --quiet                don't print the stats summary to stderr on exit
     --help                 print this help
 
@@ -107,10 +106,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--timeout-ms" => {
                 options.config.default_timeout =
                     Duration::from_millis(number("--timeout-ms", value("--timeout-ms")?)? as u64)
-            }
-            "--simulator-threads" => {
-                options.config.simulator_threads =
-                    number("--simulator-threads", value("--simulator-threads")?)?.max(1)
             }
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }

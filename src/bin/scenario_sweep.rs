@@ -7,7 +7,7 @@
 //! ```text
 //! scenario_sweep [--smoke | --churn | --churn-scale [N]]
 //!                [--out PATH] [--threads N] [--sequential]
-//!                [--simulator-threads N] [--bounds exact|lp|mm] [--stats]
+//!                [--bounds exact|lp|mm] [--stats]
 //! ```
 //!
 //! * `--smoke` sweeps the fast CI registry instead of the full matrix;
@@ -27,14 +27,11 @@
 //!   contract);
 //! * `--out PATH` overrides the output path (default
 //!   `BENCH_scenarios.json` in the current directory);
-//! * `--threads N` sets the shard count (default: all cores);
-//! * `--sequential` disables sharding (output is byte-identical either
-//!   way — the sharded executor merges deterministically);
-//! * `--simulator-threads N` routes every protocol run through the
-//!   parallel simulator engine on `N` pool workers (`1` forces the
-//!   sequential engine). By default each workload decides for itself:
-//!   the registry's million-node specs carry scaled execution defaults,
-//!   everything else runs sequentially;
+//! * `--threads N` sets how many (scenario, protocol) runs go side by
+//!   side (default: all cores);
+//! * `--sequential` runs everything on one thread, the same as
+//!   `--threads 1` (output is byte-identical either way — the sharded
+//!   executor merges deterministically);
 //! * `--bounds` selects the reference bound provider: `lp` (exact
 //!   optima within budget, certified LP-relaxation dual bounds beyond,
 //!   each backed by an independently verified `DualCertificate` — the
@@ -54,14 +51,6 @@
 //! optimum (either would be a bound-provider bug — this is the CI
 //! `lp-bounds-smoke` contract). The inversion gate is active for every
 //! provider.
-//!
-//! Nested-parallelism guidance: `--threads` shards *scenarios* across a
-//! session's workers while `--simulator-threads` shards the *nodes* of
-//! one scenario across the simulator's pool — don't multiply both. For
-//! registry sweeps keep the default (scenario sharding); when measuring
-//! a single huge instance, pass `--sequential --simulator-threads N` so
-//! the simulator gets the cores. Either way the output is bit-identical
-//! to the fully sequential run.
 //!
 //! The sweep runs through the [`eds_scenarios::Session`] solver service
 //! with two sinks: a streaming [`JsonLinesSink`] writing each record to
@@ -111,7 +100,6 @@ fn main() -> ExitCode {
     let mut stats = false;
     let mut out = "BENCH_scenarios.json".to_owned();
     let mut threads: Option<usize> = None;
-    let mut simulator_threads: Option<usize> = None;
     // The committed baseline is generated with the LP provider, so the
     // no-flags sweep regenerates it compatibly.
     let mut bounds = BoundsMode::Lp;
@@ -158,13 +146,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--simulator-threads" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => simulator_threads = Some(n),
-                None => {
-                    eprintln!("--simulator-threads requires a number");
-                    return ExitCode::from(2);
-                }
-            },
             "--out" => match args.next() {
                 Some(path) => out = path,
                 None => {
@@ -176,8 +157,8 @@ fn main() -> ExitCode {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
                     "usage: scenario_sweep [--smoke | --churn | --churn-scale [N]] \
-                     [--out PATH] [--threads N] [--sequential] [--simulator-threads N] \
-                     [--bounds exact|lp|mm] [--stats]"
+                     [--out PATH] [--threads N] [--sequential] [--bounds exact|lp|mm] \
+                     [--stats]"
                 );
                 return ExitCode::from(2);
             }
@@ -241,9 +222,6 @@ fn main() -> ExitCode {
     }
     if let Some(n) = threads {
         session = session.threads(n);
-    }
-    if let Some(n) = simulator_threads {
-        session = session.simulator_threads(n);
     }
     if let Err(e) = session.run(&mut sink) {
         eprintln!("sweep failed: {e}");

@@ -12,9 +12,9 @@
 //!    recovery rounds never exceed the full run, and incremental repair
 //!    touches only the damage frontier (message counts stay far below
 //!    the protocol's own message total).
-//! 3. **Determinism** — churn records are bit-identical across
-//!    simulator thread counts, and an empty schedule reproduces the
-//!    static engine exactly.
+//! 3. **Determinism** — churn records are bit-identical across session
+//!    shardings, and an empty schedule reproduces the static engine
+//!    exactly.
 
 use edge_dominating_sets::algorithms::repair::RecoveryPolicy;
 use edge_dominating_sets::runtime::CancelToken;
@@ -22,10 +22,10 @@ use edge_dominating_sets::scenarios::{
     ChurnPlan, Family, PortPolicy, Registry, Scenario, ScenarioSpec, Session, SweepRecord,
 };
 
-fn collect(registry: Registry, simulator_threads: usize) -> Vec<SweepRecord> {
+/// The records of a session over `registry` on `threads` workers.
+fn collect(registry: Registry, threads: usize) -> Vec<SweepRecord> {
     Session::over(registry)
-        .sequential()
-        .simulator_threads(simulator_threads)
+        .threads(threads)
         .collect()
         .expect("churn session runs")
 }
@@ -57,18 +57,17 @@ fn churn_registry_reconverges_cleanly() {
     assert!(records.iter().all(|r| r.protocol != "regular-odd"));
 }
 
+/// A sharded session runs a churn scenario's protocols on different
+/// workers, which share one drawn schedule and one projection of the
+/// final topology; the records must equal the sequential ones.
 #[test]
-fn churn_records_are_bit_identical_across_simulator_threads() {
+fn churn_records_are_bit_identical_across_shardings() {
     let baseline = collect(Registry::churn(), 1);
     for threads in [2usize, 4] {
         let records = collect(Registry::churn(), threads);
         assert_eq!(records.len(), baseline.len());
         for (a, b) in records.iter().zip(&baseline) {
-            assert_eq!(
-                a.to_json_line(),
-                b.to_json_line(),
-                "simulator_threads = {threads}"
-            );
+            assert_eq!(a.to_json_line(), b.to_json_line(), "threads = {threads}");
         }
     }
 }

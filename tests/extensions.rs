@@ -97,14 +97,10 @@ fn transcripts_render_as_recorded() {
     use edge_dominating_sets::algorithms::port_one::PortOneNode;
     use edge_dominating_sets::runtime::{NodeAlgorithm, Simulator};
 
-    fn render<A: NodeAlgorithm + Send>(
+    fn render<A: NodeAlgorithm>(
         g: &PortNumberedGraph,
         factory: impl Fn(NodeId, usize) -> A,
-    ) -> String
-    where
-        A::Message: Send,
-        A::Output: Send,
-    {
+    ) -> String {
         let options = RunOptions {
             record_trace: true,
             ..RunOptions::default()

@@ -5,11 +5,13 @@
 //! attached to a sharded [`Session`] observes exactly the sequential
 //! record stream — same records, same order, byte-identical serialised
 //! reports. These tests assert that promise on [`Registry::conformance`]
-//! (property-tested across thread counts and portfolio subsets) and on
-//! [`Registry::smoke`] at the JSON-lines byte level, and check that the
-//! worker-pool engine leaves both registries' records unchanged.
+//! (property-tested across thread counts and portfolio subsets), and on
+//! [`Registry::smoke`] and a single scenario whose cells split across
+//! workers at the JSON-lines byte level.
 
-use edge_dominating_sets::scenarios::{JsonLinesSink, Protocol, Registry, Session, SweepRecord};
+use edge_dominating_sets::scenarios::{
+    Family, JsonLinesSink, PortPolicy, Protocol, Registry, ScenarioSpec, Session, SweepRecord,
+};
 use proptest::prelude::*;
 
 /// The sequential reference stream for a portfolio on the conformance
@@ -54,42 +56,35 @@ proptest! {
 }
 
 /// The acceptance-level check: a streaming JSON-lines report written by
-/// the sharded path is byte-identical to the sequential one.
+/// the sharded path is byte-identical to the sequential one, over the
+/// smoke registry and over one scenario, the Petersen graph, whose six
+/// cells are all the work there is.
 #[test]
 fn json_lines_report_is_byte_identical_across_shardings() {
-    let render = |threads: usize| -> Vec<u8> {
+    let petersen = ScenarioSpec::new(Family::Petersen, 3, PortPolicy::Shuffled)
+        .build()
+        .unwrap();
+    let render = |session: Session| -> Vec<u8> {
         let mut sink = JsonLinesSink::new(Vec::new());
-        Session::over(Registry::smoke())
-            .threads(threads)
-            .run(&mut sink)
-            .expect("session runs");
+        session.run(&mut sink).expect("session runs");
         sink.finish().expect("in-memory writer cannot fail")
     };
-    let reference = render(1);
-    assert!(!reference.is_empty());
-    for threads in [2usize, 4, 16] {
-        assert_eq!(
-            render(threads),
-            reference,
-            "sharded report diverges at {threads} threads"
-        );
-    }
-}
-
-/// Sharding composes with the parallel simulator engine: records stay
-/// identical when each protocol run itself fans out across threads. The
-/// conformance registry puts every (scenario, protocol) pair of the
-/// integration-test matrix through the worker pool against the
-/// sequential engine.
-#[test]
-fn simulator_threads_do_not_change_records() {
-    for registry in [Registry::smoke, Registry::conformance] {
-        let reference = Session::over(registry()).sequential().collect().unwrap();
-        let inner_parallel = Session::over(registry())
-            .threads(4)
-            .simulator_threads(3)
-            .collect()
-            .unwrap();
-        assert_eq!(reference, inner_parallel);
+    for single in [false, true] {
+        let session = || {
+            if single {
+                Session::new().scenarios(vec![petersen.clone()])
+            } else {
+                Session::over(Registry::smoke())
+            }
+        };
+        let reference = render(session().sequential());
+        assert!(!reference.is_empty());
+        for threads in [2usize, 4, 16] {
+            assert_eq!(
+                render(session().threads(threads)),
+                reference,
+                "single = {single}: sharded report diverges at {threads} threads"
+            );
+        }
     }
 }

@@ -15,8 +15,15 @@
 //! `examples/`, and each script a step runs (`python3 perfbench/run.py`,
 //! `./path`) a file of the repository. Every file under `examples/` must
 //! be run by some step.
+//!
+//! A fourth check keeps every step's flags parseable: each `--flag` a
+//! step passes to a binary of the root package (through `cargo run
+//! --bin NAME --` or `./target/release/NAME`) must appear as the literal
+//! `"--flag"` in that binary's source, found through its `[[bin]]` path
+//! in the root `Cargo.toml`. A step that still passes a deleted flag
+//! then fails here, offline, instead of in CI.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 /// One mapping being read: the column its keys start at and the keys
@@ -249,6 +256,100 @@ fn binaries_under(dir: &Path, names: &mut HashSet<String>) {
             binaries_under(&entry.path(), names);
         }
     }
+}
+
+/// The source text of every `[[bin]]` of the root manifest, by name.
+fn root_binary_sources(repo: &Path) -> HashMap<String, String> {
+    let toml = std::fs::read_to_string(repo.join("Cargo.toml")).expect("a root manifest");
+    let mut sources = HashMap::new();
+    let mut bin: Option<(Option<String>, Option<String>)> = None;
+    // A trailing table header flushes the last `[[bin]]`.
+    for line in toml.lines().map(str::trim).chain(["[end]"]) {
+        if line.starts_with('[') {
+            if let Some((Some(name), Some(path))) = bin.take() {
+                let source = std::fs::read_to_string(repo.join(&path))
+                    .unwrap_or_else(|e| panic!("[[bin]] {name}: {path}: {e}"));
+                sources.insert(name, source);
+            }
+            bin = (line == "[[bin]]").then_some((None, None));
+        } else if let (Some((name, path)), Some((key, value))) = (&mut bin, line.split_once('=')) {
+            let value = Some(value.trim().trim_matches('"').to_owned());
+            match key.trim() {
+                "name" => *name = value,
+                "path" => *path = value,
+                _ => {}
+            }
+        }
+    }
+    sources
+}
+
+/// Whether a shell word ends the command before it: a pipe, a list
+/// operator or a redirection (`|`, `&&`, `;`, `<`, `>`, `2>` ...).
+fn is_operator(word: &str) -> bool {
+    let unnumbered = word.trim_start_matches(|c: char| c.is_ascii_digit());
+    word.starts_with(['|', '&', ';']) || unnumbered.starts_with(['<', '>'])
+}
+
+/// Every `--flag` the commands of `source` pass to one of `binaries`, as
+/// `(line, binary, flag)` with 1-based line numbers: the words after
+/// `./target/release/NAME`, or after the `--` that follows `--bin NAME`,
+/// up to the end of the command. A `--flag=value` word counts as
+/// `--flag`.
+fn binary_flags(source: &str, binaries: &HashSet<&str>) -> Vec<(usize, String, String)> {
+    let mut found = Vec::new();
+    for (line, command) in command_lines(source) {
+        let words: Vec<&str> = command.split_whitespace().collect();
+        for (i, &word) in words.iter().enumerate() {
+            let rest = &words[i + 1..];
+            let (name, args) = if let Some(name) = word.strip_prefix("./target/release/") {
+                (name, rest)
+            } else if word == "--bin" && !rest.is_empty() {
+                // Cargo's own flags come before the `--` separator.
+                let separator = rest
+                    .iter()
+                    .take_while(|w| !is_operator(w))
+                    .position(|&w| w == "--");
+                match separator {
+                    Some(at) => (rest[0], &rest[at + 1..]),
+                    None => continue,
+                }
+            } else {
+                continue;
+            };
+            if !binaries.contains(name) {
+                continue;
+            }
+            for &arg in args {
+                if is_operator(arg) {
+                    break;
+                }
+                let bare = arg.trim_matches(|c| matches!(c, '"' | '\'' | '(' | ')' | ';'));
+                let flag = bare.split('=').next().unwrap_or(bare);
+                if flag.len() > 2 && flag.starts_with("--") {
+                    found.push((line, name.to_owned(), flag.to_owned()));
+                }
+                if arg.ends_with([';', ')']) {
+                    break;
+                }
+            }
+        }
+    }
+    found
+}
+
+/// The flags `workflow` passes to a root-package binary whose source
+/// lacks the literal `"--flag"`, as `line: binary --flag` messages, and
+/// the number of flags checked.
+fn unparsed_flags(workflow: &str, sources: &HashMap<String, String>) -> (usize, Vec<String>) {
+    let names: HashSet<&str> = sources.keys().map(String::as_str).collect();
+    let flags = binary_flags(workflow, &names);
+    let problems = flags
+        .iter()
+        .filter(|(_, binary, flag)| !sources[binary].contains(&format!("\"{flag}\"")))
+        .map(|(line, binary, flag)| format!("{line}: {binary} {flag}"))
+        .collect();
+    (flags.len(), problems)
 }
 
 /// `*` and `?` wildcard matching that never crosses a `/`.
@@ -508,5 +609,71 @@ fn the_step_reader_finds_binaries_and_scripts() {
             (7, Needs::Path("perfbench/run.py".to_owned())),
             (8, Needs::Example("protocol_trace".to_owned())),
         ]
+    );
+}
+
+#[test]
+fn ci_steps_pass_flags_their_binaries_parse() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sources = root_binary_sources(repo);
+    for expected in ["scenario_sweep", "eds", "eds-serve", "bench_diff"] {
+        assert!(sources.contains_key(expected), "no [[bin]] {expected}");
+    }
+    let mut files = Vec::new();
+    yaml_files(&repo.join(".github"), &mut files);
+    files.sort();
+    let mut checked = 0;
+    let mut problems = Vec::new();
+    for file in &files {
+        let source = std::fs::read_to_string(file).expect("readable YAML file");
+        let (count, unparsed) = unparsed_flags(&source, &sources);
+        checked += count;
+        problems.extend(
+            unparsed
+                .into_iter()
+                .map(|p| format!("{}:{p}: not parsed by the binary", file.display())),
+        );
+    }
+    assert!(checked > 0, "no binary flags found in the workflows");
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+#[test]
+fn the_flag_reader_finds_what_each_binary_is_passed() {
+    let workflow = "\
+      - run: cargo run --locked --release --bin scenario_sweep -- --churn --out /tmp/a.json
+      # cargo run --bin eds -- --in-a-comment
+      - run: |
+          printf '0 1\\n' | ./target/release/eds --algorithm=thm4 2> /tmp/e.txt --not-eds
+          ./target/release/eds-serve --http 127.0.0.1:8093 \\
+            --quiet > /tmp/o.txt &
+          cargo run --release --bin bench_diff -- --perf \"$(ls /tmp/a | paste -sd, -)\"
+          cargo build --locked --release --bin eds --features x
+          (cd /tmp && ./target/release/eds --quiet) --outside
+          python3 perfbench/run.py --workload batch_mixed
+";
+    let names = HashSet::from(["scenario_sweep", "eds", "eds-serve", "bench_diff"]);
+    let flag = |line: usize, binary: &str, flag: &str| (line, binary.to_owned(), flag.to_owned());
+    assert_eq!(
+        binary_flags(workflow, &names),
+        vec![
+            flag(1, "scenario_sweep", "--churn"),
+            flag(1, "scenario_sweep", "--out"),
+            flag(4, "eds", "--algorithm"),
+            flag(5, "eds-serve", "--http"),
+            flag(5, "eds-serve", "--quiet"),
+            flag(7, "bench_diff", "--perf"),
+            flag(9, "eds", "--quiet"),
+        ]
+    );
+
+    // A step passing a flag the binary does not parse fails.
+    let sources = root_binary_sources(Path::new(env!("CARGO_MANIFEST_DIR")));
+    let step = "cargo run --locked --release --bin scenario_sweep -- --churn --out /tmp/a.json";
+    assert_eq!(unparsed_flags(step, &sources), (2, Vec::new()));
+    let mutant = format!("{step} --no-such-flag 2");
+    assert_eq!(
+        unparsed_flags(&mutant, &sources),
+        (3, vec!["1: scenario_sweep --no-such-flag".to_owned()])
     );
 }
